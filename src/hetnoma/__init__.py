@@ -22,7 +22,7 @@ from .coverage import (
     optimize_beta,
     user_count_pmf,
 )
-from .geometry import NearestNeighborIndex, PointSet, Window, associate, default_window, sample_ppp
+from .geometry import PointSet, Window, associate, default_window, sample_ppp
 from .kernels import DIVERGENT, KernelEvaluator, QuadratureError, base_integral, is_divergent
 from .simulate import (
     CoverageEstimate,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
     "DecodingThresholds", "DIVERGENT", "KernelDivergenceError", "KernelEvaluator",
-    "LoadModel", "NearestNeighborIndex", "NetworkParams", "NetworkSnapshot",
+    "LoadModel", "NetworkParams", "NetworkSnapshot",
     "PointSet", "QuadratureError", "SirSample", "SweepSpec", "TaggedCell",
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",

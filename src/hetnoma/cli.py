@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 from .config import KERNEL_MODES, ConfigError, load_config
 from .coverage import (
@@ -25,50 +24,44 @@ from .coverage import (
     coverage_coop,
     coverage_noncoop,
     decoding_thresholds,
-    optimize_beta,
 )
 from .kernels import KernelEvaluator, QuadratureError
-from .simulate import ROLES, estimates_from_totals, run_trials
-from .sweeps import ComparisonRow, SweepSpec, analytic_pairs, run_beta_scan, run_sweep
+from .simulate import run_trials
+from .sweeps import SweepSpec, comparison_rows, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
               "simulated", "ci_halfwidth", "n_samples", "flags")
+SCAN_HEADER = ("beta", "tier", "scheme", "avg_coverage")
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, n_trials=args.trials)
-    if getattr(args, "kernel_mode", None) is not None:
-        cfg = replace(cfg, kernel_mode=args.kernel_mode)
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, output=args.out)
-    return cfg
-
-
-def _write_rows(rows, path, out):
-    """Write comparison rows as CSV to `path` (or stdout when absent)."""
+def _write_csv(header, records, path, out, written):
+    """Write a CSV table to `out`, or to the file `path` and then report `written` on `out`."""
 
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [repr(float(r.sweep_value)), int(r.tier), r.role, r.scheme,
-                 repr(float(r.analytic)), repr(float(r.simulated)),
-                 repr(float(r.ci_halfwidth)), int(r.n_samples), r.flags]
-            )
+        writer.writerow(header)
+        writer.writerows(records)
 
     if path is None:
         emit(out)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                emit(fh)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
-        print(f"wrote {len(rows)} rows to {path}", file=out)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write output file {path}: {exc}") from exc
+    print(f"wrote {written} to {path}", file=out)
+
+
+def _write_rows(rows, path, out):
+    """Comparison rows as CSV; floats in shortest round-trip form."""
+    records = [
+        [repr(float(r.sweep_value)), int(r.tier), r.role, r.scheme,
+         repr(float(r.analytic)), repr(float(r.simulated)),
+         repr(float(r.ci_halfwidth)), int(r.n_samples), r.flags]
+        for r in rows
+    ]
+    _write_csv(CSV_HEADER, records, path, out, f"{len(rows)} rows")
 
 
 def cmd_analytic(cfg, out):
@@ -106,26 +99,7 @@ def cmd_sim(cfg, out):
         params, cfg.window, cfg.n_trials, seed=cfg.seed,
         max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
     )
-    pairs = analytic_pairs(params, cfg.schemes, cfg.kernel_mode)
-    estimates = {(e.tier, e.scheme, e.role): e
-                 for e in estimates_from_totals(totals, cfg.schemes)}
-    rows = []
-    for tier in range(params.n_tiers):
-        for role in ROLES:
-            for scheme in cfg.schemes:
-                pair = pairs[(tier, scheme)]
-                est = estimates[(tier, scheme, role)]
-                flags = []
-                if est.low_samples:
-                    flags.append("low_samples")
-                if pair.extrapolated:
-                    flags.append("extrapolated_beta")
-                rows.append(ComparisonRow(
-                    sweep_value=params.user_intensity, tier=tier + 1, role=role,
-                    scheme=scheme, analytic=getattr(pair, role), simulated=est.p_hat,
-                    ci_halfwidth=est.ci_halfwidth, n_samples=est.n_samples,
-                    flags=";".join(flags),
-                ))
+    rows = comparison_rows(params, params.user_intensity, totals, cfg.schemes, cfg.kernel_mode)
     _write_rows(rows, cfg.output, out)
     return 0
 
@@ -139,8 +113,7 @@ def cmd_sweep(cfg, out):
     )
     rows = run_sweep(spec)
     _write_rows(rows, cfg.output, out)
-    print(f"max |analytic - simulated| over sweep: "
-          f"{max(r.abs_gap for r in rows):.6f}", file=out)
+    print(f"max |analytic - simulated| over sweep: {max_abs_gap(rows):.6f}", file=out)
     return 0
 
 
@@ -149,7 +122,7 @@ def cmd_optimize_beta(cfg, out):
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
     grid = [lo + (1.0 - lo) * i / 32 for i in range(1, 33)]
-    scan_rows = []
+    records = []
     for tier in range(params.n_tiers):
         for scheme in cfg.schemes:
             scan = run_beta_scan(params, tier, scheme, grid, cfg.kernel_mode)
@@ -157,23 +130,12 @@ def cmd_optimize_beta(cfg, out):
             boundary = "  [maximizer at beta = 1 boundary]" if opt.at_boundary else ""
             print(f"tier {tier + 1} {scheme}: beta* = {opt.beta_star:.4f}, "
                   f"average coverage = {opt.value:.6f}{boundary}", file=out)
-            scan_rows.append((tier, scheme, scan))
+            records.extend([repr(b), tier + 1, scheme, repr(v)]
+                           for b, v in zip(scan.grid, scan.averages))
     print("beta scan (plot data):", file=out)
-    print("beta,tier,scheme,avg_coverage", file=out)
-    for tier, scheme, scan in scan_rows:
-        for b, v in zip(scan.grid, scan.averages):
-            print(f"{b!r},{tier + 1},{scheme},{v!r}", file=out)
+    _write_csv(SCAN_HEADER, records, None, out, "beta scan")
     if cfg.output is not None:
-        try:
-            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("beta", "tier", "scheme", "avg_coverage"))
-                for tier, scheme, scan in scan_rows:
-                    for b, v in zip(scan.grid, scan.averages):
-                        writer.writerow([repr(b), tier + 1, scheme, repr(v)])
-        except OSError as exc:
-            raise RuntimeError(f"cannot write output file {cfg.output}: {exc}") from exc
-        print(f"wrote beta scan to {cfg.output}", file=out)
+        _write_csv(SCAN_HEADER, records, cfg.output, out, "beta scan")
     return 0
 
 
@@ -212,7 +174,9 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        overrides = {"seed": args.seed, "n_trials": args.trials,
+                     "kernel_mode": args.kernel_mode, "output": args.out}
+        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,7 +202,12 @@ def parse_config(data):
     )
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """Parse the JSON config at `path`.
+
+    overrides maps top-level config keys to values that replace the
+    file's before parsing, so they are validated like the file's own.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -210,6 +215,8 @@ def load_config(path):
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     return parse_config(data)
 
 

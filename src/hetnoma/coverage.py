@@ -35,11 +35,16 @@ from scipy.special import gammaln
 
 from .kernels import DIVERGENT, KernelEvaluator, is_divergent
 
-SCHEMES = ("noncoop", "coop")
-
 
 class KernelDivergenceError(RuntimeError):
     """The requested kernel combination diverges (theorem mode, q < 1)."""
+
+
+def _require_finite(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class TierParams:
     intensity: float
 
     def __post_init__(self):
+        _require_finite(self, "power_watts", "intensity")
         if not self.power_watts > 0:
             raise ValueError("power_watts must be positive")
         if not self.intensity > 0:
@@ -71,6 +77,7 @@ class NetworkParams:
             raise ValueError("tiers must contain at least one tier")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        _require_finite(self, "user_intensity", "pathloss_exponent", "sir_threshold")
         if self.user_intensity < 0:
             raise ValueError("user_intensity must be nonnegative")
         if not self.pathloss_exponent > 2:

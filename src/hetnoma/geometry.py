@@ -131,34 +131,3 @@ def associate(bs_sets, users):
     np.cumsum(counts, out=starts[1:])
     return Association(serving=serving, counts=counts, _order=order, _starts=starts)
 
-
-class NearestNeighborIndex:
-    """Exact nearest-neighbor and fixed-radius queries over a point set.
-
-    Backed by a k-d tree; results agree with a brute-force scan (asserted
-    in the test suite).  Construction is single-writer; queries are
-    read-only and safe to run concurrently.
-    """
-
-    def __init__(self, points):
-        xy = points.xy if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-        if xy.shape[0] == 0:
-            raise ValueError("cannot index an empty point set")
-        self.xy = np.ascontiguousarray(xy.reshape(-1, 2))
-        self._tree = cKDTree(self.xy)
-
-    def __len__(self):
-        return self.xy.shape[0]
-
-    def nearest(self, query_xy):
-        """Distances and indices of the nearest indexed point for each query."""
-        query_xy = np.asarray(query_xy, dtype=float)
-        dist, idx = self._tree.query(query_xy.reshape(-1, 2))
-        if query_xy.ndim == 1:
-            return float(dist[0]), int(idx[0])
-        return dist, idx
-
-    def within(self, center, radius):
-        """Indices of all points within `radius` of `center` (sorted)."""
-        found = self._tree.query_ball_point(np.asarray(center, dtype=float), radius)
-        return np.asarray(sorted(found), dtype=np.intp)

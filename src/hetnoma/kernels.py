@@ -181,24 +181,18 @@ def tail_integral(b, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFA
     )
 
 
-def void_tail_integral(a, alpha, exponent_sign=+1, method="auto",
-                       abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
-    """int_a^inf E[1 - e^(s*t^(-alpha/2)*H)] dt for unit-mean exponential H.
+def void_tail_integral(a, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL,
+                       rel_tol=DEFAULT_REL_TOL):
+    """int_a^inf E[1 - e^(t^(-alpha/2)*H)] dt for unit-mean exponential H.
 
-    With s = exponent_sign = +1 the integrand is -1/(t^(alpha/2)-1); the
-    integral converges only for a > 1 (log-type singularity at t = 1) and
-    DIVERGENT is returned for a <= 1.  With exponent_sign=-1 the
-    integrand becomes 1/(t^(alpha/2)+1) and the result coincides with
-    tail_integral(a, alpha).
+    The integrand is -1/(t^(alpha/2)-1); the integral converges only for
+    a > 1 (log-type singularity at t = 1) and DIVERGENT is returned for
+    a <= 1.
 
-    For alpha = 4, sign +1: -int_a^inf dt/(t^2-1) = 0.5*ln((a-1)/(a+1)).
+    For alpha = 4: -int_a^inf dt/(t^2-1) = 0.5*ln((a-1)/(a+1)).
     """
-    if exponent_sign not in (+1, -1):
-        raise ValueError("exponent_sign must be +1 or -1")
     if a < 0:
         raise ValueError("lower limit must be nonnegative")
-    if exponent_sign == -1:
-        return tail_integral(a, alpha, method, abs_tol, rel_tol)
     if a <= 1.0:
         return DIVERGENT
     if method == "closed" or (method == "auto" and alpha == 4.0):
@@ -281,12 +275,11 @@ class KernelEvaluator:
             )
         return total
 
-    def void_kernel(self, m, y, exponent_sign=+1):
+    def void_kernel(self, m, y):
         """Void-cell gain kernel of tier m at normalized threshold y > 0.
 
         Returns DIVERGENT when any tier's lower integration limit
-        (P_m/(y*P_k))^(2/alpha) is <= 1 (sign +1 only).  Finite values are
-        <= 0 for sign +1; sign -1 reproduces interference_kernel(m, y).
+        (P_m/(y*P_k))^(2/alpha) is <= 1.  Finite values are <= 0.
         """
         if y <= 0:
             raise ValueError("kernel argument must be positive")
@@ -297,9 +290,7 @@ class KernelEvaluator:
                 continue
             ratio = y * p_k / p_m
             a = ratio ** (-2.0 / self.alpha)
-            tail = void_tail_integral(
-                a, self.alpha, exponent_sign, self._method(), self.abs_tol, self.rel_tol
-            )
+            tail = void_tail_integral(a, self.alpha, self._method(), self.abs_tol, self.rel_tol)
             if is_divergent(tail):
                 return DIVERGENT
             total += frac_k * ratio ** (2.0 / self.alpha) * tail

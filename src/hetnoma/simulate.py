@@ -153,7 +153,6 @@ class TaggedCell:
     desired_gains: np.ndarray
     link_gains: np.ndarray = field(repr=False)
     link_dist_sq: np.ndarray = field(repr=False)
-    scheme: object = None
 
 
 def schedule_noma_users(snapshot, bs_index):
@@ -190,22 +189,14 @@ def schedule_noma_users(snapshot, bs_index):
 class SirSample:
     """Decoding outcome of one tagged cell under one scheme.
 
-    gamma_* are the own-signal SIRs (allocated power over interference);
-    interference_* and coop_signal_* are the received powers at the near
-    and far users.  near_covered requires both the far-signal decoding
-    stage and the post-cancellation own-signal stage.
+    near_covered requires both the far-signal decoding stage and the
+    post-cancellation own-signal stage.
     """
 
     near_first_stage_ok: bool
     near_sic_ok: bool
     near_covered: bool
     far_covered: bool
-    gamma_near: float
-    gamma_far: float
-    interference_near: float
-    interference_far: float
-    coop_signal_near: float = 0.0
-    coop_signal_far: float = 0.0
 
 
 def _received_powers(cell, snapshot):
@@ -223,57 +214,37 @@ def _received_powers(cell, snapshot):
     return interference, coop
 
 
-def _decoding_events(desired, interference, coop, theta, beta):
+def _outcome(cell, snapshot, theta, beta, cooperate):
     """Cross-multiplied SIR events (division-free, exact for zero interference).
 
     desired[r] = P_m * H_r * d_r^(-alpha) is the full-power received
     signal; the far signal carries the fraction beta of it, the near
-    signal 1 - beta, and both traverse the same serving-link fade.
+    signal 1 - beta, and both traverse the same serving-link fade.  With
+    cooperation the joint void-cell signal adds to the far-signal
+    numerator at both receivers (each evaluated at its own location);
+    without it that term is zero.  The near user's post-cancellation
+    stage is the same in both schemes.
     """
+    interference, coop = _received_powers(cell, snapshot)
+    if not cooperate:
+        coop = (0.0, 0.0)
+    p_m = snapshot.params.tiers[cell.tier].power_watts
+    desired = p_m * cell.desired_gains * cell.distances ** (-snapshot.params.pathloss_exponent)
     first = beta * desired[0] + coop[0] >= theta * ((1.0 - beta) * desired[0] + interference[0])
     sic = (1.0 - beta) * desired[0] >= theta * interference[0]
     far = beta * desired[1] + coop[1] >= theta * ((1.0 - beta) * desired[1] + interference[1])
-    return bool(first), bool(sic), bool(far)
-
-
-def _gamma(power, interference):
-    return math.inf if interference == 0.0 else power / interference
+    return SirSample(near_first_stage_ok=bool(first), near_sic_ok=bool(sic),
+                     near_covered=bool(first and sic), far_covered=bool(far))
 
 
 def evaluate_noncoop(cell, snapshot, theta, beta_m):
     """Exact decoding events of the two scheduled users, no cooperation."""
-    interference, _ = _received_powers(cell, snapshot)
-    p_m = snapshot.params.tiers[cell.tier].power_watts
-    desired = p_m * cell.desired_gains * cell.distances ** (-snapshot.params.pathloss_exponent)
-    first, sic, far = _decoding_events(desired, interference, (0.0, 0.0), theta, beta_m)
-    return SirSample(
-        near_first_stage_ok=first, near_sic_ok=sic, near_covered=first and sic,
-        far_covered=far,
-        gamma_near=_gamma((1.0 - beta_m) * desired[0], interference[0]),
-        gamma_far=_gamma(beta_m * desired[1], interference[1]),
-        interference_near=float(interference[0]), interference_far=float(interference[1]),
-    )
+    return _outcome(cell, snapshot, theta, beta_m, cooperate=False)
 
 
 def evaluate_coop(cell, snapshot, theta, beta_m):
-    """Decoding events when all void BSs retransmit the far user's signal.
-
-    The joint void-cell signal adds to the far-signal numerator at both
-    receivers (each evaluated at its own location); the near user's
-    post-cancellation stage is unchanged.
-    """
-    interference, coop = _received_powers(cell, snapshot)
-    p_m = snapshot.params.tiers[cell.tier].power_watts
-    desired = p_m * cell.desired_gains * cell.distances ** (-snapshot.params.pathloss_exponent)
-    first, sic, far = _decoding_events(desired, interference, coop, theta, beta_m)
-    return SirSample(
-        near_first_stage_ok=first, near_sic_ok=sic, near_covered=first and sic,
-        far_covered=far,
-        gamma_near=_gamma((1.0 - beta_m) * desired[0], interference[0]),
-        gamma_far=_gamma(beta_m * desired[1], interference[1]),
-        interference_near=float(interference[0]), interference_far=float(interference[1]),
-        coop_signal_near=float(coop[0]), coop_signal_far=float(coop[1]),
-    )
+    """Decoding events when all void BSs retransmit the far user's signal."""
+    return _outcome(cell, snapshot, theta, beta_m, cooperate=True)
 
 
 @dataclass

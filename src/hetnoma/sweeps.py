@@ -9,6 +9,7 @@ table1_params(); the pico intensity can be either published endpoint,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,38 @@ def analytic_pairs(params, schemes=SCHEMES, kernel_mode="appendix"):
     return out
 
 
+def comparison_rows(params, sweep_value, totals, schemes=SCHEMES, kernel_mode="appendix"):
+    """Flagged analytic vs simulated rows of one scenario point.
+
+    Rows come out in (tier, role, scheme) order.  A row is flagged
+    low_samples when its estimate rests on fewer than 100 tagged cells,
+    and extrapolated_beta when its closed form is used outside its exact
+    range.
+    """
+    pairs = analytic_pairs(params, schemes, kernel_mode)
+    estimates = {(e.tier, e.scheme, e.role): e for e in estimates_from_totals(totals, schemes)}
+    rows = []
+    for tier in range(params.n_tiers):
+        for role in ROLES:
+            for scheme in schemes:
+                pair = pairs[(tier, scheme)]
+                est = estimates[(tier, scheme, role)]
+                flags = []
+                if est.low_samples:
+                    flags.append("low_samples")
+                if pair.extrapolated:
+                    flags.append("extrapolated_beta")
+                rows.append(
+                    ComparisonRow(
+                        sweep_value=sweep_value, tier=tier + 1, role=role, scheme=scheme,
+                        analytic=getattr(pair, role), simulated=est.p_hat,
+                        ci_halfwidth=est.ci_halfwidth, n_samples=est.n_samples,
+                        flags=";".join(flags),
+                    )
+                )
+    return rows
+
+
 def run_sweep(spec):
     """Analytic and simulated coverage at every grid point.
 
@@ -133,38 +166,17 @@ def run_sweep(spec):
     rows = []
     for point, value in enumerate(spec.grid):
         params = apply_sweep_value(spec.params, spec.variable, value)
-        pairs = analytic_pairs(params, spec.schemes, spec.kernel_mode)
         totals = run_trials(
             params, spec.window, spec.n_trials, seed=(spec.seed, point),
             max_cells_per_tier=spec.max_cells_per_tier, n_jobs=spec.n_jobs,
         )
-        estimates = {
-            (e.tier, e.scheme, e.role): e
-            for e in estimates_from_totals(totals, spec.schemes)
-        }
-        for tier in range(params.n_tiers):
-            for role in ROLES:
-                for scheme in spec.schemes:
-                    pair = pairs[(tier, scheme)]
-                    est = estimates[(tier, scheme, role)]
-                    flags = []
-                    if est.low_samples:
-                        flags.append("low_samples")
-                    if pair.extrapolated:
-                        flags.append("extrapolated_beta")
-                    rows.append(
-                        ComparisonRow(
-                            sweep_value=value, tier=tier + 1, role=role, scheme=scheme,
-                            analytic=getattr(pair, role), simulated=est.p_hat,
-                            ci_halfwidth=est.ci_halfwidth, n_samples=est.n_samples,
-                            flags=";".join(flags),
-                        )
-                    )
+        rows.extend(comparison_rows(params, value, totals, spec.schemes, spec.kernel_mode))
     return rows
 
 
 def max_abs_gap(rows):
-    return max(row.abs_gap for row in rows)
+    """Largest |analytic - simulated| over rows with samples (nan if none has)."""
+    return max((row.abs_gap for row in rows if row.n_samples > 0), default=math.nan)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,17 @@ class TestCliSim:
         assert code == 0
         assert len(open(out).read().splitlines()) == 1 + 4
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--trials", "0", "n_trials"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_invalid_override_exits_2_naming_field(self, tmp_path, capsys, flag, value, field):
+        path = write_config(tmp_path, TOY_CONFIG)
+        code, text = run_cli(["sim", "--config", path, flag, value])
+        assert code == 2
+        assert text == ""
+        assert f"config field '{field}'" in capsys.readouterr().err
+
     def test_unwritable_output_reports_path(self, tmp_path, capsys):
         path = write_config(tmp_path, TOY_CONFIG)
         bad = str(tmp_path / "no_such_dir" / "x.csv")
@@ -211,6 +222,18 @@ class TestCliSweep:
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2 * 2  # grid x tiers x roles x schemes
         assert "max |analytic - simulated|" in text
+
+    def test_summary_skips_tier_without_cells(self, tmp_path):
+        # at user_intensity 1e-6 no cell has two users: the first point's
+        # rows carry no samples and must not turn the summary into nan
+        cfg = dict(TOY_CONFIG, n_trials=1, sweep={"variable": "user_intensity",
+                                                  "grid": [1e-6, 8e-4]})
+        out = str(tmp_path / "sweep.csv")
+        code, text = run_cli(["sweep", "--config", write_config(tmp_path, cfg), "--out", out])
+        assert code == 0
+        assert open(out).read().splitlines()[1].split(",")[7] == "0"
+        gap = float(text.splitlines()[-1].rsplit(": ", 1)[1])
+        assert 0.0 <= gap < 1.0
 
     def test_trials_override(self, tmp_path):
         cfg = dict(TOY_CONFIG)
@@ -239,3 +262,13 @@ class TestCliOptimizeBeta:
         lines = open(out).read().splitlines()
         assert lines[0] == "beta,tier,scheme,avg_coverage"
         assert len(lines) == 1 + 32
+
+    def test_out_file_equals_stdout_scan(self, tmp_path):
+        out = str(tmp_path / "beta.csv")
+        path = write_config(tmp_path, dict(TOY_CONFIG, user_intensity=1e8))
+        code, text = run_cli(["optimize-beta", "--config", path, "--out", out])
+        assert code == 0
+        start = text.index("beta,tier,scheme,avg_coverage\n")
+        end = text.index(f"wrote beta scan to {out}\n")
+        with open(out, "rb") as fh:
+            assert fh.read() == text[start:end].encode()

@@ -324,6 +324,23 @@ class TestParamsValidation:
                 pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.5, 0.5),
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("user_intensity", math.nan),
+        ("user_intensity", math.inf),
+        ("pathloss_exponent", math.inf),
+        ("pathloss_exponent", math.nan),
+        ("sir_threshold", math.inf),
+        ("intensity", math.inf),
+        ("intensity", math.nan),
+        ("power_watts", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        tier = {"power_watts": 1.0, "intensity": 1e-4}
+        scenario = {"user_intensity": 1e-4, "pathloss_exponent": 4.0, "sir_threshold": 1.0}
+        (tier if field in tier else scenario)[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NetworkParams(tiers=(TierParams(**tier),), beta=(0.75,), **scenario)
+
     def test_intensity_fractions(self):
         p = two_tier()
         assert sum(p.intensity_fractions) == pytest.approx(1.0, rel=1e-15)

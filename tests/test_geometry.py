@@ -1,10 +1,9 @@
-"""Spatial sampling, association, and spatial-index contracts."""
+"""Spatial sampling and association contracts."""
 
 import numpy as np
 import pytest
 
 from hetnoma.geometry import (
-    NearestNeighborIndex,
     PointSet,
     Window,
     associate,
@@ -114,51 +113,3 @@ class TestAssociate:
             d2 = ((user_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(-1)
             assert np.array_equal(assoc.serving, d2.argmin(axis=1))
 
-
-class TestNearestNeighborIndex:
-    def test_matches_brute_force_randomized(self):
-        g = rng(2718)
-        for _ in range(1000):
-            n = int(g.integers(1, 60))
-            pts = g.uniform(-10, 10, size=(n, 2))
-            index = NearestNeighborIndex(pts)
-            q = g.uniform(-12, 12, size=2)
-            d, i = index.nearest(q)
-            d2 = ((pts - q) ** 2).sum(-1)
-            assert i == d2.argmin()
-            assert d == pytest.approx(np.sqrt(d2.min()), rel=1e-12)
-
-    def test_larger_instances(self):
-        g = rng(31415)
-        pts = g.uniform(-100, 100, size=(500, 2))
-        index = NearestNeighborIndex(pts)
-        queries = g.uniform(-100, 100, size=(200, 2))
-        d, i = index.nearest(queries)
-        d2 = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        assert np.array_equal(i, d2.argmin(axis=1))
-
-    def test_radius_query_matches_brute_force(self):
-        g = rng(5)
-        pts = g.uniform(-10, 10, size=(300, 2))
-        index = NearestNeighborIndex(pts)
-        for _ in range(50):
-            center = g.uniform(-10, 10, size=2)
-            radius = float(g.uniform(0.5, 6.0))
-            found = index.within(center, radius)
-            d2 = ((pts - center) ** 2).sum(-1)
-            assert np.array_equal(found, np.flatnonzero(d2 <= radius**2))
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            NearestNeighborIndex(np.zeros((0, 2)))
-
-    def test_bulk_performance_smoke(self):
-        import time
-
-        g = rng(8)
-        pts = g.uniform(0, 1000, size=(100_000, 2))
-        t0 = time.perf_counter()
-        index = NearestNeighborIndex(pts)
-        queries = g.uniform(0, 1000, size=(100_000, 2))
-        index.nearest(queries)
-        assert time.perf_counter() - t0 < 10.0

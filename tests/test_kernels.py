@@ -179,13 +179,6 @@ class TestVoidKernel:
         assert abs(ev.void_kernel(0, 1e-10)) < 1e-4
         assert abs(ev.void_kernel(0, 1e-14)) < 1e-6
 
-    def test_sign_flag_recovers_interference_kernel(self):
-        ev = single_tier(alpha=3.5)
-        for y in (0.1, 0.9, 3.0):
-            assert ev.void_kernel(0, y, exponent_sign=-1) == pytest.approx(
-                ev.interference_kernel(0, y), rel=1e-10
-            )
-
 
 class TestCombinedKernel:
     def test_q_one_is_mode_independent(self):

@@ -18,6 +18,7 @@ from hetnoma.simulate import (
     CoverageEstimate,
     SimulationError,
     TrialTotals,
+    _received_powers,
     build_snapshot,
     cell_census,
     estimate_coverage,
@@ -136,10 +137,10 @@ class TestEvaluateEvents:
         _, snap = lone_cell_snapshot(beta=0.75)
         cell = schedule_noma_users(snap, 0)
         s = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.75)
-        assert s.interference_near == 0.0 and s.interference_far == 0.0
+        interference, _ = _received_powers(cell, snap)
+        assert np.all(interference == 0.0)
         assert s.near_first_stage_ok and s.near_sic_ok and s.near_covered
         assert s.far_covered
-        assert np.isinf(s.gamma_near) and np.isinf(s.gamma_far)
 
     def test_interference_free_bad_beta(self):
         # beta below theta/(1+theta): the far signal is undecodable even
@@ -164,7 +165,7 @@ class TestEvaluateEvents:
         non = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.4)
         coop = evaluate_coop(cell, snap, theta=1.0, beta_m=0.4)
         assert not non.far_covered
-        assert coop.coop_signal_far > 0.0
+        assert _received_powers(cell, snap)[1][1] > 0.0  # void signal at the far user
         assert coop.far_covered
 
     def test_coop_dominates_per_sample(self):
@@ -179,8 +180,9 @@ class TestEvaluateEvents:
             assert coop.near_covered >= non.near_covered
             assert coop.far_covered >= non.far_covered
             assert non.near_covered == (non.near_first_stage_ok and non.near_sic_ok)
-            assert non.interference_near > 0.0  # non-void interferers exist here
-            assert coop.coop_signal_near >= 0.0
+            interference, coop_signal = _received_powers(cell, snap)
+            assert interference[0] > 0.0  # non-void interferers exist here
+            assert coop_signal[0] >= 0.0
 
     def test_same_serving_fade_for_both_signal_shares(self):
         # the near user's two decoding stages share one serving-link fade:

@@ -8,6 +8,7 @@ from hetnoma.geometry import Window
 from hetnoma.sweeps import (
     PICO_INTENSITY_HIGH,
     PICO_INTENSITY_LOW,
+    ComparisonRow,
     SweepSpec,
     apply_sweep_value,
     default_user_intensity_grid,
@@ -152,6 +153,17 @@ class TestRunSweep:
         for r in rows:
             assert r.abs_gap == abs(r.analytic - r.simulated)
         assert max_abs_gap(rows) < 0.5
+
+    def test_gap_ignores_zero_sample_rows_wherever_they_fall(self):
+        def row(simulated, n_samples):
+            return ComparisonRow(sweep_value=1.0, tier=1, role="near", scheme="noncoop",
+                                 analytic=0.5, simulated=simulated,
+                                 ci_halfwidth=0.01, n_samples=n_samples)
+
+        empty, small, large = row(np.nan, 0), row(0.45, 10), row(0.2, 10)
+        assert max_abs_gap([empty, small, large]) == pytest.approx(0.3)
+        assert max_abs_gap([small, large, empty]) == pytest.approx(0.3)
+        assert np.isnan(max_abs_gap([empty, empty]))
 
     def test_low_sample_flag_propagates(self):
         spec = toy_spec(n_trials=1, grid=(4e-4,), max_cells_per_tier=5)
