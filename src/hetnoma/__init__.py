@@ -6,6 +6,7 @@ that validates them, and a search for the coverage-maximizing power
 allocation.
 """
 
+from .config import ScenarioConfig
 from .coverage import (
     BetaOptimum,
     CoveragePair,
@@ -37,7 +38,7 @@ from .simulate import (
     run_trials,
     schedule_noma_users,
 )
-from .sweeps import ComparisonRow, SweepSpec, run_beta_scan, run_sweep, table1_params
+from .sweeps import ComparisonRow, run_beta_scan, run_sweep, table1_params
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,7 @@ __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
     "DecodingThresholds", "DIVERGENT", "KernelDivergenceError", "KernelEvaluator",
     "LoadModel", "NetworkParams", "NetworkSnapshot",
-    "PointSet", "QuadratureError", "SirSample", "SweepSpec", "TaggedCell",
+    "PointSet", "QuadratureError", "ScenarioConfig", "SirSample", "TaggedCell",
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",

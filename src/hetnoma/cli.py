@@ -27,7 +27,7 @@ from .coverage import (
 )
 from .kernels import KernelEvaluator, QuadratureError
 from .simulate import run_trials
-from .sweeps import SweepSpec, comparison_rows, max_abs_gap, run_beta_scan, run_sweep
+from .sweeps import comparison_rows, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
               "simulated", "ci_halfwidth", "n_samples", "flags")
@@ -105,13 +105,7 @@ def cmd_sim(cfg, out):
 
 
 def cmd_sweep(cfg, out):
-    spec = SweepSpec(
-        params=cfg.params, variable=cfg.sweep_variable, grid=cfg.sweep_grid,
-        schemes=cfg.schemes, n_trials=cfg.n_trials, seed=cfg.seed,
-        window=cfg.window, kernel_mode=cfg.kernel_mode,
-        max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
-    )
-    rows = run_sweep(spec)
+    rows = run_sweep(cfg)
     _write_rows(rows, cfg.output, out)
     print(f"max |analytic - simulated| over sweep: {max_abs_gap(rows):.6f}", file=out)
     return 0

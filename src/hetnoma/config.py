@@ -1,20 +1,23 @@
-"""Scenario configuration files (JSON) for the command-line interface.
+"""Scenario configuration: the one description of a run, and its JSON form.
 
-A config mirrors NetworkParams plus sweep and runtime knobs.  Parsing is
-strict: unknown keys are rejected, and every error names the offending
-field.  parse -> serialize -> parse is the identity.
+ScenarioConfig checks its own fields, so a config built in code is held
+to the same rules as one read from a file.  parse_config only maps a
+decoded JSON object onto it: it rejects unknown keys and builds the
+tier, beta, sweep and window objects; every other key is passed through
+only when present, so each default lives in the dataclass.  Every error
+names the offending field.  parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coverage import NetworkParams, TierParams
 from .geometry import Window
 from .simulate import SCHEMES
-from .sweeps import SWEEP_VARIABLES, default_user_intensity_grid
+from .sweeps import SWEEP_VARIABLES, apply_sweep_value, default_user_intensity_grid
 
 KERNEL_MODES = ("appendix", "theorem")
 
@@ -23,6 +26,8 @@ _TOP_KEYS = {
     "schemes", "sweep", "seed", "n_trials", "window", "kernel_mode",
     "max_cells_per_tier", "n_jobs", "output",
 }
+_PASSED_KEYS = ("schemes", "seed", "n_trials", "kernel_mode", "max_cells_per_tier",
+                "n_jobs", "output")
 _TIER_KEYS = {"power_watts", "intensity"}
 _WINDOW_KEYS = {"half_width", "margin"}
 _SWEEP_KEYS = {"variable", "grid"}
@@ -38,10 +43,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One run: base scenario, swept variable and grid, schemes, simulation budget.
+
+    Invalid fields raise ConfigError naming the config field.  Every grid
+    value must be one the swept variable can take in this scenario.
+    """
+
     params: NetworkParams
     schemes: tuple = SCHEMES
     sweep_variable: str = "user_intensity"
-    sweep_grid: tuple = None
+    sweep_grid: tuple = field(default_factory=default_user_intensity_grid)
     seed: int = 1
     n_trials: int = 20
     window: Window = None
@@ -51,8 +62,38 @@ class ScenarioConfig:
     output: str = None
 
     def __post_init__(self):
-        if self.sweep_grid is None:
-            object.__setattr__(self, "sweep_grid", default_user_intensity_grid())
+        if not isinstance(self.schemes, (list, tuple)) or not self.schemes:
+            raise ConfigError("schemes", "expected a nonempty array")
+        for s in self.schemes:
+            if s not in SCHEMES:
+                raise ConfigError("schemes", f"unknown scheme {s!r} (choose from {list(SCHEMES)})")
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+
+        if self.sweep_variable not in SWEEP_VARIABLES:
+            raise ConfigError("sweep.variable", f"unknown variable {self.sweep_variable!r} "
+                                                f"(choose from {list(SWEEP_VARIABLES)})")
+        if not isinstance(self.sweep_grid, (list, tuple)) or not self.sweep_grid:
+            raise ConfigError("sweep.grid", "expected a nonempty array of numbers")
+        grid = tuple(_number(v, f"sweep.grid[{i}]") for i, v in enumerate(self.sweep_grid))
+        if any(lo >= hi for lo, hi in zip(grid, grid[1:])):
+            raise ConfigError("sweep.grid", "must be strictly increasing")
+        for i, value in enumerate(grid):
+            try:
+                apply_sweep_value(self.params, self.sweep_variable, value)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.grid[{i}]", str(exc)) from exc
+        object.__setattr__(self, "sweep_grid", grid)
+
+        if self.kernel_mode not in KERNEL_MODES:
+            raise ConfigError("kernel_mode", f"unknown mode {self.kernel_mode!r} "
+                                             f"(choose from {list(KERNEL_MODES)})")
+        if self.max_cells_per_tier is not None:
+            _integer(self.max_cells_per_tier, "max_cells_per_tier", 1)
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError("output", "expected a string path")
+        _integer(self.seed, "seed", 0)
+        _integer(self.n_trials, "n_trials", 1)
+        _integer(self.n_jobs, "n_jobs", 1)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -132,40 +173,24 @@ def parse_config(data):
     except ValueError as exc:
         raise ConfigError("<params>", str(exc)) from exc
 
-    schemes = data.get("schemes", list(SCHEMES))
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes", "expected a nonempty array")
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError("schemes", f"unknown scheme {s!r} (choose from {list(SCHEMES)})")
-
-    sweep_variable = "user_intensity"
-    sweep_grid = None
+    fields = {key: data[key] for key in _PASSED_KEYS if key in data}
     if "sweep" in data:
         sweep = data["sweep"]
         if not isinstance(sweep, dict):
             raise ConfigError("sweep", "expected an object")
         _reject_unknown(sweep, _SWEEP_KEYS, "sweep.")
-        sweep_variable = sweep.get("variable", "user_intensity")
-        if sweep_variable not in SWEEP_VARIABLES:
-            raise ConfigError("sweep.variable",
-                              f"unknown variable {sweep_variable!r} (choose from {list(SWEEP_VARIABLES)})")
+        if "variable" in sweep:
+            fields["sweep_variable"] = sweep["variable"]
         if "grid" in sweep:
-            raw = sweep["grid"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("sweep.grid", "expected a nonempty array of numbers")
-            sweep_grid = tuple(_number(v, f"sweep.grid[{i}]") for i, v in enumerate(raw))
-            if any(lo >= hi for lo, hi in zip(sweep_grid, sweep_grid[1:])):
-                raise ConfigError("sweep.grid", "must be strictly increasing")
+            fields["sweep_grid"] = sweep["grid"]
 
-    window = None
     if "window" in data:
         raw = data["window"]
         if not isinstance(raw, dict):
             raise ConfigError("window", "expected an object")
         _reject_unknown(raw, _WINDOW_KEYS, "window.")
         try:
-            window = Window(
+            fields["window"] = Window(
                 half_width=_number(_require(raw, "half_width", "window."),
                                    "window.half_width", 0.0, strict=True),
                 margin=_number(_require(raw, "margin", "window."),
@@ -174,32 +199,7 @@ def parse_config(data):
         except ValueError as exc:
             raise ConfigError("window", str(exc)) from exc
 
-    kernel_mode = data.get("kernel_mode", "appendix")
-    if kernel_mode not in KERNEL_MODES:
-        raise ConfigError("kernel_mode",
-                          f"unknown mode {kernel_mode!r} (choose from {list(KERNEL_MODES)})")
-
-    max_cells = data.get("max_cells_per_tier")
-    if max_cells is not None:
-        max_cells = _integer(max_cells, "max_cells_per_tier", 1)
-
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output", "expected a string path")
-
-    return ScenarioConfig(
-        params=params,
-        schemes=tuple(schemes),
-        sweep_variable=sweep_variable,
-        sweep_grid=sweep_grid,
-        seed=_integer(data.get("seed", 1), "seed", 0),
-        n_trials=_integer(data.get("n_trials", 20), "n_trials", 1),
-        window=window,
-        kernel_mode=kernel_mode,
-        max_cells_per_tier=max_cells,
-        n_jobs=_integer(data.get("n_jobs", 1), "n_jobs", 1),
-        output=output,
-    )
+    return ScenarioConfig(params=params, **fields)
 
 
 def load_config(path, overrides=None):

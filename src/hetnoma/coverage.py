@@ -240,14 +240,18 @@ def coverage_coop(params, tier, kernel_mode="appendix", evaluator=None):
     return CoveragePair(near, _far_coverage(exponent), extrapolated)
 
 
+def coverage_pair(params, tier, scheme, kernel_mode="appendix", evaluator=None):
+    """Near/far coverage of one tier under the scheme named "noncoop" or "coop"."""
+    if scheme == "noncoop":
+        return coverage_noncoop(params, tier, evaluator)
+    if scheme == "coop":
+        return coverage_coop(params, tier, kernel_mode, evaluator)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def average_coverage(params, tier, scheme, kernel_mode="appendix", evaluator=None):
     """Mean of the near and far coverage probabilities for one scheme."""
-    if scheme == "noncoop":
-        pair = coverage_noncoop(params, tier, evaluator)
-    elif scheme == "coop":
-        pair = coverage_coop(params, tier, kernel_mode, evaluator)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    pair = coverage_pair(params, tier, scheme, kernel_mode, evaluator)
     return 0.5 * (pair.near + pair.far)
 
 

@@ -138,30 +138,37 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
-def base_integral(b, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def _closed_form(method, alpha):
+    """Whether `method` selects the alpha = 4 closed form over adaptive quadrature.
+
+    "auto" picks the closed form exactly at alpha = 4; "closed" and
+    "adaptive" force one path (the two are cross-checked in the test
+    suite).  An unknown method, or "closed" at alpha != 4, is an error.
+    """
+    if method not in ("auto", "closed", "adaptive"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed" and alpha != 4.0:
+        raise ValueError("closed form is only available for alpha=4")
+    return method == "closed" or (method == "auto" and alpha == 4.0)
+
+
+def base_integral(b, alpha, method="auto"):
     """int_0^b dt/(1+t^(alpha/2)) for b >= 0, alpha > 2.
 
     method "auto" uses the arctan closed form at alpha = 4 and adaptive
-    quadrature otherwise; "closed" and "adaptive" force one path (the
-    two are cross-checked in the test suite).
+    quadrature otherwise; "closed" and "adaptive" force one path.
     """
     if b < 0:
         raise ValueError("integration bound b must be nonnegative")
     if alpha <= 2:
         raise ValueError("pathloss_exponent must exceed 2")
-    if b == 0.0:
-        return 0.0
-    if method == "closed" or (method == "auto" and alpha == 4.0):
-        if alpha != 4.0:
-            raise ValueError("closed form is only available for alpha=4")
+    if _closed_form(method, alpha):
         return math.atan(b)
-    if method not in ("auto", "adaptive"):
-        raise ValueError(f"unknown method {method!r}")
     half = alpha / 2.0
-    return integrate_adaptive(lambda t: 1.0 / (1.0 + t**half), 0.0, b, abs_tol, rel_tol)
+    return integrate_adaptive(lambda t: 1.0 / (1.0 + t**half), 0.0, b)
 
 
-def tail_integral(b, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def tail_integral(b, alpha, method="auto"):
     """int_b^inf dt/(1+t^(alpha/2)), evaluated without cancellation.
 
     For b > 1 the substitution t -> 1/u maps the tail onto (0, 1/b]:
@@ -169,20 +176,15 @@ def tail_integral(b, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFA
     """
     if b < 0:
         raise ValueError("integration bound b must be nonnegative")
-    if method == "closed" or (method == "auto" and alpha == 4.0):
-        if alpha != 4.0:
-            raise ValueError("closed form is only available for alpha=4")
+    if _closed_form(method, alpha):
         return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
     if b <= 1.0:
-        return full_line_integral(alpha) - base_integral(b, alpha, method, abs_tol, rel_tol)
+        return full_line_integral(alpha) - base_integral(b, alpha, method)
     half = alpha / 2.0
-    return integrate_adaptive(
-        lambda u: u ** (half - 2.0) / (1.0 + u**half), 0.0, 1.0 / b, abs_tol, rel_tol
-    )
+    return integrate_adaptive(lambda u: u ** (half - 2.0) / (1.0 + u**half), 0.0, 1.0 / b)
 
 
-def void_tail_integral(a, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL,
-                       rel_tol=DEFAULT_REL_TOL):
+def void_tail_integral(a, alpha, method="auto"):
     """int_a^inf E[1 - e^(t^(-alpha/2)*H)] dt for unit-mean exponential H.
 
     The integrand is -1/(t^(alpha/2)-1); the integral converges only for
@@ -193,17 +195,14 @@ def void_tail_integral(a, alpha, method="auto", abs_tol=DEFAULT_ABS_TOL,
     """
     if a < 0:
         raise ValueError("lower limit must be nonnegative")
+    closed = _closed_form(method, alpha)
     if a <= 1.0:
         return DIVERGENT
-    if method == "closed" or (method == "auto" and alpha == 4.0):
-        if alpha != 4.0:
-            raise ValueError("closed form is only available for alpha=4")
+    if closed:
         return 0.5 * math.log((a - 1.0) / (a + 1.0))
     # t -> 1/u maps int_a^inf dt/(t^(alpha/2)-1) onto (0, 1/a], 1/a < 1.
     half = alpha / 2.0
-    return -integrate_adaptive(
-        lambda u: u ** (half - 2.0) / (1.0 - u**half), 0.0, 1.0 / a, abs_tol, rel_tol
-    )
+    return -integrate_adaptive(lambda u: u ** (half - 2.0) / (1.0 - u**half), 0.0, 1.0 / a)
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,6 @@ class KernelEvaluator:
     powers: tuple
     fractions: tuple
     alpha: float
-    abs_tol: float = DEFAULT_ABS_TOL
-    rel_tol: float = DEFAULT_REL_TOL
     use_closed_forms: bool = True
 
     def __post_init__(self):
@@ -271,7 +268,7 @@ class KernelEvaluator:
             ratio = x * p_k / p_m
             b = ratio ** (-2.0 / self.alpha)
             total += frac_k * ratio ** (2.0 / self.alpha) * tail_integral(
-                b, self.alpha, self._method(), self.abs_tol, self.rel_tol
+                b, self.alpha, self._method()
             )
         return total
 
@@ -290,7 +287,7 @@ class KernelEvaluator:
                 continue
             ratio = y * p_k / p_m
             a = ratio ** (-2.0 / self.alpha)
-            tail = void_tail_integral(a, self.alpha, self._method(), self.abs_tol, self.rel_tol)
+            tail = void_tail_integral(a, self.alpha, self._method())
             if is_divergent(tail):
                 return DIVERGENT
             total += frac_k * ratio ** (2.0 / self.alpha) * tail

@@ -10,7 +10,7 @@ table1_params(); the pico intensity can be either published endpoint,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .coverage import (
     NetworkParams,
     TierParams,
     average_coverage,
-    coverage_coop,
-    coverage_noncoop,
+    coverage_pair,
     optimize_beta,
 )
 from .kernels import KernelEvaluator
@@ -64,35 +63,6 @@ def apply_sweep_value(params, variable, value):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: base scenario, swept variable, grid, schemes, sim budget."""
-
-    params: NetworkParams
-    variable: str = "user_intensity"
-    grid: tuple = field(default_factory=default_user_intensity_grid)
-    schemes: tuple = SCHEMES
-    n_trials: int = 20
-    seed: int = 1
-    window: object = None
-    kernel_mode: str = "appendix"
-    max_cells_per_tier: int = None
-    n_jobs: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        if not self.grid:
-            raise ValueError("sweep grid must be nonempty")
-        if any(lo >= hi for lo, hi in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     """One (sweep point, tier, role, scheme) analytic vs simulated record."""
 
@@ -117,10 +87,7 @@ def analytic_pairs(params, schemes=SCHEMES, kernel_mode="appendix"):
     out = {}
     for tier in range(params.n_tiers):
         for scheme in schemes:
-            if scheme == "noncoop":
-                out[(tier, scheme)] = coverage_noncoop(params, tier, evaluator=ev)
-            else:
-                out[(tier, scheme)] = coverage_coop(params, tier, kernel_mode, evaluator=ev)
+            out[(tier, scheme)] = coverage_pair(params, tier, scheme, kernel_mode, ev)
     return out
 
 
@@ -156,21 +123,21 @@ def comparison_rows(params, sweep_value, totals, schemes=SCHEMES, kernel_mode="a
     return rows
 
 
-def run_sweep(spec):
-    """Analytic and simulated coverage at every grid point.
+def run_sweep(cfg):
+    """Analytic and simulated coverage at every grid point of a ScenarioConfig.
 
     Rows come out in deterministic order (grid point, tier, role, scheme).
     Each grid point simulates on its own substream family derived from
     (seed, point index), so results do not depend on grid slicing.
     """
     rows = []
-    for point, value in enumerate(spec.grid):
-        params = apply_sweep_value(spec.params, spec.variable, value)
+    for point, value in enumerate(cfg.sweep_grid):
+        params = apply_sweep_value(cfg.params, cfg.sweep_variable, value)
         totals = run_trials(
-            params, spec.window, spec.n_trials, seed=(spec.seed, point),
-            max_cells_per_tier=spec.max_cells_per_tier, n_jobs=spec.n_jobs,
+            params, cfg.window, cfg.n_trials, seed=(cfg.seed, point),
+            max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
         )
-        rows.extend(comparison_rows(params, value, totals, spec.schemes, spec.kernel_mode))
+        rows.extend(comparison_rows(params, value, totals, cfg.schemes, cfg.kernel_mode))
     return rows
 
 

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from hetnoma import sweeps
 from hetnoma.cli import main
-from hetnoma.config import ConfigError, dump_config, load_config, parse_config
+from hetnoma.config import ConfigError, ScenarioConfig, dump_config, load_config, parse_config
+from hetnoma.coverage import NetworkParams, TierParams
 
 TOY_CONFIG = {
     "tiers": [
@@ -98,6 +100,18 @@ class TestConfigParsing:
         assert cfg.kernel_mode == "appendix"
         assert cfg.seed == 1 and cfg.n_trials == 20
         assert len(cfg.sweep_grid) == 8
+
+    def test_minimal_config_equals_dataclass_defaults(self):
+        cfg = parse_config({
+            "tiers": [{"power_watts": 20.0, "intensity": 1e-6},
+                      {"power_watts": 2.0, "intensity": 5e-5}],
+            "user_intensity": 5e-4,
+        })
+        params = NetworkParams(
+            tiers=(TierParams(20.0, 1e-6), TierParams(2.0, 5e-5)), user_intensity=5e-4,
+            pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75, 0.75),
+        )
+        assert cfg == ScenarioConfig(params=params)
 
 
 class TestCliAnalytic:
@@ -244,6 +258,25 @@ class TestCliSweep:
         row = open(out).read().splitlines()[1].split(",")
         n_samples = int(row[7])
         assert n_samples < 400  # one toy trial collects far fewer cells
+
+    @pytest.mark.parametrize("sweep, tiers, field", [
+        ({"variable": "beta", "grid": [0.75, 1.5]}, None, "sweep.grid[1]"),
+        ({"variable": "user_intensity", "grid": [-1e-4, 8e-4]}, None, "sweep.grid[0]"),
+        ({"variable": "pico_intensity", "grid": [1e-4, 2e-4]}, 1, "sweep.grid[0]"),
+    ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier"])
+    def test_grid_value_the_variable_cannot_take_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                          sweep, tiers, field):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the grid")
+
+        monkeypatch.setattr(sweeps, "run_trials", no_trials)
+        cfg = dict(TOY_CONFIG, sweep=sweep)
+        if tiers is not None:
+            cfg.update(tiers=TOY_CONFIG["tiers"][:tiers], beta=0.75)
+        code, text = run_cli(["sweep", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert text == ""
+        assert f"config field '{field}'" in capsys.readouterr().err
 
 
 class TestCliOptimizeBeta:

@@ -76,6 +76,12 @@ class TestBaseIntegral:
             base_integral(1.0, 3.0, method="closed")
 
 
+@pytest.mark.parametrize("integral", [base_integral, tail_integral, void_tail_integral])
+def test_unknown_method_rejected(integral):
+    with pytest.raises(ValueError, match="unknown method"):
+        integral(2.0, 3.0, method="clsoed")
+
+
 class TestAdaptiveIntegrator:
     def test_tolerance_failure_is_reported(self):
         # integrable singularity plus an absurdly small budget

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
 from hetnoma.sweeps import (
     PICO_INTENSITY_HIGH,
     PICO_INTENSITY_LOW,
     ComparisonRow,
-    SweepSpec,
+    analytic_pairs,
     apply_sweep_value,
     default_user_intensity_grid,
     max_abs_gap,
@@ -31,14 +32,14 @@ def toy_two_tier(mu=8e-4):
     )
 
 
-def toy_spec(**kw):
+def toy_config(**kw):
     defaults = dict(
-        params=toy_two_tier(), variable="user_intensity",
-        grid=(4e-4, 8e-4, 4e-3), schemes=("noncoop", "coop"),
+        params=toy_two_tier(), sweep_variable="user_intensity",
+        sweep_grid=(4e-4, 8e-4, 4e-3), schemes=("noncoop", "coop"),
         n_trials=4, seed=7, window=TOY_WINDOW,
     )
     defaults.update(kw)
-    return SweepSpec(**defaults)
+    return ScenarioConfig(**defaults)
 
 
 class TestPresets:
@@ -80,29 +81,29 @@ class TestApplySweepValue:
             apply_sweep_value(single, "pico_intensity", 1e-5)
 
 
-class TestSweepSpec:
+class TestScenarioConfig:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            toy_spec(grid=())
+            toy_config(sweep_grid=())
         with pytest.raises(ValueError):
-            toy_spec(grid=(2e-4, 2e-4))
+            toy_config(sweep_grid=(2e-4, 2e-4))
         with pytest.raises(ValueError):
-            toy_spec(variable="nope")
+            toy_config(sweep_variable="nope")
         with pytest.raises(ValueError):
-            toy_spec(schemes=("noncoop", "other"))
+            toy_config(schemes=("noncoop", "other"))
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_sweep(toy_spec())
+    return run_sweep(toy_config())
 
 
 class TestRunSweep:
     def test_row_count_and_order(self, rows):
-        spec = toy_spec()
-        assert len(rows) == len(spec.grid) * 2 * 2 * len(spec.schemes)
+        cfg = toy_config()
+        assert len(rows) == len(cfg.sweep_grid) * 2 * 2 * len(cfg.schemes)
         keys = [(r.sweep_value, r.tier, r.role, r.scheme) for r in rows]
-        grid = spec.grid
+        grid = cfg.sweep_grid
         expected = [
             (v, tier, role, scheme)
             for v in grid
@@ -113,7 +114,7 @@ class TestRunSweep:
         assert keys == expected
 
     def test_deterministic(self, rows):
-        again = run_sweep(toy_spec())
+        again = run_sweep(toy_config())
         assert rows == again
 
     def test_analytic_near_exceeds_far(self, rows):
@@ -138,7 +139,7 @@ class TestRunSweep:
 
     def test_schemes_agree_when_saturated(self, rows):
         # highest grid point has q ~ 0.997: coop degenerates to noncoop
-        top = [r for r in rows if r.sweep_value == toy_spec().grid[-1]]
+        top = [r for r in rows if r.sweep_value == toy_config().sweep_grid[-1]]
         for role in ("near", "far"):
             for tier in (1, 2):
                 non = next(r for r in top if r.tier == tier and r.role == role
@@ -166,9 +167,15 @@ class TestRunSweep:
         assert np.isnan(max_abs_gap([empty, empty]))
 
     def test_low_sample_flag_propagates(self):
-        spec = toy_spec(n_trials=1, grid=(4e-4,), max_cells_per_tier=5)
-        rows = run_sweep(spec)
+        cfg = toy_config(n_trials=1, sweep_grid=(4e-4,), max_cells_per_tier=5)
+        rows = run_sweep(cfg)
         assert all("low_samples" in r.flags for r in rows)
+
+
+class TestAnalyticPairs:
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            analytic_pairs(table1_params(), ("noncoop", "bogus"))
 
 
 class TestRunBetaScan:
