@@ -160,18 +160,14 @@ def parse_config(data):
     if any(b > 1.0 for b in beta):
         raise ConfigError("beta", "entries must lie in [0, 1]")
 
-    try:
-        params = NetworkParams(
-            tiers=tuple(tiers),
-            user_intensity=_number(_require(data, "user_intensity"), "user_intensity", 0.0),
-            pathloss_exponent=_number(data.get("pathloss_exponent", 4.0),
-                                      "pathloss_exponent", 2.0, strict=True),
-            sir_threshold=_number(data.get("sir_threshold", 1.0),
-                                  "sir_threshold", 0.0, strict=True),
-            beta=beta,
-        )
-    except ValueError as exc:
-        raise ConfigError("<params>", str(exc)) from exc
+    params = NetworkParams(
+        tiers=tuple(tiers),
+        user_intensity=_number(_require(data, "user_intensity"), "user_intensity", 0.0),
+        pathloss_exponent=_number(data.get("pathloss_exponent", 4.0),
+                                  "pathloss_exponent", 2.0, strict=True),
+        sir_threshold=_number(data.get("sir_threshold", 1.0), "sir_threshold", 0.0, strict=True),
+        beta=beta,
+    )
 
     fields = {key: data[key] for key in _PASSED_KEYS if key in data}
     if "sweep" in data:
@@ -189,13 +185,11 @@ def parse_config(data):
         if not isinstance(raw, dict):
             raise ConfigError("window", "expected an object")
         _reject_unknown(raw, _WINDOW_KEYS, "window.")
+        half_width = _number(_require(raw, "half_width", "window."),
+                             "window.half_width", 0.0, strict=True)
+        margin = _number(_require(raw, "margin", "window."), "window.margin", 0.0, strict=True)
         try:
-            fields["window"] = Window(
-                half_width=_number(_require(raw, "half_width", "window."),
-                                   "window.half_width", 0.0, strict=True),
-                margin=_number(_require(raw, "margin", "window."),
-                               "window.margin", 0.0, strict=True),
-            )
+            fields["window"] = Window(half_width=half_width, margin=margin)
         except ValueError as exc:
             raise ConfigError("window", str(exc)) from exc
 

@@ -20,7 +20,9 @@ substream keyed by (seed, trial, purpose[, cell]):
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
-every tier, evaluated at the receiving user's own location.
+every tier, evaluated at the receiving user's own location.  Both are
+computed once per tagged cell, by schedule_noma_users, and both schemes'
+evaluators read them from the TaggedCell.
 """
 
 from __future__ import annotations
@@ -69,23 +71,12 @@ class NetworkSnapshot:
     window: Window
     seed: object
     trial: int
-    bs_per_tier: list
     users: PointSet
     assoc: object
-    bs_xy: np.ndarray = field(repr=False, default=None)
-    bs_tier: np.ndarray = field(repr=False, default=None)
-    bs_power: np.ndarray = field(repr=False, default=None)
-    nonvoid: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.bs_xy is None:
-            self.bs_xy = np.concatenate([p.xy for p in self.bs_per_tier])
-            self.bs_tier = np.concatenate(
-                [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(self.bs_per_tier)]
-            )
-            powers = np.array([t.power_watts for t in self.params.tiers])
-            self.bs_power = powers[self.bs_tier]
-            self.nonvoid = self.assoc.counts > 0
+    bs_xy: np.ndarray = field(repr=False)
+    bs_tier: np.ndarray = field(repr=False)
+    bs_power: np.ndarray = field(repr=False)
+    nonvoid: np.ndarray = field(repr=False)
 
     @property
     def n_bs(self):
@@ -93,14 +84,24 @@ class NetworkSnapshot:
 
     def tagged_cells(self, tier=None):
         """Inner-region non-void BSs with >= 2 users, optionally one tier."""
-        mask = (
-            self.window.contains(self.bs_xy, inner=True)
-            & self.nonvoid
-            & (self.assoc.counts >= 2)
-        )
+        mask = self.window.contains(self.bs_xy, inner=True) & (self.assoc.counts >= 2)
         if tier is not None:
             mask &= self.bs_tier == tier
         return np.flatnonzero(mask)
+
+
+def _snapshot(params, window, seed, trial, bs_per_tier, users):
+    """Associate the users and flatten the tiers into global BS arrays."""
+    assoc = associate(bs_per_tier, users)
+    bs_tier = np.concatenate(
+        [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
+    )
+    powers = np.array([t.power_watts for t in params.tiers])
+    return NetworkSnapshot(
+        params=params, window=window, seed=seed, trial=trial, users=users, assoc=assoc,
+        bs_xy=np.concatenate([p.xy for p in bs_per_tier]), bs_tier=bs_tier,
+        bs_power=powers[bs_tier], nonvoid=assoc.counts > 0,
+    )
 
 
 def build_snapshot(params, window, seed, trial):
@@ -116,41 +117,36 @@ def build_snapshot(params, window, seed, trial):
     users = sample_ppp(params.user_intensity, window, rng, tag="users")
     if sum(len(p) for p in bs_per_tier) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
-    assoc = associate(bs_per_tier, users)
-    return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial,
-        bs_per_tier=bs_per_tier, users=users, assoc=assoc,
-    )
+    return _snapshot(params, window, seed, trial, bs_per_tier, users)
 
 
 def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial=0):
     """Snapshot with hand-placed points (testing and worked examples)."""
     bs_per_tier = [PointSet(np.asarray(xy), tag=i) for i, xy in enumerate(bs_xy_per_tier)]
     users = PointSet(np.asarray(users_xy), tag="users")
-    assoc = associate(bs_per_tier, users)
-    return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial,
-        bs_per_tier=bs_per_tier, users=users, assoc=assoc,
-    )
+    return _snapshot(params, window, seed, trial, bs_per_tier, users)
 
 
 @dataclass
 class TaggedCell:
-    """A serving BS with its two scheduled users and all fading draws.
+    """A serving BS with its two scheduled users, fading draws and received powers.
 
-    Users are ordered so that the near user is index 0.  link_gains and
-    link_dist_sq have shape (2, n_bs): row 0 is the near receiver, row 1
-    the far receiver, columns follow global BS indexing (the serving
-    column is excluded from interference by the evaluators).
+    Users are ordered so that the near user is index 0; every per-receiver
+    array has the near receiver first.  link_gains and link_dist_sq have
+    shape (2, n_bs) with columns in global BS order.  The received powers
+    are computed once, by schedule_noma_users, and both schemes read them:
+    desired is the full-power serving signal P_m * H * d^-alpha,
+    interference sums the non-void BSs other than the serving one, and
+    void_signal sums the void BSs (the cooperative signal).
     """
 
     bs_index: int
     tier: int
-    bs_xy: np.ndarray
     user_indices: np.ndarray
-    user_xy: np.ndarray
     distances: np.ndarray
-    desired_gains: np.ndarray
+    desired: np.ndarray
+    interference: np.ndarray
+    void_signal: np.ndarray
     link_gains: np.ndarray = field(repr=False)
     link_dist_sq: np.ndarray = field(repr=False)
 
@@ -169,19 +165,23 @@ def schedule_noma_users(snapshot, bs_index):
     rng = _stream(snapshot.seed, snapshot.trial, _STREAM_CELL, int(bs_index))
     pick = rng.choice(len(attached), size=2, replace=False)
     pair = attached[np.sort(pick)]
-    bs_xy = snapshot.bs_xy[bs_index]
     user_xy = snapshot.users.xy[pair]
-    dist = np.hypot(*(user_xy - bs_xy).T)
+    dist = np.hypot(*(user_xy - snapshot.bs_xy[bs_index]).T)
     if dist[1] < dist[0]:
         pair, user_xy, dist = pair[::-1], user_xy[::-1], dist[::-1]
     desired_gains = rng.standard_exponential(2)
     link_gains = rng.standard_exponential((2, snapshot.n_bs))
     diff = snapshot.bs_xy[None, :, :] - user_xy[:, None, :]
     link_dist_sq = np.einsum("rbc,rbc->rb", diff, diff)
+    alpha = snapshot.params.pathloss_exponent
+    contrib = snapshot.bs_power[None, :] * link_gains * link_dist_sq ** (-alpha / 2.0)
+    int_mask = snapshot.nonvoid.copy()
+    int_mask[bs_index] = False
     return TaggedCell(
-        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), bs_xy=bs_xy,
-        user_indices=pair, user_xy=user_xy, distances=dist,
-        desired_gains=desired_gains, link_gains=link_gains, link_dist_sq=link_dist_sq,
+        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), user_indices=pair,
+        distances=dist, desired=snapshot.bs_power[bs_index] * desired_gains * dist ** (-alpha),
+        interference=contrib @ int_mask, void_signal=contrib @ ~snapshot.nonvoid,
+        link_gains=link_gains, link_dist_sq=link_dist_sq,
     )
 
 
@@ -199,37 +199,17 @@ class SirSample:
     far_covered: bool
 
 
-def _received_powers(cell, snapshot):
-    """Interference and void-cell cooperative power at the two receivers."""
-    alpha = snapshot.params.pathloss_exponent
-    contrib = (
-        snapshot.bs_power[None, :]
-        * cell.link_gains
-        * cell.link_dist_sq ** (-alpha / 2.0)
-    )
-    int_mask = snapshot.nonvoid.copy()
-    int_mask[cell.bs_index] = False
-    interference = contrib @ int_mask
-    coop = contrib @ ~snapshot.nonvoid
-    return interference, coop
-
-
-def _outcome(cell, snapshot, theta, beta, cooperate):
+def _outcome(cell, theta, beta, coop):
     """Cross-multiplied SIR events (division-free, exact for zero interference).
 
-    desired[r] = P_m * H_r * d_r^(-alpha) is the full-power received
-    signal; the far signal carries the fraction beta of it, the near
-    signal 1 - beta, and both traverse the same serving-link fade.  With
-    cooperation the joint void-cell signal adds to the far-signal
-    numerator at both receivers (each evaluated at its own location);
-    without it that term is zero.  The near user's post-cancellation
-    stage is the same in both schemes.
+    The far signal carries the fraction beta of the full-power signal
+    cell.desired, the near signal 1 - beta, and both traverse the same
+    serving-link fade.  coop is the joint signal added to the far-signal
+    numerator at each receiver: the void-cell signal with cooperation,
+    zero without.  The near user's post-cancellation stage is the same in
+    both schemes.
     """
-    interference, coop = _received_powers(cell, snapshot)
-    if not cooperate:
-        coop = (0.0, 0.0)
-    p_m = snapshot.params.tiers[cell.tier].power_watts
-    desired = p_m * cell.desired_gains * cell.distances ** (-snapshot.params.pathloss_exponent)
+    desired, interference = cell.desired, cell.interference
     first = beta * desired[0] + coop[0] >= theta * ((1.0 - beta) * desired[0] + interference[0])
     sic = (1.0 - beta) * desired[0] >= theta * interference[0]
     far = beta * desired[1] + coop[1] >= theta * ((1.0 - beta) * desired[1] + interference[1])
@@ -237,14 +217,14 @@ def _outcome(cell, snapshot, theta, beta, cooperate):
                      near_covered=bool(first and sic), far_covered=bool(far))
 
 
-def evaluate_noncoop(cell, snapshot, theta, beta_m):
+def evaluate_noncoop(cell, theta, beta_m):
     """Exact decoding events of the two scheduled users, no cooperation."""
-    return _outcome(cell, snapshot, theta, beta_m, cooperate=False)
+    return _outcome(cell, theta, beta_m, (0.0, 0.0))
 
 
-def evaluate_coop(cell, snapshot, theta, beta_m):
+def evaluate_coop(cell, theta, beta_m):
     """Decoding events when all void BSs retransmit the far user's signal."""
-    return _outcome(cell, snapshot, theta, beta_m, cooperate=True)
+    return _outcome(cell, theta, beta_m, cell.void_signal)
 
 
 @dataclass
@@ -261,7 +241,6 @@ class TrialTotals:
     samples: np.ndarray
     sum_near_dist_sq: np.ndarray
     sum_far_dist_sq: np.ndarray
-    n_trials: int = 0
 
     @classmethod
     def zeros(cls, n_tiers):
@@ -277,7 +256,6 @@ class TrialTotals:
         self.samples += other.samples
         self.sum_near_dist_sq += other.sum_near_dist_sq
         self.sum_far_dist_sq += other.sum_far_dist_sq
-        self.n_trials += other.n_trials
         return self
 
 
@@ -290,7 +268,6 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
     """
     snapshot = build_snapshot(params, window, seed, trial)
     totals = TrialTotals.zeros(params.n_tiers)
-    totals.n_trials = 1
     theta = params.sir_threshold
     for tier in range(params.n_tiers):
         cells = snapshot.tagged_cells(tier)
@@ -300,8 +277,8 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
         beta = params.beta[tier]
         for bs_index in cells:
             cell = schedule_noma_users(snapshot, bs_index)
-            non = evaluate_noncoop(cell, snapshot, theta, beta)
-            coop = evaluate_coop(cell, snapshot, theta, beta)
+            non = evaluate_noncoop(cell, theta, beta)
+            coop = evaluate_coop(cell, theta, beta)
             totals.successes[tier, 0, 0] += non.near_covered
             totals.successes[tier, 0, 1] += non.far_covered
             totals.successes[tier, 1, 0] += coop.near_covered

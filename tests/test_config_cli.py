@@ -84,6 +84,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="kernel_mode"):
             parse_config(data)
 
+    @pytest.mark.parametrize("update, field, message", [
+        ({"pathloss_exponent": 2.0}, "pathloss_exponent", "must be greater than 2.0"),
+        ({"sir_threshold": 0}, "sir_threshold", "must be greater than 0.0"),
+        ({"user_intensity": -1}, "user_intensity", "must be at least 0.0"),
+        ({"user_intensity": None}, "user_intensity", "missing required key"),
+        ({"window": {"half_width": 0, "margin": 1.0}}, "window.half_width",
+         "must be greater than 0.0"),
+    ], ids=["pathloss_exponent", "sir_threshold", "user_intensity_negative",
+            "user_intensity_missing", "window_half_width"])
+    def test_scenario_number_errors_name_their_field(self, tmp_path, capsys, update, field,
+                                                     message):
+        data = {k: v for k, v in dict(TOY_CONFIG, **update).items() if v is not None}
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert info.value.field == field
+        code, text = run_cli(["analytic", "--config", write_config(tmp_path, data)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: config field '{field}': {message}\n"
+
     def test_scalar_beta_broadcasts(self):
         data = dict(TOY_CONFIG)
         data["beta"] = 0.8

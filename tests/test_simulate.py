@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from scipy.stats import chisquare
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
 from hetnoma.simulate import (
+    _STREAM_CELL,
     SCHEMES,
     CoverageEstimate,
     SimulationError,
     TrialTotals,
-    _received_powers,
+    _stream,
     build_snapshot,
     cell_census,
     estimate_coverage,
@@ -30,6 +32,7 @@ from hetnoma.simulate import (
     schedule_noma_users,
     snapshot_from_points,
 )
+from hetnoma.sweeps import table1_params
 
 TOY_WINDOW = Window(half_width=500.0, margin=120.0)
 
@@ -119,6 +122,35 @@ class TestScheduleNomaUsers:
         assert np.array_equal(a.user_indices, b.user_indices)
         assert np.array_equal(a.link_gains, b.link_gains)
 
+    def test_received_powers_match_reference_loop(self):
+        # sum each BS's contribution at each receiver one by one: the
+        # serving BS is skipped, the rest split by whether they transmit;
+        # the serving fades are redrawn from the cell's own substream
+        p = toy_params(mu=2e-4)
+        snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
+        alpha = p.pathloss_exponent
+        for b in snap.tagged_cells()[:10]:
+            cell = schedule_noma_users(snap, b)
+            rng = _stream(snap.seed, snap.trial, _STREAM_CELL, int(b))
+            rng.choice(int(snap.assoc.counts[b]), size=2, replace=False)
+            fades = rng.standard_exponential(2)
+            for r in range(2):
+                interference = void_signal = 0.0
+                for j in range(snap.n_bs):
+                    if j == b:
+                        continue
+                    power = (snap.bs_power[j] * cell.link_gains[r, j]
+                             * cell.link_dist_sq[r, j] ** (-alpha / 2.0))
+                    if snap.nonvoid[j]:
+                        interference += power
+                    else:
+                        void_signal += power
+                d = math.dist(snap.users.xy[cell.user_indices[r]], snap.bs_xy[b])
+                desired = p.tiers[0].power_watts * fades[r] * d ** (-alpha)
+                assert cell.desired[r] == pytest.approx(desired, rel=1e-12)
+                assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
+                assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
+
     def test_pair_choice_uniform(self):
         # 5 users -> 10 unordered pairs, chi-square over 1e4 independent draws
         _, snap = lone_cell_snapshot(n_users=5)
@@ -136,9 +168,8 @@ class TestEvaluateEvents:
     def test_interference_free_good_beta(self):
         _, snap = lone_cell_snapshot(beta=0.75)
         cell = schedule_noma_users(snap, 0)
-        s = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.75)
-        interference, _ = _received_powers(cell, snap)
-        assert np.all(interference == 0.0)
+        s = evaluate_noncoop(cell, theta=1.0, beta_m=0.75)
+        assert np.all(cell.interference == 0.0)
         assert s.near_first_stage_ok and s.near_sic_ok and s.near_covered
         assert s.far_covered
 
@@ -147,7 +178,7 @@ class TestEvaluateEvents:
         # with zero interference, at both users
         _, snap = lone_cell_snapshot(beta=0.4)
         cell = schedule_noma_users(snap, 0)
-        s = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.4)
+        s = evaluate_noncoop(cell, theta=1.0, beta_m=0.4)
         assert not s.far_covered
         assert not s.near_first_stage_ok
         assert not s.near_covered
@@ -162,10 +193,10 @@ class TestEvaluateEvents:
         ]
         _, snap = lone_cell_snapshot(beta=0.4, extra_bs=ring)
         cell = schedule_noma_users(snap, 0)
-        non = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.4)
-        coop = evaluate_coop(cell, snap, theta=1.0, beta_m=0.4)
+        non = evaluate_noncoop(cell, theta=1.0, beta_m=0.4)
+        coop = evaluate_coop(cell, theta=1.0, beta_m=0.4)
         assert not non.far_covered
-        assert _received_powers(cell, snap)[1][1] > 0.0  # void signal at the far user
+        assert cell.void_signal[1] > 0.0  # void signal at the far user
         assert coop.far_covered
 
     def test_coop_dominates_per_sample(self):
@@ -175,14 +206,13 @@ class TestEvaluateEvents:
         assert len(cells) > 10
         for b in cells:
             cell = schedule_noma_users(snap, b)
-            non = evaluate_noncoop(cell, snap, 1.0, 0.75)
-            coop = evaluate_coop(cell, snap, 1.0, 0.75)
+            non = evaluate_noncoop(cell, 1.0, 0.75)
+            coop = evaluate_coop(cell, 1.0, 0.75)
             assert coop.near_covered >= non.near_covered
             assert coop.far_covered >= non.far_covered
             assert non.near_covered == (non.near_first_stage_ok and non.near_sic_ok)
-            interference, coop_signal = _received_powers(cell, snap)
-            assert interference[0] > 0.0  # non-void interferers exist here
-            assert coop_signal[0] >= 0.0
+            assert cell.interference[0] > 0.0  # non-void interferers exist here
+            assert cell.void_signal[0] >= 0.0
 
     def test_same_serving_fade_for_both_signal_shares(self):
         # the near user's two decoding stages share one serving-link fade:
@@ -190,7 +220,7 @@ class TestEvaluateEvents:
         for trial in range(25):
             _, snap = lone_cell_snapshot(beta=0.55)
             cell = schedule_noma_users(dataclasses.replace(snap, trial=trial), 0)
-            s = evaluate_noncoop(cell, snap, theta=1.0, beta_m=0.55)
+            s = evaluate_noncoop(cell, theta=1.0, beta_m=0.55)
             assert s.near_first_stage_ok  # 0.55/0.45 > 1 deterministically
 
 
@@ -204,6 +234,19 @@ class TestRunTrials:
         c = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, n_jobs=2)
         assert np.array_equal(a.successes, c.successes)
         assert a.sum_near_dist_sq == pytest.approx(c.sum_near_dist_sq, rel=1e-12)
+
+    # Exact counts at fixed seeds, recorded before the received powers moved
+    # into schedule_noma_users.  A change to the draws must update them.
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_pinned_counts_toy(self, n_jobs):
+        totals = run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=6, seed=17, n_jobs=n_jobs)
+        assert totals.successes.tolist() == [[[110, 75], [110, 118]]]
+        assert totals.samples.tolist() == [184]
+
+    def test_pinned_counts_stock(self):
+        totals = run_trials(table1_params(), n_trials=6, seed=(501, 0), max_cells_per_tier=120)
+        assert totals.successes.tolist() == [[[148, 139], [148, 139]], [[343, 178], [343, 190]]]
+        assert totals.samples.tolist() == [174, 720]
 
     def test_merge_is_associative(self):
         p = toy_params()
