@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .coverage import NetworkParams, TierParams
 from .geometry import Window
-from .simulate import SCHEMES
+from .simulate import SCHEMES, check_point_budget
 from .sweeps import SWEEP_VARIABLES, apply_sweep_value, default_user_intensity_grid
 
 KERNEL_MODES = ("appendix", "theorem")
@@ -46,7 +46,9 @@ class ScenarioConfig:
     """One run: base scenario, swept variable and grid, schemes, simulation budget.
 
     Invalid fields raise ConfigError naming the config field.  Every grid
-    value must be one the swept variable can take in this scenario.
+    value must be one the swept variable can take in this scenario, and
+    one the simulator can sample (simulate.check_point_budget, on the
+    configured window or the point's default one).
     """
 
     params: NetworkParams
@@ -79,7 +81,8 @@ class ScenarioConfig:
             raise ConfigError("sweep.grid", "must be strictly increasing")
         for i, value in enumerate(grid):
             try:
-                apply_sweep_value(self.params, self.sweep_variable, value)
+                check_point_budget(apply_sweep_value(self.params, self.sweep_variable, value),
+                                   self.window)
             except ValueError as exc:
                 raise ConfigError(f"sweep.grid[{i}]", str(exc)) from exc
         object.__setattr__(self, "sweep_grid", grid)

@@ -126,7 +126,8 @@ def associate(bs_sets, users):
                 d2 = np.sum((bs_xy - user_xy[u]) ** 2, axis=1)
                 serving[u] = int(np.flatnonzero(d2 == d2.min())[0])
     counts = np.bincount(serving, minlength=n_bs)
-    order = np.argsort(serving, kind="stable")
+    # the narrowest unsigned key lets numpy radix-sort; same stable order
+    order = np.argsort(serving.astype(np.min_scalar_type(n_bs - 1)), kind="stable")
     starts = np.zeros(n_bs + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
     return Association(serving=serving, counts=counts, _order=order, _starts=starts)

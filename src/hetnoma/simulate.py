@@ -45,8 +45,31 @@ _STREAM_CAP = 1
 _STREAM_CELL = 2
 
 
+# Ceiling on the expected number of points (users plus BSs) one snapshot
+# samples: far above the stock scenarios (about 8e4 at 2e-3 users/m^2),
+# far below what runs a machine out of memory.
+MAX_EXPECTED_POINTS = 5e6
+
+
 class SimulationError(RuntimeError):
     pass
+
+
+def check_point_budget(params, window=None):
+    """Reject a scenario whose snapshots would hold too many points.
+
+    The expected count is (user_intensity + sum of tier intensities) x
+    window area, on default_window(params) when no window is given.  Raises
+    ValueError when it exceeds MAX_EXPECTED_POINTS.
+    """
+    window = window if window is not None else default_window(params)
+    users = params.user_intensity * window.area
+    expected = (params.user_intensity + params.total_intensity) * window.area
+    if not expected <= MAX_EXPECTED_POINTS:
+        raise ValueError(
+            f"a snapshot would hold {expected:.3g} points in expectation ({users:.3g} users), "
+            f"above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
+        )
 
 
 def _entropy(seed):
@@ -64,7 +87,9 @@ class NetworkSnapshot:
 
     nonvoid[b] is True iff BS b has at least one attached user (the
     indicator that the BS transmits).  Global BS indices concatenate the
-    tiers in order.
+    tiers in order.  bs_x and bs_y are the contiguous coordinate columns
+    of bs_xy; nonvoid_weight and void_weight are nonvoid and its negation
+    as float 1/0 weights, the form the per-cell power sums multiply by.
     """
 
     params: object
@@ -77,6 +102,10 @@ class NetworkSnapshot:
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
     nonvoid: np.ndarray = field(repr=False)
+    bs_x: np.ndarray = field(repr=False)
+    bs_y: np.ndarray = field(repr=False)
+    nonvoid_weight: np.ndarray = field(repr=False)
+    void_weight: np.ndarray = field(repr=False)
 
     @property
     def n_bs(self):
@@ -97,19 +126,24 @@ def _snapshot(params, window, seed, trial, bs_per_tier, users):
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
     powers = np.array([t.power_watts for t in params.tiers])
+    bs_xy = np.concatenate([p.xy for p in bs_per_tier])
+    nonvoid = assoc.counts > 0
     return NetworkSnapshot(
         params=params, window=window, seed=seed, trial=trial, users=users, assoc=assoc,
-        bs_xy=np.concatenate([p.xy for p in bs_per_tier]), bs_tier=bs_tier,
-        bs_power=powers[bs_tier], nonvoid=assoc.counts > 0,
+        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=nonvoid,
+        bs_x=np.ascontiguousarray(bs_xy[:, 0]), bs_y=np.ascontiguousarray(bs_xy[:, 1]),
+        nonvoid_weight=nonvoid.astype(float), void_weight=(~nonvoid).astype(float),
     )
 
 
 def build_snapshot(params, window, seed, trial):
     """Sample all tiers and users, associate, and flag void cells.
 
-    Bit-identical for identical (seed, trial).  Fails if the window is so
-    small that it contains no base station.
+    Bit-identical for identical (seed, trial).  Fails before sampling if
+    the expected point count is over MAX_EXPECTED_POINTS, and after it if
+    the window is so small that it contains no base station.
     """
+    check_point_budget(params, window)
     rng = _stream(seed, trial, _STREAM_POINTS)
     bs_per_tier = [
         sample_ppp(t.intensity, window, rng, tag=i) for i, t in enumerate(params.tiers)
@@ -171,16 +205,17 @@ def schedule_noma_users(snapshot, bs_index):
         pair, user_xy, dist = pair[::-1], user_xy[::-1], dist[::-1]
     desired_gains = rng.standard_exponential(2)
     link_gains = rng.standard_exponential((2, snapshot.n_bs))
-    diff = snapshot.bs_xy[None, :, :] - user_xy[:, None, :]
-    link_dist_sq = np.einsum("rbc,rbc->rb", diff, diff)
+    dx = snapshot.bs_x - user_xy[:, 0:1]
+    dy = snapshot.bs_y - user_xy[:, 1:2]
+    link_dist_sq = dx * dx + dy * dy
     alpha = snapshot.params.pathloss_exponent
     contrib = snapshot.bs_power[None, :] * link_gains * link_dist_sq ** (-alpha / 2.0)
-    int_mask = snapshot.nonvoid.copy()
-    int_mask[bs_index] = False
+    interferers = snapshot.nonvoid_weight.copy()
+    interferers[bs_index] = 0.0
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), user_indices=pair,
         distances=dist, desired=snapshot.bs_power[bs_index] * desired_gains * dist ** (-alpha),
-        interference=contrib @ int_mask, void_signal=contrib @ ~snapshot.nonvoid,
+        interference=contrib @ interferers, void_signal=contrib @ snapshot.void_weight,
         link_gains=link_gains, link_dist_sq=link_dist_sq,
     )
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hetnoma import sweeps
+from hetnoma import simulate, sweeps
 from hetnoma.cli import main
 from hetnoma.config import ConfigError, ScenarioConfig, dump_config, load_config, parse_config
 from hetnoma.coverage import NetworkParams, TierParams
@@ -237,6 +237,24 @@ class TestCliSim:
         assert text == ""
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    def test_oversized_scenario_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the point count")
+
+        monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
+        # 1 user/m^2 on the default window of the stock tiers: about 4e7 users
+        path = write_config(tmp_path, {
+            "tiers": [
+                {"power_watts": 20.0, "intensity": 1e-6},
+                {"power_watts": 2.0, "intensity": 5e-5},
+            ],
+            "user_intensity": 1.0,
+        })
+        code, text = run_cli(["sim", "--config", path])
+        assert code == 2
+        assert text == ""
+        assert "config field 'user_intensity': a snapshot would hold" in capsys.readouterr().err
+
     def test_unwritable_output_reports_path(self, tmp_path, capsys):
         path = write_config(tmp_path, TOY_CONFIG)
         bad = str(tmp_path / "no_such_dir" / "x.csv")
@@ -283,7 +301,9 @@ class TestCliSweep:
         ({"variable": "beta", "grid": [0.75, 1.5]}, None, "sweep.grid[1]"),
         ({"variable": "user_intensity", "grid": [-1e-4, 8e-4]}, None, "sweep.grid[0]"),
         ({"variable": "pico_intensity", "grid": [1e-4, 2e-4]}, 1, "sweep.grid[0]"),
-    ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier"])
+        ({"variable": "user_intensity", "grid": [8e-4, 10.0]}, None, "sweep.grid[1]"),
+    ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier",
+            "user_intensity_over_point_limit"])
     def test_grid_value_the_variable_cannot_take_exits_2(self, tmp_path, capsys, monkeypatch,
                                                           sweep, tiers, field):
         def no_trials(*args, **kwargs):

@@ -104,6 +104,31 @@ class TestAssociate:
         with pytest.raises(ValueError):
             associate([PointSet(np.zeros((0, 2)), tag=0)], users)
 
+    @pytest.mark.parametrize("n_bs", [1, 256, 257, 65536, 65537])
+    def test_user_lists_match_serving(self, n_bs):
+        # the user lists sort uint8 serving keys up to 256 BSs, uint16 up
+        # to 65536 and uint32 above; a cluster of users at the last BS puts
+        # the widest key in use
+        g = rng(n_bs)
+        bs_xy = g.uniform(0.0, 1000.0, size=(n_bs, 2))
+        user_xy = np.concatenate([g.uniform(0.0, 1000.0, size=(3000, 2)),
+                                  bs_xy[-1] + g.uniform(-1e-6, 1e-6, size=(5, 2))])
+        g.shuffle(user_xy)
+        assoc = associate([PointSet(bs_xy, tag=0)], PointSet(user_xy, tag="users"))
+        assert assoc.serving.max() == n_bs - 1
+        for b in range(n_bs):
+            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+
+    def test_user_lists_with_an_exact_tie(self):
+        # user 1 is exactly as far from BS 256 as from BS 3 and joins BS 3
+        bs_xy = rng(7).uniform(0.0, 100.0, size=(257, 2))
+        bs_xy[3], bs_xy[256] = [999.0, 1000.0], [1001.0, 1000.0]
+        user_xy = np.array([[50.0, 50.0], [1000.0, 1000.0], [1000.5, 1000.0], [20.0, 70.0]])
+        assoc = associate([PointSet(bs_xy, tag=0)], PointSet(user_xy, tag="users"))
+        assert assoc.serving[1:3].tolist() == [3, 256]
+        for b in range(257):
+            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+
     def test_matches_brute_force(self):
         g = rng(99)
         for _ in range(50):

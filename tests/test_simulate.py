@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chisquare
 
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
+from hetnoma import simulate
 from hetnoma.geometry import Window
 from hetnoma.simulate import (
     _STREAM_CELL,
@@ -23,6 +24,7 @@ from hetnoma.simulate import (
     _stream,
     build_snapshot,
     cell_census,
+    check_point_budget,
     estimate_coverage,
     estimates_from_totals,
     evaluate_coop,
@@ -88,6 +90,18 @@ class TestBuildSnapshot:
         with pytest.raises(SimulationError):
             build_snapshot(p, Window(10.0, 1.0), seed=0, trial=0)
 
+    def test_oversized_scenario_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the point count")
+
+        monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
+        # 10 users/m^2 on the 1e6 m^2 toy window: 1e7 expected points
+        with pytest.raises(ValueError, match="1e\\+07 points in expectation"):
+            build_snapshot(toy_params(mu=10.0), TOY_WINDOW, seed=0, trial=0)
+        with pytest.raises(ValueError, match="above the simulator's limit"):
+            check_point_budget(table1_params(user_intensity=1.0))
+        check_point_budget(table1_params(user_intensity=2e-3))  # 78k points: allowed
+
     def test_void_fraction_tracks_load_model(self):
         p = toy_params()
         q = cell_load_model(p).nonvoid_prob
@@ -125,7 +139,9 @@ class TestScheduleNomaUsers:
     def test_received_powers_match_reference_loop(self):
         # sum each BS's contribution at each receiver one by one: the
         # serving BS is skipped, the rest split by whether they transmit;
-        # the serving fades are redrawn from the cell's own substream
+        # the serving fades are redrawn from the cell's own substream.
+        # Squared link distances are the same float operations in plain
+        # Python, so they must agree exactly.
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
         alpha = p.pathloss_exponent
@@ -135,8 +151,11 @@ class TestScheduleNomaUsers:
             rng.choice(int(snap.assoc.counts[b]), size=2, replace=False)
             fades = rng.standard_exponential(2)
             for r in range(2):
+                ux, uy = snap.users.xy[cell.user_indices[r]].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
+                    bx, by = snap.bs_xy[j].tolist()
+                    assert cell.link_dist_sq[r, j] == (bx - ux) * (bx - ux) + (by - uy) * (by - uy)
                     if j == b:
                         continue
                     power = (snap.bs_power[j] * cell.link_gains[r, j]
