@@ -24,7 +24,7 @@ from .coverage import (
     user_count_pmf,
 )
 from .geometry import PointSet, Window, associate, default_window, sample_ppp
-from .kernels import DIVERGENT, KernelEvaluator, QuadratureError, base_integral, is_divergent
+from .kernels import DIVERGENT, KernelEvaluator, base_integral, is_divergent
 from .simulate import (
     CoverageEstimate,
     NetworkSnapshot,
@@ -46,7 +46,7 @@ __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
     "DecodingThresholds", "DIVERGENT", "KernelDivergenceError", "KernelEvaluator",
     "LoadModel", "NetworkParams", "NetworkSnapshot",
-    "PointSet", "QuadratureError", "ScenarioConfig", "SirSample", "TaggedCell",
+    "PointSet", "ScenarioConfig", "SirSample", "TaggedCell",
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",

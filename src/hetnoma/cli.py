@@ -6,7 +6,9 @@ Subcommands:
     sweep          analytic vs simulated coverage over a grid -> CSV
     optimize-beta  power-allocation search per tier and scheme
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 1 runtime error (such as an unwritable output
+file), 2 configuration error, 3 numerical failure (a divergent kernel in
+kernel_mode "theorem").
 All commands honor --seed and are bit-reproducible: identical config and
 seed produce byte-identical output.
 """
@@ -25,13 +27,14 @@ from .coverage import (
     coverage_noncoop,
     decoding_thresholds,
 )
-from .kernels import KernelEvaluator, QuadratureError
+from .kernels import KernelEvaluator
 from .simulate import check_point_budget, run_trials
 from .sweeps import comparison_rows, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
               "simulated", "ci_halfwidth", "n_samples", "flags")
 SCAN_HEADER = ("beta", "tier", "scheme", "avg_coverage")
+EXTRAPOLATED_NOTE = "  [extrapolated below (1+theta)/(2+theta)]"
 
 
 def _write_csv(header, records, path, out, written):
@@ -86,7 +89,7 @@ def cmd_analytic(cfg, out):
         non = coverage_noncoop(params, tier, evaluator=ev)
         print(f"  noncoop        : near {non.near:.6f}  far {non.far:.6f}", file=out)
         coop = coverage_coop(params, tier, cfg.kernel_mode, evaluator=ev)
-        note = "  [extrapolated below (1+theta)/(2+theta)]" if coop.extrapolated else ""
+        note = EXTRAPOLATED_NOTE if coop.extrapolated else ""
         print(f"  coop[{cfg.kernel_mode}] : near {coop.near:.6f}  far {coop.far:.6f}{note}",
               file=out)
     return 0
@@ -127,8 +130,9 @@ def cmd_optimize_beta(cfg, out):
             scan = run_beta_scan(params, tier, scheme, grid, cfg.kernel_mode)
             opt = scan.optimum
             boundary = "  [maximizer at beta = 1 boundary]" if opt.at_boundary else ""
+            note = EXTRAPOLATED_NOTE if opt.extrapolated else ""
             print(f"tier {tier + 1} {scheme}: beta* = {opt.beta_star:.4f}, "
-                  f"average coverage = {opt.value:.6f}{boundary}", file=out)
+                  f"average coverage = {opt.value:.6f}{boundary}{note}", file=out)
             records.extend([repr(b), tier + 1, scheme, repr(v)]
                            for b, v in zip(scan.grid, scan.averages))
     print("beta scan (plot data):", file=out)
@@ -180,7 +184,7 @@ def main(argv=None, out=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KernelDivergenceError, QuadratureError) as exc:
+    except KernelDivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:

@@ -194,6 +194,11 @@ class CoveragePair:
     extrapolated: bool = False
 
 
+def _coop_extrapolated(theta, beta_m):
+    """Whether the cooperative closed form is used below its exact range."""
+    return beta_m < (1.0 + theta) / (2.0 + theta)
+
+
 def _far_coverage(exponent):
     return 2.0 / ((1.0 + exponent) * (2.0 + exponent))
 
@@ -224,7 +229,7 @@ def coverage_coop(params, tier, kernel_mode="appendix", evaluator=None):
         return CoveragePair(0.0, 0.0)
     ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
     q = cell_load_model(params).nonvoid_prob
-    extrapolated = beta < (1.0 + theta) / (2.0 + theta)
+    extrapolated = _coop_extrapolated(theta, beta)
     k_near = ev.interference_kernel(
         tier, math.inf if beta == 1.0 else theta / (1.0 - beta)
     )
@@ -257,9 +262,13 @@ def average_coverage(params, tier, scheme, kernel_mode="appendix", evaluator=Non
 
 @dataclass(frozen=True)
 class BetaOptimum:
+    """extrapolated marks a cooperative optimum below (1+theta)/(2+theta),
+    where the closed form it maximizes is not exact."""
+
     beta_star: float
     value: float
     at_boundary: bool
+    extrapolated: bool
 
 
 def optimize_beta(params, tier, scheme, kernel_mode="appendix",
@@ -269,7 +278,8 @@ def optimize_beta(params, tier, scheme, kernel_mode="appendix",
     The admissible interval is (theta/(1+theta), 1].  A coarse grid
     brackets the maximizer first (unimodality is not guaranteed), then
     golden-section search refines the bracket to width tol.  at_boundary
-    reports a maximizer within tol of beta = 1.
+    reports a maximizer within tol of beta = 1; extrapolated a cooperative
+    one below (1+theta)/(2+theta).
     """
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
@@ -303,4 +313,5 @@ def optimize_beta(params, tier, scheme, kernel_mode="appendix",
     # keep the endpoint if refinement did not beat the coarse grid
     if values[best] > value:
         beta_star, value = grid[best], values[best]
-    return BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - tol)
+    return BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - tol,
+                       extrapolated=scheme == "coop" and _coop_extrapolated(theta, beta_star))

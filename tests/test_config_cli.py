@@ -336,6 +336,23 @@ class TestCliOptimizeBeta:
         assert lines[0] == "beta,tier,scheme,avg_coverage"
         assert len(lines) == 1 + 32
 
+    def test_extrapolated_coop_optimum_is_noted(self, tmp_path):
+        path = write_config(tmp_path, {
+            "tiers": [{"power_watts": 20.0, "intensity": 1e-6},
+                      {"power_watts": 2.0, "intensity": 5e-5}],
+            "user_intensity": 5e-4,
+            "pathloss_exponent": 3.0,
+            "beta": 0.75,
+            "schemes": ["coop"],
+        })
+        code, text = run_cli(["optimize-beta", "--config", path])
+        assert code == 0
+        macro, pico = text.splitlines()[:2]
+        assert macro.startswith("tier 1 coop: beta* = 0.78")
+        assert not macro.endswith("]")
+        assert pico.startswith("tier 2 coop: beta* = 0.5000")
+        assert pico.endswith("  [extrapolated below (1+theta)/(2+theta)]")
+
     def test_out_file_equals_stdout_scan(self, tmp_path):
         out = str(tmp_path / "beta.csv")
         path = write_config(tmp_path, dict(TOY_CONFIG, user_intensity=1e8))

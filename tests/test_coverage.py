@@ -40,11 +40,11 @@ def single_tier(beta=0.75, mu=1e8, lam=1e-4, theta=1.0, alpha=4.0):
     )
 
 
-def two_tier(mu=5e-4, beta=0.75):
+def two_tier(mu=5e-4, beta=0.75, alpha=4.0):
     return NetworkParams(
         tiers=(TierParams(20.0, 1e-6), TierParams(2.0, 5e-5)),
         user_intensity=mu,
-        pathloss_exponent=4.0,
+        pathloss_exponent=alpha,
         sir_threshold=1.0,
         beta=(beta, beta),
     )
@@ -300,6 +300,18 @@ class TestOptimizeBeta:
         assert average_coverage(p.with_beta(0.5), 0, "noncoop") == pytest.approx(1.0, abs=1e-4)
         opt = optimize_beta(p, 0, "noncoop")
         assert opt.value == pytest.approx(1.0, abs=1e-4)
+
+    def test_extrapolated_coop_optimum_is_flagged(self):
+        # alpha = 3 pushes the pico coop optimum to the lower end of the
+        # search range, below (1+theta)/(2+theta) = 2/3
+        p = two_tier(alpha=3.0)
+        opt = optimize_beta(p, 1, "coop")
+        assert opt.beta_star < 2.0 / 3.0
+        assert opt.extrapolated
+        # noncoop is exact at every beta; the stock alpha = 4 optima lie in range
+        assert not optimize_beta(p, 1, "noncoop").extrapolated
+        for tier in (0, 1):
+            assert not optimize_beta(two_tier(), tier, "coop").extrapolated
 
     def test_coop_optimum_not_larger_than_noncoop(self):
         # joint transmission lets the far user tolerate a smaller share

@@ -4,18 +4,21 @@ Expected values for alpha = 4 come from the arctan/log closed forms:
     base integral   int_0^b dt/(1+t^2)        = atan(b)
     kernel          l(x) (single tier)        = sqrt(x) * atan(sqrt(x))
     void tail       -int_a^inf dt/(t^2-1)     = 0.5*ln((a-1)/(a+1))
-evaluated with an arbitrary-precision library and frozen below.
+evaluated with an arbitrary-precision library and frozen below.  At other
+alpha the kernels use 2F1 forms, checked against QUADPACK (TestQuadOracle).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hetnoma.kernels import (
     DIVERGENT,
     KernelEvaluator,
     QuadratureError,
+    _hyp2f1_form,
     base_integral,
     full_line_integral,
     integrate_adaptive,
@@ -49,8 +52,10 @@ class TestBaseIntegral:
 
     @pytest.mark.parametrize("b,expected", sorted(ATAN.items()))
     def test_adaptive_matches_closed_form(self, b, expected):
-        assert base_integral(b, 4.0, method="closed") == pytest.approx(expected, abs=1e-12)
-        assert base_integral(b, 4.0, method="adaptive") == pytest.approx(expected, abs=1e-9)
+        assert base_integral(b, 4.0) == pytest.approx(expected, abs=1e-12)
+        assert _hyp2f1_form("base", b, 4.0) == pytest.approx(expected, abs=1e-12)
+        adaptive = integrate_adaptive(lambda t: 1.0 / (1.0 + t * t), 0.0, b)
+        assert adaptive == pytest.approx(expected, abs=1e-9)
 
     def test_full_line_identity(self):
         # int_0^inf dt/(1+t^2) = pi/2 = (2*pi/4)/sin(2*pi/4)
@@ -59,7 +64,7 @@ class TestBaseIntegral:
         assert big == pytest.approx(math.pi / 2, abs=1e-7)
 
     def test_alpha_three_consistency(self):
-        # adaptive result vs independent high-resolution Simpson oracle
+        # 2F1 result vs independent high-resolution Simpson oracle
         t = np.linspace(0.0, 2.0, 20001)
         f = 1.0 / (1.0 + t**1.5)
         from scipy.integrate import simpson
@@ -73,13 +78,7 @@ class TestBaseIntegral:
         with pytest.raises(ValueError):
             base_integral(1.0, 2.0)
         with pytest.raises(ValueError):
-            base_integral(1.0, 3.0, method="closed")
-
-
-@pytest.mark.parametrize("integral", [base_integral, tail_integral, void_tail_integral])
-def test_unknown_method_rejected(integral):
-    with pytest.raises(ValueError, match="unknown method"):
-        integral(2.0, 3.0, method="clsoed")
+            tail_integral(1.0, 2.0)
 
 
 class TestAdaptiveIntegrator:
@@ -101,7 +100,112 @@ class TestTailIntegral:
         for b in (0.3, 1.0, 4.0, 50.0):
             assert tail_integral(b, 4.0) == pytest.approx(math.atan(1.0 / b), abs=1e-12)
             direct = full_line_integral(3.0) - base_integral(b, 3.0)
-            assert tail_integral(b, 3.0, method="adaptive") == pytest.approx(direct, abs=1e-8)
+            assert tail_integral(b, 3.0) == pytest.approx(direct, abs=1e-13)
+
+
+# Relative tolerance of the 2F1 forms against QUADPACK; every oracle value
+# must carry a QUADPACK error estimate 100x below it.
+QUAD_REL = 1e-10
+QUAD_ALPHAS = (2.05, 2.5, 3.0, 3.5, 5.0, 8.0)
+QUAD_BOUNDS = tuple(np.geomspace(1e-6, 1e6, 13))
+
+
+def _quad(f, lo, hi, **kw):
+    return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200, **kw)
+
+
+def _quad_inverted(b, alpha, sign):
+    """int_b^inf dt/(t^(alpha/2) + sign), b >= 1, with t = 1/u: the algebraic
+    weight u^(alpha/2-2) on [0, 1/b] goes to QUADPACK's QAWS rule."""
+    half = alpha / 2.0
+    return _quad(lambda u: 1.0 / (1.0 + sign * u**half), 0.0, 1.0 / b,
+                 weight="alg", wvar=(half - 2.0, 0.0))
+
+
+def _quad_log(lo, hi, alpha):
+    """int_lo^hi dt/(1+t^(alpha/2)) with t = e^s (smooth, bounded integrand)."""
+    half = alpha / 2.0
+    return _quad(lambda s: math.exp(s) / (1.0 + math.exp(half * s)), math.log(lo), math.log(hi))
+
+
+def _sum(*parts):
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
+def quad_tail(b, alpha):
+    if b >= 1.0:
+        return _quad_inverted(b, alpha, 1.0)
+    return _sum(_quad_log(b, 1.0, alpha), _quad_inverted(1.0, alpha, 1.0))
+
+
+def quad_base(b, alpha):
+    head = _quad(lambda t: 1.0 / (1.0 + t ** (alpha / 2.0)), 0.0, min(b, 1.0))
+    return head if b <= 1.0 else _sum(head, _quad_log(1.0, b, alpha))
+
+
+def quad_void(a, alpha):
+    value, err = _quad_inverted(a, alpha, -1.0)
+    return -value, err
+
+
+def assert_matches_quad(value, oracle):
+    expected, err = oracle
+    assert err <= 0.01 * QUAD_REL * abs(expected)
+    assert value == pytest.approx(expected, rel=QUAD_REL, abs=0.0)
+
+
+class TestQuadOracle:
+    """The alpha != 4 kernels against QUADPACK, which shares no code with 2F1."""
+
+    @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
+    def test_base_and_tail(self, alpha):
+        for b in QUAD_BOUNDS:
+            assert_matches_quad(base_integral(b, alpha), quad_base(b, alpha))
+            assert_matches_quad(tail_integral(b, alpha), quad_tail(b, alpha))
+
+    @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
+    def test_void_tail(self, alpha):
+        # lower limits 1 + 1e-6 ... 1 + 1e6; the 2F1 argument a^(-alpha/2)
+        # rounds near 1 as a -> 1, which costs about 1e-12 at a - 1 = 1e-6
+        for d in QUAD_BOUNDS:
+            assert_matches_quad(void_tail_integral(1.0 + d, alpha), quad_void(1.0 + d, alpha))
+
+    @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
+    def test_two_tier_interference_kernel(self, alpha):
+        powers, frac = (20.0, 2.0), (1 / 51, 50 / 51)
+        ev = KernelEvaluator(powers=powers, fractions=frac, alpha=alpha)
+        for m in (0, 1):
+            for x in QUAD_BOUNDS:
+                terms = []
+                for p_k, f_k in zip(powers, frac):
+                    ratio = x * p_k / powers[m]
+                    value, err = quad_tail(ratio ** (-2.0 / alpha), alpha)
+                    scale = f_k * ratio ** (2.0 / alpha)
+                    terms.append((scale * value, scale * err))
+                assert_matches_quad(ev.interference_kernel(m, x), _sum(*terms))
+
+    def test_extreme_bounds_stay_finite(self):
+        # where the 2F1 argument would overflow, base + tail = C(alpha) takes over
+        for alpha in (3.0, 600.0):
+            for b in (1e-300, 0.09, 1e300):
+                assert base_integral(b, alpha) + tail_integral(b, alpha) == pytest.approx(
+                    full_line_integral(alpha), rel=1e-15
+                )
+        assert tail_integral(1e-300, 3.0) == full_line_integral(3.0)
+        assert base_integral(1e-300, 3.0) == 1e-300
+
+
+def test_hyp2f1_forms_match_closed_forms_at_alpha4():
+    # 241 + 241 + 81 points; the void range stops at a = 11 because the log
+    # form 0.5*ln((a-1)/(a+1)) itself loses digits as (a-1)/(a+1) -> 1
+    bounds = np.geomspace(1e-6, 1e6, 241)
+    for b in bounds:
+        assert _hyp2f1_form("base", b, 4.0) == pytest.approx(math.atan(b), rel=1e-14, abs=0.0)
+        assert _hyp2f1_form("tail", b, 4.0) == pytest.approx(math.atan(1.0 / b), rel=1e-14, abs=0.0)
+    for a in 1.0 + np.geomspace(1e-3, 10.0, 81):
+        assert _hyp2f1_form("void", a, 4.0) == pytest.approx(
+            void_tail_integral(a, 4.0), rel=1e-14, abs=0.0
+        )
 
 
 class TestInterferenceKernel:
@@ -118,8 +222,7 @@ class TestInterferenceKernel:
     def test_single_tier_alpha4_oracle(self, x, expected):
         ev = single_tier()
         assert ev.interference_kernel(0, x) == pytest.approx(expected, abs=1e-9)
-        adaptive = single_tier(use_closed_forms=False)
-        assert adaptive.interference_kernel(0, x) == pytest.approx(expected, abs=1e-9)
+        assert x**0.5 * _hyp2f1_form("tail", x**-0.5, 4.0) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_and_continuous(self):
         ev = single_tier(alpha=3.2)
@@ -161,9 +264,7 @@ class TestVoidKernel:
     def test_tail_oracle_at_two(self):
         # -int_2^inf dt/(t^2 - 1) = -0.5*ln(3)
         assert void_tail_integral(2.0, 4.0) == pytest.approx(-0.54930614433405485, abs=1e-12)
-        assert void_tail_integral(2.0, 4.0, method="adaptive") == pytest.approx(
-            -0.54930614433405485, abs=1e-9
-        )
+        assert _hyp2f1_form("void", 2.0, 4.0) == pytest.approx(-0.54930614433405485, abs=1e-12)
 
     def test_divergence_at_unit_limit(self):
         assert is_divergent(void_tail_integral(1.0, 4.0))
