@@ -7,8 +7,8 @@ Subcommands:
     optimize-beta  power-allocation search per tier and scheme
 
 Exit codes: 0 success, 1 runtime error (such as an unwritable output
-file), 2 configuration error, 3 numerical failure (a divergent kernel in
-kernel_mode "theorem").
+file, or a standard output closed by its reader), 2 configuration error,
+3 numerical failure (a divergent kernel in kernel_mode "theorem").
 All commands honor --seed and are bit-reproducible: identical config and
 seed produce byte-identical output.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .config import KERNEL_MODES, ConfigError, load_config
@@ -180,7 +181,14 @@ def main(argv=None, out=None):
         overrides = {"seed": args.seed, "n_trials": args.trials,
                      "kernel_mode": args.kernel_mode, "output": args.out}
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
-        return _COMMANDS[args.command](cfg, out)
+        code = _COMMANDS[args.command](cfg, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed our output (as `| head` does): point it at
+        # devnull so that the interpreter's exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,6 +103,10 @@ class Association:
     def users_of(self, bs_index):
         return self._order[self._starts[bs_index]:self._starts[bs_index + 1]]
 
+    def user_at(self, bs_index, rank):
+        """users_of(bs_index)[rank], elementwise over arrays of BSs and ranks."""
+        return self._order[self._starts[bs_index] + rank]
+
 
 def associate(bs_sets, users):
     """Attach each user to its globally nearest BS across all tiers."""

@@ -1,28 +1,36 @@
 """Monte Carlo evaluation of the exact NOMA SIR decoding events.
 
-One trial samples the whole network once (BS tiers, users, association,
-void flags and every fading gain), then evaluates the decoding events of
-both schemes in every tagged cell: a non-void inner-region BS with at
-least two attached users, two of which are scheduled uniformly at random.
+One trial samples the whole network once (BS tiers, users, association
+and void flags), then evaluates the decoding events of both schemes in
+every tagged cell: a non-void inner-region BS with at least two attached
+users, two of which are scheduled uniformly at random.
 
-Randomness is organized so that each draw has its own deterministic
-substream keyed by (seed, trial, purpose[, cell]):
+Every random draw of a trial comes from one of four streams keyed by
+(seed, trial, purpose):
 
-  * trials are independent work units and can run in any order or in
-    parallel; aggregate counts are identical either way,
-  * a cell's scheduling choice and fading gains do not depend on which
-    other cells are evaluated (so per-tier subsampling caps change
-    nothing else), and
-  * the non-cooperative and cooperative schemes are evaluated on the
-    same draws (one gain per transmitter/receiver pair per snapshot),
-    which makes the cooperative far-user event a superset of the
-    non-cooperative one sample by sample.
+  * points: the BS tiers and the users of the snapshot;
+  * cap: the uniform subsample of tagged cells per tier, when capped;
+  * pairs: the scheduled pair of every BS, in global BS order, drawn in
+    one call for all BSs whether or not a BS is evaluated;
+  * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
+    outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
+    the near user's n_bs links first; the loop jumps to each block with
+    PCG64.advance and turns each output into one exponential variate.
+
+So trials are independent work units and can run in any order or in
+parallel with identical aggregate counts; a cell's pair and fades depend
+only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
+nothing in the cells it keeps; and both schemes are evaluated on the same
+fades (the serving link's fade is its block's column at the serving BS),
+which makes each cooperative event a superset of the non-cooperative one
+cell by cell.
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
-every tier, evaluated at the receiving user's own location.  Both are
-computed once per tagged cell, by schedule_noma_users, and both schemes'
-evaluators read them from the TaggedCell.
+every tier, evaluated at the receiving user's own location.  Tagged cells
+are evaluated in blocks whose (cells, 2, n_bs) buffers hold at most
+BLOCK_BYTES each; schedule_noma_users, evaluate_noncoop and evaluate_coop
+are one-cell views of the same block computation.
 """
 
 from __future__ import annotations
@@ -39,10 +47,16 @@ from .geometry import PointSet, Window, associate, default_window, sample_ppp
 SCHEMES = ("noncoop", "coop")
 ROLES = ("near", "far")
 
-# substream purposes within one (seed, trial)
+# stream purposes within one (seed, trial)
 _STREAM_POINTS = 0
 _STREAM_CAP = 1
-_STREAM_CELL = 2
+_STREAM_PAIRS = 2
+_STREAM_FADES = 3
+
+# Size of each (cells, 2, n_bs) float buffer of a block of tagged cells:
+# small enough to stay in cache, large enough that numpy calls run over
+# many cells at once (16 cells at the stock 2,034 BSs).
+BLOCK_BYTES = 2**19
 
 
 # Ceiling on the expected number of points (users plus BSs) one snapshot
@@ -89,7 +103,7 @@ class NetworkSnapshot:
     indicator that the BS transmits).  Global BS indices concatenate the
     tiers in order.  bs_x and bs_y are the contiguous coordinate columns
     of bs_xy; nonvoid_weight and void_weight are nonvoid and its negation
-    as float 1/0 weights, the form the per-cell power sums multiply by.
+    as float 1/0 weights, the form the block mat-vecs multiply by.
     """
 
     params: object
@@ -167,11 +181,11 @@ class TaggedCell:
 
     Users are ordered so that the near user is index 0; every per-receiver
     array has the near receiver first.  link_gains and link_dist_sq have
-    shape (2, n_bs) with columns in global BS order.  The received powers
-    are computed once, by schedule_noma_users, and both schemes read them:
-    desired is the full-power serving signal P_m * H * d^-alpha,
-    interference sums the non-void BSs other than the serving one, and
-    void_signal sums the void BSs (the cooperative signal).
+    shape (2, n_bs) with columns in global BS order; the serving link's
+    fade is link_gains[:, bs_index].  desired is the full-power serving
+    signal P_m * H * d^-alpha, interference sums the non-void BSs other
+    than the serving one, and void_signal sums the void BSs (the
+    cooperative signal).
     """
 
     bs_index: int
@@ -185,38 +199,96 @@ class TaggedCell:
     link_dist_sq: np.ndarray = field(repr=False)
 
 
+class _CellBlocks:
+    """One trial's pair ranks, fade stream and block buffers.
+
+    powers(cells) evaluates up to `size` tagged cells, given in increasing
+    BS order across calls, into the first rows of the buffers.
+    """
+
+    def __init__(self, snapshot, size=None):
+        self.snapshot = snapshot
+        n_bs = snapshot.n_bs
+        self.size = size or max(1, BLOCK_BYTES // (16 * n_bs))
+        self.fades = np.empty((self.size, 2, n_bs))
+        self.dist_sq = np.empty((self.size, 2, n_bs))
+        self.power = np.empty((self.size, 2, n_bs))
+        # ranks of each BS's pair within its user list: i uniform over
+        # c = max(count, 2) ranks, j over the c - 1 others
+        c = np.maximum(snapshot.assoc.counts, 2)
+        rng = _stream(snapshot.seed, snapshot.trial, _STREAM_PAIRS)
+        i = rng.integers(0, c)
+        j = rng.integers(0, c - 1)
+        j += j >= i
+        self.ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
+        self.position = 0
+
+    def powers(self, cells):
+        """Pairs (near first), serving dist^2 and received powers of `cells`.
+
+        Returns (users, serving_dist_sq, desired, interference, void_signal),
+        each of shape (len(cells), 2).
+        """
+        snap = self.snapshot
+        k, span = len(cells), 2 * snap.n_bs
+        users = snap.assoc.user_at(cells[:, None], self.ranks[cells])
+        ux, uy = snap.users.xy[users, 0], snap.users.xy[users, 1]
+        dx, dy = snap.bs_x[cells, None] - ux, snap.bs_y[cells, None] - uy
+        serving_sq = dx * dx + dy * dy
+        far_first = serving_sq[:, 1] < serving_sq[:, 0]
+        for a in (users, ux, uy, serving_sq):
+            a[far_first] = a[far_first, ::-1]
+        fades, dist_sq, power = self.fades[:k], self.dist_sq[:k], self.power[:k]
+        for row, b in zip(fades, cells.tolist()):
+            self.uniform.bit_generator.advance(span * b - self.position)
+            self.uniform.random(out=row)
+            self.position = span * (b + 1)
+        # -log1p(-U): one exponential per 64-bit output
+        np.negative(fades, out=fades)
+        np.log1p(fades, out=fades)
+        np.negative(fades, out=fades)
+        np.subtract(snap.bs_x, ux[:, :, None], out=dist_sq)
+        np.multiply(dist_sq, dist_sq, out=dist_sq)
+        np.subtract(snap.bs_y, uy[:, :, None], out=power)
+        np.multiply(power, power, out=power)
+        np.add(dist_sq, power, out=dist_sq)
+        alpha = snap.params.pathloss_exponent
+        if alpha == 4.0:
+            np.multiply(dist_sq, dist_sq, out=power)
+            np.divide(fades, power, out=power)
+        else:
+            np.power(dist_sq, -alpha / 2.0, out=power)
+            np.multiply(power, fades, out=power)
+        np.multiply(power, snap.bs_power, out=power)
+        rows = np.arange(k)
+        desired = power[rows, :, cells]
+        # the serving BS is non-void: dropping its column from the power
+        # buffer leaves the two sums over the other BSs
+        power[rows, :, cells] = 0.0
+        interference = power @ snap.nonvoid_weight
+        void_signal = power @ snap.void_weight
+        return users, serving_sq, desired, interference, void_signal
+
+
 def schedule_noma_users(snapshot, bs_index):
-    """Pick two scheduled users of a BS uniformly at random.
+    """The scheduled pair of a BS with its fading draws and received powers.
 
     Returns None for void and single-user cells (those keep their void
     flag / full-power role but contribute no two-user NOMA statistics).
-    The draw and all fading gains come from the cell's own substream, so
-    the result depends only on (seed, trial, bs_index).
+    The result is bit-identical to the cell's values in a whole-trial
+    run: it depends only on (seed, trial, bs_index) and the snapshot.
     """
-    attached = snapshot.assoc.users_of(bs_index)
-    if len(attached) < 2:
+    if snapshot.assoc.counts[bs_index] < 2:
         return None
-    rng = _stream(snapshot.seed, snapshot.trial, _STREAM_CELL, int(bs_index))
-    pick = rng.choice(len(attached), size=2, replace=False)
-    pair = attached[np.sort(pick)]
-    user_xy = snapshot.users.xy[pair]
-    dist = np.hypot(*(user_xy - snapshot.bs_xy[bs_index]).T)
-    if dist[1] < dist[0]:
-        pair, user_xy, dist = pair[::-1], user_xy[::-1], dist[::-1]
-    desired_gains = rng.standard_exponential(2)
-    link_gains = rng.standard_exponential((2, snapshot.n_bs))
-    dx = snapshot.bs_x - user_xy[:, 0:1]
-    dy = snapshot.bs_y - user_xy[:, 1:2]
-    link_dist_sq = dx * dx + dy * dy
-    alpha = snapshot.params.pathloss_exponent
-    contrib = snapshot.bs_power[None, :] * link_gains * link_dist_sq ** (-alpha / 2.0)
-    interferers = snapshot.nonvoid_weight.copy()
-    interferers[bs_index] = 0.0
+    blocks = _CellBlocks(snapshot, size=1)
+    users, serving_sq, desired, interference, void_signal = blocks.powers(
+        np.array([bs_index], dtype=np.intp))
     return TaggedCell(
-        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), user_indices=pair,
-        distances=dist, desired=snapshot.bs_power[bs_index] * desired_gains * dist ** (-alpha),
-        interference=contrib @ interferers, void_signal=contrib @ snapshot.void_weight,
-        link_gains=link_gains, link_dist_sq=link_dist_sq,
+        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), user_indices=users[0],
+        distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
+        void_signal=void_signal[0], link_gains=blocks.fades[0].copy(),
+        link_dist_sq=blocks.dist_sq[0].copy(),
     )
 
 
@@ -234,42 +306,48 @@ class SirSample:
     far_covered: bool
 
 
-def _outcome(cell, theta, beta, coop):
+def _outcome(desired, interference, coop, theta, beta):
     """Cross-multiplied SIR events (division-free, exact for zero interference).
 
-    The far signal carries the fraction beta of the full-power signal
-    cell.desired, the near signal 1 - beta, and both traverse the same
-    serving-link fade.  coop is the joint signal added to the far-signal
-    numerator at each receiver: the void-cell signal with cooperation,
-    zero without.  The near user's post-cancellation stage is the same in
-    both schemes.
+    Arrays have the receiver (near, far) on their last axis.  The far
+    signal carries the fraction beta of the full-power signal desired,
+    the near signal 1 - beta, and both traverse the same serving-link
+    fade.  coop is the joint signal added to the far-signal numerator at
+    each receiver: the void-cell signal with cooperation, zero without.
+    The near user's post-cancellation stage is the same in both schemes.
+    Returns (first stage, SIC stage, near covered, far covered).
     """
-    desired, interference = cell.desired, cell.interference
-    first = beta * desired[0] + coop[0] >= theta * ((1.0 - beta) * desired[0] + interference[0])
-    sic = (1.0 - beta) * desired[0] >= theta * interference[0]
-    far = beta * desired[1] + coop[1] >= theta * ((1.0 - beta) * desired[1] + interference[1])
-    return SirSample(near_first_stage_ok=bool(first), near_sic_ok=bool(sic),
-                     near_covered=bool(first and sic), far_covered=bool(far))
+    d0, d1 = desired[..., 0], desired[..., 1]
+    i0, i1 = interference[..., 0], interference[..., 1]
+    first = beta * d0 + coop[..., 0] >= theta * ((1.0 - beta) * d0 + i0)
+    sic = (1.0 - beta) * d0 >= theta * i0
+    far = beta * d1 + coop[..., 1] >= theta * ((1.0 - beta) * d1 + i1)
+    return first, sic, first & sic, far
+
+
+def _sample(cell, theta, beta, coop):
+    return SirSample(*(bool(e) for e in _outcome(cell.desired, cell.interference, coop, theta, beta)))
 
 
 def evaluate_noncoop(cell, theta, beta_m):
     """Exact decoding events of the two scheduled users, no cooperation."""
-    return _outcome(cell, theta, beta_m, (0.0, 0.0))
+    return _sample(cell, theta, beta_m, np.zeros(2))
 
 
 def evaluate_coop(cell, theta, beta_m):
     """Decoding events when all void BSs retransmit the far user's signal."""
-    return _outcome(cell, theta, beta_m, cell.void_signal)
+    return _sample(cell, theta, beta_m, cell.void_signal)
 
 
 @dataclass
 class TrialTotals:
-    """Associative, order-independent accumulator of decoding outcomes.
+    """Associative accumulator of decoding outcomes.
 
     successes has shape (n_tiers, n_schemes, n_roles) with scheme order
     SCHEMES and role order ROLES; samples counts tagged cells per tier.
     Squared scheduled-user distances are accumulated for the
-    distance-distribution diagnostics.
+    distance-distribution diagnostics; as float sums they are exact only
+    for a fixed merge order.
     """
 
     successes: np.ndarray
@@ -303,6 +381,7 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
     """
     snapshot = build_snapshot(params, window, seed, trial)
     totals = TrialTotals.zeros(params.n_tiers)
+    blocks = _CellBlocks(snapshot)
     theta = params.sir_threshold
     for tier in range(params.n_tiers):
         cells = snapshot.tagged_cells(tier)
@@ -310,17 +389,15 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
             rng = _stream(seed, trial, _STREAM_CAP, tier)
             cells = np.sort(rng.choice(cells, size=max_cells_per_tier, replace=False))
         beta = params.beta[tier]
-        for bs_index in cells:
-            cell = schedule_noma_users(snapshot, bs_index)
-            non = evaluate_noncoop(cell, theta, beta)
-            coop = evaluate_coop(cell, theta, beta)
-            totals.successes[tier, 0, 0] += non.near_covered
-            totals.successes[tier, 0, 1] += non.far_covered
-            totals.successes[tier, 1, 0] += coop.near_covered
-            totals.successes[tier, 1, 1] += coop.far_covered
-            totals.samples[tier] += 1
-            totals.sum_near_dist_sq[tier] += cell.distances[0] ** 2
-            totals.sum_far_dist_sq[tier] += cell.distances[1] ** 2
+        for start in range(0, len(cells), blocks.size):
+            _, serving_sq, desired, interference, void_signal = blocks.powers(
+                cells[start:start + blocks.size])
+            for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
+                _, _, near, far = _outcome(desired, interference, coop, theta, beta)
+                totals.successes[tier, s] += (np.count_nonzero(near), np.count_nonzero(far))
+            totals.sum_near_dist_sq[tier] += serving_sq[:, 0].sum()
+            totals.sum_far_dist_sq[tier] += serving_sq[:, 1].sum()
+        totals.samples[tier] += len(cells)
     return totals
 
 
@@ -331,8 +408,8 @@ def _trial_worker(args):
 def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
     """Accumulated outcomes of n_trials independent snapshots.
 
-    Trials use substreams keyed by (seed, trial); merging is a plain sum
-    of integer counts, so serial and parallel execution agree exactly.
+    Trials use streams keyed by (seed, trial) and merge in trial order, so
+    serial and parallel execution agree exactly, distance sums included.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

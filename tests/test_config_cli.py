@@ -3,9 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hetnoma
 from hetnoma import simulate, sweeps
 from hetnoma.cli import main
 from hetnoma.config import ConfigError, ScenarioConfig, dump_config, load_config, parse_config
@@ -362,3 +367,33 @@ class TestCliOptimizeBeta:
         end = text.index(f"wrote beta scan to {out}\n")
         with open(out, "rb") as fh:
             assert fh.read() == text[start:end].encode()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path, unbuffered):
+        # the report and scan (about 4.9 kB) overfill a one-page pipe, so
+        # the command is still writing when the reader closes after one line
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe capacity cannot be set on this platform")
+        path = write_config(tmp_path, TOY_CONFIG)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(hetnoma.__file__).resolve().parents[1])
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hetnoma.cli", "optimize-beta", "--config", path],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_fd)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(read_fd, 1)
+            assert byte, "the command closed its output before a full line"
+            line += byte
+        os.close(read_fd)
+        _, stderr = proc.communicate(timeout=300)
+        assert line.startswith(b"tier 1 noncoop: beta* = ")
+        assert proc.returncode == 1
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr

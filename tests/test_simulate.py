@@ -16,7 +16,8 @@ from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
 from hetnoma.geometry import Window
 from hetnoma.simulate import (
-    _STREAM_CELL,
+    _STREAM_FADES,
+    _STREAM_PAIRS,
     SCHEMES,
     CoverageEstimate,
     SimulationError,
@@ -34,7 +35,7 @@ from hetnoma.simulate import (
     schedule_noma_users,
     snapshot_from_points,
 )
-from hetnoma.sweeps import table1_params
+from hetnoma.sweeps import analytic_pairs, table1_params
 
 TOY_WINDOW = Window(half_width=500.0, margin=120.0)
 
@@ -138,37 +139,76 @@ class TestScheduleNomaUsers:
 
     def test_received_powers_match_reference_loop(self):
         # sum each BS's contribution at each receiver one by one: the
-        # serving BS is skipped, the rest split by whether they transmit;
-        # the serving fades are redrawn from the cell's own substream.
-        # Squared link distances are the same float operations in plain
-        # Python, so they must agree exactly.
+        # serving BS gives the desired signal, the rest split by whether
+        # they transmit.  Squared link distances are the same float
+        # operations in plain Python, so they must agree exactly.
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
         alpha = p.pathloss_exponent
         for b in snap.tagged_cells()[:10]:
             cell = schedule_noma_users(snap, b)
-            rng = _stream(snap.seed, snap.trial, _STREAM_CELL, int(b))
-            rng.choice(int(snap.assoc.counts[b]), size=2, replace=False)
-            fades = rng.standard_exponential(2)
             for r in range(2):
                 ux, uy = snap.users.xy[cell.user_indices[r]].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
                     assert cell.link_dist_sq[r, j] == (bx - ux) * (bx - ux) + (by - uy) * (by - uy)
-                    if j == b:
-                        continue
                     power = (snap.bs_power[j] * cell.link_gains[r, j]
                              * cell.link_dist_sq[r, j] ** (-alpha / 2.0))
-                    if snap.nonvoid[j]:
+                    if j == b:
+                        assert cell.desired[r] == pytest.approx(power, rel=1e-12)
+                    elif snap.nonvoid[j]:
                         interference += power
                     else:
                         void_signal += power
                 d = math.dist(snap.users.xy[cell.user_indices[r]], snap.bs_xy[b])
-                desired = p.tiers[0].power_watts * fades[r] * d ** (-alpha)
-                assert cell.desired[r] == pytest.approx(desired, rel=1e-12)
+                assert cell.distances[r] == pytest.approx(d, rel=1e-12)
                 assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
+
+    def test_cell_draws_independent_of_block_and_cap(self):
+        # a cell's pair, fades and received powers are the same bits when
+        # it is computed alone, at any position of a block of any size,
+        # or among any subset of the trial's cells (as a cap leaves)
+        p = toy_params(mu=2e-4)
+        snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=2)
+        cells = snap.tagged_cells()
+        alone = {int(b): schedule_noma_users(snap, b) for b in cells}
+        subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
+        for subset in subsets:
+            for size in (None, 1, 4, 7):
+                blocks = simulate._CellBlocks(snap, size=size)
+                for start in range(0, len(subset), blocks.size):
+                    part = subset[start:start + blocks.size]
+                    users, serving_sq, desired, interference, void = blocks.powers(part)
+                    for m, b in enumerate(part.tolist()):
+                        cell = alone[b]
+                        assert np.array_equal(users[m], cell.user_indices)
+                        assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
+                        assert np.array_equal(blocks.fades[m], cell.link_gains)
+                        assert np.array_equal(blocks.dist_sq[m], cell.link_dist_sq)
+                        assert np.array_equal(desired[m], cell.desired)
+                        assert np.array_equal(interference[m], cell.interference)
+                        assert np.array_equal(void[m], cell.void_signal)
+
+    def test_draw_layout(self):
+        # pairs: one draw per BS from the trial's pair stream; fades: BS b's
+        # 2 * n_bs outputs of the fade stream, near user's links first
+        p = toy_params(mu=2e-4)
+        snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
+        c = np.maximum(snap.assoc.counts, 2)
+        rng = _stream(snap.seed, snap.trial, _STREAM_PAIRS)
+        i, j = rng.integers(0, c), rng.integers(0, c - 1)
+        j += j >= i
+        span = 2 * snap.n_bs
+        for b in snap.tagged_cells()[:8].tolist():
+            cell = schedule_noma_users(snap, b)
+            attached = snap.assoc.users_of(b)
+            assert sorted(cell.user_indices.tolist()) == sorted(attached[[i[b], j[b]]].tolist())
+            fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
+            fade_stream.bit_generator.advance(span * b)
+            u = fade_stream.random(span).reshape(2, snap.n_bs)
+            assert np.array_equal(cell.link_gains, -np.log1p(-u))
 
     def test_pair_choice_uniform(self):
         # 5 users -> 10 unordered pairs, chi-square over 1e4 independent draws
@@ -252,20 +292,30 @@ class TestRunTrials:
         assert np.array_equal(a.samples, b.samples)
         c = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, n_jobs=2)
         assert np.array_equal(a.successes, c.successes)
-        assert a.sum_near_dist_sq == pytest.approx(c.sum_near_dist_sq, rel=1e-12)
+        # trials merge in trial order, so the float sums agree exactly too
+        assert np.array_equal(a.sum_near_dist_sq, c.sum_near_dist_sq)
+        assert np.array_equal(a.sum_far_dist_sq, c.sum_far_dist_sq)
 
-    # Exact counts at fixed seeds, recorded before the received powers moved
-    # into schedule_noma_users.  A change to the draws must update them.
+    # Exact counts and squared-distance sums (as float hex) at fixed seeds,
+    # recorded when the pairs and fades moved to the per-trial pair stream
+    # and the fade stream keyed by BS position.  Any change to the draws,
+    # or to the float operations of the per-cell path, must update them.
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_pinned_counts_toy(self, n_jobs):
         totals = run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=6, seed=17, n_jobs=n_jobs)
-        assert totals.successes.tolist() == [[[110, 75], [110, 118]]]
+        assert totals.successes.tolist() == [[[111, 64], [111, 118]]]
         assert totals.samples.tolist() == [184]
+        assert [x.hex() for x in totals.sum_near_dist_sq] == ["0x1.36b21bb9387c9p+17"]
+        assert [x.hex() for x in totals.sum_far_dist_sq] == ["0x1.ae286ab087135p+18"]
 
     def test_pinned_counts_stock(self):
         totals = run_trials(table1_params(), n_trials=6, seed=(501, 0), max_cells_per_tier=120)
-        assert totals.successes.tolist() == [[[148, 139], [148, 139]], [[343, 178], [343, 190]]]
+        assert totals.successes.tolist() == [[[150, 132], [150, 132]], [[338, 181], [338, 185]]]
         assert totals.samples.tolist() == [174, 720]
+        assert [x.hex() for x in totals.sum_near_dist_sq] == [
+            "0x1.07baba0239260p+19", "0x1.f5987e2f3b89ap+20"]
+        assert [x.hex() for x in totals.sum_far_dist_sq] == [
+            "0x1.3273922794666p+20", "0x1.47f9fc630ebdap+22"]
 
     def test_merge_is_associative(self):
         p = toy_params()
@@ -311,6 +361,23 @@ class TestRunTrials:
         p = toy_params(theta=1e-12)
         est = estimate_coverage(p, SCHEMES, TOY_WINDOW, n_trials=2, seed=37)
         assert all(e.p_hat == 1.0 for e in est)
+
+
+
+class TestExtrapolatedCoopForm:
+    def test_simulator_pins_extrapolated_coop_near(self):
+        # beta = 0.55 < (1+theta)/(2+theta) = 2/3: the cooperative closed
+        # form treats the near user's first SIC stage as free there, so its
+        # pico near coverage overstates what whole networks give
+        p = table1_params(beta=0.55)
+        pair = analytic_pairs(p, ("coop",))[(1, "coop")]
+        assert pair.extrapolated
+        assert pair.near == pytest.approx(0.5644, abs=1e-4)
+        totals = run_trials(p, n_trials=20, seed=55, max_cells_per_tier=120)
+        est = {(e.tier, e.role): e for e in estimates_from_totals(totals, ("coop",))}
+        near = est[(1, "near")]
+        assert near.n_samples >= 2000
+        assert near.p_hat + 3.0 * near.ci_halfwidth < pair.near
 
 
 class TestEstimates:
