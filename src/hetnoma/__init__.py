@@ -11,7 +11,6 @@ from .coverage import (
     BetaOptimum,
     CoveragePair,
     DecodingThresholds,
-    KernelDivergenceError,
     LoadModel,
     NetworkParams,
     TierParams,
@@ -24,7 +23,7 @@ from .coverage import (
     user_count_pmf,
 )
 from .geometry import PointSet, Window, associate, default_window, sample_ppp
-from .kernels import DIVERGENT, KernelEvaluator, base_integral, is_divergent
+from .kernels import KernelEvaluator, base_integral
 from .simulate import (
     CoverageEstimate,
     NetworkSnapshot,
@@ -44,14 +43,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
-    "DecodingThresholds", "DIVERGENT", "KernelDivergenceError", "KernelEvaluator",
+    "DecodingThresholds", "KernelEvaluator",
     "LoadModel", "NetworkParams", "NetworkSnapshot",
     "PointSet", "ScenarioConfig", "SirSample", "TaggedCell",
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",
     "decoding_thresholds", "default_window", "estimate_coverage", "evaluate_coop",
-    "evaluate_noncoop", "is_divergent", "optimize_beta", "run_beta_scan",
+    "evaluate_noncoop", "optimize_beta", "run_beta_scan",
     "run_sweep", "run_trials", "sample_ppp", "schedule_noma_users",
     "table1_params", "user_count_pmf",
 ]

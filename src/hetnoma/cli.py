@@ -7,8 +7,7 @@ Subcommands:
     optimize-beta  power-allocation search per tier and scheme
 
 Exit codes: 0 success, 1 runtime error (such as an unwritable output
-file, or a standard output closed by its reader), 2 configuration error,
-3 numerical failure (a divergent kernel in kernel_mode "theorem").
+file, or a standard output closed by its reader), 2 configuration error.
 All commands honor --seed and are bit-reproducible: identical config and
 seed produce byte-identical output.
 """
@@ -20,14 +19,8 @@ import csv
 import os
 import sys
 
-from .config import KERNEL_MODES, ConfigError, load_config
-from .coverage import (
-    KernelDivergenceError,
-    cell_load_model,
-    coverage_coop,
-    coverage_noncoop,
-    decoding_thresholds,
-)
+from .config import ConfigError, load_config
+from .coverage import cell_load_model, coverage_coop, coverage_noncoop, decoding_thresholds
 from .kernels import KernelEvaluator
 from .simulate import check_point_budget, run_trials
 from .sweeps import comparison_rows, max_abs_gap, run_beta_scan, run_sweep
@@ -89,10 +82,9 @@ def cmd_analytic(cfg, out):
         print(f"  thresholds: near {near_txt}, far {thr.far_threshold:.6f} (valid)", file=out)
         non = coverage_noncoop(params, tier, evaluator=ev)
         print(f"  noncoop        : near {non.near:.6f}  far {non.far:.6f}", file=out)
-        coop = coverage_coop(params, tier, cfg.kernel_mode, evaluator=ev)
+        coop = coverage_coop(params, tier, evaluator=ev)
         note = EXTRAPOLATED_NOTE if coop.extrapolated else ""
-        print(f"  coop[{cfg.kernel_mode}] : near {coop.near:.6f}  far {coop.far:.6f}{note}",
-              file=out)
+        print(f"  coop[appendix] : near {coop.near:.6f}  far {coop.far:.6f}{note}", file=out)
     return 0
 
 
@@ -108,7 +100,7 @@ def cmd_sim(cfg, out):
         params, cfg.window, cfg.n_trials, seed=cfg.seed,
         max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
     )
-    rows = comparison_rows(params, params.user_intensity, totals, cfg.schemes, cfg.kernel_mode)
+    rows = comparison_rows(params, params.user_intensity, totals, cfg.schemes)
     _write_rows(rows, cfg.output, out)
     return 0
 
@@ -128,7 +120,7 @@ def cmd_optimize_beta(cfg, out):
     records = []
     for tier in range(params.n_tiers):
         for scheme in cfg.schemes:
-            scan = run_beta_scan(params, tier, scheme, grid, cfg.kernel_mode)
+            scan = run_beta_scan(params, tier, scheme, grid)
             opt = scan.optimum
             boundary = "  [maximizer at beta = 1 boundary]" if opt.at_boundary else ""
             note = EXTRAPOLATED_NOTE if opt.extrapolated else ""
@@ -168,8 +160,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--trials", type=int, default=None, help="override config n_trials")
-        p.add_argument("--kernel-mode", choices=KERNEL_MODES, default=None,
-                       dest="kernel_mode", help="cooperative kernel combination form")
         p.add_argument("--out", default=None, help="override config output path")
     return parser
 
@@ -178,8 +168,7 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        overrides = {"seed": args.seed, "n_trials": args.trials,
-                     "kernel_mode": args.kernel_mode, "output": args.out}
+        overrides = {"seed": args.seed, "n_trials": args.trials, "output": args.out}
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         code = _COMMANDS[args.command](cfg, out)
         out.flush()
@@ -192,9 +181,6 @@ def main(argv=None, out=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KernelDivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,15 +19,12 @@ from .geometry import Window
 from .simulate import SCHEMES, check_point_budget
 from .sweeps import SWEEP_VARIABLES, apply_sweep_value, default_user_intensity_grid
 
-KERNEL_MODES = ("appendix", "theorem")
-
 _TOP_KEYS = {
     "tiers", "user_intensity", "pathloss_exponent", "sir_threshold", "beta",
     "schemes", "sweep", "seed", "n_trials", "window", "kernel_mode",
     "max_cells_per_tier", "n_jobs", "output",
 }
-_PASSED_KEYS = ("schemes", "seed", "n_trials", "kernel_mode", "max_cells_per_tier",
-                "n_jobs", "output")
+_PASSED_KEYS = ("schemes", "seed", "n_trials", "max_cells_per_tier", "n_jobs", "output")
 _TIER_KEYS = {"power_watts", "intensity"}
 _WINDOW_KEYS = {"half_width", "margin"}
 _SWEEP_KEYS = {"variable", "grid"}
@@ -58,7 +55,6 @@ class ScenarioConfig:
     seed: int = 1
     n_trials: int = 20
     window: Window = None
-    kernel_mode: str = "appendix"
     max_cells_per_tier: int = None
     n_jobs: int = 1
     output: str = None
@@ -87,9 +83,6 @@ class ScenarioConfig:
                 raise ConfigError(f"sweep.grid[{i}]", str(exc)) from exc
         object.__setattr__(self, "sweep_grid", grid)
 
-        if self.kernel_mode not in KERNEL_MODES:
-            raise ConfigError("kernel_mode", f"unknown mode {self.kernel_mode!r} "
-                                             f"(choose from {list(KERNEL_MODES)})")
         if self.max_cells_per_tier is not None:
             _integer(self.max_cells_per_tier, "max_cells_per_tier", 1)
         if self.output is not None and not isinstance(self.output, str):
@@ -130,10 +123,17 @@ def _integer(value, field, minimum=None):
 
 
 def parse_config(data):
-    """Build a ScenarioConfig from a decoded JSON object."""
+    """Build a ScenarioConfig from a decoded JSON object.
+
+    A "kernel_mode" key is accepted only with the value "appendix", the
+    one cooperative kernel, and is then ignored.
+    """
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     _reject_unknown(data, _TOP_KEYS, "")
+    if data.get("kernel_mode", "appendix") != "appendix":
+        raise ConfigError("kernel_mode",
+                          f"only 'appendix' is accepted, got {data['kernel_mode']!r}")
 
     raw_tiers = _require(data, "tiers")
     if not isinstance(raw_tiers, list) or not raw_tiers:
@@ -231,7 +231,6 @@ def config_to_dict(cfg):
         "sweep": {"variable": cfg.sweep_variable, "grid": list(cfg.sweep_grid)},
         "seed": cfg.seed,
         "n_trials": cfg.n_trials,
-        "kernel_mode": cfg.kernel_mode,
         "n_jobs": cfg.n_jobs,
     }
     if cfg.window is not None:

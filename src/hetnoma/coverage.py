@@ -33,11 +33,11 @@ from dataclasses import dataclass, replace
 
 from scipy.special import gammaln
 
-from .kernels import DIVERGENT, KernelEvaluator, is_divergent
+from .kernels import KernelEvaluator
 
-
-class KernelDivergenceError(RuntimeError):
-    """The requested kernel combination diverges (theorem mode, q < 1)."""
+# optimize_beta: coarse grid size, then golden-section bracket width
+BETA_GRID_POINTS = 64
+BETA_TOL = 1e-4
 
 
 def _require_finite(obj, *names):
@@ -216,12 +216,8 @@ def coverage_noncoop(params, tier, evaluator=None):
     return CoveragePair(near, far)
 
 
-def coverage_coop(params, tier, kernel_mode="appendix", evaluator=None):
-    """Near/far coverage when void cells jointly transmit the far signal.
-
-    Raises KernelDivergenceError when the requested kernel_mode yields a
-    divergent combined kernel (the "theorem" form with q < 1).
-    """
+def coverage_coop(params, tier, evaluator=None):
+    """Near/far coverage when void cells jointly transmit the far signal."""
     theta = params.sir_threshold
     beta = params.beta[tier]
     thr = decoding_thresholds(theta, beta)
@@ -234,29 +230,22 @@ def coverage_coop(params, tier, kernel_mode="appendix", evaluator=None):
         tier, math.inf if beta == 1.0 else theta / (1.0 - beta)
     )
     near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
-    exponent = ev.combined_kernel(
-        tier, thr.far_threshold, thr.far_threshold / theta, q, kernel_mode
-    )
-    if is_divergent(exponent):
-        raise KernelDivergenceError(
-            f"combined kernel diverges for tier {tier} in mode {kernel_mode!r} "
-            f"(nonvoid probability {q:.6f} < 1)"
-        )
+    exponent = ev.combined_kernel(tier, thr.far_threshold, thr.far_threshold / theta, q)
     return CoveragePair(near, _far_coverage(exponent), extrapolated)
 
 
-def coverage_pair(params, tier, scheme, kernel_mode="appendix", evaluator=None):
+def coverage_pair(params, tier, scheme, evaluator=None):
     """Near/far coverage of one tier under the scheme named "noncoop" or "coop"."""
     if scheme == "noncoop":
         return coverage_noncoop(params, tier, evaluator)
     if scheme == "coop":
-        return coverage_coop(params, tier, kernel_mode, evaluator)
+        return coverage_coop(params, tier, evaluator)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def average_coverage(params, tier, scheme, kernel_mode="appendix", evaluator=None):
+def average_coverage(params, tier, scheme, evaluator=None):
     """Mean of the near and far coverage probabilities for one scheme."""
-    pair = coverage_pair(params, tier, scheme, kernel_mode, evaluator)
+    pair = coverage_pair(params, tier, scheme, evaluator)
     return 0.5 * (pair.near + pair.far)
 
 
@@ -271,24 +260,23 @@ class BetaOptimum:
     extrapolated: bool
 
 
-def optimize_beta(params, tier, scheme, kernel_mode="appendix",
-                  grid_points=64, tol=1e-4):
+def optimize_beta(params, tier, scheme):
     """Power split maximizing the average coverage of one tier.
 
-    The admissible interval is (theta/(1+theta), 1].  A coarse grid
-    brackets the maximizer first (unimodality is not guaranteed), then
-    golden-section search refines the bracket to width tol.  at_boundary
-    reports a maximizer within tol of beta = 1; extrapolated a cooperative
-    one below (1+theta)/(2+theta).
+    The admissible interval is (theta/(1+theta), 1].  A coarse grid of
+    BETA_GRID_POINTS brackets the maximizer first (unimodality is not
+    guaranteed), then golden-section search refines the bracket to width
+    BETA_TOL.  at_boundary reports a maximizer within BETA_TOL of beta = 1;
+    extrapolated a cooperative one below (1+theta)/(2+theta).
     """
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
     ev = KernelEvaluator.from_params(params)
 
     def objective(beta):
-        return average_coverage(params.with_beta(beta), tier, scheme, kernel_mode, ev)
+        return average_coverage(params.with_beta(beta), tier, scheme, ev)
 
-    grid = [lo + (1.0 - lo) * i / grid_points for i in range(1, grid_points + 1)]
+    grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
     values = [objective(b) for b in grid]
     best = max(range(len(grid)), key=values.__getitem__)
     left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
@@ -299,7 +287,7 @@ def optimize_beta(params, tier, scheme, kernel_mode="appendix",
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > BETA_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -313,5 +301,5 @@ def optimize_beta(params, tier, scheme, kernel_mode="appendix",
     # keep the endpoint if refinement did not beat the coarse grid
     if values[best] > value:
         beta_star, value = grid[best], values[best]
-    return BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - tol,
+    return BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - BETA_TOL,
                        extrapolated=scheme == "coop" and _coop_extrapolated(theta, beta_star))

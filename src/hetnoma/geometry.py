@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+# default_window: expected base stations in the window, inset in mean cell radii
+DEFAULT_EXPECTED_BS = 2000.0
+DEFAULT_MARGIN_CELL_RADII = 5.0
+
 
 @dataclass(frozen=True)
 class Window:
@@ -47,12 +51,12 @@ class Window:
         return (np.abs(xy[:, 0]) <= bound) & (np.abs(xy[:, 1]) <= bound)
 
 
-def default_window(params, min_expected_bs=2000.0, margin_cell_radii=5.0):
-    """Window sized to hold >= min_expected_bs base stations in expectation,
-    with an inner-region inset of margin_cell_radii mean cell radii."""
+def default_window(params):
+    """Window sized to hold DEFAULT_EXPECTED_BS base stations in expectation,
+    with an inner-region inset of DEFAULT_MARGIN_CELL_RADII mean cell radii."""
     lam = params.total_intensity
-    margin = margin_cell_radii / math.sqrt(math.pi * lam)
-    half_width = math.sqrt(min_expected_bs / (4.0 * lam))
+    margin = DEFAULT_MARGIN_CELL_RADII / math.sqrt(math.pi * lam)
+    half_width = math.sqrt(DEFAULT_EXPECTED_BS / (4.0 * lam))
     if half_width <= margin:
         half_width = 2.0 * margin
     return Window(half_width=half_width, margin=margin)

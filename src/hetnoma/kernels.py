@@ -10,14 +10,11 @@ with pathloss exponent a > 2, tier powers P_k and tier intensity
 fractions frac_k.  The full-line integral int_0^inf dt/(1+t^(a/2)) is
 C(a) = (2*pi/a)/sin(2*pi/a).
 
-The cooperative scheme additionally needs a void-cell gain kernel whose
-integrand is the exponential moment E[1 - e^(t^(-a/2) H)] of a unit-mean
-exponential gain H, i.e. -1/(t^(a/2) - 1).  That integral has a
-non-integrable singularity at t = 1, so it diverges whenever the lower
-limit is <= 1; divergence is reported as the typed value DIVERGENT, never
-as a floating-point infinity produced by arithmetic.
+The cooperative scheme subtracts the void cells' gain, the same kernel
+at the threshold y = far_threshold/theta, and clamps the result at zero
+(KernelEvaluator.combined_kernel).
 
-Every integral is exact.  At a = 4 they have arctan/log closed forms; at
+Every integral is exact.  At a = 4 they have arctan closed forms; at
 any other a they are Gauss hypergeometric functions 2F1(1, p; 1+p; z)
 (the Andrews-Baccelli-Ganti kernel), evaluated by scipy.special.hyp2f1.
 """
@@ -44,29 +41,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, error_estimate):
         super().__init__(message)
         self.error_estimate = error_estimate
-
-
-class _Divergent:
-    """Singleton marker for a provably divergent kernel integral."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "DIVERGENT"
-
-    def __reduce__(self):
-        return (_divergent_instance, ())
-
-
-def _divergent_instance():
-    return DIVERGENT
-
-
-DIVERGENT = _Divergent()
-
-
-def is_divergent(value):
-    return value is DIVERGENT
 
 
 @lru_cache(maxsize=8)
@@ -143,10 +117,9 @@ def _hyp2f1_form(kind, b, alpha):
 
     "base"  int_0^b dt/(1+t^(alpha/2))     = b * 2F1(1, 2/alpha; 1+2/alpha; -b^(alpha/2))
     "tail"  int_b^inf dt/(1+t^(alpha/2))   = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
-    "void"  -int_b^inf dt/(t^(alpha/2)-1)  = -s * 2F1(1, 1-2/alpha; 2-2/alpha; b^(-alpha/2))
 
     with s = 2*b^(1-alpha/2)/(alpha-2); each is the integrand's geometric
-    series integrated term by term.  "tail" needs b > 0, "void" b > 1.
+    series integrated term by term.  "tail" needs b > 0.
     """
     if alpha <= 2:
         raise ValueError("pathloss_exponent must exceed 2")
@@ -156,12 +129,11 @@ def _hyp2f1_form(kind, b, alpha):
         if b > 1.0 and b**-half < 1e-300:
             return full_line_integral(alpha) - _hyp2f1_form("tail", b, alpha)
         return b * float(hyp2f1(1.0, 1.0 / half, 1.0 + 1.0 / half, -(b**half)))
-    if kind == "tail" and b < 1.0 and b**half < 1e-300:
+    if b < 1.0 and b**half < 1e-300:
         return full_line_integral(alpha) - _hyp2f1_form("base", b, alpha)
-    sign = {"tail": 1.0, "void": -1.0}[kind]
     c = 1.0 - 1.0 / half
     scale = 2.0 * b ** (1.0 - half) / (alpha - 2.0)
-    return sign * scale * float(hyp2f1(1.0, c, 1.0 + c, -sign * b**-half))
+    return scale * float(hyp2f1(1.0, c, 1.0 + c, -(b**-half)))
 
 
 def base_integral(b, alpha):
@@ -186,24 +158,6 @@ def tail_integral(b, alpha):
     if b == 0.0:
         return full_line_integral(alpha)
     return _hyp2f1_form("tail", b, alpha)
-
-
-def void_tail_integral(a, alpha):
-    """int_a^inf E[1 - e^(t^(-alpha/2)*H)] dt for unit-mean exponential H.
-
-    The integrand is -1/(t^(alpha/2)-1); the integral converges only for
-    a > 1 (log-type singularity at t = 1) and DIVERGENT is returned for
-    a <= 1.
-
-    For alpha = 4: -int_a^inf dt/(t^2-1) = 0.5*ln((a-1)/(a+1)).
-    """
-    if a < 0:
-        raise ValueError("lower limit must be nonnegative")
-    if a <= 1.0:
-        return DIVERGENT
-    if alpha == 4.0:
-        return 0.5 * math.log((a - 1.0) / (a + 1.0))
-    return _hyp2f1_form("void", a, alpha)
 
 
 @dataclass(frozen=True)
@@ -233,12 +187,11 @@ class KernelEvaluator:
             raise ValueError("intensity fractions must sum to 1")
 
     @classmethod
-    def from_params(cls, params, **kwargs):
+    def from_params(cls, params):
         return cls(
             powers=tuple(t.power_watts for t in params.tiers),
             fractions=params.intensity_fractions,
             alpha=params.pathloss_exponent,
-            **kwargs,
         )
 
     @property
@@ -267,50 +220,17 @@ class KernelEvaluator:
             total += frac_k * ratio ** (2.0 / self.alpha) * tail_integral(b, self.alpha)
         return total
 
-    def void_kernel(self, m, y):
-        """Void-cell gain kernel of tier m at normalized threshold y > 0.
+    def combined_kernel(self, m, x, y, nonvoid_prob):
+        """Coverage exponent of tier m with void-cell cooperation:
 
-        Returns DIVERGENT when any tier's lower integration limit
-        (P_m/(y*P_k))^(2/alpha) is <= 1.  Finite values are <= 0.
-        """
-        if y <= 0:
-            raise ValueError("kernel argument must be positive")
-        p_m = self.powers[m]
-        total = 0.0
-        for p_k, frac_k in zip(self.powers, self.fractions):
-            if frac_k == 0.0:
-                continue
-            ratio = y * p_k / p_m
-            a = ratio ** (-2.0 / self.alpha)
-            tail = void_tail_integral(a, self.alpha)
-            if is_divergent(tail):
-                return DIVERGENT
-            total += frac_k * ratio ** (2.0 / self.alpha) * tail
-        return total
-
-    def combined_kernel(self, m, x, y, nonvoid_prob, mode="appendix"):
-        """Coverage exponent of tier m with void-cell cooperation.
-
-        mode "appendix" (default, finite everywhere):
             max(q*interference_kernel(x) - (1-q)*interference_kernel(y), 0)
-        mode "theorem" (additive exponential-moment form, may diverge):
-            max(q*interference_kernel(x) + (1-q)*void_kernel(y), 0)
 
-        Both reduce to interference_kernel(x) at q = 1; divergence of the
-        void kernel is passed through as DIVERGENT.
+        finite everywhere, and interference_kernel(x) at q = 1.
         """
         q = nonvoid_prob
         if not 0.0 <= q <= 1.0:
             raise ValueError("nonvoid_prob must lie in [0, 1]")
-        if mode not in ("appendix", "theorem"):
-            raise ValueError(f"unknown kernel mode {mode!r}")
         if q == 1.0:
             return self.interference_kernel(m, x)
-        if mode == "appendix":
-            value = q * self.interference_kernel(m, x) - (1.0 - q) * self.interference_kernel(m, y)
-        else:
-            tilde = self.void_kernel(m, y)
-            if is_divergent(tilde):
-                return DIVERGENT
-            value = q * self.interference_kernel(m, x) + (1.0 - q) * tilde
+        value = q * self.interference_kernel(m, x) - (1.0 - q) * self.interference_kernel(m, y)
         return max(value, 0.0)

@@ -81,17 +81,17 @@ class ComparisonRow:
         return abs(self.analytic - self.simulated)
 
 
-def analytic_pairs(params, schemes=SCHEMES, kernel_mode="appendix"):
+def analytic_pairs(params, schemes=SCHEMES):
     """CoveragePair per (tier, scheme) from the closed forms."""
     ev = KernelEvaluator.from_params(params)
     out = {}
     for tier in range(params.n_tiers):
         for scheme in schemes:
-            out[(tier, scheme)] = coverage_pair(params, tier, scheme, kernel_mode, ev)
+            out[(tier, scheme)] = coverage_pair(params, tier, scheme, ev)
     return out
 
 
-def comparison_rows(params, sweep_value, totals, schemes=SCHEMES, kernel_mode="appendix"):
+def comparison_rows(params, sweep_value, totals, schemes=SCHEMES):
     """Flagged analytic vs simulated rows of one scenario point.
 
     Rows come out in (tier, role, scheme) order.  A row is flagged
@@ -99,7 +99,7 @@ def comparison_rows(params, sweep_value, totals, schemes=SCHEMES, kernel_mode="a
     and extrapolated_beta when its closed form is used outside its exact
     range.
     """
-    pairs = analytic_pairs(params, schemes, kernel_mode)
+    pairs = analytic_pairs(params, schemes)
     estimates = {(e.tier, e.scheme, e.role): e for e in estimates_from_totals(totals, schemes)}
     rows = []
     for tier in range(params.n_tiers):
@@ -137,7 +137,7 @@ def run_sweep(cfg):
             params, cfg.window, cfg.n_trials, seed=(cfg.seed, point),
             max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
         )
-        rows.extend(comparison_rows(params, value, totals, cfg.schemes, cfg.kernel_mode))
+        rows.extend(comparison_rows(params, value, totals, cfg.schemes))
     return rows
 
 
@@ -157,14 +157,11 @@ class BetaScan:
     optimum: object
 
 
-def run_beta_scan(params, tier, scheme, grid, kernel_mode="appendix"):
+def run_beta_scan(params, tier, scheme, grid):
     """Average coverage on a beta grid and the golden-section optimum."""
     ev = KernelEvaluator.from_params(params)
-    averages = tuple(
-        average_coverage(params.with_beta(b), tier, scheme, kernel_mode, ev)
-        for b in grid
-    )
-    optimum = optimize_beta(params, tier, scheme, kernel_mode)
+    averages = tuple(average_coverage(params.with_beta(b), tier, scheme, ev) for b in grid)
+    optimum = optimize_beta(params, tier, scheme)
     return BetaScan(
         tier=tier, scheme=scheme, grid=tuple(float(b) for b in grid),
         averages=averages, optimum=optimum,

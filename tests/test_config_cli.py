@@ -13,7 +13,14 @@ import pytest
 import hetnoma
 from hetnoma import simulate, sweeps
 from hetnoma.cli import main
-from hetnoma.config import ConfigError, ScenarioConfig, dump_config, load_config, parse_config
+from hetnoma.config import (
+    ConfigError,
+    ScenarioConfig,
+    config_to_dict,
+    dump_config,
+    load_config,
+    parse_config,
+)
 from hetnoma.coverage import NetworkParams, TierParams
 
 TOY_CONFIG = {
@@ -51,6 +58,8 @@ class TestConfigParsing:
         cfg = parse_config(TOY_CONFIG)
         again = parse_config(json.loads(dump_config(cfg)))
         assert again == cfg
+        # the accepted leftover "kernel_mode": "appendix" is not written back
+        assert "kernel_mode" not in config_to_dict(cfg)
 
     def test_round_trip_preserves_awkward_floats(self):
         data = dict(TOY_CONFIG)
@@ -122,7 +131,6 @@ class TestConfigParsing:
         })
         assert cfg.params.sir_threshold == 1.0
         assert cfg.params.pathloss_exponent == 4.0
-        assert cfg.kernel_mode == "appendix"
         assert cfg.seed == 1 and cfg.n_trials == 20
         assert len(cfg.sweep_grid) == 8
 
@@ -184,15 +192,28 @@ class TestCliAnalytic:
         assert code == 2
         assert "tiers" in capsys.readouterr().err
 
-    def test_theorem_mode_divergence_exits_3(self, tmp_path, capsys):
-        path = write_config(tmp_path, {
+    def test_kernel_mode_other_than_appendix_exits_2(self, tmp_path, capsys):
+        data = {
             "tiers": [{"power_watts": 1.0, "intensity": 1e-4}],
             "user_intensity": 1e-4,   # q < 1
             "beta": 0.75,
-        })
-        code, _ = run_cli(["analytic", "--config", path, "--kernel-mode", "theorem"])
-        assert code == 3
-        assert "diverges" in capsys.readouterr().err
+        }
+        code, text = run_cli(["analytic", "--config", write_config(tmp_path, data)])
+        assert code == 0 and "coop[appendix]" in text
+        for mode in ("theorem", "both"):
+            path = write_config(tmp_path, dict(data, kernel_mode=mode))
+            code, text = run_cli(["analytic", "--config", path])
+            assert code == 2
+            assert text == ""
+            assert capsys.readouterr().err == (
+                f"error: config field 'kernel_mode': only 'appendix' is accepted, got {mode!r}\n"
+            )
+        # the flag is gone: argparse rejects it
+        with pytest.raises(SystemExit) as info:
+            run_cli(["analytic", "--config", write_config(tmp_path, data),
+                     "--kernel-mode", "theorem"])
+        assert info.value.code == 2
+        assert "--kernel-mode" in capsys.readouterr().err
 
 
 class TestCliSim:

@@ -8,11 +8,11 @@ optimum by exhaustive search on a 1e-3 grid.
 
 import math
 
+import numpy as np
 import pytest
 
 from hetnoma.coverage import (
     CoveragePair,
-    KernelDivergenceError,
     LoadModel,
     NetworkParams,
     TierParams,
@@ -117,6 +117,22 @@ class TestDecodingThresholds:
         assert thr.near_threshold == pytest.approx(theta / (0.6 * 2 - 1))
         thr = decoding_thresholds(theta, 0.8)
         assert thr.near_threshold == pytest.approx(theta / (1 - 0.8))
+
+    def test_far_threshold_over_theta_at_least_one(self):
+        # y = far_threshold/theta = 1/(beta*(1+theta) - theta) >= 1 for every
+        # valid beta <= 1, so the serving tier's lower limit y^(-2/alpha) of the
+        # exponential-moment void integral int dt/(t^(alpha/2) - 1) is <= 1 and
+        # that integral diverges at t = 1 whenever q < 1; only the subtracted
+        # interference kernel of combined_kernel is finite.  Equality at beta = 1
+        # holds up to the rounding of (1+theta) - theta.
+        valid = 0
+        for theta in np.geomspace(1e-3, 1e3, 121):
+            for beta in np.linspace(0.0, 1.0, 201):
+                thr = decoding_thresholds(float(theta), float(beta))
+                if thr.valid:
+                    valid += 1
+                    assert thr.far_threshold / theta >= 1.0 - 1e-14
+        assert valid > 10_000
 
 
 class TestCoverageNoncoop:
@@ -255,11 +271,6 @@ class TestCoverageCoop:
         assert not inside.extrapolated
         assert outside.extrapolated
         assert 0.0 <= outside.near <= 1.0 and 0.0 <= outside.far <= 1.0
-
-    def test_theorem_mode_divergence_raises(self):
-        p = single_tier(mu=1e-4)  # q < 1
-        with pytest.raises(KernelDivergenceError):
-            coverage_coop(p, 0, kernel_mode="theorem")
 
     def test_invalid_beta_gives_zero(self):
         assert coverage_coop(single_tier(beta=0.3), 0) == CoveragePair(0.0, 0.0)

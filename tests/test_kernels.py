@@ -1,9 +1,8 @@
 """Interference-kernel and adaptive-quadrature contracts.
 
-Expected values for alpha = 4 come from the arctan/log closed forms:
+Expected values for alpha = 4 come from the arctan closed forms:
     base integral   int_0^b dt/(1+t^2)        = atan(b)
     kernel          l(x) (single tier)        = sqrt(x) * atan(sqrt(x))
-    void tail       -int_a^inf dt/(t^2-1)     = 0.5*ln((a-1)/(a+1))
 evaluated with an arbitrary-precision library and frozen below.  At other
 alpha the kernels use 2F1 forms, checked against QUADPACK (TestQuadOracle).
 """
@@ -15,16 +14,13 @@ import pytest
 from scipy.integrate import quad
 
 from hetnoma.kernels import (
-    DIVERGENT,
     KernelEvaluator,
     QuadratureError,
     _hyp2f1_form,
     base_integral,
     full_line_integral,
     integrate_adaptive,
-    is_divergent,
     tail_integral,
-    void_tail_integral,
 )
 
 ATAN = {
@@ -143,11 +139,6 @@ def quad_base(b, alpha):
     return head if b <= 1.0 else _sum(head, _quad_log(1.0, b, alpha))
 
 
-def quad_void(a, alpha):
-    value, err = _quad_inverted(a, alpha, -1.0)
-    return -value, err
-
-
 def assert_matches_quad(value, oracle):
     expected, err = oracle
     assert err <= 0.01 * QUAD_REL * abs(expected)
@@ -162,13 +153,6 @@ class TestQuadOracle:
         for b in QUAD_BOUNDS:
             assert_matches_quad(base_integral(b, alpha), quad_base(b, alpha))
             assert_matches_quad(tail_integral(b, alpha), quad_tail(b, alpha))
-
-    @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
-    def test_void_tail(self, alpha):
-        # lower limits 1 + 1e-6 ... 1 + 1e6; the 2F1 argument a^(-alpha/2)
-        # rounds near 1 as a -> 1, which costs about 1e-12 at a - 1 = 1e-6
-        for d in QUAD_BOUNDS:
-            assert_matches_quad(void_tail_integral(1.0 + d, alpha), quad_void(1.0 + d, alpha))
 
     @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
     def test_two_tier_interference_kernel(self, alpha):
@@ -196,16 +180,11 @@ class TestQuadOracle:
 
 
 def test_hyp2f1_forms_match_closed_forms_at_alpha4():
-    # 241 + 241 + 81 points; the void range stops at a = 11 because the log
-    # form 0.5*ln((a-1)/(a+1)) itself loses digits as (a-1)/(a+1) -> 1
+    # 241 + 241 points
     bounds = np.geomspace(1e-6, 1e6, 241)
     for b in bounds:
         assert _hyp2f1_form("base", b, 4.0) == pytest.approx(math.atan(b), rel=1e-14, abs=0.0)
         assert _hyp2f1_form("tail", b, 4.0) == pytest.approx(math.atan(1.0 / b), rel=1e-14, abs=0.0)
-    for a in 1.0 + np.geomspace(1e-3, 10.0, 81):
-        assert _hyp2f1_form("void", a, 4.0) == pytest.approx(
-            void_tail_integral(a, 4.0), rel=1e-14, abs=0.0
-        )
 
 
 class TestInterferenceKernel:
@@ -260,80 +239,32 @@ class TestInterferenceKernel:
             KernelEvaluator(powers=(1.0,), fractions=(1.0,), alpha=1.5)
 
 
-class TestVoidKernel:
-    def test_tail_oracle_at_two(self):
-        # -int_2^inf dt/(t^2 - 1) = -0.5*ln(3)
-        assert void_tail_integral(2.0, 4.0) == pytest.approx(-0.54930614433405485, abs=1e-12)
-        assert _hyp2f1_form("void", 2.0, 4.0) == pytest.approx(-0.54930614433405485, abs=1e-12)
-
-    def test_divergence_at_unit_limit(self):
-        assert is_divergent(void_tail_integral(1.0, 4.0))
-        assert is_divergent(void_tail_integral(0.5, 4.0))
-        ev = single_tier()
-        # lower limit is y^(-1/2) <= 1 whenever y >= 1
-        assert is_divergent(ev.void_kernel(0, 1.0))
-        assert is_divergent(ev.void_kernel(0, 4.0))
-
-    def test_finite_branch_and_prefactor(self):
-        # single tier: y = 1/4 gives lower limit a = 2 and prefactor 1/2
-        ev = single_tier()
-        value = ev.void_kernel(0, 0.25)
-        assert value == pytest.approx(0.5 * -0.54930614433405485, abs=1e-12)
-        assert value <= 0.0
-
-    def test_vanishes_for_small_arguments(self):
-        ev = single_tier()
-        assert abs(ev.void_kernel(0, 1e-10)) < 1e-4
-        assert abs(ev.void_kernel(0, 1e-14)) < 1e-6
-
-
 class TestCombinedKernel:
     def test_q_one_is_mode_independent(self):
         ev = single_tier()
-        for mode in ("appendix", "theorem"):
-            assert ev.combined_kernel(0, 2.0, 2.0, 1.0, mode) == pytest.approx(
-                ev.interference_kernel(0, 2.0), rel=1e-12
-            )
+        assert ev.combined_kernel(0, 2.0, 2.0, 1.0) == pytest.approx(
+            ev.interference_kernel(0, 2.0), rel=1e-12
+        )
 
     def test_appendix_oracle(self):
         ev = single_tier()
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.8, "appendix") == pytest.approx(
+        assert ev.combined_kernel(0, 2.0, 2.0, 0.8) == pytest.approx(
             0.81061303062724796, abs=1e-12
         )
 
     def test_half_void_cancellation(self):
         ev = single_tier()
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.5, "appendix") == 0.0
+        assert ev.combined_kernel(0, 2.0, 2.0, 0.5) == 0.0
         # deeper void fraction stays clamped at zero
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.3, "appendix") == 0.0
+        assert ev.combined_kernel(0, 2.0, 2.0, 0.3) == 0.0
 
     def test_appendix_nonincreasing_in_q(self):
         ev = single_tier()
         qs = np.linspace(0.2, 1.0, 9)
-        vals = [ev.combined_kernel(0, 2.0, 2.0, q, "appendix") for q in qs]
+        vals = [ev.combined_kernel(0, 2.0, 2.0, q) for q in qs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_theorem_mode_surfaces_divergence(self):
-        ev = single_tier()
-        assert is_divergent(ev.combined_kernel(0, 2.0, 2.0, 0.8, "theorem"))
-
-    def test_theorem_mode_below_q_interference(self):
-        # finite case: pick y small enough that every tier converges
-        ev = single_tier()
-        q = 0.7
-        value = ev.combined_kernel(0, 2.0, 0.25, q, "theorem")
-        assert not is_divergent(value)
-        assert value <= q * ev.interference_kernel(0, 2.0)
 
     def test_rejects_bad_mode_and_q(self):
         ev = single_tier()
         with pytest.raises(ValueError):
-            ev.combined_kernel(0, 1.0, 1.0, 0.5, "other")
-        with pytest.raises(ValueError):
-            ev.combined_kernel(0, 1.0, 1.0, 1.5, "appendix")
-
-
-def test_divergent_repr_and_identity():
-    assert repr(DIVERGENT) == "DIVERGENT"
-    assert is_divergent(DIVERGENT)
-    assert not is_divergent(0.0)
+            ev.combined_kernel(0, 1.0, 1.0, 1.5)
