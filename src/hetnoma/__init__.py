@@ -22,7 +22,7 @@ from .coverage import (
     optimize_beta,
     user_count_pmf,
 )
-from .geometry import PointSet, Window, associate, default_window, sample_ppp
+from .geometry import Window, associate, default_window, sample_ppp
 from .kernels import KernelEvaluator, base_integral
 from .simulate import (
     CoverageEstimate,
@@ -45,7 +45,7 @@ __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
     "DecodingThresholds", "KernelEvaluator",
     "LoadModel", "NetworkParams", "NetworkSnapshot",
-    "PointSet", "ScenarioConfig", "SirSample", "TaggedCell",
+    "ScenarioConfig", "SirSample", "TaggedCell",
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",

@@ -168,7 +168,7 @@ class DecodingThresholds:
 
 
 def decoding_thresholds(theta, beta_m):
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("sir_threshold must be positive")
     if not 0.0 <= beta_m <= 1.0:
         raise ValueError("beta must lie in [0, 1]")

@@ -62,32 +62,17 @@ def default_window(params):
     return Window(half_width=half_width, margin=margin)
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Planar points with a tier tag (tier index for BSs, "users" for users)."""
-
-    xy: np.ndarray
-    tag: object = None
-
-    def __post_init__(self):
-        xy = np.ascontiguousarray(np.asarray(self.xy, dtype=float).reshape(-1, 2))
-        object.__setattr__(self, "xy", xy)
-
-    def __len__(self):
-        return self.xy.shape[0]
-
-
-def sample_ppp(intensity, window, rng, tag=None):
+def sample_ppp(intensity, window, rng):
     """Homogeneous PPP on the window: Poisson count, i.i.d. uniform positions.
 
-    Deterministic given the generator state; intensity 0 gives an empty set.
+    Returns an (n, 2) array.  Deterministic given the generator state;
+    intensity 0 gives an empty array.
     """
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(rng.poisson(intensity * window.area))
     hw = window.half_width
-    xy = rng.uniform(-hw, hw, size=(n, 2))
-    return PointSet(xy=xy, tag=tag)
+    return rng.uniform(-hw, hw, size=(n, 2))
 
 
 @dataclass
@@ -95,8 +80,10 @@ class Association:
     """Nearest-BS association of every user, plus per-BS user lists.
 
     serving[u] is the global BS index (tiers concatenated in order) of
-    user u's strictly nearest BS; exact distance ties (probability zero,
-    but possible with constructed inputs) go to the lowest BS index.
+    user u's nearest BS.  An exact distance tie (probability zero, but
+    possible with constructed inputs) goes to one of the equidistant BSs:
+    the one the KD-tree query returns, which is the same for identical
+    inputs but not necessarily the lowest index.
     """
 
     serving: np.ndarray
@@ -112,27 +99,12 @@ class Association:
         return self._order[self._starts[bs_index] + rank]
 
 
-def associate(bs_sets, users):
-    """Attach each user to its globally nearest BS across all tiers."""
-    bs_xy = np.concatenate([b.xy for b in bs_sets]) if bs_sets else np.zeros((0, 2))
-    n_bs = bs_xy.shape[0]
+def associate(bs_xy, user_xy):
+    """Attach each user to its nearest BS; bs_xy holds every tier's BSs in global order."""
+    n_bs = len(bs_xy)
     if n_bs == 0:
         raise ValueError("association requires at least one base station")
-    user_xy = users.xy
-    if len(users) == 0:
-        serving = np.zeros(0, dtype=np.intp)
-    elif n_bs == 1:
-        serving = np.zeros(len(users), dtype=np.intp)
-    else:
-        tree = cKDTree(bs_xy)
-        dist, idx = tree.query(user_xy, k=2)
-        serving = idx[:, 0].astype(np.intp)
-        tied = dist[:, 0] == dist[:, 1]
-        if np.any(tied):
-            # exact ties: full scan, lowest index among the minimizers
-            for u in np.flatnonzero(tied):
-                d2 = np.sum((bs_xy - user_xy[u]) ** 2, axis=1)
-                serving[u] = int(np.flatnonzero(d2 == d2.min())[0])
+    serving = cKDTree(bs_xy).query(user_xy)[1]
     counts = np.bincount(serving, minlength=n_bs)
     # the narrowest unsigned key lets numpy radix-sort; same stable order
     order = np.argsort(serving.astype(np.min_scalar_type(n_bs - 1)), kind="stable")

@@ -106,7 +106,7 @@ def integrate_adaptive(f, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL
 
 def full_line_integral(alpha):
     """int_0^inf dt/(1+t^(alpha/2)) = (2*pi/alpha)/sin(2*pi/alpha) for alpha > 2."""
-    if alpha <= 2:
+    if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
     u = 2.0 * math.pi / alpha
     return u / math.sin(u)
@@ -121,7 +121,7 @@ def _hyp2f1_form(kind, b, alpha):
     with s = 2*b^(1-alpha/2)/(alpha-2); each is the integrand's geometric
     series integrated term by term.  "tail" needs b > 0.
     """
-    if alpha <= 2:
+    if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
     half = alpha / 2.0
     # where the 2F1 argument would overflow, take base + tail = C(alpha)
@@ -138,7 +138,7 @@ def _hyp2f1_form(kind, b, alpha):
 
 def base_integral(b, alpha):
     """int_0^b dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4)."""
-    if b < 0:
+    if not b >= 0:
         raise ValueError("integration bound b must be nonnegative")
     if alpha == 4.0:
         return math.atan(b)
@@ -151,7 +151,7 @@ def tail_integral(b, alpha):
     Small tails (large b) are evaluated directly, not as C(alpha) minus
     the base integral, so they keep their relative accuracy.
     """
-    if b < 0:
+    if not b >= 0:
         raise ValueError("integration bound b must be nonnegative")
     if alpha == 4.0:
         return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
@@ -177,13 +177,13 @@ class KernelEvaluator:
     def __post_init__(self):
         if len(self.powers) != len(self.fractions) or not self.powers:
             raise ValueError("powers and fractions must be equal-length, nonempty")
-        if self.alpha <= 2:
+        if not self.alpha > 2:
             raise ValueError("pathloss_exponent must exceed 2")
-        if any(p <= 0 for p in self.powers):
+        if any(not p > 0 for p in self.powers):
             raise ValueError("tier powers must be positive")
-        if any(f < 0 for f in self.fractions):
+        if any(not f >= 0 for f in self.fractions):
             raise ValueError("intensity fractions must be nonnegative")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
+        if not abs(sum(self.fractions) - 1.0) <= 1e-9:
             raise ValueError("intensity fractions must sum to 1")
 
     @classmethod
@@ -204,7 +204,7 @@ class KernelEvaluator:
         Nonnegative, zero at x = 0, strictly increasing, and +inf in the
         x -> inf limit (returned as math.inf without any quadrature).
         """
-        if x < 0:
+        if not x >= 0:
             raise ValueError("kernel argument must be nonnegative")
         if x == 0.0:
             return 0.0

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, Window, associate, default_window, sample_ppp
+from .geometry import Window, associate, default_window, sample_ppp
 
 SCHEMES = ("noncoop", "coop")
 ROLES = ("near", "far")
@@ -101,25 +101,19 @@ class NetworkSnapshot:
 
     nonvoid[b] is True iff BS b has at least one attached user (the
     indicator that the BS transmits).  Global BS indices concatenate the
-    tiers in order.  bs_x and bs_y are the contiguous coordinate columns
-    of bs_xy; nonvoid_weight and void_weight are nonvoid and its negation
-    as float 1/0 weights, the form the block mat-vecs multiply by.
+    tiers in order.
     """
 
     params: object
     window: Window
     seed: object
     trial: int
-    users: PointSet
+    user_xy: np.ndarray
     assoc: object
     bs_xy: np.ndarray = field(repr=False)
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
     nonvoid: np.ndarray = field(repr=False)
-    bs_x: np.ndarray = field(repr=False)
-    bs_y: np.ndarray = field(repr=False)
-    nonvoid_weight: np.ndarray = field(repr=False)
-    void_weight: np.ndarray = field(repr=False)
 
     @property
     def n_bs(self):
@@ -133,20 +127,17 @@ class NetworkSnapshot:
         return np.flatnonzero(mask)
 
 
-def _snapshot(params, window, seed, trial, bs_per_tier, users):
-    """Associate the users and flatten the tiers into global BS arrays."""
-    assoc = associate(bs_per_tier, users)
+def _snapshot(params, window, seed, trial, bs_per_tier, user_xy):
+    """Flatten the tiers into global BS arrays and associate the users."""
+    bs_xy = np.concatenate(bs_per_tier)
     bs_tier = np.concatenate(
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
     powers = np.array([t.power_watts for t in params.tiers])
-    bs_xy = np.concatenate([p.xy for p in bs_per_tier])
-    nonvoid = assoc.counts > 0
+    assoc = associate(bs_xy, user_xy)
     return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial, users=users, assoc=assoc,
-        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=nonvoid,
-        bs_x=np.ascontiguousarray(bs_xy[:, 0]), bs_y=np.ascontiguousarray(bs_xy[:, 1]),
-        nonvoid_weight=nonvoid.astype(float), void_weight=(~nonvoid).astype(float),
+        params=params, window=window, seed=seed, trial=trial, user_xy=user_xy, assoc=assoc,
+        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=assoc.counts > 0,
     )
 
 
@@ -159,20 +150,18 @@ def build_snapshot(params, window, seed, trial):
     """
     check_point_budget(params, window)
     rng = _stream(seed, trial, _STREAM_POINTS)
-    bs_per_tier = [
-        sample_ppp(t.intensity, window, rng, tag=i) for i, t in enumerate(params.tiers)
-    ]
-    users = sample_ppp(params.user_intensity, window, rng, tag="users")
+    bs_per_tier = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
+    user_xy = sample_ppp(params.user_intensity, window, rng)
     if sum(len(p) for p in bs_per_tier) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
-    return _snapshot(params, window, seed, trial, bs_per_tier, users)
+    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy)
 
 
 def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial=0):
     """Snapshot with hand-placed points (testing and worked examples)."""
-    bs_per_tier = [PointSet(np.asarray(xy), tag=i) for i, xy in enumerate(bs_xy_per_tier)]
-    users = PointSet(np.asarray(users_xy), tag="users")
-    return _snapshot(params, window, seed, trial, bs_per_tier, users)
+    bs_per_tier = [np.asarray(xy, dtype=float).reshape(-1, 2) for xy in bs_xy_per_tier]
+    user_xy = np.asarray(users_xy, dtype=float).reshape(-1, 2)
+    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy)
 
 
 @dataclass
@@ -203,12 +192,19 @@ class _CellBlocks:
     """One trial's pair ranks, fade stream and block buffers.
 
     powers(cells) evaluates up to `size` tagged cells, given in increasing
-    BS order across calls, into the first rows of the buffers.
+    BS order across calls, into the first rows of the buffers.  bs_x and
+    bs_y are the contiguous coordinate columns of the snapshot's bs_xy;
+    nonvoid_weight and void_weight are its nonvoid flags and their
+    negation as float 1/0 weights, the form the block mat-vecs multiply by.
     """
 
     def __init__(self, snapshot, size=None):
         self.snapshot = snapshot
         n_bs = snapshot.n_bs
+        self.bs_x = np.ascontiguousarray(snapshot.bs_xy[:, 0])
+        self.bs_y = np.ascontiguousarray(snapshot.bs_xy[:, 1])
+        self.nonvoid_weight = snapshot.nonvoid.astype(float)
+        self.void_weight = (~snapshot.nonvoid).astype(float)
         self.size = size or max(1, BLOCK_BYTES // (16 * n_bs))
         self.fades = np.empty((self.size, 2, n_bs))
         self.dist_sq = np.empty((self.size, 2, n_bs))
@@ -233,8 +229,8 @@ class _CellBlocks:
         snap = self.snapshot
         k, span = len(cells), 2 * snap.n_bs
         users = snap.assoc.user_at(cells[:, None], self.ranks[cells])
-        ux, uy = snap.users.xy[users, 0], snap.users.xy[users, 1]
-        dx, dy = snap.bs_x[cells, None] - ux, snap.bs_y[cells, None] - uy
+        ux, uy = snap.user_xy[users, 0], snap.user_xy[users, 1]
+        dx, dy = self.bs_x[cells, None] - ux, self.bs_y[cells, None] - uy
         serving_sq = dx * dx + dy * dy
         far_first = serving_sq[:, 1] < serving_sq[:, 0]
         for a in (users, ux, uy, serving_sq):
@@ -248,9 +244,9 @@ class _CellBlocks:
         np.negative(fades, out=fades)
         np.log1p(fades, out=fades)
         np.negative(fades, out=fades)
-        np.subtract(snap.bs_x, ux[:, :, None], out=dist_sq)
+        np.subtract(self.bs_x, ux[:, :, None], out=dist_sq)
         np.multiply(dist_sq, dist_sq, out=dist_sq)
-        np.subtract(snap.bs_y, uy[:, :, None], out=power)
+        np.subtract(self.bs_y, uy[:, :, None], out=power)
         np.multiply(power, power, out=power)
         np.add(dist_sq, power, out=dist_sq)
         alpha = snap.params.pathloss_exponent
@@ -266,8 +262,8 @@ class _CellBlocks:
         # the serving BS is non-void: dropping its column from the power
         # buffer leaves the two sums over the other BSs
         power[rows, :, cells] = 0.0
-        interference = power @ snap.nonvoid_weight
-        void_signal = power @ snap.void_weight
+        interference = power @ self.nonvoid_weight
+        void_signal = power @ self.void_weight
         return users, serving_sq, desired, interference, void_signal
 
 
@@ -410,17 +406,20 @@ def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None
 
     Trials use streams keyed by (seed, trial) and merge in trial order, so
     serial and parallel execution agree exactly, distance sums included.
+    n_jobs caps the worker processes, which never outnumber the trials or
+    the CPUs; with one, the trials run in this process.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     window = window if window is not None else default_window(params)
     jobs = [(params, window, seed, trial, max_cells_per_tier) for trial in range(n_trials)]
     totals = TrialTotals.zeros(params.n_tiers)
-    if n_jobs == 1:
+    # a fork pool starts all max_workers processes at once
+    workers = min(n_jobs, n_trials, os.cpu_count() or 1)
+    if workers == 1:
         for job in jobs:
             totals.merge(_trial_worker(job))
     else:
-        workers = n_jobs if n_jobs is not None else os.cpu_count()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_trial_worker, jobs, chunksize=1):
                 totals.merge(part)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hetnoma.geometry import (
-    PointSet,
     Window,
     associate,
     default_window,
@@ -50,12 +49,12 @@ class TestSamplePpp:
         w = Window(100.0, 10.0)
         a = sample_ppp(0.01, w, rng(42))
         b = sample_ppp(0.01, w, rng(42))
-        assert np.array_equal(a.xy, b.xy)
+        assert np.array_equal(a, b)
 
     def test_points_inside_window(self):
         w = Window(25.0, 5.0)
         pts = sample_ppp(0.1, w, rng(7))
-        assert w.contains(pts.xy).all()
+        assert w.contains(pts).all()
 
     def test_poisson_moments(self):
         # area 1e6 m^2 at 5e-4 /m^2: count has mean 500 and variance 500
@@ -75,34 +74,35 @@ class TestSamplePpp:
 
 class TestAssociate:
     def test_single_bs_takes_all(self):
-        bs = [PointSet(np.array([[0.0, 0.0]]), tag=0)]
-        users = PointSet(rng(1).uniform(-5, 5, size=(40, 2)), tag="users")
+        bs = np.array([[0.0, 0.0]])
+        users = rng(1).uniform(-5, 5, size=(40, 2))
         assoc = associate(bs, users)
         assert (assoc.serving == 0).all()
         assert assoc.counts[0] == 40
         assert len(assoc.users_of(0)) == 40
 
     def test_nearest_across_tiers(self):
-        bs = [
-            PointSet(np.array([[-10.0, 0.0]]), tag=0),
-            PointSet(np.array([[10.0, 0.0]]), tag=1),
-        ]
-        users = PointSet(np.array([[-9.0, 1.0], [8.0, -2.0], [11.0, 0.0]]), tag="users")
+        bs = np.array([[-10.0, 0.0], [10.0, 0.0]])  # one BS per tier, tiers in order
+        users = np.array([[-9.0, 1.0], [8.0, -2.0], [11.0, 0.0]])
         assoc = associate(bs, users)
         assert assoc.serving.tolist() == [0, 1, 1]
         assert assoc.counts.tolist() == [1, 2]
         assert sorted(assoc.users_of(1).tolist()) == [1, 2]
 
-    def test_equidistant_tie_breaks_to_lowest_index(self):
-        bs = [PointSet(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), tag=0)]
-        users = PointSet(np.array([[0.0, 0.0]]), tag="users")
+    def test_equidistant_tie_goes_to_a_nearest_bs(self):
+        # all four BSs are at distance 1: any of them may serve, the same
+        # one on every call
+        bs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        users = np.array([[0.0, 0.0]])
         assoc = associate(bs, users)
-        assert assoc.serving[0] == 0
+        assert np.hypot(*(bs[assoc.serving[0]] - users[0])) == 1.0
+        assert assoc.counts[assoc.serving[0]] == 1
+        assert np.array_equal(associate(bs, users).serving, assoc.serving)
 
     def test_no_bs_fails(self):
-        users = PointSet(np.zeros((3, 2)), tag="users")
+        users = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            associate([PointSet(np.zeros((0, 2)), tag=0)], users)
+            associate(np.zeros((0, 2)), users)
 
     @pytest.mark.parametrize("n_bs", [1, 256, 257, 65536, 65537])
     def test_user_lists_match_serving(self, n_bs):
@@ -114,18 +114,21 @@ class TestAssociate:
         user_xy = np.concatenate([g.uniform(0.0, 1000.0, size=(3000, 2)),
                                   bs_xy[-1] + g.uniform(-1e-6, 1e-6, size=(5, 2))])
         g.shuffle(user_xy)
-        assoc = associate([PointSet(bs_xy, tag=0)], PointSet(user_xy, tag="users"))
+        assoc = associate(bs_xy, user_xy)
         assert assoc.serving.max() == n_bs - 1
         for b in range(n_bs):
             assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
 
     def test_user_lists_with_an_exact_tie(self):
-        # user 1 is exactly as far from BS 256 as from BS 3 and joins BS 3
+        # user 1 is exactly as far from BS 256 as from BS 3 and joins one
+        # of them; user 2 is strictly nearest BS 256
         bs_xy = rng(7).uniform(0.0, 100.0, size=(257, 2))
         bs_xy[3], bs_xy[256] = [999.0, 1000.0], [1001.0, 1000.0]
         user_xy = np.array([[50.0, 50.0], [1000.0, 1000.0], [1000.5, 1000.0], [20.0, 70.0]])
-        assoc = associate([PointSet(bs_xy, tag=0)], PointSet(user_xy, tag="users"))
-        assert assoc.serving[1:3].tolist() == [3, 256]
+        assoc = associate(bs_xy, user_xy)
+        assert assoc.serving[1] in (3, 256)
+        assert assoc.serving[2] == 256
+        assert np.array_equal(associate(bs_xy, user_xy).serving, assoc.serving)
         for b in range(257):
             assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
 
@@ -134,7 +137,26 @@ class TestAssociate:
         for _ in range(50):
             bs_xy = g.uniform(-50, 50, size=(g.integers(2, 60), 2))
             user_xy = g.uniform(-50, 50, size=(30, 2))
-            assoc = associate([PointSet(bs_xy, tag=0)], PointSet(user_xy, tag="users"))
+            assoc = associate(bs_xy, user_xy)
             d2 = ((user_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(-1)
             assert np.array_equal(assoc.serving, d2.argmin(axis=1))
 
+    def test_exact_ties_on_a_grid(self):
+        # integer coordinates with duplicate BS positions make exact ties
+        # common: every user still joins one of its nearest BSs, the user
+        # lists match, and a repeat call gives the same arrays
+        g = rng(5)
+        bs_xy = g.integers(0, 40, size=(300, 2)).astype(float)
+        bs_xy[150:] = bs_xy[:150]
+        user_xy = g.integers(0, 40, size=(8000, 2)).astype(float)
+        assoc = associate(bs_xy, user_xy)
+        d2 = ((user_xy[:, None, :] - bs_xy[None, :, :]) ** 2).sum(-1)
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+        users = np.arange(len(user_xy))
+        assert np.array_equal(d2[users, assoc.serving], d2.min(axis=1))
+        assert np.array_equal(assoc.counts, np.bincount(assoc.serving, minlength=len(bs_xy)))
+        for b in range(len(bs_xy)):
+            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+        again = associate(bs_xy, user_xy)
+        assert np.array_equal(again.serving, assoc.serving)
+        assert np.array_equal(again.counts, assoc.counts)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hetnoma.coverage import decoding_thresholds
 from hetnoma.kernels import (
     KernelEvaluator,
     QuadratureError,
@@ -237,6 +238,31 @@ class TestInterferenceKernel:
             KernelEvaluator(powers=(1.0, 1.0), fractions=(0.6, 0.6), alpha=4.0)
         with pytest.raises(ValueError):
             KernelEvaluator(powers=(1.0,), fractions=(1.0,), alpha=1.5)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: decoding_thresholds(NAN, 0.75), "sir_threshold must be positive"),
+    (lambda: base_integral(NAN, 3.5), "bound b must be nonnegative"),
+    (lambda: base_integral(NAN, 4.0), "bound b must be nonnegative"),
+    (lambda: tail_integral(NAN, 3.5), "bound b must be nonnegative"),
+    (lambda: tail_integral(NAN, 4.0), "bound b must be nonnegative"),
+    (lambda: base_integral(1.0, NAN), "pathloss_exponent must exceed 2"),
+    (lambda: full_line_integral(NAN), "pathloss_exponent must exceed 2"),
+    (lambda: single_tier().interference_kernel(0, NAN), "kernel argument must be nonnegative"),
+    (lambda: single_tier(alpha=NAN), "pathloss_exponent must exceed 2"),
+    (lambda: KernelEvaluator(powers=(NAN,), fractions=(1.0,), alpha=4.0),
+     "tier powers must be positive"),
+    (lambda: KernelEvaluator(powers=(1.0, 1.0), fractions=(NAN, 1.0), alpha=4.0),
+     "intensity fractions must be nonnegative"),
+], ids=["theta", "base_b", "base_b_alpha4", "tail_b", "tail_b_alpha4", "base_alpha",
+        "full_line_alpha", "kernel_x", "evaluator_alpha", "evaluator_power", "evaluator_fraction"])
+def test_nan_input_rejected(call, message):
+    # each range check is written so that NaN fails it like an out-of-range value
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCombinedKernel:

@@ -73,7 +73,7 @@ class TestBuildSnapshot:
         a = build_snapshot(p, TOY_WINDOW, seed=5, trial=3)
         b = build_snapshot(p, TOY_WINDOW, seed=5, trial=3)
         assert np.array_equal(a.bs_xy, b.bs_xy)
-        assert np.array_equal(a.users.xy, b.users.xy)
+        assert np.array_equal(a.user_xy, b.user_xy)
         assert np.array_equal(a.assoc.serving, b.assoc.serving)
         c = build_snapshot(p, TOY_WINDOW, seed=5, trial=4)
         assert not np.array_equal(a.bs_xy, c.bs_xy)
@@ -148,7 +148,7 @@ class TestScheduleNomaUsers:
         for b in snap.tagged_cells()[:10]:
             cell = schedule_noma_users(snap, b)
             for r in range(2):
-                ux, uy = snap.users.xy[cell.user_indices[r]].tolist()
+                ux, uy = snap.user_xy[cell.user_indices[r]].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
@@ -161,7 +161,7 @@ class TestScheduleNomaUsers:
                         interference += power
                     else:
                         void_signal += power
-                d = math.dist(snap.users.xy[cell.user_indices[r]], snap.bs_xy[b])
+                d = math.dist(snap.user_xy[cell.user_indices[r]], snap.bs_xy[b])
                 assert cell.distances[r] == pytest.approx(d, rel=1e-12)
                 assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
@@ -295,6 +295,42 @@ class TestRunTrials:
         # trials merge in trial order, so the float sums agree exactly too
         assert np.array_equal(a.sum_near_dist_sq, c.sum_near_dist_sq)
         assert np.array_equal(a.sum_far_dist_sq, c.sum_far_dist_sq)
+
+    @pytest.mark.parametrize("n_trials, n_jobs, cpus, pools", [
+        (6, 5000, 8, [6]),
+        (6, 5000, 4, [4]),
+        (6, 3, 8, [3]),
+        (1, 5000, 8, []),
+        (2, 5000, None, []),
+    ])
+    def test_pool_sized_by_trials_and_cpus(self, monkeypatch, n_trials, n_jobs, cpus, pools):
+        # a fork pool starts all max_workers processes at once, so n_jobs
+        # above the trial or CPU count must not reach it; a recording fake
+        # stands in for the pool and maps in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        p = toy_params(mu=2e-4)
+        pooled = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17, n_jobs=n_jobs)
+        assert started == pools
+        serial = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17)
+        assert np.array_equal(pooled.successes, serial.successes)
+        assert np.array_equal(pooled.sum_near_dist_sq, serial.sum_near_dist_sq)
+        assert np.array_equal(pooled.sum_far_dist_sq, serial.sum_far_dist_sq)
 
     # Exact counts and squared-distance sums (as float hex) at fixed seeds,
     # recorded when the pairs and fades moved to the per-trial pair stream
