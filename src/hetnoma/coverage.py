@@ -136,7 +136,7 @@ def user_count_pmf(load, n):
     P[N=n] = Gamma(n+7/2)/(n! Gamma(7/2)) * (2L/7)^n * (1+2L/7)^-(n+7/2),
     evaluated in log space so large n does not overflow.
     """
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be nonnegative")
     L = load.cell_load
     if L == 0.0:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -401,28 +402,42 @@ def _trial_worker(args):
     return run_single_trial(*args)
 
 
-def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
-    """Accumulated outcomes of n_trials independent snapshots.
+def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
+    """Accumulated outcomes of n_trials snapshots at each scenario point.
 
-    Trials use streams keyed by (seed, trial) and merge in trial order, so
-    serial and parallel execution agree exactly, distance sums included.
-    n_jobs caps the worker processes, which never outnumber the trials or
-    the CPUs; with one, the trials run in this process.
+    points is a sequence of (params, window, seed); a window of None means
+    default_window(params).  Returns one TrialTotals per point, in order.
+    Trials use streams keyed by (seed, trial) and each point's trials merge
+    in trial order, so serial and parallel execution agree exactly,
+    distance sums included.  The trials of all points share one pool:
+    n_jobs caps its worker processes, which never outnumber the trials of
+    the whole run or the CPUs; with one, the trials run in this process.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    window = window if window is not None else default_window(params)
-    jobs = [(params, window, seed, trial, max_cells_per_tier) for trial in range(n_trials)]
-    totals = TrialTotals.zeros(params.n_tiers)
+    if not n_jobs >= 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs!r}")
+    points = [(params, window if window is not None else default_window(params), seed)
+              for params, window, seed in points]
+    jobs = [(params, window, seed, trial, max_cells_per_tier)
+            for params, window, seed in points for trial in range(n_trials)]
+    totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
     # a fork pool starts all max_workers processes at once
-    workers = min(n_jobs, n_trials, os.cpu_count() or 1)
-    if workers == 1:
-        for job in jobs:
-            totals.merge(_trial_worker(job))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_trial_worker, jobs, chunksize=1):
-                totals.merge(part)
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        for k, part in enumerate(run(_trial_worker, jobs)):
+            totals[k // n_trials].merge(part)
+    return totals
+
+
+def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
+    """Accumulated outcomes of n_trials independent snapshots.
+
+    The one-point case of run_trial_sets: serial and parallel execution
+    agree exactly, and n_jobs caps the worker processes.
+    """
+    [totals] = run_trial_sets([(params, window, seed)], n_trials, max_cells_per_tier, n_jobs)
     return totals
 
 

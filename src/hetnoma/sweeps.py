@@ -22,7 +22,8 @@ from .coverage import (
     optimize_beta,
 )
 from .kernels import KernelEvaluator
-from .simulate import ROLES, SCHEMES, estimates_from_totals, run_trials
+from .simulate import ROLES, SCHEMES, estimates_from_totals, run_trial_sets
+from .simulate import run_trials  # noqa: F401  (perfbench traces sweeps.run_trials by name)
 
 SWEEP_VARIABLES = ("user_intensity", "beta", "pico_intensity")
 
@@ -128,16 +129,19 @@ def run_sweep(cfg):
 
     Rows come out in deterministic order (grid point, tier, role, scheme).
     Each grid point simulates on its own substream family derived from
-    (seed, point index), so results do not depend on grid slicing.
+    (seed, point index), so results do not depend on grid slicing.  The
+    trials of all grid points run on one pool of at most cfg.n_jobs worker
+    processes, and each point's totals merge in trial order, so the rows do
+    not depend on n_jobs.
     """
+    grid = [apply_sweep_value(cfg.params, cfg.sweep_variable, value) for value in cfg.sweep_grid]
+    totals = run_trial_sets(
+        [(params, cfg.window, (cfg.seed, point)) for point, params in enumerate(grid)],
+        cfg.n_trials, max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
+    )
     rows = []
-    for point, value in enumerate(cfg.sweep_grid):
-        params = apply_sweep_value(cfg.params, cfg.sweep_variable, value)
-        totals = run_trials(
-            params, cfg.window, cfg.n_trials, seed=(cfg.seed, point),
-            max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
-        )
-        rows.extend(comparison_rows(params, value, totals, cfg.schemes))
+    for value, params, point_totals in zip(cfg.sweep_grid, grid, totals):
+        rows.extend(comparison_rows(params, value, point_totals, cfg.schemes))
     return rows
 
 

@@ -335,7 +335,7 @@ class TestCliSweep:
         def no_trials(*args, **kwargs):
             raise AssertionError("simulated before rejecting the grid")
 
-        monkeypatch.setattr(sweeps, "run_trials", no_trials)
+        monkeypatch.setattr(sweeps, "run_trial_sets", no_trials)
         cfg = dict(TOY_CONFIG, sweep=sweep)
         if tiers is not None:
             cfg.update(tiers=TOY_CONFIG["tiers"][:tiers], beta=0.75)

@@ -92,6 +92,13 @@ class TestUserCountPmf:
         with pytest.raises(ValueError):
             user_count_pmf(LoadModel(1.0, 0.5), -1)
 
+    @pytest.mark.parametrize("load", [0.0, 1.0])
+    def test_rejects_nan_n(self, load):
+        # a NaN count fails the same guard as a negative one, on the
+        # empty-network path as well as the log-gamma one
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            user_count_pmf(LoadModel(load, 0.5), math.nan)
+
 
 class TestDecodingThresholds:
     def test_reference_point(self):

@@ -31,6 +31,7 @@ from hetnoma.simulate import (
     evaluate_coop,
     evaluate_noncoop,
     run_single_trial,
+    run_trial_sets,
     run_trials,
     schedule_noma_users,
     snapshot_from_points,
@@ -303,34 +304,45 @@ class TestRunTrials:
         (1, 5000, 8, []),
         (2, 5000, None, []),
     ])
-    def test_pool_sized_by_trials_and_cpus(self, monkeypatch, n_trials, n_jobs, cpus, pools):
-        # a fork pool starts all max_workers processes at once, so n_jobs
-        # above the trial or CPU count must not reach it; a recording fake
-        # stands in for the pool and maps in this process
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_sized_by_trials_and_cpus(self, monkeypatch, recording_pool, n_trials, n_jobs,
+                                           cpus, pools):
+        # n_jobs above the trial or CPU count must not reach the pool
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
         p = toy_params(mu=2e-4)
         pooled = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17, n_jobs=n_jobs)
-        assert started == pools
+        assert recording_pool == pools
         serial = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17)
         assert np.array_equal(pooled.successes, serial.successes)
         assert np.array_equal(pooled.sum_near_dist_sq, serial.sum_near_dist_sq)
         assert np.array_equal(pooled.sum_far_dist_sq, serial.sum_far_dist_sq)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_rejects_n_jobs_below_one(self, monkeypatch, recording_pool, n_jobs):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before n_jobs was rejected")
+
+        monkeypatch.setattr(simulate, "run_single_trial", no_trial)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_trials(toy_params(), TOY_WINDOW, n_trials=2, n_jobs=n_jobs)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_trial_sets([(toy_params(), TOY_WINDOW, 1)], 2, n_jobs=n_jobs)
+        assert recording_pool == []
+
+    def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
+        # the trials of all points go to one pool sized by the whole run;
+        # each point's totals equal its own run_trials call exactly
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        points = [(toy_params(mu=2e-4), TOY_WINDOW, (17, 0)),
+                  (toy_params(mu=8e-4, beta=0.6), TOY_WINDOW, (17, 1)),
+                  (toy_params(mu=4e-4), None, 3)]
+        sets = run_trial_sets(points, 2, max_cells_per_tier=20, n_jobs=5000)
+        assert recording_pool == [6]
+        for (params, window, seed), totals in zip(points, sets):
+            alone = run_trials(params, window, n_trials=2, seed=seed, max_cells_per_tier=20)
+            assert np.array_equal(totals.successes, alone.successes)
+            assert np.array_equal(totals.samples, alone.samples)
+            assert np.array_equal(totals.sum_near_dist_sq, alone.sum_near_dist_sq)
+            assert np.array_equal(totals.sum_far_dist_sq, alone.sum_far_dist_sq)
 
     # Exact counts and squared-distance sums (as float hex) at fixed seeds,
     # recorded when the pairs and fades moved to the per-trial pair stream

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hetnoma import simulate
 from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
@@ -170,6 +171,26 @@ class TestRunSweep:
         cfg = toy_config(n_trials=1, sweep_grid=(4e-4,), max_cells_per_tier=5)
         rows = run_sweep(cfg)
         assert all("low_samples" in r.flags for r in rows)
+
+    def test_parallel_rows_equal_serial(self, rows):
+        # float fields compare exactly: each point's trials merge in trial
+        # order whatever worker ran them
+        assert run_sweep(toy_config(n_jobs=2)) == rows
+
+    @pytest.mark.parametrize("n_trials, n_jobs, cpus, pools", [
+        (4, 5000, 8, [8]),
+        (4, 5000, 64, [12]),
+        (4, 3, 8, [3]),
+        (1, 5000, 8, [3]),
+        (1, 1, 8, []),
+    ])
+    def test_one_pool_for_the_whole_sweep(self, monkeypatch, recording_pool,
+                                          n_trials, n_jobs, cpus, pools):
+        # one pool, sized min(n_jobs, points x trials, CPUs), runs every
+        # trial of the sweep; a sweep of one trial per point pools too
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        run_sweep(toy_config(n_trials=n_trials, n_jobs=n_jobs))
+        assert recording_pool == pools
 
 
 class TestAnalyticPairs:
