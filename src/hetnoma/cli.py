@@ -7,7 +7,9 @@ Subcommands:
     optimize-beta  power-allocation search per tier and scheme
 
 Exit codes: 0 success, 1 runtime error (such as an unwritable output
-file, or a standard output closed by its reader), 2 configuration error.
+file, or a standard output closed by its reader), 2 configuration error,
+143 (128 + SIGTERM) when terminated: a SIGTERM raises SystemExit, so a
+run unwinds, cancels its pending trials and stops its worker processes.
 All commands honor --seed and are bit-reproducible: identical config and
 seed produce byte-identical output.
 """
@@ -17,7 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 
 from .config import ConfigError, load_config
 from .coverage import cell_load_model, coverage_coop, coverage_noncoop, decoding_thresholds
@@ -164,13 +169,36 @@ def build_parser():
     return parser
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_exits():
+    """Turn SIGTERM into SystemExit while the block runs (main thread only).
+
+    The exception unwinds the simulator's worker pool like any other: the
+    pool cancels the trials not yet started and waits for its workers to
+    exit, so none outlives the run.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
         overrides = {"seed": args.seed, "n_trials": args.trials, "output": args.out}
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
-        code = _COMMANDS[args.command](cfg, out)
+        with _sigterm_exits():
+            code = _COMMANDS[args.command](cfg, out)
         out.flush()
         return code
     except BrokenPipeError:

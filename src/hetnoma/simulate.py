@@ -1,17 +1,34 @@
 """Monte Carlo evaluation of the exact NOMA SIR decoding events.
 
-One trial samples the whole network once (BS tiers, users, association
-and void flags), then evaluates the decoding events of both schemes in
-every tagged cell: a non-void inner-region BS with at least two attached
-users, two of which are scheduled uniformly at random.
+One trial samples the whole network once (BS tiers, user counts and void
+flags), then evaluates the decoding events of both schemes in every
+tagged cell: a non-void inner-region BS with at least two users, two of
+which are scheduled uniformly at random.
+
+A snapshot gets its user counts from one of two samplers, chosen by the
+load user_intensity / total_intensity (users per BS):
+
+  * association, below TESSELLATION_MIN_USERS_PER_BS: every user of the
+    PPP is placed and attached to its nearest BS; the pair is two of the
+    BS's users;
+  * tessellation, at or above it: counts[b] ~ Poisson(user_intensity x
+    area of the window-clipped Voronoi cell of b), independently, and the
+    pair is two i.i.d. uniform points in that cell.  Given the BSs, the
+    users in a cell form a PPP of that intensity on the cell, so both
+    samplers give counts and pairs of the same law; this one costs the
+    same at any load.
 
 Every random draw of a trial comes from one of four streams keyed by
 (seed, trial, purpose):
 
-  * points: the BS tiers and the users of the snapshot;
+  * points: the BS tiers, then the users (association) or every BS's
+    count in global BS order (tessellation);
   * cap: the uniform subsample of tagged cells per tier, when capped;
   * pairs: the scheduled pair of every BS, in global BS order, drawn in
-    one call for all BSs whether or not a BS is evaluated;
+    one call for all BSs whether or not a BS is evaluated: two ranks in
+    the BS's user list (association), or an (n_bs, 2, 3) block of
+    uniforms, three per user, one picking a triangle of the cell's fan by
+    area and two placing the point in it (tessellation);
   * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
     outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
     the near user's n_bs links first; the loop jumps to each block with
@@ -23,7 +40,7 @@ only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
 nothing in the cells it keeps; and both schemes are evaluated on the same
 fades (the serving link's fade is its block's column at the serving BS),
 which makes each cooperative event a superset of the non-cooperative one
-cell by cell.
+cell by cell.  The near user is the nearer of the pair.
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
@@ -38,12 +55,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Window, associate, default_window, sample_ppp
+from .geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
 
 SCHEMES = ("noncoop", "coop")
 ROLES = ("near", "far")
@@ -59,6 +76,14 @@ _STREAM_FADES = 3
 # many cells at once (16 cells at the stock 2,034 BSs).
 BLOCK_BYTES = 2**19
 
+
+# Load (users per BS) from which build_snapshot draws user counts from
+# clipped Voronoi cell areas instead of sampling and associating every
+# user.  The tessellation's cost does not depend on the load, the
+# association's grows with it; a trial costs the same on both at about
+# 12.4 users per BS, and this is 1.5 times that, rounded up (ROADMAP
+# item 4 has the measurements).
+TESSELLATION_MIN_USERS_PER_BS = 19.0
 
 # Ceiling on the expected number of points (users plus BSs) one snapshot
 # samples: far above the stock scenarios (about 8e4 at 2e-3 users/m^2),
@@ -100,17 +125,21 @@ def _stream(seed, trial, *key):
 class NetworkSnapshot:
     """One sampled realization of the network.
 
-    nonvoid[b] is True iff BS b has at least one attached user (the
-    indicator that the BS transmits).  Global BS indices concatenate the
-    tiers in order.
+    counts[b] is the number of users BS b serves, and nonvoid[b] is True
+    iff it is positive (the indicator that the BS transmits).  Global BS
+    indices concatenate the tiers in order.  The association sampler sets
+    user_xy and assoc; the tessellation sampler places no users and sets
+    voronoi, the BSs' window-clipped Voronoi cells, instead.
     """
 
     params: object
     window: Window
     seed: object
     trial: int
-    user_xy: np.ndarray
-    assoc: object
+    counts: np.ndarray
+    user_xy: np.ndarray = field(repr=False)
+    assoc: object = field(repr=False)
+    voronoi: object = field(repr=False)
     bs_xy: np.ndarray = field(repr=False)
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
@@ -122,44 +151,67 @@ class NetworkSnapshot:
 
     def tagged_cells(self, tier=None):
         """Inner-region non-void BSs with >= 2 users, optionally one tier."""
-        mask = self.window.contains(self.bs_xy, inner=True) & (self.assoc.counts >= 2)
+        mask = self.window.contains(self.bs_xy, inner=True) & (self.counts >= 2)
         if tier is not None:
             mask &= self.bs_tier == tier
         return np.flatnonzero(mask)
 
 
-def _snapshot(params, window, seed, trial, bs_per_tier, user_xy):
-    """Flatten the tiers into global BS arrays and associate the users."""
+def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
+    """Flatten the tiers into global BS arrays and give every BS its users.
+
+    With user_xy, the users are associated.  Without, counts[b] is drawn
+    from rng as Poisson(user_intensity x area of the clipped cell of b).
+    """
     bs_xy = np.concatenate(bs_per_tier)
     bs_tier = np.concatenate(
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
     powers = np.array([t.power_watts for t in params.tiers])
-    assoc = associate(bs_xy, user_xy)
+    assoc = voronoi = None
+    if user_xy is not None:
+        assoc = associate(bs_xy, user_xy)
+        counts = assoc.counts
+    else:
+        voronoi = clipped_voronoi(bs_xy, window)
+        counts = rng.poisson(params.user_intensity * voronoi.areas)
     return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial, user_xy=user_xy, assoc=assoc,
-        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=assoc.counts > 0,
+        params=params, window=window, seed=seed, trial=trial, counts=counts, user_xy=user_xy,
+        assoc=assoc, voronoi=voronoi, bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier],
+        nonvoid=counts > 0,
     )
 
 
-def build_snapshot(params, window, seed, trial):
-    """Sample all tiers and users, associate, and flag void cells.
+def tessellates(params):
+    """Whether snapshots of params take user counts from Voronoi cell areas.
 
-    Bit-identical for identical (seed, trial).  Fails before sampling if
-    the expected point count is over MAX_EXPECTED_POINTS, and after it if
-    the window is so small that it contains no base station.
+    True when the load, user_intensity / total_intensity users per BS, is
+    at least TESSELLATION_MIN_USERS_PER_BS.
+    """
+    return params.user_intensity / params.total_intensity >= TESSELLATION_MIN_USERS_PER_BS
+
+
+def build_snapshot(params, window, seed, trial):
+    """Sample all tiers and give every BS its users; flag void cells.
+
+    Below TESSELLATION_MIN_USERS_PER_BS users per BS, every user is sampled
+    and associated; from there on, each BS's count is drawn from its
+    clipped Voronoi cell area (see tessellates).  Bit-identical for
+    identical (seed, trial).  Fails before sampling if the expected point
+    count is over MAX_EXPECTED_POINTS, and after it if the window is so
+    small that it contains no base station.
     """
     check_point_budget(params, window)
     rng = _stream(seed, trial, _STREAM_POINTS)
     bs_per_tier = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
-    user_xy = sample_ppp(params.user_intensity, window, rng)
+    user_xy = None if tessellates(params) else sample_ppp(params.user_intensity, window, rng)
     if sum(len(p) for p in bs_per_tier) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
-    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy)
+    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy, rng)
 
 
 def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial=0):
-    """Snapshot with hand-placed points (testing and worked examples)."""
+    """Snapshot with hand-placed points (testing and worked examples); always associates."""
     bs_per_tier = [np.asarray(xy, dtype=float).reshape(-1, 2) for xy in bs_xy_per_tier]
     user_xy = np.asarray(users_xy, dtype=float).reshape(-1, 2)
     return _snapshot(params, window, seed, trial, bs_per_tier, user_xy)
@@ -170,12 +222,13 @@ class TaggedCell:
     """A serving BS with its two scheduled users, fading draws and received powers.
 
     Users are ordered so that the near user is index 0; every per-receiver
-    array has the near receiver first.  link_gains and link_dist_sq have
-    shape (2, n_bs) with columns in global BS order; the serving link's
-    fade is link_gains[:, bs_index].  desired is the full-power serving
-    signal P_m * H * d^-alpha, interference sums the non-void BSs other
-    than the serving one, and void_signal sums the void BSs (the
-    cooperative signal).
+    array has the near receiver first.  user_indices is None when the
+    snapshot places no users (the tessellation sampler).  link_gains and
+    link_dist_sq have shape (2, n_bs) with columns in global BS order; the
+    serving link's fade is link_gains[:, bs_index].  desired is the
+    full-power serving signal P_m * H * d^-alpha, interference sums the
+    non-void BSs other than the serving one, and void_signal sums the void
+    BSs (the cooperative signal).
     """
 
     bs_index: int
@@ -190,7 +243,7 @@ class TaggedCell:
 
 
 class _CellBlocks:
-    """One trial's pair ranks, fade stream and block buffers.
+    """One trial's scheduled pairs, fade stream and block buffers.
 
     powers(cells) evaluates up to `size` tagged cells, given in increasing
     BS order across calls, into the first rows of the buffers.  bs_x and
@@ -210,14 +263,19 @@ class _CellBlocks:
         self.fades = np.empty((self.size, 2, n_bs))
         self.dist_sq = np.empty((self.size, 2, n_bs))
         self.power = np.empty((self.size, 2, n_bs))
-        # ranks of each BS's pair within its user list: i uniform over
-        # c = max(count, 2) ranks, j over the c - 1 others
-        c = np.maximum(snapshot.assoc.counts, 2)
         rng = _stream(snapshot.seed, snapshot.trial, _STREAM_PAIRS)
-        i = rng.integers(0, c)
-        j = rng.integers(0, c - 1)
-        j += j >= i
-        self.ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        if snapshot.voronoi is None:
+            # ranks of each BS's pair within its user list: i uniform over
+            # c = max(count, 2) ranks, j over the c - 1 others
+            c = np.maximum(snapshot.counts, 2)
+            i = rng.integers(0, c)
+            j = rng.integers(0, c - 1)
+            j += j >= i
+            self.ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        else:
+            # two i.i.d. uniform points in each BS's cell, three uniforms each
+            pair_xy = snapshot.voronoi.sample(np.arange(n_bs)[:, None], rng.random((n_bs, 2, 3)))
+            self.pair_x, self.pair_y = pair_xy[..., 0], pair_xy[..., 1]
         self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
         self.position = 0
 
@@ -225,17 +283,22 @@ class _CellBlocks:
         """Pairs (near first), serving dist^2 and received powers of `cells`.
 
         Returns (users, serving_dist_sq, desired, interference, void_signal),
-        each of shape (len(cells), 2).
+        each of shape (len(cells), 2); users, the pair's user indices, is
+        None when the snapshot places no users.
         """
         snap = self.snapshot
         k, span = len(cells), 2 * snap.n_bs
-        users = snap.assoc.user_at(cells[:, None], self.ranks[cells])
-        ux, uy = snap.user_xy[users, 0], snap.user_xy[users, 1]
+        if snap.voronoi is None:
+            users = snap.assoc.user_at(cells[:, None], self.ranks[cells])
+            ux, uy = snap.user_xy[users, 0], snap.user_xy[users, 1]
+        else:
+            users, ux, uy = None, self.pair_x[cells], self.pair_y[cells]
         dx, dy = self.bs_x[cells, None] - ux, self.bs_y[cells, None] - uy
         serving_sq = dx * dx + dy * dy
         far_first = serving_sq[:, 1] < serving_sq[:, 0]
         for a in (users, ux, uy, serving_sq):
-            a[far_first] = a[far_first, ::-1]
+            if a is not None:
+                a[far_first] = a[far_first, ::-1]
         fades, dist_sq, power = self.fades[:k], self.dist_sq[:k], self.power[:k]
         for row, b in zip(fades, cells.tolist()):
             self.uniform.bit_generator.advance(span * b - self.position)
@@ -276,13 +339,14 @@ def schedule_noma_users(snapshot, bs_index):
     The result is bit-identical to the cell's values in a whole-trial
     run: it depends only on (seed, trial, bs_index) and the snapshot.
     """
-    if snapshot.assoc.counts[bs_index] < 2:
+    if snapshot.counts[bs_index] < 2:
         return None
     blocks = _CellBlocks(snapshot, size=1)
     users, serving_sq, desired, interference, void_signal = blocks.powers(
         np.array([bs_index], dtype=np.intp))
     return TaggedCell(
-        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]), user_indices=users[0],
+        bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
+        user_indices=None if users is None else users[0],
         distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
         void_signal=void_signal[0], link_gains=blocks.fades[0].copy(),
         link_dist_sq=blocks.dist_sq[0].copy(),
@@ -424,11 +488,30 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
     # a fork pool starts all max_workers processes at once
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _worker_pool(workers) as pool:
         run = pool.map if pool is not None else map
         for k, part in enumerate(run(_trial_worker, jobs)):
             totals[k // n_trials].merge(part)
     return totals
+
+
+@contextmanager
+def _worker_pool(workers):
+    """A pool of `workers` processes, or None for one.
+
+    When the block raises (SystemExit on SIGTERM included), the pool
+    cancels every trial not yet started, then waits for its workers to
+    finish the trials they hold and exit.
+    """
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
@@ -506,7 +589,13 @@ class CellCensus:
 
 
 def cell_census(params, window=None, n_snapshots=100, seed=0):
-    """Empirical per-BS user-count distribution over many snapshots."""
+    """Empirical per-BS user-count distribution over many snapshots.
+
+    The counts come from build_snapshot, so from the same sampler as the
+    trials at that load.  ValueError unless n_snapshots >= 1.
+    """
+    if not n_snapshots >= 1:
+        raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots!r}")
     window = window if window is not None else default_window(params)
     hist = np.zeros(1, dtype=np.int64)
     n_bs = 0
@@ -514,7 +603,7 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     for trial in range(n_snapshots):
         snap = build_snapshot(params, window, seed, trial)
         inner = window.contains(snap.bs_xy, inner=True)
-        counts = snap.assoc.counts[inner]
+        counts = snap.counts[inner]
         n_bs += counts.size
         n_void += int(np.sum(counts == 0))
         local = np.bincount(counts)

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -343,6 +345,66 @@ class TestCliSweep:
         assert code == 2
         assert text == ""
         assert f"config field '{field}'" in capsys.readouterr().err
+
+
+    def test_sigterm_ends_the_sweep_and_its_workers(self, tmp_path):
+        # SIGTERM mid-run: the command exits nonzero, and the pool's two
+        # workers exit with it instead of living on with parent PID 1
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("the worker processes are found through /proc")
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("a one-CPU machine runs the trials without workers")
+        cfg = {"tiers": TOY_CONFIG["tiers"], "user_intensity": 8e-4, "beta": 0.75,
+               "n_trials": 10_000, "n_jobs": 2}
+        env = dict(os.environ, PYTHONPATH=str(Path(hetnoma.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hetnoma.cli", "sweep", "--config",
+             write_config(tmp_path, cfg), "--out", str(tmp_path / "sweep.csv")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            assert len(workers) == 2, "the sweep never started its two workers"
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) != 0
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            for pid in [proc.pid] + workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+
+
+def _stat(pid):
+    """(state, parent pid) of a process from /proc, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text[text.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def _children(pid):
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 class TestCliOptimizeBeta:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, Voronoi, cKDTree
+from scipy.stats import chisquare
 
+from hetnoma import geometry
 from hetnoma.geometry import (
     Window,
     associate,
+    clipped_voronoi,
     default_window,
     sample_ppp,
 )
@@ -160,3 +164,84 @@ class TestAssociate:
         again = associate(bs_xy, user_xy)
         assert np.array_equal(again.serving, assoc.serving)
         assert np.array_equal(again.counts, assoc.counts)
+
+
+def full_mirror_areas(xy, window):
+    """Clipped cell areas from a Voronoi diagram of xy and its 8 mirror images.
+
+    The mirrors across both edges at a corner are included too, so that
+    every cell of xy is bounded by its own mirrors whatever the strip.
+    """
+    hw = window.half_width
+    images = [xy]
+    for sx in (-1, 0, 1):
+        for sy in (-1, 0, 1):
+            if sx or sy:
+                image = xy.copy()
+                if sx:
+                    image[:, 0] = 2.0 * sx * hw - image[:, 0]
+                if sy:
+                    image[:, 1] = 2.0 * sy * hw - image[:, 1]
+                images.append(image)
+    vor = Voronoi(np.concatenate(images))
+    return np.array([ConvexHull(vor.vertices[vor.regions[vor.point_region[b]]]).volume
+                     for b in range(len(xy))])
+
+
+class TestClippedVoronoi:
+    WINDOW = Window(half_width=1000.0, margin=100.0)
+
+    def points(self, seed, n=300):
+        return rng(seed).uniform(-1000.0, 1000.0, size=(n, 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_areas_match_full_mirror_voronoi(self, seed):
+        xy = self.points(seed)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        reference = full_mirror_areas(xy, self.WINDOW)
+        assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
+        assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
+
+    def test_narrow_strip_widens_until_exact(self, monkeypatch):
+        # a strip of about 1 m leaves the boundary cells unbounded: the
+        # check fails, and the strip doubles until the cells are exact
+        monkeypatch.setattr(geometry, "VORONOI_STRIP_CELL_RADII", 0.02)
+        calls = []
+        fans = geometry._voronoi_fans
+
+        def counting(points, n, half_width):
+            result = fans(points, n, half_width)
+            calls.append(result is not None)
+            return result
+
+        monkeypatch.setattr(geometry, "_voronoi_fans", counting)
+        xy = self.points(4)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        assert calls[0] is False and calls[-1] is True and len(calls) > 2
+        reference = full_mirror_areas(xy, self.WINDOW)
+        assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
+
+    def test_single_point_owns_the_window(self):
+        cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
+        assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)
+
+    def test_no_points_fails(self):
+        with pytest.raises(ValueError):
+            clipped_voronoi(np.zeros((0, 2)), self.WINDOW)
+
+    def test_sampled_points_lie_in_their_cells(self):
+        xy = self.points(5)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        owners = np.repeat(np.arange(len(xy)), 20)
+        points = cells.sample(owners, rng(6).random((len(owners), 3)))
+        assert self.WINDOW.contains(points).all()
+        assert np.array_equal(cKDTree(xy).query(points)[1], owners)
+
+    def test_samples_uniform_over_a_cell(self):
+        # one point owns the whole window: 40,000 samples over a 4 x 4
+        # grid of equal squares, chi-square against uniform
+        cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
+        points = cells.sample(np.zeros(40_000, dtype=np.intp), rng(8).random((40_000, 3)))
+        square = np.floor((points + 1000.0) / 500.0).astype(int)
+        counts = np.bincount(square[:, 0] * 4 + square[:, 1], minlength=16)
+        assert chisquare(counts).pvalue > 0.001

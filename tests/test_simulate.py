@@ -10,14 +10,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.spatial import cKDTree
+from scipy.stats import chi2_contingency, chisquare
 
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
-from hetnoma.geometry import Window
+from hetnoma.geometry import Window, clipped_voronoi, sample_ppp
 from hetnoma.simulate import (
     _STREAM_FADES,
     _STREAM_PAIRS,
+    _STREAM_POINTS,
     SCHEMES,
     CoverageEstimate,
     SimulationError,
@@ -35,6 +37,7 @@ from hetnoma.simulate import (
     run_trials,
     schedule_noma_users,
     snapshot_from_points,
+    tessellates,
 )
 from hetnoma.sweeps import analytic_pairs, table1_params
 
@@ -66,6 +69,34 @@ def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0):
     bs = [[0.0, 0.0]] + [list(b) for b in extra_bs]
     window = Window(half_width=4000.0, margin=10.0)
     return params, snapshot_from_points(params, window, [bs], users)
+
+
+def assert_cell_draws_independent_of_block_and_cap(snap):
+    """A cell's pair, fades and received powers are the same bits when it
+    is computed alone, at any position of a block of any size, or among
+    any subset of the trial's cells (as a cap leaves)."""
+    cells = snap.tagged_cells()
+    assert len(cells) > 20
+    alone = {int(b): schedule_noma_users(snap, b) for b in cells}
+    subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
+    for subset in subsets:
+        for size in (None, 1, 4, 7):
+            blocks = simulate._CellBlocks(snap, size=size)
+            for start in range(0, len(subset), blocks.size):
+                part = subset[start:start + blocks.size]
+                users, serving_sq, desired, interference, void = blocks.powers(part)
+                for m, b in enumerate(part.tolist()):
+                    cell = alone[b]
+                    if users is None:
+                        assert cell.user_indices is None
+                    else:
+                        assert np.array_equal(users[m], cell.user_indices)
+                    assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
+                    assert np.array_equal(blocks.fades[m], cell.link_gains)
+                    assert np.array_equal(blocks.dist_sq[m], cell.link_dist_sq)
+                    assert np.array_equal(desired[m], cell.desired)
+                    assert np.array_equal(interference[m], cell.interference)
+                    assert np.array_equal(void[m], cell.void_signal)
 
 
 class TestBuildSnapshot:
@@ -168,29 +199,9 @@ class TestScheduleNomaUsers:
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
 
     def test_cell_draws_independent_of_block_and_cap(self):
-        # a cell's pair, fades and received powers are the same bits when
-        # it is computed alone, at any position of a block of any size,
-        # or among any subset of the trial's cells (as a cap leaves)
-        p = toy_params(mu=2e-4)
-        snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=2)
-        cells = snap.tagged_cells()
-        alone = {int(b): schedule_noma_users(snap, b) for b in cells}
-        subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
-        for subset in subsets:
-            for size in (None, 1, 4, 7):
-                blocks = simulate._CellBlocks(snap, size=size)
-                for start in range(0, len(subset), blocks.size):
-                    part = subset[start:start + blocks.size]
-                    users, serving_sq, desired, interference, void = blocks.powers(part)
-                    for m, b in enumerate(part.tolist()):
-                        cell = alone[b]
-                        assert np.array_equal(users[m], cell.user_indices)
-                        assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
-                        assert np.array_equal(blocks.fades[m], cell.link_gains)
-                        assert np.array_equal(blocks.dist_sq[m], cell.link_dist_sq)
-                        assert np.array_equal(desired[m], cell.desired)
-                        assert np.array_equal(interference[m], cell.interference)
-                        assert np.array_equal(void[m], cell.void_signal)
+        snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
+        assert snap.assoc is not None
+        assert_cell_draws_independent_of_block_and_cap(snap)
 
     def test_draw_layout(self):
         # pairs: one draw per BS from the trial's pair stream; fades: BS b's
@@ -471,3 +482,110 @@ class TestCellCensus:
         assert census.void_fraction == pytest.approx(1.0 - q, abs=0.02)
         assert census.count_histogram.sum() == census.n_bs
         assert census.count_histogram[0] == census.n_void
+
+    @pytest.mark.parametrize("n_snapshots", [0, -3])
+    def test_rejects_no_snapshots(self, monkeypatch, n_snapshots):
+        def no_snapshot(*args, **kwargs):
+            raise AssertionError("sampled before n_snapshots was rejected")
+
+        monkeypatch.setattr(simulate, "build_snapshot", no_snapshot)
+        with pytest.raises(ValueError, match="n_snapshots"):
+            cell_census(toy_params(), TOY_WINDOW, n_snapshots=n_snapshots)
+
+
+@pytest.fixture
+def tessellated(monkeypatch):
+    """Every build_snapshot takes its counts from clipped Voronoi cell areas."""
+    monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
+
+
+def z_score(a, b, n_a, n_b):
+    """Two-sample z of the proportions a and b (pooled variance)."""
+    pooled = (a * n_a + b * n_b) / (n_a + n_b)
+    return (a - b) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
+
+
+class TestTessellationSampler:
+    def test_chosen_by_load(self):
+        lam = table1_params().total_intensity
+        assert not tessellates(table1_params())  # 9.8 users per BS
+        assert tessellates(table1_params(user_intensity=2e-3))  # 39
+        assert not tessellates(toy_params())  # 4
+        at = simulate.TESSELLATION_MIN_USERS_PER_BS
+        assert tessellates(table1_params(user_intensity=at * lam))
+        assert not tessellates(table1_params(user_intensity=0.999 * at * lam))
+
+    def test_draw_layout(self):
+        # points: the BS tiers, then Poisson(mu x clipped cell area) per BS;
+        # pairs: three uniforms per user of every BS, in global BS order
+        p = toy_params(mu=8e-3)
+        assert tessellates(p)
+        snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
+        assert snap.assoc is None and snap.user_xy is None
+        rng = _stream(19, 3, _STREAM_POINTS)
+        bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
+        assert np.array_equal(snap.bs_xy, bs_xy)
+        cells = clipped_voronoi(bs_xy, TOY_WINDOW)
+        assert np.array_equal(snap.voronoi.areas, cells.areas)
+        assert np.array_equal(snap.counts, rng.poisson(p.user_intensity * cells.areas))
+        u = _stream(19, 3, _STREAM_PAIRS).random((snap.n_bs, 2, 3))
+        pair_xy = cells.sample(np.arange(snap.n_bs)[:, None], u)
+        blocks = simulate._CellBlocks(snap)
+        assert np.array_equal(blocks.pair_x, pair_xy[..., 0])
+        assert np.array_equal(blocks.pair_y, pair_xy[..., 1])
+
+    def test_pair_points_are_served_by_their_bs(self, tessellated):
+        snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
+        blocks = simulate._CellBlocks(snap)
+        points = np.stack([blocks.pair_x, blocks.pair_y], axis=-1).reshape(-1, 2)
+        assert snap.window.contains(points).all()
+        serving = np.repeat(np.arange(snap.n_bs), 2)
+        assert np.array_equal(cKDTree(snap.bs_xy).query(points)[1], serving)
+
+    def test_cell_draws_independent_of_block_and_cap(self, tessellated):
+        snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
+        assert snap.voronoi is not None
+        assert_cell_draws_independent_of_block_and_cap(snap)
+
+    def test_deterministic_and_parallel_equivalence(self, tessellated):
+        p = toy_params()
+        a = run_trials(p, TOY_WINDOW, n_trials=4, seed=21)
+        b = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, n_jobs=2)
+        assert np.array_equal(a.successes, b.successes)
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.sum_near_dist_sq, b.sum_near_dist_sq)
+        assert np.array_equal(a.sum_far_dist_sq, b.sum_far_dist_sq)
+        assert (a.successes[0, 1] >= a.successes[0, 0]).all()
+
+    @pytest.mark.parametrize("mu", [2e-4, 8e-4])
+    def test_census_agrees_with_association(self, monkeypatch, mu):
+        # same seed, so the same BSs: only the user counts differ in law
+        p = toy_params(mu=mu)
+        associated = cell_census(p, TOY_WINDOW, n_snapshots=40, seed=61)
+        monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
+        tessellated = cell_census(p, TOY_WINDOW, n_snapshots=40, seed=61)
+        assert tessellated.n_bs == associated.n_bs
+        z = z_score(tessellated.void_fraction, associated.void_fraction,
+                    tessellated.n_bs, associated.n_bs)
+        assert abs(z) <= 3.0
+        # counts 0..7 and a pooled tail, as a 2 x 9 contingency table
+        table = np.zeros((2, 9), dtype=np.int64)
+        for row, census in enumerate((associated, tessellated)):
+            hist = census.count_histogram
+            table[row, :8] = np.pad(hist, (0, max(0, 8 - hist.size)))[:8]
+            table[row, 8] = hist[8:].sum()
+        table = table[:, table.min(axis=0) > 0]
+        assert chi2_contingency(table).pvalue > 0.001
+
+    def test_coverage_agrees_with_association(self, monkeypatch):
+        p = toy_params()
+        associated = run_trials(p, TOY_WINDOW, n_trials=8, seed=63)
+        monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
+        tessellated = run_trials(p, TOY_WINDOW, n_trials=8, seed=63)
+        n_a, n_t = associated.samples[0], tessellated.samples[0]
+        assert n_t == pytest.approx(n_a, rel=0.1)
+        for s in range(2):
+            for r in range(2):
+                z = z_score(tessellated.successes[0, s, r] / n_t,
+                            associated.successes[0, s, r] / n_a, n_t, n_a)
+                assert abs(z) <= 3.0
