@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from .config import ConfigError, load_config
 from .coverage import cell_load_model, coverage_coop, coverage_noncoop, decoding_thresholds
 from .kernels import KernelEvaluator
-from .simulate import check_point_budget, run_trials
+from .simulate import run_trials
 from .sweeps import comparison_rows, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
@@ -96,11 +96,6 @@ def cmd_analytic(cfg, out):
 def cmd_sim(cfg, out):
     """Monte Carlo estimates at the configured scenario point."""
     params = cfg.params
-    try:
-        check_point_budget(params, cfg.window)
-    except ValueError as exc:
-        # the closed forms take such a point; only simulating it is refused
-        raise ConfigError("user_intensity", str(exc)) from exc
     totals = run_trials(
         params, cfg.window, cfg.n_trials, seed=cfg.seed,
         max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,

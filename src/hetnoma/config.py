@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coverage import NetworkParams, TierParams
 from .geometry import Window
 from .simulate import SCHEMES, check_point_budget
-from .sweeps import SWEEP_VARIABLES, apply_sweep_value, default_user_intensity_grid
+from .sweeps import DEFAULT_USER_INTENSITY_GRID, SWEEP_VARIABLES, apply_sweep_value
 
 _TOP_KEYS = {
     "tiers", "user_intensity", "pathloss_exponent", "sir_threshold", "beta",
@@ -43,15 +43,16 @@ class ScenarioConfig:
     """One run: base scenario, swept variable and grid, schemes, simulation budget.
 
     Invalid fields raise ConfigError naming the config field.  Every grid
-    value must be one the swept variable can take in this scenario, and
-    one the simulator can sample (simulate.check_point_budget, on the
-    configured window or the point's default one).
+    value must be one the swept variable can take in this scenario.  The
+    scenario point ("window") and every grid point must be one the
+    simulator can sample (simulate.check_point_budget, on the configured
+    window or the point's default one).
     """
 
     params: NetworkParams
     schemes: tuple = SCHEMES
     sweep_variable: str = "user_intensity"
-    sweep_grid: tuple = field(default_factory=default_user_intensity_grid)
+    sweep_grid: tuple = DEFAULT_USER_INTENSITY_GRID
     seed: int = 1
     n_trials: int = 20
     window: Window = None
@@ -75,6 +76,10 @@ class ScenarioConfig:
         grid = tuple(_number(v, f"sweep.grid[{i}]") for i, v in enumerate(self.sweep_grid))
         if any(lo >= hi for lo, hi in zip(grid, grid[1:])):
             raise ConfigError("sweep.grid", "must be strictly increasing")
+        try:
+            check_point_budget(self.params, self.window)
+        except ValueError as exc:
+            raise ConfigError("window", str(exc)) from exc
         for i, value in enumerate(grid):
             try:
                 check_point_budget(apply_sweep_value(self.params, self.sweep_variable, value),

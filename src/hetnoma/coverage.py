@@ -199,25 +199,26 @@ def _coop_extrapolated(theta, beta_m):
     return beta_m < (1.0 + theta) / (2.0 + theta)
 
 
-def _far_coverage(exponent):
-    return 2.0 / ((1.0 + exponent) * (2.0 + exponent))
-
-
 def coverage_noncoop(params, tier, evaluator=None):
     """Near/far coverage of a tier-`tier` cell without BS cooperation."""
-    thr = decoding_thresholds(params.sir_threshold, params.beta[tier])
-    if not thr.valid:
-        return CoveragePair(0.0, 0.0)
-    ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
-    q = cell_load_model(params).nonvoid_prob
-    k_near = ev.interference_kernel(tier, thr.near_threshold)
-    near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
-    far = _far_coverage(q * ev.interference_kernel(tier, thr.far_threshold))
-    return CoveragePair(near, far)
+    return coverage_pair(params, tier, "noncoop", evaluator)
 
 
 def coverage_coop(params, tier, evaluator=None):
     """Near/far coverage when void cells jointly transmit the far signal."""
+    return coverage_pair(params, tier, "coop", evaluator)
+
+
+def coverage_pair(params, tier, scheme, evaluator=None):
+    """Near/far coverage of one tier under the scheme named "noncoop" or "coop".
+
+    The schemes differ in two places only: the near user's threshold,
+    max(far, theta/(1-beta)) without cooperation and theta/(1-beta) with
+    it, and the far exponent, from which cooperation subtracts the void
+    cells' gain.
+    """
+    if scheme not in ("noncoop", "coop"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     theta = params.sir_threshold
     beta = params.beta[tier]
     thr = decoding_thresholds(theta, beta)
@@ -225,22 +226,16 @@ def coverage_coop(params, tier, evaluator=None):
         return CoveragePair(0.0, 0.0)
     ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
     q = cell_load_model(params).nonvoid_prob
-    extrapolated = _coop_extrapolated(theta, beta)
-    k_near = ev.interference_kernel(
-        tier, math.inf if beta == 1.0 else theta / (1.0 - beta)
-    )
-    near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
-    exponent = ev.combined_kernel(tier, thr.far_threshold, thr.far_threshold / theta, q)
-    return CoveragePair(near, _far_coverage(exponent), extrapolated)
-
-
-def coverage_pair(params, tier, scheme, evaluator=None):
-    """Near/far coverage of one tier under the scheme named "noncoop" or "coop"."""
-    if scheme == "noncoop":
-        return coverage_noncoop(params, tier, evaluator)
     if scheme == "coop":
-        return coverage_coop(params, tier, evaluator)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        near_arg = math.inf if beta == 1.0 else theta / (1.0 - beta)
+        far_exp = ev.combined_kernel(tier, thr.far_threshold, thr.far_threshold / theta, q)
+    else:
+        near_arg = thr.near_threshold
+        far_exp = q * ev.interference_kernel(tier, thr.far_threshold)
+    k_near = ev.interference_kernel(tier, near_arg)
+    near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
+    far = 2.0 / ((1.0 + far_exp) * (2.0 + far_exp))
+    return CoveragePair(near, far, scheme == "coop" and _coop_extrapolated(theta, beta))
 
 
 def average_coverage(params, tier, scheme, evaluator=None):

@@ -194,10 +194,6 @@ class KernelEvaluator:
             alpha=params.pathloss_exponent,
         )
 
-    @property
-    def n_tiers(self):
-        return len(self.powers)
-
     def interference_kernel(self, m, x):
         """Mean-interference kernel of tier m at normalized threshold x.
 

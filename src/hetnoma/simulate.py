@@ -85,9 +85,9 @@ BLOCK_BYTES = 2**19
 # item 4 has the measurements).
 TESSELLATION_MIN_USERS_PER_BS = 19.0
 
-# Ceiling on the expected number of points (users plus BSs) one snapshot
-# samples: far above the stock scenarios (about 8e4 at 2e-3 users/m^2),
-# far below what runs a machine out of memory.
+# Ceiling on the expected number of points (BSs, plus users where they are
+# placed) one snapshot samples: far above the at most 20 x 2,000 that the
+# default window holds, far below what runs a machine out of memory.
 MAX_EXPECTED_POINTS = 5e6
 
 
@@ -98,13 +98,16 @@ class SimulationError(RuntimeError):
 def check_point_budget(params, window=None):
     """Reject a scenario whose snapshots would hold too many points.
 
-    The expected count is (user_intensity + sum of tier intensities) x
-    window area, on default_window(params) when no window is given.  Raises
-    ValueError when it exceeds MAX_EXPECTED_POINTS.
+    A snapshot places the BSs, and the users only below
+    TESSELLATION_MIN_USERS_PER_BS users per BS (see tessellates).  The
+    expected count of those points is their intensity times the window
+    area, on default_window(params) when no window is given; it raises
+    ValueError when over MAX_EXPECTED_POINTS.  The default window holds
+    about DEFAULT_EXPECTED_BS BSs, so only an explicit window can go over.
     """
     window = window if window is not None else default_window(params)
-    users = params.user_intensity * window.area
-    expected = (params.user_intensity + params.total_intensity) * window.area
+    users = 0.0 if tessellates(params) else params.user_intensity * window.area
+    expected = params.total_intensity * window.area + users
     if not expected <= MAX_EXPECTED_POINTS:
         raise ValueError(
             f"a snapshot would hold {expected:.3g} points in expectation ({users:.3g} users), "

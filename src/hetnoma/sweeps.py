@@ -47,8 +47,12 @@ def table1_params(pico_intensity=PICO_INTENSITY_LOW, user_intensity=TABLE1_USER_
     )
 
 
-def default_user_intensity_grid(n_points=8, low=5e-5, high=1e-3):
-    return tuple(float(v) for v in np.geomspace(low, high, n_points))
+DEFAULT_USER_INTENSITY_GRID = tuple(float(v) for v in np.geomspace(5e-5, 1e-3, 8))
+
+
+def default_user_intensity_grid():
+    """DEFAULT_USER_INTENSITY_GRID, under the name the acceptance tests import."""
+    return DEFAULT_USER_INTENSITY_GRID
 
 
 def apply_sweep_value(params, variable, value):

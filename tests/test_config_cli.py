@@ -42,6 +42,14 @@ TOY_CONFIG = {
     "kernel_mode": "appendix",
 }
 
+STOCK_TIERS = [
+    {"power_watts": 20.0, "intensity": 1e-6},
+    {"power_watts": 2.0, "intensity": 5e-5},
+]
+# the stock scenario on a 4e5 m wide window: 8.16e6 BSs and 8e7 users
+OVERSIZED_CONFIG = {"tiers": STOCK_TIERS, "user_intensity": 5e-4,
+                    "window": {"half_width": 2e5, "margin": 100.0}}
+
 
 def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
@@ -270,18 +278,20 @@ class TestCliSim:
             raise AssertionError("sampled before checking the point count")
 
         monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
-        # 1 user/m^2 on the default window of the stock tiers: about 4e7 users
-        path = write_config(tmp_path, {
-            "tiers": [
-                {"power_watts": 20.0, "intensity": 1e-6},
-                {"power_watts": 2.0, "intensity": 5e-5},
-            ],
-            "user_intensity": 1.0,
-        })
-        code, text = run_cli(["sim", "--config", path])
-        assert code == 2
-        assert text == ""
-        assert "config field 'user_intensity': a snapshot would hold" in capsys.readouterr().err
+        path = write_config(tmp_path, OVERSIZED_CONFIG)
+        # the config is refused as a whole, also by the commands that do not simulate
+        for command in ("sim", "analytic", "sweep", "optimize-beta"):
+            code, text = run_cli([command, "--config", path])
+            assert code == 2
+            assert text == ""
+            assert "config field 'window': a snapshot would hold" in capsys.readouterr().err
+
+    def test_dense_scenario_on_default_window_simulates(self, tmp_path):
+        # 1 user/m^2 on the stock tiers: 2e4 users per BS, none of them placed
+        path = write_config(tmp_path, {"tiers": STOCK_TIERS, "user_intensity": 1.0})
+        code, text = run_cli(["sim", "--config", path, "--trials", "1"])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 8
 
     def test_unwritable_output_reports_path(self, tmp_path, capsys):
         path = write_config(tmp_path, TOY_CONFIG)
@@ -325,22 +335,27 @@ class TestCliSweep:
         n_samples = int(row[7])
         assert n_samples < 400  # one toy trial collects far fewer cells
 
-    @pytest.mark.parametrize("sweep, tiers, field", [
-        ({"variable": "beta", "grid": [0.75, 1.5]}, None, "sweep.grid[1]"),
-        ({"variable": "user_intensity", "grid": [-1e-4, 8e-4]}, None, "sweep.grid[0]"),
-        ({"variable": "pico_intensity", "grid": [1e-4, 2e-4]}, 1, "sweep.grid[0]"),
-        ({"variable": "user_intensity", "grid": [8e-4, 10.0]}, None, "sweep.grid[1]"),
+    @pytest.mark.parametrize("update, field", [
+        ({"sweep": {"variable": "beta", "grid": [0.75, 1.5]}}, "sweep.grid[1]"),
+        ({"sweep": {"variable": "user_intensity", "grid": [-1e-4, 8e-4]}}, "sweep.grid[0]"),
+        ({"sweep": {"variable": "pico_intensity", "grid": [1e-4, 2e-4]},
+          "tiers": TOY_CONFIG["tiers"][:1], "beta": 0.75}, "sweep.grid[0]"),
+        # the stock tiers on an 8e4 m wide window: at 9e-4 users/m^2 (17.6
+        # users per BS, all placed) the point holds 6.1e6 points
+        ({"sweep": {"variable": "user_intensity", "grid": [5e-4, 9e-4]},
+          "tiers": STOCK_TIERS, "user_intensity": 5e-4,
+          "window": {"half_width": 4e4, "margin": 100.0}}, "sweep.grid[1]"),
+        # 1.5e7 BSs on the toy window
+        ({"sweep": {"variable": "pico_intensity", "grid": [1.8e-4, 10.0]}}, "sweep.grid[1]"),
     ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier",
-            "user_intensity_over_point_limit"])
+            "user_intensity_over_point_limit", "pico_intensity_over_point_limit"])
     def test_grid_value_the_variable_cannot_take_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                          sweep, tiers, field):
+                                                          update, field):
         def no_trials(*args, **kwargs):
             raise AssertionError("simulated before rejecting the grid")
 
         monkeypatch.setattr(sweeps, "run_trial_sets", no_trials)
-        cfg = dict(TOY_CONFIG, sweep=sweep)
-        if tiers is not None:
-            cfg.update(tiers=TOY_CONFIG["tiers"][:tiers], beta=0.75)
+        cfg = dict(TOY_CONFIG, **update)
         code, text = run_cli(["sweep", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert text == ""

@@ -128,12 +128,22 @@ class TestBuildSnapshot:
             raise AssertionError("sampled before checking the point count")
 
         monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
-        # 10 users/m^2 on the 1e6 m^2 toy window: 1e7 expected points
-        with pytest.raises(ValueError, match="1e\\+07 points in expectation"):
-            build_snapshot(toy_params(mu=10.0), TOY_WINDOW, seed=0, trial=0)
-        with pytest.raises(ValueError, match="above the simulator's limit"):
-            check_point_budget(table1_params(user_intensity=1.0))
-        check_point_budget(table1_params(user_intensity=2e-3))  # 78k points: allowed
+        # the stock tiers on a 4e5 m wide window: 8.16e6 BSs, plus 8e7 users
+        # where they are placed
+        wide = Window(half_width=2e5, margin=100.0)
+        with pytest.raises(ValueError, match="8.82e\\+07 points in expectation"):
+            build_snapshot(table1_params(), wide, seed=0, trial=0)
+        with pytest.raises(ValueError, match="8.16e\\+06 points .* above the simulator's limit"):
+            check_point_budget(table1_params(user_intensity=2e-3), wide)
+        check_point_budget(table1_params(user_intensity=5e-4))  # 2.2e4 points: allowed
+
+    def test_point_budget_counts_only_placed_points(self):
+        # 5e4 users per BS: the tessellation places none of the 1.5e7 users
+        check_point_budget(table1_params(user_intensity=1.0))
+        snap = build_snapshot(toy_params(mu=10.0), TOY_WINDOW, seed=0, trial=0)
+        assert snap.user_xy is None and snap.assoc is None
+        assert 100 < snap.n_bs < 400
+        assert snap.counts.sum() > 1e6
 
     def test_void_fraction_tracks_load_model(self):
         p = toy_params()

@@ -8,12 +8,12 @@ from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
 from hetnoma.sweeps import (
+    DEFAULT_USER_INTENSITY_GRID,
     PICO_INTENSITY_HIGH,
     PICO_INTENSITY_LOW,
     ComparisonRow,
     analytic_pairs,
     apply_sweep_value,
-    default_user_intensity_grid,
     max_abs_gap,
     run_beta_scan,
     run_sweep,
@@ -58,7 +58,7 @@ class TestPresets:
         assert dense.tiers[1].intensity == 5e-4
 
     def test_default_grid(self):
-        grid = default_user_intensity_grid()
+        grid = DEFAULT_USER_INTENSITY_GRID
         assert len(grid) == 8
         assert grid[0] == pytest.approx(5e-5) and grid[-1] == pytest.approx(1e-3)
         assert all(lo < hi for lo, hi in zip(grid, grid[1:]))
