@@ -495,3 +495,52 @@ class TestCliOptimizeBeta:
         assert line.startswith(b"tier 1 noncoop: beta* = ")
         assert proc.returncode == 1
         assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+
+
+# The scenario config of the README, run with --trials 2.  Its sweep grid
+# reaches 1e-3 users/m^2 (19.6 users per BS), where snapshots come from
+# the tessellation sampler; the other points associate every user.
+README_CONFIG = {
+    "tiers": STOCK_TIERS,
+    "user_intensity": 5e-4,
+    "pathloss_exponent": 4.0,
+    "sir_threshold": 1.0,
+    "beta": 0.75,
+    "schemes": ["noncoop", "coop"],
+    "sweep": {"variable": "user_intensity", "grid": [5e-5, 1e-4, 2e-4, 5e-4, 1e-3]},
+    "seed": 1,
+    "n_trials": 100,
+}
+
+# sha256 of (stdout, --out file) per (command, with --out).  Like the float
+# hex pins of test_simulate, these hold for numpy 2.4.6 and scipy 1.17.1:
+# another version may draw or round differently.
+CLI_DIGESTS = {
+    ("analytic", False): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
+    ("analytic", True): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
+    ("sim", False): ("332e7f640d573b51cfc77db88e999ffc9ed3f811fd83d84e1f488c61575d7739", None),
+    ("sim", True): ("b6cd70dfa19cb0fee31ec02dd2bd43bcf9debfc1048e3ce55602255420f5b960",
+                    "332e7f640d573b51cfc77db88e999ffc9ed3f811fd83d84e1f488c61575d7739"),
+    ("sweep", False): ("8707a98c9e65126b86022f791c416c09c7b2cab9e64fdeb3bef491e613ea1044", None),
+    ("sweep", True): ("747dd38b3e8822edcd6730a12f7eb915961da4a9613e614b6e8fd40bfb50d35a",
+                      "ff65f0e06960664a21c0ec3d4914fb06b15eb0980a1ceebaba6481ea9d39fdee"),
+    ("optimize-beta", False): ("4eebc2f830d0980e1264b669d682addedbffa577896958923321cb74bd943e79",
+                               None),
+    ("optimize-beta", True): ("5fb391573a0fce763eae22ea6d92bd071e417f1b716af777b241e6d846bb4d10",
+                              "929a4eaaf3e820967818c5e09291cb04e4c08557c3e5672cdf72dbdd69376d43"),
+}
+
+
+@pytest.mark.parametrize("command, to_file", list(CLI_DIGESTS),
+                         ids=[f"{c}-{'out' if f else 'stdout'}" for c, f in CLI_DIGESTS])
+def test_cli_bytes_pinned(tmp_path, monkeypatch, command, to_file):
+    # relative paths, so that the "wrote ... to out.csv" line is the same in any directory
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, README_CONFIG)
+    args = [command, "--config", "scenario.json", "--trials", "2"]
+    code, text = run_cli(args + (["--out", "out.csv"] if to_file else []))
+    assert code == 0
+    written = (tmp_path / "out.csv").read_bytes() if (tmp_path / "out.csv").exists() else None
+    digests = (hashlib.sha256(text.encode()).hexdigest(),
+               None if written is None else hashlib.sha256(written).hexdigest())
+    assert digests == CLI_DIGESTS[command, to_file]
