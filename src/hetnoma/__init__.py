@@ -31,7 +31,6 @@ from .simulate import (
     TaggedCell,
     build_snapshot,
     cell_census,
-    estimate_coverage,
     evaluate_coop,
     evaluate_noncoop,
     run_trials,
@@ -49,7 +48,7 @@ __all__ = [
     "TierParams", "Window",
     "associate", "average_coverage", "base_integral", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",
-    "decoding_thresholds", "default_window", "estimate_coverage", "evaluate_coop",
+    "decoding_thresholds", "default_window", "evaluate_coop",
     "evaluate_noncoop", "optimize_beta", "run_beta_scan",
     "run_sweep", "run_trials", "sample_ppp", "schedule_noma_users",
     "table1_params", "user_count_pmf",

@@ -136,10 +136,10 @@ def cmd_optimize_beta(cfg, out):
 
 
 _COMMANDS = {
-    "analytic": cmd_analytic,
-    "sim": cmd_sim,
-    "sweep": cmd_sweep,
-    "optimize-beta": cmd_optimize_beta,
+    "analytic": (cmd_analytic, "closed-form coverage report"),
+    "sim": (cmd_sim, "Monte Carlo coverage estimates (CSV)"),
+    "sweep": (cmd_sweep, "analytic vs simulated coverage over a grid (CSV)"),
+    "optimize-beta": (cmd_optimize_beta, "coverage-maximizing power allocation per tier/scheme"),
 }
 
 
@@ -150,12 +150,7 @@ def build_parser():
                     "closed forms, Monte Carlo validation, power-allocation search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("analytic", "closed-form coverage report"),
-        ("sim", "Monte Carlo coverage estimates (CSV)"),
-        ("sweep", "analytic vs simulated coverage over a grid (CSV)"),
-        ("optimize-beta", "coverage-maximizing power allocation per tier/scheme"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -193,7 +188,7 @@ def main(argv=None, out=None):
         overrides = {"seed": args.seed, "n_trials": args.trials, "output": args.out}
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         with _sigterm_exits():
-            code = _COMMANDS[args.command](cfg, out)
+            code = _COMMANDS[args.command][0](cfg, out)
         out.flush()
         return code
     except BrokenPipeError:

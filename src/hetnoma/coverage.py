@@ -102,17 +102,9 @@ class NetworkParams:
         lam = self.total_intensity
         return tuple(t.intensity / lam for t in self.tiers)
 
-    def with_user_intensity(self, mu):
-        return replace(self, user_intensity=mu)
-
     def with_beta(self, beta):
         """Set the power allocation factor, one value broadcast to all tiers."""
         return replace(self, beta=(float(beta),) * self.n_tiers)
-
-    def with_tier_intensity(self, tier, intensity):
-        tiers = list(self.tiers)
-        tiers[tier] = replace(tiers[tier], intensity=intensity)
-        return replace(self, tiers=tuple(tiers))
 
 
 @dataclass(frozen=True)

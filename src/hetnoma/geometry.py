@@ -63,8 +63,6 @@ def default_window(params):
     lam = params.total_intensity
     margin = DEFAULT_MARGIN_CELL_RADII / math.sqrt(math.pi * lam)
     half_width = math.sqrt(DEFAULT_EXPECTED_BS / (4.0 * lam))
-    if half_width <= margin:
-        half_width = 2.0 * margin
     return Window(half_width=half_width, margin=margin)
 
 
@@ -101,7 +99,8 @@ class Association:
         return self._order[self._starts[bs_index]:self._starts[bs_index + 1]]
 
     def user_at(self, bs_index, rank):
-        """users_of(bs_index)[rank], elementwise over arrays of BSs and ranks."""
+        """users_of(bs_index)[rank], elementwise over arrays of BSs and ranks
+        below their counts (a larger rank reads past the BS's user list)."""
         return self._order[self._starts[bs_index] + rank]
 
 
@@ -175,7 +174,11 @@ def clipped_voronoi(xy, window):
     its original, so a computed cell equals its clipped cell once the cell
     is bounded and all its vertices lie in the window.  That is checked
     for every cell; when it fails, the strip is doubled and the
-    triangulation redone.  RuntimeError if the areas miss the window area.
+    triangulation redone.  Once every point is mirrored across every edge,
+    the cells are exact by construction (the bisector of a point and its
+    mirror is that edge), so only boundedness is checked; a vertex test
+    there would reject vertices that rounding puts just outside the window.
+    RuntimeError if the areas miss the window area.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     n = len(xy)
@@ -184,11 +187,12 @@ def clipped_voronoi(xy, window):
     hw = window.half_width
     strip = VORONOI_STRIP_CELL_RADII * math.sqrt(window.area / (math.pi * n))
     while True:
-        fans = _voronoi_fans(_mirrored(xy, hw, strip), n, hw)
+        every_point = strip > 2.0 * hw
+        fans = _voronoi_fans(_mirrored(xy, hw, strip), n, None if every_point else hw)
         if fans is not None:
             break
-        if strip >= 2.0 * hw:
-            raise RuntimeError("clipped Voronoi cells are not exact with every point mirrored")
+        if every_point:
+            raise RuntimeError("clipped Voronoi cells are unbounded with every point mirrored")
         strip *= 2.0
     owner, first, second = fans
     # each cell's fans counterclockwise from the angle -pi, an order that
@@ -217,7 +221,8 @@ def _voronoi_fans(points, n, half_width):
 
     Returns (owner, first, second): Voronoi edge k of cell owner[k] runs
     counterclockwise from first[k] to second[k].  Returns None when a cell
-    of points[:n] is unbounded or has a vertex outside the window.
+    of points[:n] is unbounded or, unless half_width is None, has a vertex
+    outside the window.
     """
     tri = Delaunay(points)
     simplices, neighbors = tri.simplices.copy(), tri.neighbors.copy()
@@ -239,6 +244,7 @@ def _voronoi_fans(points, n, half_width):
     across = neighbors[t, (i + 2) % 3]
     if (across < 0).any():
         return None
-    if not (np.abs(centre[t]) <= half_width * (1.0 + VORONOI_EDGE_RTOL)).all():
+    if half_width is not None and not (
+            np.abs(centre[t]) <= half_width * (1.0 + VORONOI_EDGE_RTOL)).all():
         return None
     return simplices[t, i], centre[across], centre[t]

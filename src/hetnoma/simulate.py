@@ -1,12 +1,12 @@
 """Monte Carlo evaluation of the exact NOMA SIR decoding events.
 
-One trial samples the whole network once (BS tiers, user counts and void
-flags), then evaluates the decoding events of both schemes in every
-tagged cell: a non-void inner-region BS with at least two users, two of
-which are scheduled uniformly at random.
+One trial samples the whole network once (BS tiers, user counts, void
+flags and every BS's scheduled pair), then evaluates the decoding events
+of both schemes in every tagged cell: a non-void inner-region BS with at
+least two users, two of which are scheduled uniformly at random.
 
-A snapshot gets its user counts from one of two samplers, chosen by the
-load user_intensity / total_intensity (users per BS):
+A snapshot gets its user counts and pairs from one of two samplers,
+chosen by the load user_intensity / total_intensity (users per BS):
 
   * association, below TESSELLATION_MIN_USERS_PER_BS: every user of the
     PPP is placed and attached to its nearest BS; the pair is two of the
@@ -17,6 +17,10 @@ load user_intensity / total_intensity (users per BS):
     users in a cell form a PPP of that intensity on the cell, so both
     samplers give counts and pairs of the same law; this one costs the
     same at any load.
+
+Either way the snapshot hands out each BS's pair as coordinates, the near
+user (the nearer of the two) first, and nothing after it knows which
+sampler ran.
 
 Every random draw of a trial comes from one of four streams keyed by
 (seed, trial, purpose):
@@ -40,7 +44,7 @@ only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
 nothing in the cells it keeps; and both schemes are evaluated on the same
 fades (the serving link's fade is its block's column at the serving BS),
 which makes each cooperative event a superset of the non-cooperative one
-cell by cell.  The near user is the nearer of the pair.
+cell by cell.
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
@@ -130,9 +134,9 @@ class NetworkSnapshot:
 
     counts[b] is the number of users BS b serves, and nonvoid[b] is True
     iff it is positive (the indicator that the BS transmits).  Global BS
-    indices concatenate the tiers in order.  The association sampler sets
-    user_xy and assoc; the tessellation sampler places no users and sets
-    voronoi, the BSs' window-clipped Voronoi cells, instead.
+    indices concatenate the tiers in order.  pair_xy[b], of shape (2, 2),
+    holds the coordinates of the two users BS b schedules, the near user
+    first; it is NaN where the association sampler found fewer than two.
     """
 
     params: object
@@ -140,9 +144,7 @@ class NetworkSnapshot:
     seed: object
     trial: int
     counts: np.ndarray
-    user_xy: np.ndarray = field(repr=False)
-    assoc: object = field(repr=False)
-    voronoi: object = field(repr=False)
+    pair_xy: np.ndarray = field(repr=False)
     bs_xy: np.ndarray = field(repr=False)
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
@@ -161,27 +163,44 @@ class NetworkSnapshot:
 
 
 def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
-    """Flatten the tiers into global BS arrays and give every BS its users.
+    """Flatten the tiers into global BS arrays; give every BS its users and pair.
 
     With user_xy, the users are associated.  Without, counts[b] is drawn
     from rng as Poisson(user_intensity x area of the clipped cell of b).
     """
     bs_xy = np.concatenate(bs_per_tier)
+    n_bs = len(bs_xy)
     bs_tier = np.concatenate(
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
     powers = np.array([t.power_watts for t in params.tiers])
-    assoc = voronoi = None
+    pairs = _stream(seed, trial, _STREAM_PAIRS)
     if user_xy is not None:
         assoc = associate(bs_xy, user_xy)
         counts = assoc.counts
+        # ranks of each BS's pair within its user list: i uniform over
+        # c = max(count, 2) ranks, j over the c - 1 others
+        c = np.maximum(counts, 2)
+        i = pairs.integers(0, c)
+        j = pairs.integers(0, c - 1)
+        j += j >= i
+        ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        pair_xy = np.full((n_bs, 2, 2), np.nan)
+        has = np.flatnonzero(counts >= 2)
+        pair_xy[has] = user_xy[assoc.user_at(has[:, None], ranks[has])]
     else:
         voronoi = clipped_voronoi(bs_xy, window)
         counts = rng.poisson(params.user_intensity * voronoi.areas)
+        # two i.i.d. uniform points in each BS's cell, three uniforms each
+        pair_xy = voronoi.sample(np.arange(n_bs)[:, None], pairs.random((n_bs, 2, 3)))
+    # near user first; an exact tie keeps the lower rank (the first draw) first
+    dx, dy = bs_xy[:, None, 0] - pair_xy[..., 0], bs_xy[:, None, 1] - pair_xy[..., 1]
+    serving_sq = dx * dx + dy * dy
+    far_first = serving_sq[:, 1] < serving_sq[:, 0]
+    pair_xy[far_first] = pair_xy[far_first, ::-1]
     return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial, counts=counts, user_xy=user_xy,
-        assoc=assoc, voronoi=voronoi, bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier],
-        nonvoid=counts > 0,
+        params=params, window=window, seed=seed, trial=trial, counts=counts, pair_xy=pair_xy,
+        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=counts > 0,
     )
 
 
@@ -224,9 +243,8 @@ def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial
 class TaggedCell:
     """A serving BS with its two scheduled users, fading draws and received powers.
 
-    Users are ordered so that the near user is index 0; every per-receiver
-    array has the near receiver first.  user_indices is None when the
-    snapshot places no users (the tessellation sampler).  link_gains and
+    Every per-receiver array has the near receiver first, as the
+    snapshot's pair_xy[bs_index] orders the two users.  link_gains and
     link_dist_sq have shape (2, n_bs) with columns in global BS order; the
     serving link's fade is link_gains[:, bs_index].  desired is the
     full-power serving signal P_m * H * d^-alpha, interference sums the
@@ -236,7 +254,6 @@ class TaggedCell:
 
     bs_index: int
     tier: int
-    user_indices: np.ndarray
     distances: np.ndarray
     desired: np.ndarray
     interference: np.ndarray
@@ -246,7 +263,7 @@ class TaggedCell:
 
 
 class _CellBlocks:
-    """One trial's scheduled pairs, fade stream and block buffers.
+    """One trial's fade stream and block buffers.
 
     powers(cells) evaluates up to `size` tagged cells, given in increasing
     BS order across calls, into the first rows of the buffers.  bs_x and
@@ -266,42 +283,18 @@ class _CellBlocks:
         self.fades = np.empty((self.size, 2, n_bs))
         self.dist_sq = np.empty((self.size, 2, n_bs))
         self.power = np.empty((self.size, 2, n_bs))
-        rng = _stream(snapshot.seed, snapshot.trial, _STREAM_PAIRS)
-        if snapshot.voronoi is None:
-            # ranks of each BS's pair within its user list: i uniform over
-            # c = max(count, 2) ranks, j over the c - 1 others
-            c = np.maximum(snapshot.counts, 2)
-            i = rng.integers(0, c)
-            j = rng.integers(0, c - 1)
-            j += j >= i
-            self.ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
-        else:
-            # two i.i.d. uniform points in each BS's cell, three uniforms each
-            pair_xy = snapshot.voronoi.sample(np.arange(n_bs)[:, None], rng.random((n_bs, 2, 3)))
-            self.pair_x, self.pair_y = pair_xy[..., 0], pair_xy[..., 1]
         self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
         self.position = 0
 
     def powers(self, cells):
-        """Pairs (near first), serving dist^2 and received powers of `cells`.
+        """Serving dist^2 and received powers of the pairs of `cells`.
 
-        Returns (users, serving_dist_sq, desired, interference, void_signal),
-        each of shape (len(cells), 2); users, the pair's user indices, is
-        None when the snapshot places no users.
+        Returns (serving_dist_sq, desired, interference, void_signal), each
+        of shape (len(cells), 2) with the near user first.
         """
         snap = self.snapshot
         k, span = len(cells), 2 * snap.n_bs
-        if snap.voronoi is None:
-            users = snap.assoc.user_at(cells[:, None], self.ranks[cells])
-            ux, uy = snap.user_xy[users, 0], snap.user_xy[users, 1]
-        else:
-            users, ux, uy = None, self.pair_x[cells], self.pair_y[cells]
-        dx, dy = self.bs_x[cells, None] - ux, self.bs_y[cells, None] - uy
-        serving_sq = dx * dx + dy * dy
-        far_first = serving_sq[:, 1] < serving_sq[:, 0]
-        for a in (users, ux, uy, serving_sq):
-            if a is not None:
-                a[far_first] = a[far_first, ::-1]
+        ux, uy = snap.pair_xy[cells, :, 0], snap.pair_xy[cells, :, 1]
         fades, dist_sq, power = self.fades[:k], self.dist_sq[:k], self.power[:k]
         for row, b in zip(fades, cells.tolist()):
             self.uniform.bit_generator.advance(span * b - self.position)
@@ -325,13 +318,14 @@ class _CellBlocks:
             np.multiply(power, fades, out=power)
         np.multiply(power, snap.bs_power, out=power)
         rows = np.arange(k)
+        serving_sq = dist_sq[rows, :, cells]
         desired = power[rows, :, cells]
         # the serving BS is non-void: dropping its column from the power
         # buffer leaves the two sums over the other BSs
         power[rows, :, cells] = 0.0
         interference = power @ self.nonvoid_weight
         void_signal = power @ self.void_weight
-        return users, serving_sq, desired, interference, void_signal
+        return serving_sq, desired, interference, void_signal
 
 
 def schedule_noma_users(snapshot, bs_index):
@@ -345,11 +339,10 @@ def schedule_noma_users(snapshot, bs_index):
     if snapshot.counts[bs_index] < 2:
         return None
     blocks = _CellBlocks(snapshot, size=1)
-    users, serving_sq, desired, interference, void_signal = blocks.powers(
+    serving_sq, desired, interference, void_signal = blocks.powers(
         np.array([bs_index], dtype=np.intp))
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
-        user_indices=None if users is None else users[0],
         distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
         void_signal=void_signal[0], link_gains=blocks.fades[0].copy(),
         link_dist_sq=blocks.dist_sq[0].copy(),
@@ -454,7 +447,7 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
             cells = np.sort(rng.choice(cells, size=max_cells_per_tier, replace=False))
         beta = params.beta[tier]
         for start in range(0, len(cells), blocks.size):
-            _, serving_sq, desired, interference, void_signal = blocks.powers(
+            serving_sq, desired, interference, void_signal = blocks.powers(
                 cells[start:start + blocks.size])
             for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
                 _, _, near, far = _outcome(desired, interference, coop, theta, beta)
@@ -549,6 +542,7 @@ class CoverageEstimate:
 
 
 def estimates_from_totals(totals, schemes=SCHEMES):
+    """Estimates of accumulated totals: per tier, scheme (in `schemes` order) and role."""
     out = []
     for tier in range(totals.successes.shape[0]):
         for scheme in schemes:
@@ -561,21 +555,6 @@ def estimates_from_totals(totals, schemes=SCHEMES):
                     )
                 )
     return out
-
-
-def estimate_coverage(params, scheme=SCHEMES, window=None, n_trials=20, seed=0,
-                      max_cells_per_tier=None, n_jobs=1):
-    """Coverage estimates per (tier, role) for the requested scheme(s).
-
-    scheme may be "noncoop", "coop", or a sequence of both.  Estimates
-    with fewer than 100 tagged cells carry low_samples=True.
-    """
-    schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}")
-    totals = run_trials(params, window, n_trials, seed, max_cells_per_tier, n_jobs)
-    return estimates_from_totals(totals, schemes)
 
 
 @dataclass(frozen=True)

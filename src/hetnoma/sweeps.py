@@ -10,7 +10,7 @@ table1_params(); the pico intensity can be either published endpoint,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,14 @@ def default_user_intensity_grid():
 
 def apply_sweep_value(params, variable, value):
     if variable == "user_intensity":
-        return params.with_user_intensity(value)
+        return replace(params, user_intensity=value)
     if variable == "beta":
         return params.with_beta(value)
     if variable == "pico_intensity":
         if params.n_tiers < 2:
             raise ValueError("pico_intensity sweep requires at least two tiers")
-        return params.with_tier_intensity(1, value)
+        macro, pico, *rest = params.tiers
+        return replace(params, tiers=(macro, replace(pico, intensity=value), *rest))
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 

@@ -225,6 +225,14 @@ class TestClippedVoronoi:
         cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
         assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)
 
+    def test_cell_at_the_edge_with_every_point_mirrored(self):
+        # 4 mm from the left edge, the corner vertices of the point's cell
+        # round to about 2e-10 m outside the window; with every point
+        # mirrored the cell is exact anyway and must be accepted
+        window = Window(half_width=100.0, margin=100.0 / 3.0)
+        cells = clipped_voronoi(np.array([[-99.99595248049636, 53.58249748971292]]), window)
+        assert cells.areas[0] == pytest.approx(window.area, rel=1e-12)
+
     def test_no_points_fails(self):
         with pytest.raises(ValueError):
             clipped_voronoi(np.zeros((0, 2)), self.WINDOW)

@@ -5,7 +5,6 @@ is scale-free); the full stock-scenario validation lives in
 test_acceptance.py.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
-from hetnoma.geometry import Window, clipped_voronoi, sample_ppp
+from hetnoma.geometry import Window, associate, clipped_voronoi, sample_ppp
 from hetnoma.simulate import (
     _STREAM_FADES,
     _STREAM_PAIRS,
@@ -28,7 +27,6 @@ from hetnoma.simulate import (
     build_snapshot,
     cell_census,
     check_point_budget,
-    estimate_coverage,
     estimates_from_totals,
     evaluate_coop,
     evaluate_noncoop,
@@ -55,9 +53,9 @@ def toy_params(mu=8e-4, beta=0.75, theta=1.0):
     )
 
 
-def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0):
-    """One serving BS at the origin with users nearby; optional far-away
-    BSs that no user selects (they stay void)."""
+def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0, trial=0):
+    """One serving BS at the origin with users on the x axis at 10, 15, 20,
+    ... m; optional far-away BSs that no user selects (they stay void)."""
     params = NetworkParams(
         tiers=(TierParams(power_watts=1.0, intensity=1e-4),),
         user_intensity=1e-4,
@@ -68,7 +66,22 @@ def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0):
     users = [[10.0 + 5.0 * k, 0.0] for k in range(n_users)]
     bs = [[0.0, 0.0]] + [list(b) for b in extra_bs]
     window = Window(half_width=4000.0, margin=10.0)
-    return params, snapshot_from_points(params, window, [bs], users)
+    return params, snapshot_from_points(params, window, [bs], users, trial=trial)
+
+
+def assert_pairs_near_first(snap, expected):
+    """snap.pair_xy holds each BS's pair of `expected`, near user first.
+
+    expected is (n_bs, 2, 2) in draw order; NaN rows stand for BSs without
+    a pair.
+    """
+    drawn = (snap.pair_xy == expected).all(axis=(1, 2))
+    swapped = (snap.pair_xy == expected[:, ::-1]).all(axis=(1, 2))
+    paired = ~np.isnan(expected).any(axis=(1, 2))
+    assert (drawn | swapped)[paired].all()
+    assert np.isnan(snap.pair_xy[~paired]).all()
+    dist_sq = ((snap.pair_xy[paired] - snap.bs_xy[paired, None]) ** 2).sum(axis=-1)
+    assert (dist_sq[:, 0] <= dist_sq[:, 1]).all()
 
 
 def assert_cell_draws_independent_of_block_and_cap(snap):
@@ -84,13 +97,9 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
             blocks = simulate._CellBlocks(snap, size=size)
             for start in range(0, len(subset), blocks.size):
                 part = subset[start:start + blocks.size]
-                users, serving_sq, desired, interference, void = blocks.powers(part)
+                serving_sq, desired, interference, void = blocks.powers(part)
                 for m, b in enumerate(part.tolist()):
                     cell = alone[b]
-                    if users is None:
-                        assert cell.user_indices is None
-                    else:
-                        assert np.array_equal(users[m], cell.user_indices)
                     assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
                     assert np.array_equal(blocks.fades[m], cell.link_gains)
                     assert np.array_equal(blocks.dist_sq[m], cell.link_dist_sq)
@@ -105,8 +114,8 @@ class TestBuildSnapshot:
         a = build_snapshot(p, TOY_WINDOW, seed=5, trial=3)
         b = build_snapshot(p, TOY_WINDOW, seed=5, trial=3)
         assert np.array_equal(a.bs_xy, b.bs_xy)
-        assert np.array_equal(a.user_xy, b.user_xy)
-        assert np.array_equal(a.assoc.serving, b.assoc.serving)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.pair_xy, b.pair_xy, equal_nan=True)
         c = build_snapshot(p, TOY_WINDOW, seed=5, trial=4)
         assert not np.array_equal(a.bs_xy, c.bs_xy)
 
@@ -137,11 +146,18 @@ class TestBuildSnapshot:
             check_point_budget(table1_params(user_intensity=2e-3), wide)
         check_point_budget(table1_params(user_intensity=5e-4))  # 2.2e4 points: allowed
 
-    def test_point_budget_counts_only_placed_points(self):
+    def test_point_budget_counts_only_placed_points(self, monkeypatch):
         # 5e4 users per BS: the tessellation places none of the 1.5e7 users
         check_point_budget(table1_params(user_intensity=1.0))
+        sampled = []
+
+        def recording(intensity, window, rng):
+            sampled.append(intensity)
+            return sample_ppp(intensity, window, rng)
+
+        monkeypatch.setattr(simulate, "sample_ppp", recording)
         snap = build_snapshot(toy_params(mu=10.0), TOY_WINDOW, seed=0, trial=0)
-        assert snap.user_xy is None and snap.assoc is None
+        assert sampled == [2e-4]  # the one tier's BSs, no users
         assert 100 < snap.n_bs < 400
         assert snap.counts.sum() > 1e6
 
@@ -152,7 +168,7 @@ class TestBuildSnapshot:
         for trial in range(60):
             snap = build_snapshot(p, TOY_WINDOW, seed=9, trial=trial)
             inner = snap.window.contains(snap.bs_xy, inner=True)
-            counts = snap.assoc.counts[inner]
+            counts = snap.counts[inner]
             void += int((counts == 0).sum())
             total += counts.size
         assert void / total == pytest.approx(1.0 - q, abs=0.02)
@@ -176,7 +192,7 @@ class TestScheduleNomaUsers:
         _, snap = lone_cell_snapshot(n_users=6)
         a = schedule_noma_users(snap, 0)
         b = schedule_noma_users(snap, 0)
-        assert np.array_equal(a.user_indices, b.user_indices)
+        assert np.array_equal(a.distances, b.distances)
         assert np.array_equal(a.link_gains, b.link_gains)
 
     def test_received_powers_match_reference_loop(self):
@@ -190,7 +206,7 @@ class TestScheduleNomaUsers:
         for b in snap.tagged_cells()[:10]:
             cell = schedule_noma_users(snap, b)
             for r in range(2):
-                ux, uy = snap.user_xy[cell.user_indices[r]].tolist()
+                ux, uy = snap.pair_xy[b, r].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
@@ -203,30 +219,39 @@ class TestScheduleNomaUsers:
                         interference += power
                     else:
                         void_signal += power
-                d = math.dist(snap.user_xy[cell.user_indices[r]], snap.bs_xy[b])
+                d = math.dist(snap.pair_xy[b, r], snap.bs_xy[b])
                 assert cell.distances[r] == pytest.approx(d, rel=1e-12)
                 assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
 
     def test_cell_draws_independent_of_block_and_cap(self):
+        assert not tessellates(toy_params(mu=2e-4))
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
-        assert snap.assoc is not None
         assert_cell_draws_independent_of_block_and_cap(snap)
 
     def test_draw_layout(self):
-        # pairs: one draw per BS from the trial's pair stream; fades: BS b's
+        # points: the BS tier, then the users; pairs: two ranks per BS from
+        # the trial's pair stream, in the BS's user list; fades: BS b's
         # 2 * n_bs outputs of the fade stream, near user's links first
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
-        c = np.maximum(snap.assoc.counts, 2)
-        rng = _stream(snap.seed, snap.trial, _STREAM_PAIRS)
+        rng = _stream(19, 3, _STREAM_POINTS)
+        bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
+        user_xy = sample_ppp(p.user_intensity, TOY_WINDOW, rng)
+        assert np.array_equal(snap.bs_xy, bs_xy)
+        assoc = associate(bs_xy, user_xy)
+        assert np.array_equal(snap.counts, assoc.counts)
+        c = np.maximum(assoc.counts, 2)
+        rng = _stream(19, 3, _STREAM_PAIRS)
         i, j = rng.integers(0, c), rng.integers(0, c - 1)
         j += j >= i
+        expected = np.full((snap.n_bs, 2, 2), np.nan)
+        for b in np.flatnonzero(assoc.counts >= 2):
+            expected[b] = user_xy[assoc.users_of(b)[[i[b], j[b]]]]
+        assert_pairs_near_first(snap, expected)
         span = 2 * snap.n_bs
         for b in snap.tagged_cells()[:8].tolist():
             cell = schedule_noma_users(snap, b)
-            attached = snap.assoc.users_of(b)
-            assert sorted(cell.user_indices.tolist()) == sorted(attached[[i[b], j[b]]].tolist())
             fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
             fade_stream.bit_generator.advance(span * b)
             u = fade_stream.random(span).reshape(2, snap.n_bs)
@@ -234,11 +259,10 @@ class TestScheduleNomaUsers:
 
     def test_pair_choice_uniform(self):
         # 5 users -> 10 unordered pairs, chi-square over 1e4 independent draws
-        _, snap = lone_cell_snapshot(n_users=5)
         counts = {}
         for trial in range(10_000):
-            cell = schedule_noma_users(dataclasses.replace(snap, trial=trial), 0)
-            key = tuple(sorted(cell.user_indices.tolist()))
+            _, snap = lone_cell_snapshot(n_users=5, trial=trial)
+            key = tuple(snap.pair_xy[0, :, 0].tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 10
         result = chisquare(list(counts.values()))
@@ -299,8 +323,8 @@ class TestEvaluateEvents:
         # the near user's two decoding stages share one serving-link fade:
         # with no interference the first stage outcome is fading-free
         for trial in range(25):
-            _, snap = lone_cell_snapshot(beta=0.55)
-            cell = schedule_noma_users(dataclasses.replace(snap, trial=trial), 0)
+            _, snap = lone_cell_snapshot(beta=0.55, trial=trial)
+            cell = schedule_noma_users(snap, 0)
             s = evaluate_noncoop(cell, theta=1.0, beta_m=0.55)
             assert s.near_first_stage_ok  # 0.55/0.45 > 1 deterministically
 
@@ -418,7 +442,8 @@ class TestRunTrials:
         estimates = {}
         for i, mu in enumerate((2e-4, 4e-4, 8e-4, 1.6e-3, 3.2e-3)):
             p = toy_params(mu=mu)
-            est = estimate_coverage(p, "noncoop", TOY_WINDOW, n_trials=10, seed=31)
+            totals = run_trials(p, TOY_WINDOW, n_trials=10, seed=31)
+            est = estimates_from_totals(totals, ("noncoop",))
             estimates[i] = {e.role: e for e in est}
         for role in ("near", "far"):
             for i in range(4):
@@ -428,7 +453,7 @@ class TestRunTrials:
 
     def test_zero_threshold_covers_everyone(self):
         p = toy_params(theta=1e-12)
-        est = estimate_coverage(p, SCHEMES, TOY_WINDOW, n_trials=2, seed=37)
+        est = estimates_from_totals(run_trials(p, TOY_WINDOW, n_trials=2, seed=37), SCHEMES)
         assert all(e.p_hat == 1.0 for e in est)
 
 
@@ -452,7 +477,7 @@ class TestExtrapolatedCoopForm:
 class TestEstimates:
     def test_ci_formula_and_ordering(self):
         p = toy_params()
-        est = estimate_coverage(p, ("noncoop", "coop"), TOY_WINDOW, n_trials=3, seed=41)
+        est = estimates_from_totals(run_trials(p, TOY_WINDOW, n_trials=3, seed=41), SCHEMES)
         assert [(e.tier, e.scheme, e.role) for e in est] == [
             (0, "noncoop", "near"), (0, "noncoop", "far"),
             (0, "coop", "near"), (0, "coop", "far"),
@@ -463,25 +488,21 @@ class TestEstimates:
 
     def test_ci_shrinks_with_more_trials(self):
         p = toy_params()
-        small = estimate_coverage(p, "noncoop", TOY_WINDOW, n_trials=3, seed=43)[0]
-        big = estimate_coverage(p, "noncoop", TOY_WINDOW, n_trials=6, seed=43)[0]
+        small = estimates_from_totals(run_trials(p, TOY_WINDOW, n_trials=3, seed=43))[0]
+        big = estimates_from_totals(run_trials(p, TOY_WINDOW, n_trials=6, seed=43))[0]
         assert big.n_samples == pytest.approx(2 * small.n_samples, rel=0.25)
         assert big.ci_halfwidth < small.ci_halfwidth
 
     def test_low_sample_flag(self):
         p = toy_params()
-        est = estimate_coverage(p, "noncoop", TOY_WINDOW, n_trials=1, seed=47,
-                                max_cells_per_tier=10)
+        totals = run_trials(p, TOY_WINDOW, n_trials=1, seed=47, max_cells_per_tier=10)
+        est = estimates_from_totals(totals, ("noncoop",))
         assert all(e.low_samples for e in est)
         assert all(e.n_samples == 10 for e in est)
 
     def test_zero_samples(self):
         e = CoverageEstimate.from_counts("noncoop", 0, "near", 0, 0)
         assert np.isnan(e.p_hat) and e.low_samples
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_coverage(toy_params(), "other", TOY_WINDOW, n_trials=1)
 
 
 class TestCellCensus:
@@ -531,30 +552,24 @@ class TestTessellationSampler:
         p = toy_params(mu=8e-3)
         assert tessellates(p)
         snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
-        assert snap.assoc is None and snap.user_xy is None
         rng = _stream(19, 3, _STREAM_POINTS)
         bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
         assert np.array_equal(snap.bs_xy, bs_xy)
         cells = clipped_voronoi(bs_xy, TOY_WINDOW)
-        assert np.array_equal(snap.voronoi.areas, cells.areas)
         assert np.array_equal(snap.counts, rng.poisson(p.user_intensity * cells.areas))
         u = _stream(19, 3, _STREAM_PAIRS).random((snap.n_bs, 2, 3))
-        pair_xy = cells.sample(np.arange(snap.n_bs)[:, None], u)
-        blocks = simulate._CellBlocks(snap)
-        assert np.array_equal(blocks.pair_x, pair_xy[..., 0])
-        assert np.array_equal(blocks.pair_y, pair_xy[..., 1])
+        assert_pairs_near_first(snap, cells.sample(np.arange(snap.n_bs)[:, None], u))
 
     def test_pair_points_are_served_by_their_bs(self, tessellated):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
-        blocks = simulate._CellBlocks(snap)
-        points = np.stack([blocks.pair_x, blocks.pair_y], axis=-1).reshape(-1, 2)
+        points = snap.pair_xy.reshape(-1, 2)
         assert snap.window.contains(points).all()
         serving = np.repeat(np.arange(snap.n_bs), 2)
         assert np.array_equal(cKDTree(snap.bs_xy).query(points)[1], serving)
 
     def test_cell_draws_independent_of_block_and_cap(self, tessellated):
+        assert tessellates(toy_params(mu=2e-4))
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
-        assert snap.voronoi is not None
         assert_cell_draws_independent_of_block_and_cap(snap)
 
     def test_deterministic_and_parallel_equivalence(self, tessellated):
