@@ -23,7 +23,7 @@ from .coverage import (
     user_count_pmf,
 )
 from .geometry import Window, associate, default_window, sample_ppp
-from .kernels import KernelEvaluator, base_integral
+from .kernels import KernelEvaluator
 from .simulate import (
     CoverageEstimate,
     NetworkSnapshot,
@@ -46,7 +46,7 @@ __all__ = [
     "LoadModel", "NetworkParams", "NetworkSnapshot",
     "ScenarioConfig", "SirSample", "TaggedCell",
     "TierParams", "Window",
-    "associate", "average_coverage", "base_integral", "build_snapshot",
+    "associate", "average_coverage", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",
     "decoding_thresholds", "default_window", "evaluate_coop",
     "evaluate_noncoop", "optimize_beta", "run_beta_scan",

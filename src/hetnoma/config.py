@@ -1,41 +1,31 @@
 """Scenario configuration: the one description of a run, and its JSON form.
 
-ScenarioConfig checks its own fields, so a config built in code is held
-to the same rules as one read from a file.  parse_config only maps a
-decoded JSON object onto it: it rejects unknown keys and builds the
-tier, beta, sweep and window objects; every other key is passed through
-only when present, so each default lives in the dataclass.  Every error
-names the offending field.  parse -> serialize -> parse is the identity.
+Each input is checked once, by the type that takes it, with the rules of
+hetnoma.checks, so a config built in code meets the same rules as a file.
+parse_config only maps a decoded JSON object onto those types: it checks
+the JSON shape and keys, supplies the defaults of pathloss_exponent,
+sir_threshold and beta (ScenarioConfig holds the others), and puts the
+JSON path before the field that a type's ConfigError names.
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .coverage import NetworkParams, TierParams
+from .checks import ConfigError, integer, number
+from .coverage import SCHEMES, NetworkParams, TierParams, check_schemes
 from .geometry import Window
-from .simulate import SCHEMES, check_point_budget
+from .simulate import check_point_budget
 from .sweeps import DEFAULT_USER_INTENSITY_GRID, SWEEP_VARIABLES, apply_sweep_value
 
-_TOP_KEYS = {
-    "tiers", "user_intensity", "pathloss_exponent", "sir_threshold", "beta",
-    "schemes", "sweep", "seed", "n_trials", "window", "kernel_mode",
-    "max_cells_per_tier", "n_jobs", "output",
-}
 _PASSED_KEYS = ("schemes", "seed", "n_trials", "max_cells_per_tier", "n_jobs", "output")
+_TOP_KEYS = {"tiers", "user_intensity", "pathloss_exponent", "sir_threshold", "beta", "sweep",
+             "window", "kernel_mode", *_PASSED_KEYS}
 _TIER_KEYS = {"power_watts", "intensity"}
 _WINDOW_KEYS = {"half_width", "margin"}
 _SWEEP_KEYS = {"variable", "grid"}
-
-
-class ConfigError(ValueError):
-    """Invalid scenario config; `field` names the offending entry."""
-
-    def __init__(self, field, message):
-        super().__init__(f"config field '{field}': {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -61,40 +51,32 @@ class ScenarioConfig:
     output: str = None
 
     def __post_init__(self):
-        if not isinstance(self.schemes, (list, tuple)) or not self.schemes:
-            raise ConfigError("schemes", "expected a nonempty array")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError("schemes", f"unknown scheme {s!r} (choose from {list(SCHEMES)})")
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        object.__setattr__(self, "schemes", check_schemes(self.schemes))
 
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError("sweep.variable", f"unknown variable {self.sweep_variable!r} "
                                                 f"(choose from {list(SWEEP_VARIABLES)})")
         if not isinstance(self.sweep_grid, (list, tuple)) or not self.sweep_grid:
             raise ConfigError("sweep.grid", "expected a nonempty array of numbers")
-        grid = tuple(_number(v, f"sweep.grid[{i}]") for i, v in enumerate(self.sweep_grid))
+        grid = tuple(number(v, f"sweep.grid[{i}]") for i, v in enumerate(self.sweep_grid))
         if any(lo >= hi for lo, hi in zip(grid, grid[1:])):
             raise ConfigError("sweep.grid", "must be strictly increasing")
-        try:
-            check_point_budget(self.params, self.window)
-        except ValueError as exc:
-            raise ConfigError("window", str(exc)) from exc
+        check_point_budget(self.params, self.window)
         for i, value in enumerate(grid):
             try:
                 check_point_budget(apply_sweep_value(self.params, self.sweep_variable, value),
                                    self.window)
             except ValueError as exc:
-                raise ConfigError(f"sweep.grid[{i}]", str(exc)) from exc
+                raise ConfigError(f"sweep.grid[{i}]", getattr(exc, "message", str(exc))) from exc
         object.__setattr__(self, "sweep_grid", grid)
 
         if self.max_cells_per_tier is not None:
-            _integer(self.max_cells_per_tier, "max_cells_per_tier", 1)
+            integer(self.max_cells_per_tier, "max_cells_per_tier", 1)
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError("output", "expected a string path")
-        _integer(self.seed, "seed", 0)
-        _integer(self.n_trials, "n_trials", 1)
-        _integer(self.n_jobs, "n_jobs", 1)
+        integer(self.seed, "seed", 0)
+        integer(self.n_trials, "n_trials", 1)
+        integer(self.n_jobs, "n_jobs", 1)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -109,22 +91,12 @@ def _require(mapping, key, where=""):
     return mapping[key]
 
 
-def _number(value, field, minimum=None, strict=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(field, f"expected a finite number, got {value!r}")
-    value = float(value)
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        bound = "greater than" if strict else "at least"
-        raise ConfigError(field, f"must be {bound} {minimum}")
-    return value
-
-
-def _integer(value, field, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(field, f"must be at least {minimum}")
-    return value
+def _within(where, build, *args):
+    """build(*args), with the JSON path `where` put before the field of its ConfigError."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(where + exc.field, exc.message) from exc
 
 
 def parse_config(data):
@@ -141,7 +113,7 @@ def parse_config(data):
                           f"only 'appendix' is accepted, got {data['kernel_mode']!r}")
 
     raw_tiers = _require(data, "tiers")
-    if not isinstance(raw_tiers, list) or not raw_tiers:
+    if not isinstance(raw_tiers, list):
         raise ConfigError("tiers", "expected a nonempty array of tier objects")
     tiers = []
     for i, entry in enumerate(raw_tiers):
@@ -149,31 +121,17 @@ def parse_config(data):
         if not isinstance(entry, dict):
             raise ConfigError(f"tiers[{i}]", "expected an object")
         _reject_unknown(entry, _TIER_KEYS, where)
-        tiers.append(
-            TierParams(
-                power_watts=_number(_require(entry, "power_watts", where),
-                                    where + "power_watts", 0.0, strict=True),
-                intensity=_number(_require(entry, "intensity", where),
-                                  where + "intensity", 0.0, strict=True),
-            )
-        )
+        tiers.append(_within(where, TierParams, _require(entry, "power_watts", where),
+                             _require(entry, "intensity", where)))
 
-    raw_beta = data.get("beta", 0.75)
-    if isinstance(raw_beta, list):
-        if len(raw_beta) != len(tiers):
-            raise ConfigError("beta", "must have one entry per tier")
-        beta = tuple(_number(b, f"beta[{i}]", 0.0) for i, b in enumerate(raw_beta))
-    else:
-        beta = (_number(raw_beta, "beta", 0.0),) * len(tiers)
-    if any(b > 1.0 for b in beta):
-        raise ConfigError("beta", "entries must lie in [0, 1]")
-
+    beta = data.get("beta", 0.75)
+    if not isinstance(beta, list):
+        beta = (number(beta, "beta", 0.0),) * len(tiers)
     params = NetworkParams(
-        tiers=tuple(tiers),
-        user_intensity=_number(_require(data, "user_intensity"), "user_intensity", 0.0),
-        pathloss_exponent=_number(data.get("pathloss_exponent", 4.0),
-                                  "pathloss_exponent", 2.0, strict=True),
-        sir_threshold=_number(data.get("sir_threshold", 1.0), "sir_threshold", 0.0, strict=True),
+        tiers=tiers,
+        user_intensity=_require(data, "user_intensity"),
+        pathloss_exponent=data.get("pathloss_exponent", 4.0),
+        sir_threshold=data.get("sir_threshold", 1.0),
         beta=beta,
     )
 
@@ -183,23 +141,15 @@ def parse_config(data):
         if not isinstance(sweep, dict):
             raise ConfigError("sweep", "expected an object")
         _reject_unknown(sweep, _SWEEP_KEYS, "sweep.")
-        if "variable" in sweep:
-            fields["sweep_variable"] = sweep["variable"]
-        if "grid" in sweep:
-            fields["sweep_grid"] = sweep["grid"]
+        fields.update({f"sweep_{key}": value for key, value in sweep.items()})
 
     if "window" in data:
         raw = data["window"]
         if not isinstance(raw, dict):
             raise ConfigError("window", "expected an object")
         _reject_unknown(raw, _WINDOW_KEYS, "window.")
-        half_width = _number(_require(raw, "half_width", "window."),
-                             "window.half_width", 0.0, strict=True)
-        margin = _number(_require(raw, "margin", "window."), "window.margin", 0.0, strict=True)
-        try:
-            fields["window"] = Window(half_width=half_width, margin=margin)
-        except ValueError as exc:
-            raise ConfigError("window", str(exc)) from exc
+        fields["window"] = _within("window.", Window, _require(raw, "half_width", "window."),
+                                   _require(raw, "margin", "window."))
 
     return ScenarioConfig(params=params, **fields)
 

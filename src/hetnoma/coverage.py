@@ -29,22 +29,18 @@ gain subtracted, clamped at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.special import gammaln
 
+from .checks import ConfigError, number
 from .kernels import KernelEvaluator
 
 # optimize_beta: coarse grid size, then golden-section bracket width
 BETA_GRID_POINTS = 64
 BETA_TOL = 1e-4
 
-
-def _require_finite(obj, *names):
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+SCHEMES = ("noncoop", "coop")
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,9 @@ class TierParams:
     intensity: float
 
     def __post_init__(self):
-        _require_finite(self, "power_watts", "intensity")
-        if not self.power_watts > 0:
-            raise ValueError("power_watts must be positive")
-        if not self.intensity > 0:
-            raise ValueError("intensity must be positive")
+        set_field = object.__setattr__
+        set_field(self, "power_watts", number(self.power_watts, "power_watts", 0.0, strict=True))
+        set_field(self, "intensity", number(self.intensity, "intensity", 0.0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -73,21 +67,22 @@ class NetworkParams:
     beta: tuple
 
     def __post_init__(self):
-        if not self.tiers:
-            raise ValueError("tiers must contain at least one tier")
-        object.__setattr__(self, "tiers", tuple(self.tiers))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        _require_finite(self, "user_intensity", "pathloss_exponent", "sir_threshold")
-        if self.user_intensity < 0:
-            raise ValueError("user_intensity must be nonnegative")
-        if not self.pathloss_exponent > 2:
-            raise ValueError("pathloss_exponent must exceed 2")
-        if not self.sir_threshold > 0:
-            raise ValueError("sir_threshold must be positive")
-        if len(self.beta) != len(self.tiers):
-            raise ValueError("beta must have one entry per tier")
-        if any(not 0.0 <= b <= 1.0 for b in self.beta):
-            raise ValueError("beta entries must lie in [0, 1]")
+        if (not isinstance(self.tiers, (list, tuple)) or not self.tiers
+                or not all([isinstance(t, TierParams) for t in self.tiers])):
+            raise ConfigError("tiers", "expected a nonempty array of tier objects")
+        if not isinstance(self.beta, (list, tuple)) or len(self.beta) != len(self.tiers):
+            raise ConfigError("beta", "must have one entry per tier")
+        beta = tuple([number(b, f"beta[{i}]", 0.0) for i, b in enumerate(self.beta)])
+        if max(beta) > 1.0:
+            raise ConfigError("beta", "entries must lie in [0, 1]")
+        set_field = object.__setattr__
+        set_field(self, "tiers", tuple(self.tiers))
+        set_field(self, "beta", beta)
+        set_field(self, "user_intensity", number(self.user_intensity, "user_intensity", 0.0))
+        set_field(self, "pathloss_exponent",
+                  number(self.pathloss_exponent, "pathloss_exponent", 2.0, strict=True))
+        set_field(self, "sir_threshold",
+                  number(self.sir_threshold, "sir_threshold", 0.0, strict=True))
 
     @property
     def n_tiers(self):
@@ -104,7 +99,8 @@ class NetworkParams:
 
     def with_beta(self, beta):
         """Set the power allocation factor, one value broadcast to all tiers."""
-        return replace(self, beta=(float(beta),) * self.n_tiers)
+        return NetworkParams(self.tiers, self.user_intensity, self.pathloss_exponent,
+                             self.sir_threshold, (beta,) * self.n_tiers)
 
 
 @dataclass(frozen=True)
@@ -201,6 +197,16 @@ def coverage_coop(params, tier, evaluator=None):
     return coverage_pair(params, tier, "coop", evaluator)
 
 
+def check_schemes(schemes):
+    """schemes as a tuple: a nonempty list or tuple of names from SCHEMES."""
+    if not isinstance(schemes, (list, tuple)) or not schemes:
+        raise ConfigError("schemes", "expected a nonempty array")
+    for s in schemes:
+        if s not in SCHEMES:
+            raise ConfigError("schemes", f"unknown scheme {s!r} (choose from {list(SCHEMES)})")
+    return tuple(schemes)
+
+
 def coverage_pair(params, tier, scheme, evaluator=None):
     """Near/far coverage of one tier under the scheme named "noncoop" or "coop".
 
@@ -209,8 +215,7 @@ def coverage_pair(params, tier, scheme, evaluator=None):
     it, and the far exponent, from which cooperation subtracts the void
     cells' gain.
     """
-    if scheme not in ("noncoop", "coop"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+    check_schemes((scheme,))
     theta = params.sir_threshold
     beta = params.beta[tier]
     thr = decoding_thresholds(theta, beta)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from .checks import ConfigError, number
+
 # default_window: expected base stations in the window, inset in mean cell radii
 DEFAULT_EXPECTED_BS = 2000.0
 DEFAULT_MARGIN_CELL_RADII = 5.0
@@ -37,10 +39,11 @@ class Window:
     margin: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
-        if not 0 < self.margin < self.half_width:
-            raise ValueError("margin must lie in (0, half_width)")
+        object.__setattr__(self, "half_width",
+                           number(self.half_width, "half_width", 0.0, strict=True))
+        object.__setattr__(self, "margin", number(self.margin, "margin", 0.0, strict=True))
+        if not self.margin < self.half_width:
+            raise ConfigError("margin", "must be less than half_width")
 
     @property
     def area(self):

@@ -136,15 +136,6 @@ def _hyp2f1_form(kind, b, alpha):
     return scale * float(hyp2f1(1.0, c, 1.0 + c, -(b**-half)))
 
 
-def base_integral(b, alpha):
-    """int_0^b dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4)."""
-    if not b >= 0:
-        raise ValueError("integration bound b must be nonnegative")
-    if alpha == 4.0:
-        return math.atan(b)
-    return _hyp2f1_form("base", b, alpha)
-
-
 def tail_integral(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
 

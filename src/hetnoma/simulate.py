@@ -64,9 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import ConfigError, integer
+from .coverage import SCHEMES, check_schemes
 from .geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
 
-SCHEMES = ("noncoop", "coop")
 ROLES = ("near", "far")
 
 # stream purposes within one (seed, trial)
@@ -106,16 +107,16 @@ def check_point_budget(params, window=None):
     TESSELLATION_MIN_USERS_PER_BS users per BS (see tessellates).  The
     expected count of those points is their intensity times the window
     area, on default_window(params) when no window is given; it raises
-    ValueError when over MAX_EXPECTED_POINTS.  The default window holds
+    ConfigError when over MAX_EXPECTED_POINTS.  The default window holds
     about DEFAULT_EXPECTED_BS BSs, so only an explicit window can go over.
     """
     window = window if window is not None else default_window(params)
     users = 0.0 if tessellates(params) else params.user_intensity * window.area
     expected = params.total_intensity * window.area + users
     if not expected <= MAX_EXPECTED_POINTS:
-        raise ValueError(
-            f"a snapshot would hold {expected:.3g} points in expectation ({users:.3g} users), "
-            f"above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
+        raise ConfigError(
+            "window", f"a snapshot would hold {expected:.3g} points in expectation "
+            f"({users:.3g} users), above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
         )
 
 
@@ -472,11 +473,12 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     distance sums included.  The trials of all points share one pool:
     n_jobs caps its worker processes, which never outnumber the trials of
     the whole run or the CPUs; with one, the trials run in this process.
+    A budget that is not an integer >= 1 raises ConfigError before any trial.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if not n_jobs >= 1:
-        raise ValueError(f"n_jobs must be at least 1, got {n_jobs!r}")
+    integer(n_trials, "n_trials", 1)
+    integer(n_jobs, "n_jobs", 1)
+    if max_cells_per_tier is not None:
+        integer(max_cells_per_tier, "max_cells_per_tier", 1)
     points = [(params, window if window is not None else default_window(params), seed)
               for params, window, seed in points]
     jobs = [(params, window, seed, trial, max_cells_per_tier)
@@ -543,6 +545,7 @@ class CoverageEstimate:
 
 def estimates_from_totals(totals, schemes=SCHEMES):
     """Estimates of accumulated totals: per tier, scheme (in `schemes` order) and role."""
+    schemes = check_schemes(schemes)
     out = []
     for tier in range(totals.successes.shape[0]):
         for scheme in schemes:
@@ -574,10 +577,9 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     """Empirical per-BS user-count distribution over many snapshots.
 
     The counts come from build_snapshot, so from the same sampler as the
-    trials at that load.  ValueError unless n_snapshots >= 1.
+    trials at that load.  ConfigError unless n_snapshots is an integer >= 1.
     """
-    if not n_snapshots >= 1:
-        raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots!r}")
+    integer(n_snapshots, "n_snapshots", 1)
     window = window if window is not None else default_window(params)
     hist = np.zeros(1, dtype=np.int64)
     n_bs = 0

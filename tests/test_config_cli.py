@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -24,6 +25,7 @@ from hetnoma.config import (
     parse_config,
 )
 from hetnoma.coverage import NetworkParams, TierParams
+from hetnoma.geometry import Window
 
 TOY_CONFIG = {
     "tiers": [
@@ -155,6 +157,50 @@ class TestConfigParsing:
             pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75, 0.75),
         )
         assert cfg == ScenarioConfig(params=params)
+
+
+def _errors_in_both_forms(field, value):
+    """ConfigErrors of a one-tier scenario with `value` in `field`, built in
+    code and parsed from JSON.  beta is a one-entry list in both forms, so
+    that both reach its per-entry rule."""
+    tier = {"power_watts": 20.0, "intensity": 1e-4}
+    window = {"half_width": 500.0, "margin": 120.0}
+    scenario = {"user_intensity": 5e-4, "pathloss_exponent": 4.0, "sir_threshold": 1.0,
+                "beta": [0.75]}
+    owner = tier if field in tier else window if field in window else scenario
+    owner[field] = [value] if field == "beta" else value
+
+    def in_code():
+        tiers = (TierParams(**tier),)
+        Window(**window)
+        return NetworkParams(**{"tiers": tiers, **scenario})
+
+    errors = []
+    for build in (in_code, lambda: parse_config({"tiers": [tier], "window": window, **scenario})):
+        with pytest.raises(ConfigError) as info:
+            build()
+        errors.append(info.value)
+    return errors
+
+
+STRICT_FIELDS = ("power_watts", "intensity", "tiers", "pathloss_exponent", "sir_threshold",
+                 "half_width", "margin")
+NON_STRICT_FIELDS = ("user_intensity", "beta")
+JSON_PATH = {"power_watts": "tiers[0].", "intensity": "tiers[0].", "half_width": "window.",
+             "margin": "window."}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in STRICT_FIELDS + NON_STRICT_FIELDS
+    for value in (-1.0, math.nan, math.inf, True, "1")
+] + [(field, 0.0) for field in STRICT_FIELDS])
+def test_one_rule_per_field(field, value):
+    # the type that owns a field and parse_config raise the same error; the
+    # parser's field adds the JSON path of the object the field is in
+    in_code, parsed = _errors_in_both_forms(field, value)
+    name = "beta[0]" if field == "beta" else field
+    assert (in_code.field, in_code.message) == (name, parsed.message)
+    assert parsed.field == JSON_PATH.get(field, "") + name
 
 
 class TestCliAnalytic:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hetnoma.checks import ConfigError
 from hetnoma.coverage import (
     CoveragePair,
     LoadModel,
@@ -294,7 +295,7 @@ class TestAverageCoverage:
         assert average_coverage(single_tier(beta=0.4), 0, "noncoop") == 0.0
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"unknown scheme 'other' \(choose from"):
             average_coverage(single_tier(), 0, "other")
 
 
@@ -368,8 +369,15 @@ class TestParamsValidation:
         tier = {"power_watts": 1.0, "intensity": 1e-4}
         scenario = {"user_intensity": 1e-4, "pathloss_exponent": 4.0, "sir_threshold": 1.0}
         (tier if field in tier else scenario)[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ConfigError) as info:
             NetworkParams(tiers=(TierParams(**tier),), beta=(0.75,), **scenario)
+        assert info.value.field == field
+
+    def test_tiers_must_be_tier_params(self):
+        with pytest.raises(ConfigError) as info:
+            NetworkParams(tiers=[{"power_watts": 1.0, "intensity": 1e-4}], user_intensity=1e-4,
+                          pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
+        assert info.value.field == "tiers"
 
     def test_intensity_fractions(self):
         p = two_tier()

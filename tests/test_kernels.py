@@ -18,7 +18,6 @@ from hetnoma.kernels import (
     KernelEvaluator,
     QuadratureError,
     _hyp2f1_form,
-    base_integral,
     full_line_integral,
     integrate_adaptive,
     tail_integral,
@@ -41,15 +40,15 @@ def single_tier(alpha=4.0, **kw):
 
 class TestBaseIntegral:
     def test_empty_interval(self):
-        assert base_integral(0.0, 4.0) == 0.0
-        assert base_integral(0.0, 3.0) == 0.0
+        assert _hyp2f1_form("base", 0.0, 4.0) == 0.0
+        assert _hyp2f1_form("base", 0.0, 3.0) == 0.0
 
     def test_quarter_circle(self):
-        assert base_integral(1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert _hyp2f1_form("base", 1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
 
     @pytest.mark.parametrize("b,expected", sorted(ATAN.items()))
     def test_adaptive_matches_closed_form(self, b, expected):
-        assert base_integral(b, 4.0) == pytest.approx(expected, abs=1e-12)
+        assert math.atan(b) == pytest.approx(expected, abs=1e-12)
         assert _hyp2f1_form("base", b, 4.0) == pytest.approx(expected, abs=1e-12)
         adaptive = integrate_adaptive(lambda t: 1.0 / (1.0 + t * t), 0.0, b)
         assert adaptive == pytest.approx(expected, abs=1e-9)
@@ -57,7 +56,7 @@ class TestBaseIntegral:
     def test_full_line_identity(self):
         # int_0^inf dt/(1+t^2) = pi/2 = (2*pi/4)/sin(2*pi/4)
         assert full_line_integral(4.0) == pytest.approx(math.pi / 2, abs=1e-15)
-        big = base_integral(1e8, 4.0)
+        big = _hyp2f1_form("base", 1e8, 4.0)
         assert big == pytest.approx(math.pi / 2, abs=1e-7)
 
     def test_alpha_three_consistency(self):
@@ -67,13 +66,13 @@ class TestBaseIntegral:
         from scipy.integrate import simpson
 
         oracle = simpson(f, x=t)
-        assert base_integral(2.0, 3.0) == pytest.approx(oracle, abs=1e-8)
+        assert _hyp2f1_form("base", 2.0, 3.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            base_integral(-1.0, 4.0)
+            tail_integral(-1.0, 4.0)
         with pytest.raises(ValueError):
-            base_integral(1.0, 2.0)
+            _hyp2f1_form("base", 1.0, 2.0)
         with pytest.raises(ValueError):
             tail_integral(1.0, 2.0)
 
@@ -96,7 +95,7 @@ class TestTailIntegral:
     def test_matches_complement(self):
         for b in (0.3, 1.0, 4.0, 50.0):
             assert tail_integral(b, 4.0) == pytest.approx(math.atan(1.0 / b), abs=1e-12)
-            direct = full_line_integral(3.0) - base_integral(b, 3.0)
+            direct = full_line_integral(3.0) - _hyp2f1_form("base", b, 3.0)
             assert tail_integral(b, 3.0) == pytest.approx(direct, abs=1e-13)
 
 
@@ -152,7 +151,7 @@ class TestQuadOracle:
     @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
     def test_base_and_tail(self, alpha):
         for b in QUAD_BOUNDS:
-            assert_matches_quad(base_integral(b, alpha), quad_base(b, alpha))
+            assert_matches_quad(_hyp2f1_form("base", b, alpha), quad_base(b, alpha))
             assert_matches_quad(tail_integral(b, alpha), quad_tail(b, alpha))
 
     @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
@@ -173,11 +172,11 @@ class TestQuadOracle:
         # where the 2F1 argument would overflow, base + tail = C(alpha) takes over
         for alpha in (3.0, 600.0):
             for b in (1e-300, 0.09, 1e300):
-                assert base_integral(b, alpha) + tail_integral(b, alpha) == pytest.approx(
+                assert _hyp2f1_form("base", b, alpha) + tail_integral(b, alpha) == pytest.approx(
                     full_line_integral(alpha), rel=1e-15
                 )
         assert tail_integral(1e-300, 3.0) == full_line_integral(3.0)
-        assert base_integral(1e-300, 3.0) == 1e-300
+        assert _hyp2f1_form("base", 1e-300, 3.0) == 1e-300
 
 
 def test_hyp2f1_forms_match_closed_forms_at_alpha4():
@@ -245,11 +244,8 @@ NAN = math.nan
 
 @pytest.mark.parametrize("call, message", [
     (lambda: decoding_thresholds(NAN, 0.75), "sir_threshold must be positive"),
-    (lambda: base_integral(NAN, 3.5), "bound b must be nonnegative"),
-    (lambda: base_integral(NAN, 4.0), "bound b must be nonnegative"),
     (lambda: tail_integral(NAN, 3.5), "bound b must be nonnegative"),
     (lambda: tail_integral(NAN, 4.0), "bound b must be nonnegative"),
-    (lambda: base_integral(1.0, NAN), "pathloss_exponent must exceed 2"),
     (lambda: full_line_integral(NAN), "pathloss_exponent must exceed 2"),
     (lambda: single_tier().interference_kernel(0, NAN), "kernel argument must be nonnegative"),
     (lambda: single_tier(alpha=NAN), "pathloss_exponent must exceed 2"),
@@ -257,8 +253,8 @@ NAN = math.nan
      "tier powers must be positive"),
     (lambda: KernelEvaluator(powers=(1.0, 1.0), fractions=(NAN, 1.0), alpha=4.0),
      "intensity fractions must be nonnegative"),
-], ids=["theta", "base_b", "base_b_alpha4", "tail_b", "tail_b_alpha4", "base_alpha",
-        "full_line_alpha", "kernel_x", "evaluator_alpha", "evaluator_power", "evaluator_fraction"])
+], ids=["theta", "tail_b", "tail_b_alpha4", "full_line_alpha", "kernel_x", "evaluator_alpha",
+        "evaluator_power", "evaluator_fraction"])
 def test_nan_input_rejected(call, message):
     # each range check is written so that NaN fails it like an out-of-range value
     with pytest.raises(ValueError, match=message):

@@ -12,6 +12,8 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.stats import chi2_contingency, chisquare
 
+from hetnoma.checks import ConfigError
+from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
 from hetnoma.geometry import Window, associate, clipped_voronoi, sample_ppp
@@ -373,6 +375,19 @@ class TestRunTrials:
             run_trial_sets([(toy_params(), TOY_WINDOW, 1)], 2, n_jobs=n_jobs)
         assert recording_pool == []
 
+    @pytest.mark.parametrize("value", [True, 2.5, 0, -1])
+    @pytest.mark.parametrize("budget", ["n_trials", "n_jobs", "max_cells_per_tier"])
+    def test_rejects_budget_not_an_integer_from_one(self, monkeypatch, recording_pool, budget,
+                                                    value):
+        def no_trial(*args, **kwargs):
+            raise AssertionError(f"a trial ran before {budget} was rejected")
+
+        monkeypatch.setattr(simulate, "run_single_trial", no_trial)
+        with pytest.raises(ConfigError) as info:
+            run_trials(toy_params(), TOY_WINDOW, **{"n_trials": 2, budget: value})
+        assert info.value.field == budget
+        assert recording_pool == []
+
     def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
         # the trials of all points go to one pool sized by the whole run;
         # each point's totals equal its own run_trials call exactly
@@ -500,6 +515,17 @@ class TestEstimates:
         assert all(e.low_samples for e in est)
         assert all(e.n_samples == 10 for e in est)
 
+    @pytest.mark.parametrize("schemes, message", [
+        (("other",), "unknown scheme 'other' (choose from ['noncoop', 'coop'])"),
+        ("coop", "expected a nonempty array"),
+    ], ids=["unknown_name", "bare_string"])
+    def test_bad_schemes_named_as_in_a_config(self, schemes, message):
+        for build in (lambda: estimates_from_totals(TrialTotals.zeros(1), schemes),
+                      lambda: ScenarioConfig(params=toy_params(), schemes=schemes)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert (info.value.field, info.value.message) == ("schemes", message)
+
     def test_zero_samples(self):
         e = CoverageEstimate.from_counts("noncoop", 0, "near", 0, 0)
         assert np.isnan(e.p_hat) and e.low_samples
@@ -514,7 +540,7 @@ class TestCellCensus:
         assert census.count_histogram.sum() == census.n_bs
         assert census.count_histogram[0] == census.n_void
 
-    @pytest.mark.parametrize("n_snapshots", [0, -3])
+    @pytest.mark.parametrize("n_snapshots", [0, -3, -1, True, 2.5])
     def test_rejects_no_snapshots(self, monkeypatch, n_snapshots):
         def no_snapshot(*args, **kwargs):
             raise AssertionError("sampled before n_snapshots was rejected")
