@@ -27,14 +27,9 @@ from .kernels import KernelEvaluator
 from .simulate import (
     CoverageEstimate,
     NetworkSnapshot,
-    SirSample,
-    TaggedCell,
     build_snapshot,
     cell_census,
-    evaluate_coop,
-    evaluate_noncoop,
     run_trials,
-    schedule_noma_users,
 )
 from .sweeps import ComparisonRow, run_beta_scan, run_sweep, table1_params
 
@@ -44,12 +39,12 @@ __all__ = [
     "BetaOptimum", "ComparisonRow", "CoverageEstimate", "CoveragePair",
     "DecodingThresholds", "KernelEvaluator",
     "LoadModel", "NetworkParams", "NetworkSnapshot",
-    "ScenarioConfig", "SirSample", "TaggedCell",
+    "ScenarioConfig",
     "TierParams", "Window",
     "associate", "average_coverage", "build_snapshot",
     "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",
-    "decoding_thresholds", "default_window", "evaluate_coop",
-    "evaluate_noncoop", "optimize_beta", "run_beta_scan",
-    "run_sweep", "run_trials", "sample_ppp", "schedule_noma_users",
+    "decoding_thresholds", "default_window",
+    "optimize_beta", "run_beta_scan",
+    "run_sweep", "run_trials", "sample_ppp",
     "table1_params", "user_count_pmf",
 ]

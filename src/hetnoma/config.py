@@ -66,8 +66,8 @@ class ScenarioConfig:
             try:
                 check_point_budget(apply_sweep_value(self.params, self.sweep_variable, value),
                                    self.window)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.grid[{i}]", getattr(exc, "message", str(exc))) from exc
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.grid[{i}]", exc.message) from exc
         object.__setattr__(self, "sweep_grid", grid)
 
         if self.max_cells_per_tier is not None:

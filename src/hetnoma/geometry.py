@@ -98,12 +98,10 @@ class Association:
     _order: np.ndarray = field(repr=False)
     _starts: np.ndarray = field(repr=False)
 
-    def users_of(self, bs_index):
-        return self._order[self._starts[bs_index]:self._starts[bs_index + 1]]
-
     def user_at(self, bs_index, rank):
-        """users_of(bs_index)[rank], elementwise over arrays of BSs and ranks
-        below their counts (a larger rank reads past the BS's user list)."""
+        """The user of rank `rank` (in index order) among those of BS bs_index,
+        elementwise over arrays of BSs and ranks below their counts (a larger
+        rank reads past the BS's user list)."""
         return self._order[self._starts[bs_index] + rank]
 
 

@@ -14,9 +14,9 @@ The cooperative scheme subtracts the void cells' gain, the same kernel
 at the threshold y = far_threshold/theta, and clamps the result at zero
 (KernelEvaluator.combined_kernel).
 
-Every integral is exact.  At a = 4 they have arctan closed forms; at
-any other a they are Gauss hypergeometric functions 2F1(1, p; 1+p; z)
-(the Andrews-Baccelli-Ganti kernel), evaluated by scipy.special.hyp2f1.
+The tail integral is exact: arctan at a = 4, and at any other a a Gauss
+hypergeometric function 2F1(1, p; 1+p; z) (the Andrews-Baccelli-Ganti
+kernel), evaluated by scipy.special.hyp2f1.
 """
 
 from __future__ import annotations
@@ -112,25 +112,18 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
-def _hyp2f1_form(kind, b, alpha):
-    """Exact form, at any alpha > 2, of the integral named by kind:
+def _hyp2f1_tail(b, alpha):
+    """int_b^inf dt/(1+t^(alpha/2)) = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
 
-    "base"  int_0^b dt/(1+t^(alpha/2))     = b * 2F1(1, 2/alpha; 1+2/alpha; -b^(alpha/2))
-    "tail"  int_b^inf dt/(1+t^(alpha/2))   = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
-
-    with s = 2*b^(1-alpha/2)/(alpha-2); each is the integrand's geometric
-    series integrated term by term.  "tail" needs b > 0.
+    at any alpha > 2, with s = 2*b^(1-alpha/2)/(alpha-2): the integrand's
+    geometric series in t^(-alpha/2) integrated term by term.
     """
     if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
     half = alpha / 2.0
-    # where the 2F1 argument would overflow, take base + tail = C(alpha)
-    if kind == "base":
-        if b > 1.0 and b**-half < 1e-300:
-            return full_line_integral(alpha) - _hyp2f1_form("tail", b, alpha)
-        return b * float(hyp2f1(1.0, 1.0 / half, 1.0 + 1.0 / half, -(b**half)))
+    # the 2F1 argument would overflow; int_0^b is then b to double precision
     if b < 1.0 and b**half < 1e-300:
-        return full_line_integral(alpha) - _hyp2f1_form("base", b, alpha)
+        return full_line_integral(alpha) - b
     c = 1.0 - 1.0 / half
     scale = 2.0 * b ** (1.0 - half) / (alpha - 2.0)
     return scale * float(hyp2f1(1.0, c, 1.0 + c, -(b**-half)))
@@ -139,16 +132,15 @@ def _hyp2f1_form(kind, b, alpha):
 def tail_integral(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
 
-    Small tails (large b) are evaluated directly, not as C(alpha) minus
-    the base integral, so they keep their relative accuracy.
+    Small tails (large b) are evaluated directly, so they keep their
+    relative accuracy.  Where b^(alpha/2) < 1e-300 (b = 0 included) the
+    tail is C(alpha) - b.
     """
     if not b >= 0:
         raise ValueError("integration bound b must be nonnegative")
     if alpha == 4.0:
         return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
-    if b == 0.0:
-        return full_line_integral(alpha)
-    return _hyp2f1_form("tail", b, alpha)
+    return _hyp2f1_tail(b, alpha)
 
 
 @dataclass(frozen=True)

@@ -155,12 +155,10 @@ class NetworkSnapshot:
     def n_bs(self):
         return self.bs_xy.shape[0]
 
-    def tagged_cells(self, tier=None):
-        """Inner-region non-void BSs with >= 2 users, optionally one tier."""
-        mask = self.window.contains(self.bs_xy, inner=True) & (self.counts >= 2)
-        if tier is not None:
-            mask &= self.bs_tier == tier
-        return np.flatnonzero(mask)
+    def tagged_cells(self, tier):
+        """Inner-region BSs of one tier with >= 2 users."""
+        inner = self.window.contains(self.bs_xy, inner=True)
+        return np.flatnonzero(inner & (self.counts >= 2) & (self.bs_tier == tier))
 
 
 def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
@@ -581,17 +579,9 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     """
     integer(n_snapshots, "n_snapshots", 1)
     window = window if window is not None else default_window(params)
-    hist = np.zeros(1, dtype=np.int64)
-    n_bs = 0
-    n_void = 0
+    counts = []
     for trial in range(n_snapshots):
         snap = build_snapshot(params, window, seed, trial)
-        inner = window.contains(snap.bs_xy, inner=True)
-        counts = snap.counts[inner]
-        n_bs += counts.size
-        n_void += int(np.sum(counts == 0))
-        local = np.bincount(counts)
-        if local.size > hist.size:
-            hist = np.concatenate([hist, np.zeros(local.size - hist.size, dtype=np.int64)])
-        hist[: local.size] += local
-    return CellCensus(n_bs=n_bs, n_void=n_void, count_histogram=hist)
+        counts.append(snap.counts[window.contains(snap.bs_xy, inner=True)])
+    hist = np.bincount(np.concatenate(counts), minlength=1)
+    return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)

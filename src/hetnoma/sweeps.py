@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import ConfigError
 from .coverage import (
     NetworkParams,
     TierParams,
@@ -32,8 +33,7 @@ PICO_INTENSITY_LOW = 0.1 * TABLE1_USER_INTENSITY   # sparse-pico endpoint, 5e-5
 PICO_INTENSITY_HIGH = TABLE1_USER_INTENSITY        # dense-pico endpoint, 5e-4
 
 
-def table1_params(pico_intensity=PICO_INTENSITY_LOW, user_intensity=TABLE1_USER_INTENSITY,
-                  beta=0.75):
+def table1_params(pico_intensity=PICO_INTENSITY_LOW, user_intensity=TABLE1_USER_INTENSITY):
     """Stock two-tier macro/pico simulation scenario."""
     return NetworkParams(
         tiers=(
@@ -43,16 +43,11 @@ def table1_params(pico_intensity=PICO_INTENSITY_LOW, user_intensity=TABLE1_USER_
         user_intensity=user_intensity,
         pathloss_exponent=4.0,
         sir_threshold=1.0,
-        beta=(beta, beta),
+        beta=(0.75, 0.75),
     )
 
 
 DEFAULT_USER_INTENSITY_GRID = tuple(float(v) for v in np.geomspace(5e-5, 1e-3, 8))
-
-
-def default_user_intensity_grid():
-    """DEFAULT_USER_INTENSITY_GRID, under the name the acceptance tests import."""
-    return DEFAULT_USER_INTENSITY_GRID
 
 
 def apply_sweep_value(params, variable, value):
@@ -62,10 +57,10 @@ def apply_sweep_value(params, variable, value):
         return params.with_beta(value)
     if variable == "pico_intensity":
         if params.n_tiers < 2:
-            raise ValueError("pico_intensity sweep requires at least two tiers")
+            raise ConfigError("sweep.variable", "pico_intensity sweep requires at least two tiers")
         macro, pico, *rest = params.tiers
         return replace(params, tiers=(macro, replace(pico, intensity=value), *rest))
-    raise ValueError(f"unknown sweep variable {variable!r}")
+    raise ConfigError("sweep.variable", f"unknown sweep variable {variable!r}")
 
 
 @dataclass(frozen=True)

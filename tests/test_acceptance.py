@@ -20,9 +20,9 @@ from hetnoma.coverage import (
     optimize_beta,
     user_count_pmf,
 )
-from hetnoma.kernels import KernelEvaluator, _hyp2f1_form
+from hetnoma.kernels import KernelEvaluator, _hyp2f1_tail
 from hetnoma.simulate import cell_census, estimates_from_totals, run_trials
-from hetnoma.sweeps import analytic_pairs, default_user_intensity_grid, table1_params
+from hetnoma.sweeps import DEFAULT_USER_INTENSITY_GRID, analytic_pairs, table1_params
 
 SEED = 20260810
 ROLES = ("near", "far")
@@ -80,7 +80,7 @@ def test_criterion_1_kernel_oracle():
         expected = ell_oracle(x)
         worst = max(worst, abs(ev.interference_kernel(0, x) - expected))
         # the 2F1 form that serves alpha != 4, forced at alpha = 4
-        worst = max(worst, abs(x**0.5 * _hyp2f1_form("tail", x**-0.5, 4.0) - expected))
+        worst = max(worst, abs(x**0.5 * _hyp2f1_tail(x**-0.5, 4.0) - expected))
     elapsed = time.perf_counter() - t0
     report(1, "kernel oracle equivalence",
            worst <= 1e-9 and elapsed < 1.0,
@@ -136,7 +136,7 @@ def test_criterion_4_cooperative_improvement(table1_run, sparse_run):
 
 
 def test_criterion_5_qualitative_orderings():
-    grid = default_user_intensity_grid()
+    grid = DEFAULT_USER_INTENSITY_GRID
     failures = []
     for point, mu in enumerate(grid):
         params = table1_params(user_intensity=mu)

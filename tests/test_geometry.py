@@ -76,6 +76,11 @@ class TestSamplePpp:
             sample_ppp(-1.0, Window(10.0, 1.0), rng())
 
 
+def users_of(assoc, b):
+    """BS b's users in index order, read rank by rank through user_at."""
+    return assoc.user_at(b, np.arange(assoc.counts[b]))
+
+
 class TestAssociate:
     def test_single_bs_takes_all(self):
         bs = np.array([[0.0, 0.0]])
@@ -83,7 +88,7 @@ class TestAssociate:
         assoc = associate(bs, users)
         assert (assoc.serving == 0).all()
         assert assoc.counts[0] == 40
-        assert len(assoc.users_of(0)) == 40
+        assert len(users_of(assoc, 0)) == 40
 
     def test_nearest_across_tiers(self):
         bs = np.array([[-10.0, 0.0], [10.0, 0.0]])  # one BS per tier, tiers in order
@@ -91,7 +96,7 @@ class TestAssociate:
         assoc = associate(bs, users)
         assert assoc.serving.tolist() == [0, 1, 1]
         assert assoc.counts.tolist() == [1, 2]
-        assert sorted(assoc.users_of(1).tolist()) == [1, 2]
+        assert sorted(users_of(assoc, 1).tolist()) == [1, 2]
 
     def test_equidistant_tie_goes_to_a_nearest_bs(self):
         # all four BSs are at distance 1: any of them may serve, the same
@@ -121,7 +126,7 @@ class TestAssociate:
         assoc = associate(bs_xy, user_xy)
         assert assoc.serving.max() == n_bs - 1
         for b in range(n_bs):
-            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+            assert np.array_equal(users_of(assoc, b), np.flatnonzero(assoc.serving == b))
 
     def test_user_lists_with_an_exact_tie(self):
         # user 1 is exactly as far from BS 256 as from BS 3 and joins one
@@ -134,7 +139,7 @@ class TestAssociate:
         assert assoc.serving[2] == 256
         assert np.array_equal(associate(bs_xy, user_xy).serving, assoc.serving)
         for b in range(257):
-            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+            assert np.array_equal(users_of(assoc, b), np.flatnonzero(assoc.serving == b))
 
     def test_matches_brute_force(self):
         g = rng(99)
@@ -160,7 +165,7 @@ class TestAssociate:
         assert np.array_equal(d2[users, assoc.serving], d2.min(axis=1))
         assert np.array_equal(assoc.counts, np.bincount(assoc.serving, minlength=len(bs_xy)))
         for b in range(len(bs_xy)):
-            assert np.array_equal(assoc.users_of(b), np.flatnonzero(assoc.serving == b))
+            assert np.array_equal(users_of(assoc, b), np.flatnonzero(assoc.serving == b))
         again = associate(bs_xy, user_xy)
         assert np.array_equal(again.serving, assoc.serving)
         assert np.array_equal(again.counts, assoc.counts)

@@ -1,7 +1,7 @@
 """Interference-kernel and adaptive-quadrature contracts.
 
 Expected values for alpha = 4 come from the arctan closed forms:
-    base integral   int_0^b dt/(1+t^2)        = atan(b)
+    tail integral   int_b^inf dt/(1+t^2)      = atan(1/b)
     kernel          l(x) (single tier)        = sqrt(x) * atan(sqrt(x))
 evaluated with an arbitrary-precision library and frozen below.  At other
 alpha the kernels use 2F1 forms, checked against QUADPACK (TestQuadOracle).
@@ -17,7 +17,7 @@ from hetnoma.coverage import decoding_thresholds
 from hetnoma.kernels import (
     KernelEvaluator,
     QuadratureError,
-    _hyp2f1_form,
+    _hyp2f1_tail,
     full_line_integral,
     integrate_adaptive,
     tail_integral,
@@ -38,25 +38,30 @@ def single_tier(alpha=4.0, **kw):
     return KernelEvaluator(powers=(1.0,), fractions=(1.0,), alpha=alpha, **kw)
 
 
+def base(b, alpha):
+    """int_0^b dt/(1+t^(alpha/2)) as C(alpha) minus the 2F1 tail."""
+    return full_line_integral(alpha) - _hyp2f1_tail(b, alpha)
+
+
 class TestBaseIntegral:
     def test_empty_interval(self):
-        assert _hyp2f1_form("base", 0.0, 4.0) == 0.0
-        assert _hyp2f1_form("base", 0.0, 3.0) == 0.0
+        assert base(0.0, 4.0) == 0.0
+        assert base(0.0, 3.0) == 0.0
 
     def test_quarter_circle(self):
-        assert _hyp2f1_form("base", 1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert base(1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
 
     @pytest.mark.parametrize("b,expected", sorted(ATAN.items()))
     def test_adaptive_matches_closed_form(self, b, expected):
         assert math.atan(b) == pytest.approx(expected, abs=1e-12)
-        assert _hyp2f1_form("base", b, 4.0) == pytest.approx(expected, abs=1e-12)
+        assert base(b, 4.0) == pytest.approx(expected, abs=1e-12)
         adaptive = integrate_adaptive(lambda t: 1.0 / (1.0 + t * t), 0.0, b)
         assert adaptive == pytest.approx(expected, abs=1e-9)
 
     def test_full_line_identity(self):
         # int_0^inf dt/(1+t^2) = pi/2 = (2*pi/4)/sin(2*pi/4)
         assert full_line_integral(4.0) == pytest.approx(math.pi / 2, abs=1e-15)
-        big = _hyp2f1_form("base", 1e8, 4.0)
+        big = base(1e8, 4.0)
         assert big == pytest.approx(math.pi / 2, abs=1e-7)
 
     def test_alpha_three_consistency(self):
@@ -66,13 +71,13 @@ class TestBaseIntegral:
         from scipy.integrate import simpson
 
         oracle = simpson(f, x=t)
-        assert _hyp2f1_form("base", 2.0, 3.0) == pytest.approx(oracle, abs=1e-8)
+        assert base(2.0, 3.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             tail_integral(-1.0, 4.0)
         with pytest.raises(ValueError):
-            _hyp2f1_form("base", 1.0, 2.0)
+            _hyp2f1_tail(1.0, 2.0)
         with pytest.raises(ValueError):
             tail_integral(1.0, 2.0)
 
@@ -95,8 +100,6 @@ class TestTailIntegral:
     def test_matches_complement(self):
         for b in (0.3, 1.0, 4.0, 50.0):
             assert tail_integral(b, 4.0) == pytest.approx(math.atan(1.0 / b), abs=1e-12)
-            direct = full_line_integral(3.0) - _hyp2f1_form("base", b, 3.0)
-            assert tail_integral(b, 3.0) == pytest.approx(direct, abs=1e-13)
 
 
 # Relative tolerance of the 2F1 forms against QUADPACK; every oracle value
@@ -151,8 +154,10 @@ class TestQuadOracle:
     @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
     def test_base_and_tail(self, alpha):
         for b in QUAD_BOUNDS:
-            assert_matches_quad(_hyp2f1_form("base", b, alpha), quad_base(b, alpha))
             assert_matches_quad(tail_integral(b, alpha), quad_tail(b, alpha))
+            # base + tail = C(alpha), to the tail's accuracy relative to C
+            assert base(b, alpha) == pytest.approx(
+                quad_base(b, alpha)[0], rel=0.0, abs=QUAD_REL * full_line_integral(alpha))
 
     @pytest.mark.parametrize("alpha", QUAD_ALPHAS)
     def test_two_tier_interference_kernel(self, alpha):
@@ -169,22 +174,22 @@ class TestQuadOracle:
                 assert_matches_quad(ev.interference_kernel(m, x), _sum(*terms))
 
     def test_extreme_bounds_stay_finite(self):
-        # where the 2F1 argument would overflow, base + tail = C(alpha) takes over
+        # where b^(alpha/2) < 1e-300 the 2F1 argument would overflow, and the
+        # tail is C(alpha) - b: int_0^b is b to double precision there
+        for alpha in QUAD_ALPHAS + (600.0,):
+            for b in (0.0, 1e-300):
+                assert tail_integral(b, alpha) == full_line_integral(alpha) - b
+        assert tail_integral(0.09, 600.0) == full_line_integral(600.0) - 0.09
         for alpha in (3.0, 600.0):
             for b in (1e-300, 0.09, 1e300):
-                assert _hyp2f1_form("base", b, alpha) + tail_integral(b, alpha) == pytest.approx(
-                    full_line_integral(alpha), rel=1e-15
-                )
-        assert tail_integral(1e-300, 3.0) == full_line_integral(3.0)
-        assert _hyp2f1_form("base", 1e-300, 3.0) == 1e-300
+                assert 0.0 <= tail_integral(b, alpha) <= full_line_integral(alpha)
 
 
 def test_hyp2f1_forms_match_closed_forms_at_alpha4():
-    # 241 + 241 points
+    # 241 points
     bounds = np.geomspace(1e-6, 1e6, 241)
     for b in bounds:
-        assert _hyp2f1_form("base", b, 4.0) == pytest.approx(math.atan(b), rel=1e-14, abs=0.0)
-        assert _hyp2f1_form("tail", b, 4.0) == pytest.approx(math.atan(1.0 / b), rel=1e-14, abs=0.0)
+        assert _hyp2f1_tail(b, 4.0) == pytest.approx(math.atan(1.0 / b), rel=1e-14, abs=0.0)
 
 
 class TestInterferenceKernel:
@@ -201,7 +206,7 @@ class TestInterferenceKernel:
     def test_single_tier_alpha4_oracle(self, x, expected):
         ev = single_tier()
         assert ev.interference_kernel(0, x) == pytest.approx(expected, abs=1e-9)
-        assert x**0.5 * _hyp2f1_form("tail", x**-0.5, 4.0) == pytest.approx(expected, abs=1e-9)
+        assert x**0.5 * _hyp2f1_tail(x**-0.5, 4.0) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_and_continuous(self):
         ev = single_tier(alpha=3.2)

@@ -90,7 +90,7 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
     """A cell's pair, fades and received powers are the same bits when it
     is computed alone, at any position of a block of any size, or among
     any subset of the trial's cells (as a cap leaves)."""
-    cells = snap.tagged_cells()
+    cells = snap.tagged_cells(0)
     assert len(cells) > 20
     alone = {int(b): schedule_noma_users(snap, b) for b in cells}
     subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
@@ -124,7 +124,7 @@ class TestBuildSnapshot:
     def test_no_users_all_void(self):
         snap = build_snapshot(toy_params(mu=0.0), TOY_WINDOW, seed=1, trial=0)
         assert not snap.nonvoid.any()
-        assert len(snap.tagged_cells()) == 0
+        assert len(snap.tagged_cells(0)) == 0
 
     def test_empty_window_fails(self):
         p = NetworkParams(
@@ -205,7 +205,7 @@ class TestScheduleNomaUsers:
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
         alpha = p.pathloss_exponent
-        for b in snap.tagged_cells()[:10]:
+        for b in snap.tagged_cells(0)[:10]:
             cell = schedule_noma_users(snap, b)
             for r in range(2):
                 ux, uy = snap.pair_xy[b, r].tolist()
@@ -249,10 +249,10 @@ class TestScheduleNomaUsers:
         j += j >= i
         expected = np.full((snap.n_bs, 2, 2), np.nan)
         for b in np.flatnonzero(assoc.counts >= 2):
-            expected[b] = user_xy[assoc.users_of(b)[[i[b], j[b]]]]
+            expected[b] = user_xy[assoc.user_at(b, np.array([i[b], j[b]]))]
         assert_pairs_near_first(snap, expected)
         span = 2 * snap.n_bs
-        for b in snap.tagged_cells()[:8].tolist():
+        for b in snap.tagged_cells(0)[:8].tolist():
             cell = schedule_noma_users(snap, b)
             fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
             fade_stream.bit_generator.advance(span * b)
@@ -309,7 +309,7 @@ class TestEvaluateEvents:
     def test_coop_dominates_per_sample(self):
         p = toy_params(mu=2e-4)  # q ~ 0.56, plenty of void cells
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
-        cells = snap.tagged_cells()
+        cells = snap.tagged_cells(0)
         assert len(cells) > 10
         for b in cells:
             cell = schedule_noma_users(snap, b)
@@ -478,7 +478,7 @@ class TestExtrapolatedCoopForm:
         # beta = 0.55 < (1+theta)/(2+theta) = 2/3: the cooperative closed
         # form treats the near user's first SIC stage as free there, so its
         # pico near coverage overstates what whole networks give
-        p = table1_params(beta=0.55)
+        p = table1_params().with_beta(0.55)
         pair = analytic_pairs(p, ("coop",))[(1, "coop")]
         assert pair.extrapolated
         assert pair.near == pytest.approx(0.5644, abs=1e-4)

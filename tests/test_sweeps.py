@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetnoma import simulate
-from hetnoma.config import ScenarioConfig
+from hetnoma.config import ConfigError, ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
 from hetnoma.sweeps import (
@@ -70,16 +70,18 @@ class TestApplySweepValue:
         assert apply_sweep_value(p, "user_intensity", 1e-3).user_intensity == 1e-3
         assert apply_sweep_value(p, "beta", 0.7).beta == (0.7, 0.7)
         assert apply_sweep_value(p, "pico_intensity", 9e-5).tiers[1].intensity == 9e-5
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as info:
             apply_sweep_value(p, "powers", 1.0)
+        assert info.value.field == "sweep.variable"
 
     def test_pico_sweep_needs_two_tiers(self):
         single = NetworkParams(
             tiers=(TierParams(1.0, 1e-4),), user_intensity=1e-4,
             pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as info:
             apply_sweep_value(single, "pico_intensity", 1e-5)
+        assert info.value.field == "sweep.variable"
 
 
 class TestScenarioConfig:
