@@ -17,6 +17,7 @@ from .coverage import (
     average_coverage,
     cell_load_model,
     coverage_coop,
+    coverage_curve,
     coverage_noncoop,
     decoding_thresholds,
     optimize_beta,
@@ -42,7 +43,7 @@ __all__ = [
     "ScenarioConfig",
     "TierParams", "Window",
     "associate", "average_coverage", "build_snapshot",
-    "cell_census", "cell_load_model", "coverage_coop", "coverage_noncoop",
+    "cell_census", "cell_load_model", "coverage_coop", "coverage_curve", "coverage_noncoop",
     "decoding_thresholds", "default_window",
     "optimize_beta", "run_beta_scan",
     "run_sweep", "run_trials", "sample_ppp",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from scipy.special import gammaln
 
@@ -56,6 +57,14 @@ class TierParams:
         set_field(self, "intensity", number(self.intensity, "intensity", 0.0, strict=True))
 
 
+def check_beta(value, field):
+    """One power split as a float in [0, 1]; a ConfigError names `field` or "beta"."""
+    value = number(value, field, 0.0)
+    if value > 1.0:
+        raise ConfigError("beta", "entries must lie in [0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Full scenario description of the M-tier downlink NOMA network."""
@@ -72,12 +81,10 @@ class NetworkParams:
             raise ConfigError("tiers", "expected a nonempty array of tier objects")
         if not isinstance(self.beta, (list, tuple)) or len(self.beta) != len(self.tiers):
             raise ConfigError("beta", "must have one entry per tier")
-        beta = tuple([number(b, f"beta[{i}]", 0.0) for i, b in enumerate(self.beta)])
-        if max(beta) > 1.0:
-            raise ConfigError("beta", "entries must lie in [0, 1]")
         set_field = object.__setattr__
         set_field(self, "tiers", tuple(self.tiers))
-        set_field(self, "beta", beta)
+        set_field(self, "beta",
+                  tuple([check_beta(b, f"beta[{i}]") for i, b in enumerate(self.beta)]))
         set_field(self, "user_intensity", number(self.user_intensity, "user_intensity", 0.0))
         set_field(self, "pathloss_exponent",
                   number(self.pathloss_exponent, "pathloss_exponent", 2.0, strict=True))
@@ -140,8 +147,7 @@ def user_count_pmf(load, n):
     return float(math.exp(log_p))
 
 
-@dataclass(frozen=True)
-class DecodingThresholds:
+class DecodingThresholds(NamedTuple):
     """SIR-equivalent thresholds of the two NOMA decoding events.
 
     valid is False when beta <= theta/(1+theta); the thresholds are then
@@ -168,8 +174,7 @@ def decoding_thresholds(theta, beta_m):
     return DecodingThresholds(max(far, own), far, True)
 
 
-@dataclass(frozen=True)
-class CoveragePair:
+class CoveragePair(NamedTuple):
     """Near/far coverage probabilities of one tier under one scheme.
 
     extrapolated marks cooperative results computed below the
@@ -180,6 +185,10 @@ class CoveragePair:
     near: float
     far: float
     extrapolated: bool = False
+
+    @property
+    def average(self):
+        return 0.5 * (self.near + self.far)
 
 
 def _coop_extrapolated(theta, beta_m):
@@ -207,8 +216,15 @@ def check_schemes(schemes):
     return tuple(schemes)
 
 
-def coverage_pair(params, tier, scheme, evaluator=None):
-    """Near/far coverage of one tier under the scheme named "noncoop" or "coop".
+def coverage_curve(params, tier, scheme, betas, evaluator=None):
+    """Near/far coverage of one tier under the scheme named "noncoop" or
+    "coop", as a list of CoveragePair, one per power split in betas.
+
+    Each pair equals the one of params.with_beta(beta), bit for bit, and a
+    bad beta raises the ConfigError that with_beta raises.  theta, q and
+    the kernel evaluator are set up once per call, and the kernel
+    arguments of all betas go to one interference_kernel call (noncoop),
+    or to one interference_kernel and one combined_kernel call (coop).
 
     The schemes differ in two places only: the near user's threshold,
     max(far, theta/(1-beta)) without cooperation and theta/(1-beta) with
@@ -216,29 +232,45 @@ def coverage_pair(params, tier, scheme, evaluator=None):
     cells' gain.
     """
     check_schemes((scheme,))
+    # each beta is checked as the first of the entries with_beta broadcasts it to
+    betas = [check_beta(beta, "beta[0]") for beta in betas]
     theta = params.sir_threshold
-    beta = params.beta[tier]
-    thr = decoding_thresholds(theta, beta)
-    if not thr.valid:
-        return CoveragePair(0.0, 0.0)
-    ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
     q = cell_load_model(params).nonvoid_prob
+    ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
+    thresholds = [decoding_thresholds(theta, beta) for beta in betas]
+    valid = [(beta, thr) for beta, thr in zip(betas, thresholds) if thr.valid]
+    far_args = [thr.far_threshold for _, thr in valid]
     if scheme == "coop":
-        near_arg = math.inf if beta == 1.0 else theta / (1.0 - beta)
-        far_exp = ev.combined_kernel(tier, thr.far_threshold, thr.far_threshold / theta, q)
+        near_args = [math.inf if beta == 1.0 else theta / (1.0 - beta) for beta, _ in valid]
+        k_nears = ev.interference_kernel(tier, near_args)
+        far_exps = ev.combined_kernel(tier, far_args, [x / theta for x in far_args], q)
     else:
-        near_arg = thr.near_threshold
-        far_exp = q * ev.interference_kernel(tier, thr.far_threshold)
-    k_near = ev.interference_kernel(tier, near_arg)
-    near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
-    far = 2.0 / ((1.0 + far_exp) * (2.0 + far_exp))
-    return CoveragePair(near, far, scheme == "coop" and _coop_extrapolated(theta, beta))
+        near_args = [thr.near_threshold for _, thr in valid]
+        kernels = ev.interference_kernel(tier, near_args + far_args)
+        k_nears = kernels[:len(valid)]
+        # no interferer at q = 0, even where a kernel overflowed to inf
+        far_exps = [q * k if q else 0.0 for k in kernels[len(valid):]]
+    exponents = iter(zip(k_nears, far_exps))
+    pairs = []
+    for beta, thr in zip(betas, thresholds):
+        if not thr.valid:
+            pairs.append(CoveragePair(0.0, 0.0))
+            continue
+        k_near, far_exp = next(exponents)
+        near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
+        far = 2.0 / ((1.0 + far_exp) * (2.0 + far_exp))
+        pairs.append(CoveragePair(near, far, scheme == "coop" and _coop_extrapolated(theta, beta)))
+    return pairs
+
+
+def coverage_pair(params, tier, scheme, evaluator=None):
+    """Near/far coverage of one tier under one scheme at the configured beta."""
+    return coverage_curve(params, tier, scheme, (params.beta[tier],), evaluator)[0]
 
 
 def average_coverage(params, tier, scheme, evaluator=None):
     """Mean of the near and far coverage probabilities for one scheme."""
-    pair = coverage_pair(params, tier, scheme, evaluator)
-    return 0.5 * (pair.near + pair.far)
+    return coverage_pair(params, tier, scheme, evaluator).average
 
 
 @dataclass(frozen=True)
@@ -266,10 +298,10 @@ def optimize_beta(params, tier, scheme):
     ev = KernelEvaluator.from_params(params)
 
     def objective(beta):
-        return average_coverage(params.with_beta(beta), tier, scheme, ev)
+        return coverage_curve(params, tier, scheme, (beta,), ev)[0].average
 
     grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
-    values = [objective(b) for b in grid]
+    values = [pair.average for pair in coverage_curve(params, tier, scheme, grid, ev)]
     best = max(range(len(grid)), key=values.__getitem__)
     left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
     right = grid[best + 1] if best + 1 < len(grid) else 1.0

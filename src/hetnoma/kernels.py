@@ -116,30 +116,39 @@ def _hyp2f1_tail(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
 
     at any alpha > 2, with s = 2*b^(1-alpha/2)/(alpha-2): the integrand's
-    geometric series in t^(-alpha/2) integrated term by term.
+    geometric series in t^(-alpha/2) integrated term by term.  b is one
+    bound or a list of them; a list gives a list, from one hyp2f1 call.
     """
     if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
+    bounds = b if isinstance(b, list) else [b]
     half = alpha / 2.0
-    # the 2F1 argument would overflow; int_0^b is then b to double precision
-    if b < 1.0 and b**half < 1e-300:
-        return full_line_integral(alpha) - b
     c = 1.0 - 1.0 / half
-    scale = 2.0 * b ** (1.0 - half) / (alpha - 2.0)
-    return scale * float(hyp2f1(1.0, c, 1.0 + c, -(b**-half)))
+    rise, drop, span = -half, 1.0 - half, alpha - 2.0
+    full = full_line_integral(alpha)
+    # where b^(alpha/2) < 1e-300 the 2F1 argument would overflow; int_0^b is
+    # then b to double precision, and the 2F1 call gets 0 in its place
+    direct = [v < 1.0 and v**half < 1e-300 for v in bounds]
+    series = hyp2f1(1.0, c, 1.0 + c, [0.0 if d else -(v**rise) for v, d in zip(bounds, direct)])
+    tails = [full - v if d else 2.0 * v**drop / span * s
+             for v, d, s in zip(bounds, direct, series.tolist())]
+    return tails if bounds is b else tails[0]
 
 
 def tail_integral(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
 
+    b is one bound or a list of them (then a list, from one hyp2f1 call).
     Small tails (large b) are evaluated directly, so they keep their
     relative accuracy.  Where b^(alpha/2) < 1e-300 (b = 0 included) the
     tail is C(alpha) - b.
     """
-    if not b >= 0:
+    bounds = b if isinstance(b, list) else [b]
+    if not all([v >= 0 for v in bounds]):
         raise ValueError("integration bound b must be nonnegative")
     if alpha == 4.0:
-        return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
+        tails = [math.pi / 2.0 if v == 0.0 else math.atan(1.0 / v) for v in bounds]
+        return tails if bounds is b else tails[0]
     return _hyp2f1_tail(b, alpha)
 
 
@@ -181,35 +190,61 @@ class KernelEvaluator:
         """Mean-interference kernel of tier m at normalized threshold x.
 
         Nonnegative, zero at x = 0, strictly increasing, and +inf in the
-        x -> inf limit (returned as math.inf without any quadrature).
+        x -> inf limit.  x is one threshold or a list of them; a list gives
+        a list, and the terms of all its entries come from one
+        tail_integral call (one hyp2f1 call at alpha != 4).
         """
-        if not x >= 0:
+        xs = x if isinstance(x, list) else [x]
+        if not all([v >= 0 for v in xs]):
             raise ValueError("kernel argument must be nonnegative")
-        if x == 0.0:
-            return 0.0
-        if math.isinf(x):
-            return math.inf
         p_m = self.powers[m]
-        total = 0.0
-        for p_k, frac_k in zip(self.powers, self.fractions):
-            if frac_k == 0.0:
+        up, down = 2.0 / self.alpha, -2.0 / self.alpha
+        terms = [(p_k, frac_k) for p_k, frac_k in zip(self.powers, self.fractions) if frac_k]
+        kernels = [math.inf if v == math.inf else 0.0 for v in xs]
+        where, weights, bounds = [], [], []
+        for i, v in enumerate(xs):
+            if not 0.0 < v < math.inf:
                 continue
-            ratio = x * p_k / p_m
-            b = ratio ** (-2.0 / self.alpha)
-            total += frac_k * ratio ** (2.0 / self.alpha) * tail_integral(b, self.alpha)
-        return total
+            for p_k, frac_k in terms:
+                ratio = v * p_k / p_m
+                try:
+                    bound = ratio**down
+                except (ZeroDivisionError, OverflowError):
+                    # ratio is 0 or so near it that its bound overflows: the
+                    # term takes its x -> 0 limit, 0 (it is below 1e-290)
+                    continue
+                where.append(i)
+                weights.append(frac_k * ratio**up)
+                bounds.append(bound)
+        for i, weight, tail in zip(where, weights, tail_integral(bounds, self.alpha)):
+            kernels[i] += weight * tail
+        return kernels if xs is x else kernels[0]
 
     def combined_kernel(self, m, x, y, nonvoid_prob):
         """Coverage exponent of tier m with void-cell cooperation:
 
             max(q*interference_kernel(x) - (1-q)*interference_kernel(y), 0)
 
-        finite everywhere, and interference_kernel(x) at q = 1.
+        and interference_kernel(x) at q = 1.  x and y are one threshold
+        each, or two lists of equal length (then a list, from one
+        interference_kernel call).  Never NaN: where the difference is
+        inf - inf (both kernels overflowed) or 0*inf (q = 0), the kernels'
+        leading terms, in proportion q*x^(2/alpha) and (1-q)*y^(2/alpha),
+        decide between inf and 0.
         """
         q = nonvoid_prob
         if not 0.0 <= q <= 1.0:
             raise ValueError("nonvoid_prob must lie in [0, 1]")
         if q == 1.0:
             return self.interference_kernel(m, x)
-        value = q * self.interference_kernel(m, x) - (1.0 - q) * self.interference_kernel(m, y)
-        return max(value, 0.0)
+        xs, ys = (x, y) if isinstance(x, list) else ([x], [y])
+        kernels = self.interference_kernel(m, xs + ys)
+        n = len(xs)
+        up = 2.0 / self.alpha
+        values = []
+        for vx, vy, kx, ky in zip(xs, ys, kernels[:n], kernels[n:]):
+            value = q * kx - (1.0 - q) * ky
+            if math.isnan(value):
+                value = math.inf if q * vx**up > (1.0 - q) * vy**up else 0.0
+            values.append(max(value, 0.0))
+        return values if xs is x else values[0]

@@ -18,10 +18,11 @@ from .checks import ConfigError
 from .coverage import (
     NetworkParams,
     TierParams,
-    average_coverage,
+    coverage_curve,
     coverage_pair,
     optimize_beta,
 )
+from .coverage import average_coverage  # noqa: F401  (perfbench traces it by name)
 from .kernels import KernelEvaluator
 from .simulate import ROLES, SCHEMES, estimates_from_totals, run_trial_sets
 from .simulate import run_trials  # noqa: F401  (perfbench traces sweeps.run_trials by name)
@@ -163,8 +164,7 @@ class BetaScan:
 
 def run_beta_scan(params, tier, scheme, grid):
     """Average coverage on a beta grid and the golden-section optimum."""
-    ev = KernelEvaluator.from_params(params)
-    averages = tuple(average_coverage(params.with_beta(b), tier, scheme, ev) for b in grid)
+    averages = tuple(pair.average for pair in coverage_curve(params, tier, scheme, grid))
     optimum = optimize_beta(params, tier, scheme)
     return BetaScan(
         tier=tier, scheme=scheme, grid=tuple(float(b) for b in grid),

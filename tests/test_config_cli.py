@@ -242,6 +242,22 @@ class TestCliAnalytic:
         assert code == 0
         assert "invalid power allocation: beta <= theta/(1+theta)" in text
 
+    @pytest.mark.parametrize("change", [
+        {"sir_threshold": 1e-323},
+        {"sir_threshold": 1e-310, "pathloss_exponent": 2.01},
+        {"tiers": [STOCK_TIERS[0], {"power_watts": 1e-320, "intensity": 5e-5}]},
+        {"tiers": [{"power_watts": 1e308, "intensity": 1e-6}, STOCK_TIERS[1]]},
+        {"tiers": [STOCK_TIERS[0], {"power_watts": 1e-320, "intensity": 5e-5}],
+         "user_intensity": 0.0},
+    ], ids=["subnormal_theta", "subnormal_theta_alpha_2.01", "tiny_pico_power",
+            "huge_macro_power", "tiny_pico_power_no_users"])
+    def test_extreme_inputs_report_numbers(self, tmp_path, change):
+        data = {"tiers": STOCK_TIERS, "user_intensity": 5e-4, "beta": 0.75, **change}
+        code, text = run_cli(["analytic", "--config", write_config(tmp_path, data)])
+        assert code == 0
+        assert text.count("coop[appendix] : near") == 2
+        assert "nan" not in text
+
     def test_missing_tiers_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"user_intensity": 1e-4})
         code, _ = run_cli(["analytic", "--config", path])

@@ -20,7 +20,9 @@ from hetnoma.coverage import (
     average_coverage,
     cell_load_model,
     coverage_coop,
+    coverage_curve,
     coverage_noncoop,
+    coverage_pair,
     decoding_thresholds,
     optimize_beta,
     user_count_pmf,
@@ -282,6 +284,40 @@ class TestCoverageCoop:
 
     def test_invalid_beta_gives_zero(self):
         assert coverage_coop(single_tier(beta=0.3), 0) == CoveragePair(0.0, 0.0)
+
+
+class TestCoverageCurve:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5, "0.7", True])
+    def test_bad_grid_beta_raises_as_with_beta(self, bad):
+        p = two_tier()
+        with pytest.raises(ConfigError) as expected:
+            p.with_beta(bad)
+        for scheme in ("noncoop", "coop"):
+            with pytest.raises(ConfigError) as raised:
+                coverage_curve(p, 1, scheme, [0.6, bad, 0.8])
+            assert (raised.value.field, raised.value.message) == (
+                expected.value.field, expected.value.message)
+            assert "beta" in raised.value.field
+
+    @pytest.mark.parametrize("powers", [(20.0, 1e-320), (1e308, 2.0)])
+    @pytest.mark.parametrize("mu", [0.0, 5e-5, 5e-4])
+    def test_extreme_power_ratio_gives_no_nan(self, powers, mu):
+        # a kernel that overflows to inf must not turn q*inf - (1-q)*inf, or
+        # 0*inf at q = 0, into a NaN coverage
+        p = NetworkParams(
+            tiers=(TierParams(powers[0], 1e-6), TierParams(powers[1], 5e-5)),
+            user_intensity=mu, pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75, 0.75),
+        )
+        for tier in (0, 1):
+            for scheme in ("noncoop", "coop"):
+                for pair in coverage_curve(p, tier, scheme, [0.55, 0.75, 1.0]):
+                    assert 0.0 <= pair.near <= 1.0 and 0.0 <= pair.far <= 1.0, (tier, scheme)
+        if powers[1] == 1e-320:
+            # pico users see macro interference 2e321 times their own signal,
+            # and q > 1/2 makes the void cells' gain the smaller term: the far
+            # user is never covered, unless no BS is active (q = 0)
+            for scheme in ("noncoop", "coop"):
+                assert coverage_pair(p, 1, scheme).far == (1.0 if mu == 0.0 else 0.0)
 
 
 class TestAverageCoverage:

@@ -237,6 +237,23 @@ class TestInterferenceKernel:
             ) * math.atan(math.sqrt(x / 10))
             assert ev.interference_kernel(0, x) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_list_equals_each_threshold_alone(self, alpha):
+        ev = KernelEvaluator(powers=(20.0, 2.0, 1e-3), fractions=(0.1, 0.0, 0.9), alpha=alpha)
+        xs = [0.0, 1e-300, 0.3, 2.0, 1e250, math.inf, 7.0]
+        for m in range(3):
+            assert ev.interference_kernel(m, xs) == [ev.interference_kernel(m, x) for x in xs]
+            assert ev.interference_kernel(m, []) == []
+
+    @pytest.mark.parametrize("alpha, x", [(3.5, 1e-323), (4.0, 1e-323), (2.01, 1e-309)])
+    def test_vanishing_ratio_term_is_zero(self, alpha, x):
+        # x*P_1/P_0 underflows to 0 (or, near alpha = 2, its bound overflows):
+        # that term is 0, its x -> 0 limit, and the tier-0 term stands alone
+        ev = KernelEvaluator(powers=(20.0, 2.0), fractions=(0.5, 0.5), alpha=alpha)
+        up = 2.0 / alpha
+        assert ev.interference_kernel(0, x) == 0.5 * x**up * tail_integral(x**-up, alpha)
+        assert 0.0 <= ev.interference_kernel(1, x) < 1e-300
+
     def test_validates_fractions(self):
         with pytest.raises(ValueError):
             KernelEvaluator(powers=(1.0, 1.0), fractions=(0.6, 0.6), alpha=4.0)
@@ -290,6 +307,25 @@ class TestCombinedKernel:
         qs = np.linspace(0.2, 1.0, 9)
         vals = [ev.combined_kernel(0, 2.0, 2.0, q) for q in qs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_list_equals_each_pair_alone(self):
+        ev = KernelEvaluator(powers=(20.0, 2.0), fractions=(0.3, 0.7), alpha=3.5)
+        xs, ys = [0.5, 2.0, 4.0, 9.0], [0.5, 1.0, 8.0, 3.0]
+        for q in (0.0, 0.4, 0.8, 1.0):
+            assert ev.combined_kernel(1, xs, ys, q) == [
+                ev.combined_kernel(1, x, y, q) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    def test_both_kernels_overflowing_give_their_limit(self, alpha):
+        # P_0/P_1 overflows: both kernels of tier 1 are inf, and q*inf - (1-q)*inf
+        # is NaN; the limit is inf where q*x^(2/a) > (1-q)*y^(2/a), else 0
+        ev = KernelEvaluator(powers=(20.0, 1e-320), fractions=(0.02, 0.98), alpha=alpha)
+        assert ev.interference_kernel(1, 2.0) == math.inf
+        assert ev.combined_kernel(1, 2.0, 2.0, 0.99) == math.inf
+        assert ev.combined_kernel(1, 2.0, 2.0, 0.5) == 0.0
+        assert ev.combined_kernel(1, 2.0, 2.0, 0.0) == 0.0
+        assert ev.combined_kernel(1, 2.0, 1.0, 0.45) == math.inf
+        assert ev.combined_kernel(1, 1.0, 4.0, 0.6) == 0.0
 
     def test_rejects_bad_mode_and_q(self):
         ev = single_tier()
