@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.special import gammaln
-
 from .checks import ConfigError, number
 from .kernels import KernelEvaluator
 
@@ -138,9 +136,9 @@ def user_count_pmf(load, n):
         return 1.0 if n == 0 else 0.0
     r = 2.0 * L / 7.0
     log_p = (
-        gammaln(n + 3.5)
-        - gammaln(n + 1.0)
-        - gammaln(3.5)
+        math.lgamma(n + 3.5)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(3.5)
         + n * math.log(r)
         - (n + 3.5) * math.log1p(r)
     )

@@ -5,6 +5,9 @@ The analysis lives on the infinite plane; simulations truncate it to a
 square window and collect statistics only for cells whose base station
 lies in an inner region inset by `margin`, so that the interference and
 cooperation fields seen by evaluated cells are effectively edge-free.
+
+scipy.spatial is imported inside the functions that call it, so code
+that never simulates (the closed forms) never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
 
 from .checks import ConfigError, number
 
@@ -110,6 +112,8 @@ def associate(bs_xy, user_xy):
     n_bs = len(bs_xy)
     if n_bs == 0:
         raise ValueError("association requires at least one base station")
+    from scipy.spatial import cKDTree
+
     serving = cKDTree(bs_xy).query(user_xy)[1]
     counts = np.bincount(serving, minlength=n_bs)
     # the narrowest unsigned key lets numpy radix-sort; same stable order
@@ -225,6 +229,8 @@ def _voronoi_fans(points, n, half_width):
     of points[:n] is unbounded or, unless half_width is None, has a vertex
     outside the window.
     """
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(points)
     simplices, neighbors = tri.simplices.copy(), tri.neighbors.copy()
     p = points[simplices]

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 # No kernel calls the adaptive quadrature below; perfbench traces integrate_adaptive by name.
 DEFAULT_ABS_TOL = 1e-10
@@ -112,12 +112,23 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
+@lru_cache(maxsize=1)
+def _hyp2f1():
+    """scipy.special.hyp2f1, imported on the first call; a cached call is
+    about ten times cheaper than an import statement."""
+    from scipy.special import hyp2f1
+
+    return hyp2f1
+
+
 def _hyp2f1_tail(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
 
     at any alpha > 2, with s = 2*b^(1-alpha/2)/(alpha-2): the integrand's
     geometric series in t^(-alpha/2) integrated term by term.  b is one
     bound or a list of them; a list gives a list, from one hyp2f1 call.
+    scipy.special is loaded on the first call (_hyp2f1), so the alpha = 4
+    arctan path and `import hetnoma` never load it.
     """
     if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
@@ -129,7 +140,7 @@ def _hyp2f1_tail(b, alpha):
     # where b^(alpha/2) < 1e-300 the 2F1 argument would overflow; int_0^b is
     # then b to double precision, and the 2F1 call gets 0 in its place
     direct = [v < 1.0 and v**half < 1e-300 for v in bounds]
-    series = hyp2f1(1.0, c, 1.0 + c, [0.0 if d else -(v**rise) for v, d in zip(bounds, direct)])
+    series = _hyp2f1()(1.0, c, 1.0 + c, [0.0 if d else -(v**rise) for v, d in zip(bounds, direct)])
     tails = [full - v if d else 2.0 * v**drop / span * s
              for v, d, s in zip(bounds, direct, series.tolist())]
     return tails if bounds is b else tails[0]
@@ -199,6 +210,7 @@ class KernelEvaluator:
             raise ValueError("kernel argument must be nonnegative")
         p_m = self.powers[m]
         up, down = 2.0 / self.alpha, -2.0 / self.alpha
+        tiny, huge = sys.float_info.min, math.inf
         terms = [(p_k, frac_k) for p_k, frac_k in zip(self.powers, self.fractions) if frac_k]
         kernels = [math.inf if v == math.inf else 0.0 for v in xs]
         where, weights, bounds = [], [], []
@@ -206,7 +218,10 @@ class KernelEvaluator:
             if not 0.0 < v < math.inf:
                 continue
             for p_k, frac_k in terms:
-                ratio = v * p_k / p_m
+                product = v * p_k
+                # where v*P_k overflows or leaves the normal range, divide the
+                # powers first; elsewhere keep the left-to-right bits
+                ratio = product / p_m if tiny <= product < huge else v * (p_k / p_m)
                 try:
                     bound = ratio**down
                 except (ZeroDivisionError, OverflowError):

@@ -471,7 +471,10 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     distance sums included.  The trials of all points share one pool:
     n_jobs caps its worker processes, which never outnumber the trials of
     the whole run or the CPUs; with one, the trials run in this process.
-    A budget that is not an integer >= 1 raises ConfigError before any trial.
+    scipy.spatial, which every trial's association needs, is imported here
+    before the pool forks, so the workers inherit it rather than each
+    importing it again.  A budget that is not an integer >= 1 raises
+    ConfigError before any trial.
     """
     integer(n_trials, "n_trials", 1)
     integer(n_jobs, "n_jobs", 1)
@@ -482,6 +485,8 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     jobs = [(params, window, seed, trial, max_cells_per_tier)
             for params, window, seed in points for trial in range(n_trials)]
     totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
+    import scipy.spatial  # noqa: F401  (loaded once, before _worker_pool forks)
+
     # a fork pool starts all max_workers processes at once
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     with _worker_pool(workers) as pool:
@@ -494,6 +499,9 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
 @contextmanager
 def _worker_pool(workers):
     """A pool of `workers` processes, or None for one.
+
+    The workers are forked, so they start with every module the parent has
+    loaded; run_trial_sets imports scipy.spatial before calling this.
 
     When the block raises (SystemExit on SIGTERM included), the pool
     cancels every trial not yet started, then waits for its workers to

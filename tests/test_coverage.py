@@ -7,6 +7,7 @@ optimum by exhaustive search on a 1e-3 grid.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestUserCountPmf:
         lm = LoadModel(cell_load=100.0, nonvoid_prob=0.0)
         value = user_count_pmf(lm, 500)
         assert math.isfinite(value) and value > 0
+
+    @pytest.mark.parametrize("load", [1e-3, 0.3, 1.0, 9.803921568627451, 40.0, 1e4])
+    def test_equals_the_scipy_gammaln_form(self, load):
+        from scipy.special import gammaln
+
+        lm = LoadModel(cell_load=load, nonvoid_prob=0.0)
+        r = 2.0 * load / 7.0
+        for n in range(6001):
+            terms = (gammaln(n + 3.5), -gammaln(n + 1.0), -gammaln(3.5),
+                     n * math.log(r), -(n + 3.5) * math.log1p(r))
+            expected = math.exp(sum(terms))
+            # 1e-12, or where the log-space terms are large (n above about
+            # 400) the rounding of their sum, which both forms carry
+            tol = max(1e-12, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
+            assert user_count_pmf(lm, n) == pytest.approx(expected, rel=tol, abs=0.0), n
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -318,6 +334,26 @@ class TestCoverageCurve:
             # user is never covered, unless no BS is active (q = 0)
             for scheme in ("noncoop", "coop"):
                 assert coverage_pair(p, 1, scheme).far == (1.0 if mu == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    def test_power_scale_invariance_across_the_normal_range(self, alpha):
+        # 20 W and 2 W times 10^k stay normal floats for k in [-307, 306]; at
+        # the top, x*P_k overflows for the kernel arguments of beta = 0.55
+        p = two_tier(alpha=alpha)
+        betas = [0.55, 0.75, 0.95]
+        for k in (-307, -150, -1, 1, 150, 300, 306):
+            scaled = NetworkParams(
+                tiers=tuple(TierParams(t.power_watts * 10.0**k, t.intensity) for t in p.tiers),
+                user_intensity=p.user_intensity, pathloss_exponent=p.pathloss_exponent,
+                sir_threshold=p.sir_threshold, beta=p.beta,
+            )
+            for tier in (0, 1):
+                for scheme in ("noncoop", "coop"):
+                    base = coverage_curve(p, tier, scheme, betas)
+                    other = coverage_curve(scaled, tier, scheme, betas)
+                    for a, b in zip(base, other):
+                        assert b.near == pytest.approx(a.near, rel=1e-12), (k, tier, scheme)
+                        assert b.far == pytest.approx(a.far, rel=1e-12), (k, tier, scheme)
 
 
 class TestAverageCoverage:
