@@ -291,15 +291,31 @@ def optimize_beta(params, tier, scheme):
     BETA_TOL.  at_boundary reports a maximizer within BETA_TOL of beta = 1;
     extrapolated a cooperative one below (1+theta)/(2+theta).
     """
+    return scan_beta(params, tier, scheme, ())[1]
+
+
+def scan_beta(params, tier, scheme, betas):
+    """(averages, optimum): the average coverage at each of betas, as a
+    tuple, and optimize_beta's optimum.
+
+    One coverage_curve call evaluates betas and the coarse grid together,
+    each float once: a coarse grid point that betas holds too is not
+    evaluated again.  The values are those of separate calls, bit for bit.
+    """
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
     ev = KernelEvaluator.from_params(params)
+    betas = list(betas)
+    grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
+    shared = set(betas)
+    union = betas + [beta for beta in grid if beta not in shared]
+    averages = [pair.average for pair in coverage_curve(params, tier, scheme, union, ev)]
+    value_at = dict(zip(union, averages))
+    values = [value_at[beta] for beta in grid]
 
     def objective(beta):
         return coverage_curve(params, tier, scheme, (beta,), ev)[0].average
 
-    grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
-    values = [pair.average for pair in coverage_curve(params, tier, scheme, grid, ev)]
     best = max(range(len(grid)), key=values.__getitem__)
     left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
     right = grid[best + 1] if best + 1 < len(grid) else 1.0
@@ -323,5 +339,6 @@ def optimize_beta(params, tier, scheme):
     # keep the endpoint if refinement did not beat the coarse grid
     if values[best] > value:
         beta_star, value = grid[best], values[best]
-    return BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - BETA_TOL,
-                       extrapolated=scheme == "coop" and _coop_extrapolated(theta, beta_star))
+    optimum = BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - BETA_TOL,
+                          extrapolated=scheme == "coop" and _coop_extrapolated(theta, beta_star))
+    return tuple(averages[:len(betas)]), optimum

@@ -85,9 +85,12 @@ BLOCK_BYTES = 2**19
 # Load (users per BS) from which build_snapshot draws user counts from
 # clipped Voronoi cell areas instead of sampling and associating every
 # user.  The tessellation's cost does not depend on the load, the
-# association's grows with it; a trial costs the same on both at about
-# 12.4 users per BS, and this is 1.5 times that, rounded up (ROADMAP
-# item 4 has the measurements).
+# association's grows with it.  This is 1.5 times, rounded up, the 12.4
+# users per BS at which a stock-density trial cost the same on both when
+# the tessellation triangulated mirror images of the BSs; with its three
+# guard points instead, they cost the same at about 8.  It stays at 19:
+# moving it would switch samplers, and with them the draws, at the loads
+# in between.
 TESSELLATION_MIN_USERS_PER_BS = 19.0
 
 # Ceiling on the expected number of points (BSs, plus users where they are

@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial import ConvexHull, Voronoi, cKDTree
 from scipy.stats import chisquare
 
-from hetnoma import geometry
 from hetnoma.geometry import (
     Window,
     associate,
@@ -175,7 +174,8 @@ def full_mirror_areas(xy, window):
     """Clipped cell areas from a Voronoi diagram of xy and its 8 mirror images.
 
     The mirrors across both edges at a corner are included too, so that
-    every cell of xy is bounded by its own mirrors whatever the strip.
+    every cell of xy is bounded by its own mirrors.  Points on an edge
+    coincide with their mirrors there, which this reference cannot take.
     """
     hw = window.half_width
     images = [xy]
@@ -207,24 +207,43 @@ class TestClippedVoronoi:
         assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
 
-    def test_narrow_strip_widens_until_exact(self, monkeypatch):
-        # a strip of about 1 m leaves the boundary cells unbounded: the
-        # check fails, and the strip doubles until the cells are exact
-        monkeypatch.setattr(geometry, "VORONOI_STRIP_CELL_RADII", 0.02)
-        calls = []
-        fans = geometry._voronoi_fans
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_few_points_match_full_mirror_voronoi(self, n):
+        for seed in range(5):
+            xy = self.points(seed, n)
+            cells = clipped_voronoi(xy, self.WINDOW)
+            reference = full_mirror_areas(xy, self.WINDOW)
+            assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
 
-        def counting(points, n, half_width):
-            result = fans(points, n, half_width)
-            calls.append(result is not None)
-            return result
-
-        monkeypatch.setattr(geometry, "_voronoi_fans", counting)
-        xy = self.points(4)
+    def test_stock_density_matches_full_mirror_voronoi(self):
+        # 2,000 points, as the default window holds: about 160 edge cells
+        # have fans that reach past the window and are clipped
+        xy = self.points(9, 2000)
         cells = clipped_voronoi(xy, self.WINDOW)
-        assert calls[0] is False and calls[-1] is True and len(calls) > 2
         reference = full_mirror_areas(xy, self.WINDOW)
         assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("inset", [0.0, 1e-9])
+    @pytest.mark.parametrize("corner", [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    def test_point_at_a_corner_owns_the_window(self, corner, inset):
+        # on a corner, or 1e-9 half widths inside it: no guard's cell
+        # reaches the window, and the clipped fans still cover all of it
+        xy = np.array([corner]) * self.WINDOW.half_width * (1.0 - inset)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)
+
+    def test_fan_areas_are_nonnegative(self):
+        # points on the corners and edges give clipped pieces that are
+        # single points or segments
+        xy = self.points(11)
+        xy[:8] = self.WINDOW.half_width * np.array(
+            [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 0.3], [-0.2, 1], [-1, -0.7], [0.5, -1]])
+        cells = clipped_voronoi(xy, self.WINDOW)
+        assert (np.diff(cells._cum) >= 0.0).all()
+        site = xy[np.repeat(np.arange(len(xy)), np.diff(cells._start))]
+        u, v = cells._first - site, cells._second - site
+        assert (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] >= 0.0).all()
+        assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-12)
 
     def test_single_point_owns_the_window(self):
         cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)

@@ -425,6 +425,21 @@ class TestRunTrials:
         assert [x.hex() for x in totals.sum_far_dist_sq] == [
             "0x1.3273922794666p+20", "0x1.47f9fc630ebdap+22"]
 
+    def test_pinned_counts_dense(self):
+        # 39 users per BS: counts and pairs come from clipped Voronoi cells,
+        # whose fan corners may move by an ulp with the triangulation, so
+        # the distance sums are pinned to a relative 1e-12
+        totals = run_trials(table1_params(user_intensity=2e-3), n_trials=6, seed=(501, 0),
+                            max_cells_per_tier=120)
+        assert totals.successes.tolist() == [[[149, 143], [149, 143]], [[335, 170], [335, 170]]]
+        assert totals.samples.tolist() == [182, 720]
+        assert totals.sum_near_dist_sq.tolist() == pytest.approx(
+            [float.fromhex("0x1.bd736726f3b42p+18"), float.fromhex("0x1.d89f7a8039623p+20")],
+            rel=1e-12)
+        assert totals.sum_far_dist_sq.tolist() == pytest.approx(
+            [float.fromhex("0x1.39e59aecf7a44p+20"), float.fromhex("0x1.3ef5b7aa206eep+22")],
+            rel=1e-12)
+
     def test_merge_is_associative(self):
         p = toy_params()
         t0 = run_single_trial(p, TOY_WINDOW, seed=3, trial=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hetnoma import simulate
+from hetnoma import coverage, simulate
 from hetnoma.config import ConfigError, ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
@@ -217,6 +217,29 @@ class TestRunBetaScan:
         p = toy_two_tier()
         scan = run_beta_scan(p, 0, "noncoop", (0.1, 0.3, 0.5))
         assert scan.averages == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("scheme", ["noncoop", "coop"])
+    def test_scan_evaluates_each_beta_once(self, scheme, monkeypatch):
+        # the optimize-beta grid i/32 holds every other point of the
+        # optimizer's coarse grid j/64, bit for bit: each is evaluated once
+        p = table1_params()
+        lo = p.sir_threshold / (1.0 + p.sir_threshold)
+        grid = [lo + (1.0 - lo) * i / 32 for i in range(1, 33)]
+        evaluated = []
+        thresholds = coverage.decoding_thresholds
+
+        def recording(theta, beta):
+            evaluated.append(beta)
+            return thresholds(theta, beta)
+
+        monkeypatch.setattr(coverage, "decoding_thresholds", recording)
+        scan = run_beta_scan(p, 1, scheme, grid)
+        assert set(grid) <= set(evaluated)
+        assert len(set(evaluated)) == len(evaluated)
+        monkeypatch.undo()
+        pairs = coverage.coverage_curve(p, 1, scheme, grid)
+        assert scan.averages == tuple(pair.average for pair in pairs)
+        assert scan.optimum == coverage.optimize_beta(p, 1, scheme)
 
     def test_coop_optimum_not_above_noncoop(self):
         # logged observation: joint transmission shifts power toward the
