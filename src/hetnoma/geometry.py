@@ -147,19 +147,22 @@ class ClippedVoronoi:
     def sample(self, cells, u):
         """Uniform points in cells, one per entry of the index array `cells`.
 
-        u has the shape of cells plus a last axis of three uniforms in
-        [0, 1): the first picks a fan triangle with probability
+        u has a shape that cells broadcasts to, plus a last axis of three
+        uniforms in [0, 1): the first picks a fan triangle with probability
         proportional to its area, the other two place the point in it by
-        the square-root rule.  Returns an array of shape cells.shape + (2,).
+        the square-root rule.  Returns an array of shape u.shape[:-1] + (2,).
         """
+        cells = np.broadcast_to(cells, u.shape[:-1])
         start, stop = self._start[cells], self._start[cells + 1]
         low, high = self._cum[start], self._cum[stop]
         target = low + u[..., 0] * (high - low)
         k = np.clip(np.searchsorted(self._cum, target, side="right") - 1, start, stop - 1)
-        s = np.sqrt(u[..., 1])[..., None]
-        t = u[..., 2][..., None]
-        return ((1.0 - s) * self.sites[cells] + s * (1.0 - t) * self._first[k]
-                + s * t * self._second[k])
+        s, t = np.sqrt(u[..., 1]), u[..., 2]
+        # as complex numbers x + iy, each point is one sum over 1-D arrays
+        site, first, second = (p.view(complex)[:, 0]
+                               for p in (self.sites, self._first, self._second))
+        point = (1.0 - s) * site[cells] + s * (1.0 - t) * first[k] + s * t * second[k]
+        return point[..., None].view(float)
 
 
 def clipped_voronoi(xy, window):
@@ -186,32 +189,30 @@ def clipped_voronoi(xy, window):
         raise ValueError("a tessellation requires at least one point")
     hw = window.half_width
     # points as complex numbers x + iy from here on
-    site = xy.view(complex)[:, 0]
-    owner, first, second = _voronoi_fans(site, hw)
-    # a fan lies in the window where both its Voronoi vertices do
-    inside = ((np.abs(first.real) <= hw) & (np.abs(first.imag) <= hw)
-              & (np.abs(second.real) <= hw) & (np.abs(second.imag) <= hw))
-    edge = np.flatnonzero(~inside)
-    row, edge_first, edge_second = _clip_fans(site[owner[edge]], first[edge], second[edge], hw)
+    z, owner, first, second, inside = _voronoi_fans(xy.view(complex)[:, 0], hw)
+    # the guards' fans are dropped, the fans that leave the window clipped
+    edge = np.flatnonzero(~inside & (owner < n))
+    row, edge_first, edge_second = _clip_fans(z[owner[edge]], first[edge], second[edge], hw)
     owner = np.concatenate([owner[inside], owner[edge[row]]])
     first = np.concatenate([first[inside], edge_first])
     second = np.concatenate([second[inside], edge_second])
-    # each cell's fans counterclockwise from the angle -pi, an order that
-    # depends on the cells only, not on the triangulation's numbering
-    u = first - site[owner]
-    order = np.argsort(owner * 8.0 + np.angle(u))
-    owner, first, second, u = owner[order], first[order], second[order], u[order]
-    v = second - site[owner]
-    area = 0.5 * (u.real * v.imag - u.imag * v.real)
+    site = z[owner]
+    u, v = first - site, np.subtract(second, site, out=site)
     # a zero-length Voronoi edge (four cocircular points) or a clipped
     # piece that is a single segment may round below 0
-    np.maximum(area, 0.0, out=area)
+    area = np.maximum(0.5 * (u.real * v.imag - u.imag * v.real), 0.0)
+    # each cell's fans counterclockwise from the angle -pi, an order that
+    # depends on the cells only, not on the triangulation's numbering
+    order = np.argsort(owner * 8.0 + np.angle(u))
+    # reordered into the spent buffers of u and v, as fresh arrays this large
+    # cost page faults (no index is out of range; "clip" writes out directly)
+    first, second = (np.take(a, order, out=b, mode="clip") for a, b in ((first, u), (second, v)))
+    owner, area = owner[order], area[order]
     areas = np.bincount(owner, weights=area, minlength=n)
     if not abs(areas.sum() - window.area) <= 1e-9 * window.area:
         raise RuntimeError(
             f"clipped Voronoi areas sum to {areas.sum()!r}, not the window area {window.area!r}")
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))])
     cum = np.concatenate([[0.0], np.cumsum(area)])
     return ClippedVoronoi(sites=xy, areas=areas, _start=start, _cum=cum,
                           _first=first.view(float).reshape(-1, 2),
@@ -222,42 +223,40 @@ def _voronoi_fans(site, half_width):
     """Voronoi edges of the (complex) points site, from a Delaunay
     triangulation of them and three guards.
 
-    Returns (owner, first, second): Voronoi edge k of cell owner[k] runs
-    counterclockwise from first[k] to second[k].
+    Returns (z, owner, first, second, inside): z holds the sites, then the
+    guards.  Voronoi edge k of cell owner[k] (an index into z) runs
+    counterclockwise from first[k] to second[k], and inside[k] is True
+    where owner[k] is a site and both ends lie in the window.
     """
     from scipy.spatial import Delaunay
 
-    n = len(site)
     guards = (VORONOI_GUARD_HALF_WIDTHS * half_width) * np.exp(
         1j * (np.pi / 2.0 + (2.0 * np.pi / 3.0) * np.arange(3)))
     z = np.concatenate([site, guards])
     tri = Delaunay(z.view(float).reshape(-1, 2))
-    simplices, neighbors = tri.simplices.copy(), tri.neighbors.copy()
-    p0, p1, p2 = z[simplices.T]
+    # scipy orders the corners of 2-D triangles counterclockwise
+    corners = tri.simplices.astype(np.intp)
+    p0, p1, p2 = z[corners.T]
     e1, e2 = p1 - p0, p2 - p0
-    cross = e1.real * e2.imag - e1.imag * e2.real
-    # counterclockwise vertex order; neighbors[t, i] faces vertex i
-    cw = cross < 0
-    simplices[cw] = simplices[cw][:, [0, 2, 1]]
-    neighbors[cw] = neighbors[cw][:, [0, 2, 1]]
-    e1[cw], e2[cw], cross = e2[cw], e1[cw], 2.0 * np.abs(cross)
+    cross = 2.0 * (e1.real * e2.imag - e1.imag * e2.real)
     n1, n2 = e1.real * e1.real + e1.imag * e1.imag, e2.real * e2.real + e2.imag * e2.imag
     centre = np.empty_like(p0)
     centre.real = p0.real + (e2.imag * n1 - e1.imag * n2) / cross
     centre.imag = p0.imag + (e1.real * n2 - e2.real * n1) / cross
+    in_window = (np.abs(centre.real) <= half_width) & (np.abs(centre.imag) <= half_width)
     # corner i of triangle t owns the Delaunay edge to the next corner; the
     # triangle across it faces corner i + 2, and the dual Voronoi edge runs
     # counterclockwise (seen from the owner) from that triangle's centre to
-    # t's.  Only guards lie on the hull, so that triangle always exists.
-    k = np.flatnonzero(simplices.ravel() < n)
-    t, i = np.divmod(k, 3)
-    across = neighbors.ravel()[k - i + (i + 2) % 3]
-    return simplices.ravel()[k], centre[across], centre[t]
+    # t's.  Only guards lie on the hull, so for a site that triangle exists.
+    across = tri.neighbors[:, [2, 0, 1]].astype(np.intp).ravel()
+    owner = corners.ravel()
+    inside = (owner < len(site)) & in_window[across] & np.repeat(in_window, 3)
+    return z, owner, centre[across], np.repeat(centre, 3), inside
 
 
-def _clip_fans(site, first, second, half_width):
-    """The fans (site, first, second) of complex points, clipped to the
-    window and split again into fans from the site.
+def _clip_fans(s, a, b, half_width):
+    """The fans (s, a, b) of complex points (site, first, second), clipped
+    to the window and split again into fans from the site.
 
     Each site lies in the window and each fan is counterclockwise, so a
     clipped fan is a convex polygon with its site as one vertex.  The
@@ -268,49 +267,50 @@ def _clip_fans(site, first, second, half_width):
     leaves the window.  Returns (row, first, second) of the new fans: fan
     k lies in input fan row[k].
     """
-    s, a, b = site, first, second
     m = len(s)
-    d = b - a
-    t_in, t_out = _clip_params(np.concatenate([s, s, a]), np.concatenate([a - s, b - s, d]),
-                               half_width)
-    t_in, t_out = t_in[2 * m:], t_out.reshape(3, m)
-    corner = half_width * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-    vertex = np.empty((m, 8), dtype=complex)
-    vertex[:, 0] = s + t_out[0] * (a - s)
-    vertex[:, 1] = a + np.minimum(t_in, 1.0) * d
-    vertex[:, 2] = a + t_out[2] * d
-    vertex[:, 3:7] = corner
-    vertex[:, 7] = s + t_out[1] * (b - s)
+    step = np.concatenate([a - s, b - s, b - a])
+    t_in, t_out = _clip_params(np.concatenate([s, s, a]), step, half_width)
+    t_in, t_out, step = t_in[2 * m:], t_out.reshape(3, m), step.reshape(3, m)
+    # one row per candidate vertex, one column per fan
+    vertex = np.empty((8, m), dtype=complex)
+    vertex[0] = s + t_out[0] * step[0]
+    vertex[1] = a + np.minimum(t_in, 1.0) * step[2]
+    vertex[2] = a + t_out[2] * step[2]
+    vertex[3:7] = corner = half_width * np.array([[1 + 1j], [-1 + 1j], [-1 - 1j], [1 - 1j]])
+    vertex[7] = s + t_out[1] * step[1]
+    # for complex u and v, the imaginary part of conj(u) * v is their cross
+    # product: w holds each vertex's angle from the ray towards first
+    w = np.conj(step[0]) * (vertex - s)
     # which middle vertices exist: where a-b enters and leaves the window,
     # and the corners in the closed triangle, except one the site sits on
-    exists = np.empty((m, 6), dtype=bool)
+    exists = np.empty((6, m), dtype=bool)
     meets = t_in <= t_out[2]
-    exists[:, 0], exists[:, 1] = meets & (t_in > 0.0), meets & (t_out[2] < 1.0)
-    exists[:, 2:] = corner != s[:, None]
-    for p, q in ((s, a), (a, b), (b, s)):
-        # for complex u and v, the imaginary part of conj(u) * v is their cross product
-        exists[:, 2:] &= (np.conj(q - p)[:, None] * (corner - p[:, None])).imag >= 0.0
-    # the middle vertices in order of their angle from the ray towards
-    # first; the ray ends go first and last, absent vertices after them
-    key = np.angle(np.conj(a - s)[:, None] * (vertex - s[:, None]))
-    key[:, 0], key[:, 7] = -4.0, 4.0
-    key[:, 1:7][~exists] = np.inf
-    vertex = vertex.ravel()[np.argsort(key, axis=1) + 8 * np.arange(m)[:, None]]
-    n_fans = 1 + exists.sum(axis=1)
-    used = np.arange(7) < n_fans[:, None]
-    return np.repeat(np.arange(m), n_fans), vertex[:, :-1][used], vertex[:, 1:][used]
+    exists[0], exists[1] = meets & (t_in > 0.0), meets & (t_out[2] < 1.0)
+    exists[2:] = (corner != s) & (w[3:7].imag >= 0.0)
+    for p, q in ((a, b), (b, s)):
+        exists[2:] &= (np.conj(q - p) * (corner - p)).imag >= 0.0
+    # the middle vertices in angle order; the ray ends go first and last,
+    # absent vertices after them
+    key = np.angle(w)
+    key[0], key[7] = -4.0, 4.0
+    key[1:7][~exists] = np.inf
+    vertex = vertex.ravel()[np.argsort(key, axis=0) * m + np.arange(m)]
+    n_fans = 1 + exists.sum(axis=0)
+    used = (np.arange(7)[:, None] < n_fans).T
+    return np.repeat(np.arange(m), n_fans), vertex[:-1].T[used], vertex[1:].T[used]
 
 
 def _clip_params(start, step, half_width):
     """(t_in, t_out): where the segments start + t*step, 0 <= t <= 1, of
     complex points enter and leave the window; t_in > t_out where one
     misses it (Liang-Barsky)."""
-    t_in, t_out = np.zeros(len(start)), np.ones(len(start))
-    for p, d in ((start.real, step.real), (start.imag, step.imag)):
-        moves = d != 0.0
-        side = np.copysign(half_width, d)
-        np.maximum(t_in, np.divide(-side - p, d, out=np.zeros(len(p)), where=moves), out=t_in)
-        np.minimum(t_out, np.divide(side - p, d, out=np.ones(len(p)), where=moves), out=t_out)
-        # a coordinate that does not move must already lie in the window
-        t_in[~moves & (np.abs(p) > half_width)] = np.inf
-    return t_in, t_out
+    # x and y of every segment side by side
+    p, d = start.view(float), step.view(float)
+    moves = d != 0.0
+    side = np.copysign(half_width, d)
+    # a coordinate that does not move must already lie in the window
+    enter = np.divide(-side - p, d, out=np.where(np.abs(p) > half_width, np.inf, 0.0),
+                      where=moves)
+    leave = np.divide(side - p, d, out=np.ones(len(p)), where=moves)
+    return (np.maximum(np.maximum(enter[::2], enter[1::2]), 0.0),
+            np.minimum(np.minimum(leave[::2], leave[1::2]), 1.0))

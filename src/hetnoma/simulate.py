@@ -8,15 +8,16 @@ least two users, two of which are scheduled uniformly at random.
 A snapshot gets its user counts and pairs from one of two samplers,
 chosen by the load user_intensity / total_intensity (users per BS):
 
-  * association, below TESSELLATION_MIN_USERS_PER_BS: every user of the
-    PPP is placed and attached to its nearest BS; the pair is two of the
-    BS's users;
-  * tessellation, at or above it: counts[b] ~ Poisson(user_intensity x
-    area of the window-clipped Voronoi cell of b), independently, and the
-    pair is two i.i.d. uniform points in that cell.  Given the BSs, the
-    users in a cell form a PPP of that intensity on the cell, so both
-    samplers give counts and pairs of the same law; this one costs the
-    same at any load.
+  * association, below TESSELLATION_MIN_USERS_PER_BS (7): every user of
+    the PPP is placed and attached to its nearest BS; the pair is two of
+    the BS's users;
+  * tessellation, at or above it, the stock 9.8 users per BS included:
+    counts[b] ~ Poisson(user_intensity x area of the window-clipped
+    Voronoi cell of b), independently, and the pair is two i.i.d. uniform
+    points in that cell.  Given the BSs, the users in a cell form a PPP of
+    that intensity on the cell, so both samplers give counts and pairs of
+    the same law; this one costs the same at any load, and from 7 users
+    per BS on it costs less than the association.
 
 Either way the snapshot hands out each BS's pair as coordinates, the near
 user (the nearer of the two) first, and nothing after it knows which
@@ -85,16 +86,15 @@ BLOCK_BYTES = 2**19
 # Load (users per BS) from which build_snapshot draws user counts from
 # clipped Voronoi cell areas instead of sampling and associating every
 # user.  The tessellation's cost does not depend on the load, the
-# association's grows with it.  This is 1.5 times, rounded up, the 12.4
-# users per BS at which a stock-density trial cost the same on both when
-# the tessellation triangulated mirror images of the BSs; with its three
-# guard points instead, they cost the same at about 8.  It stays at 19:
-# moving it would switch samplers, and with them the draws, at the loads
-# in between.
-TESSELLATION_MIN_USERS_PER_BS = 19.0
+# association's grows with it: a stock-density trial (cap 120) costs the
+# same on both at about 7 users per BS, so the stock 9.8 tessellates.  The
+# threshold sits at that crossover with no margin: near it both samplers
+# cost about the same, so a misjudged crossover costs little, while a
+# margin would run every load in between on the slower one.
+TESSELLATION_MIN_USERS_PER_BS = 7.0
 
 # Ceiling on the expected number of points (BSs, plus users where they are
-# placed) one snapshot samples: far above the at most 20 x 2,000 that the
+# placed) one snapshot samples: far above the at most 8 x 2,000 that the
 # default window holds, far below what runs a machine out of memory.
 MAX_EXPECTED_POINTS = 5e6
 
@@ -474,7 +474,7 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     distance sums included.  The trials of all points share one pool:
     n_jobs caps its worker processes, which never outnumber the trials of
     the whole run or the CPUs; with one, the trials run in this process.
-    scipy.spatial, which every trial's association needs, is imported here
+    scipy.spatial, which every trial's sampler needs, is imported here
     before the pool forks, so the workers inherit it rather than each
     importing it again.  A budget that is not an integer >= 1 raises
     ConfigError before any trial.

@@ -48,7 +48,7 @@ STOCK_TIERS = [
     {"power_watts": 20.0, "intensity": 1e-6},
     {"power_watts": 2.0, "intensity": 5e-5},
 ]
-# the stock scenario on a 4e5 m wide window: 8.16e6 BSs and 8e7 users
+# the stock scenario on a 4e5 m wide window: 8.16e6 BSs
 OVERSIZED_CONFIG = {"tiers": STOCK_TIERS, "user_intensity": 5e-4,
                     "window": {"half_width": 2e5, "margin": 100.0}}
 
@@ -402,11 +402,11 @@ class TestCliSweep:
         ({"sweep": {"variable": "user_intensity", "grid": [-1e-4, 8e-4]}}, "sweep.grid[0]"),
         ({"sweep": {"variable": "pico_intensity", "grid": [1e-4, 2e-4]},
           "tiers": TOY_CONFIG["tiers"][:1], "beta": 0.75}, "sweep.grid[0]"),
-        # the stock tiers on an 8e4 m wide window: at 9e-4 users/m^2 (17.6
-        # users per BS, all placed) the point holds 6.1e6 points
-        ({"sweep": {"variable": "user_intensity", "grid": [5e-4, 9e-4]},
-          "tiers": STOCK_TIERS, "user_intensity": 5e-4,
-          "window": {"half_width": 4e4, "margin": 100.0}}, "sweep.grid[1]"),
+        # the stock tiers on a 1.4e5 m wide window: at 3e-4 users/m^2 (5.9
+        # users per BS, all placed) the point holds 6.88e6 points
+        ({"sweep": {"variable": "user_intensity", "grid": [1e-4, 3e-4]},
+          "tiers": STOCK_TIERS, "user_intensity": 1e-4,
+          "window": {"half_width": 7e4, "margin": 100.0}}, "sweep.grid[1]"),
         # 1.5e7 BSs on the toy window
         ({"sweep": {"variable": "pico_intensity", "grid": [1.8e-4, 10.0]}}, "sweep.grid[1]"),
     ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier",
@@ -418,6 +418,10 @@ class TestCliSweep:
 
         monkeypatch.setattr(sweeps, "run_trial_sets", no_trials)
         cfg = dict(TOY_CONFIG, **update)
+        if cfg.get("tiers") is STOCK_TIERS and cfg["sweep"]["variable"] == "user_intensity":
+            # the rejected load places its users, which the budget counts
+            rejected = sweeps.table1_params(user_intensity=cfg["sweep"]["grid"][1])
+            assert not simulate.tessellates(rejected)
         code, text = run_cli(["sweep", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert text == ""
@@ -559,9 +563,10 @@ class TestCliOptimizeBeta:
         assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
 
 
-# The scenario config of the README, run with --trials 2.  Its sweep grid
-# reaches 1e-3 users/m^2 (19.6 users per BS), where snapshots come from
-# the tessellation sampler; the other points associate every user.
+# The scenario config of the README, run with --trials 2.  Its scenario
+# point, 5e-4 users/m^2 (9.8 users per BS), and the sweep grid's 5e-4 and
+# 1e-3 take their snapshots from the tessellation sampler; the grid's
+# other points associate every user.
 README_CONFIG = {
     "tiers": STOCK_TIERS,
     "user_intensity": 5e-4,
@@ -580,12 +585,12 @@ README_CONFIG = {
 CLI_DIGESTS = {
     ("analytic", False): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
     ("analytic", True): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
-    ("sim", False): ("332e7f640d573b51cfc77db88e999ffc9ed3f811fd83d84e1f488c61575d7739", None),
+    ("sim", False): ("69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717", None),
     ("sim", True): ("b6cd70dfa19cb0fee31ec02dd2bd43bcf9debfc1048e3ce55602255420f5b960",
-                    "332e7f640d573b51cfc77db88e999ffc9ed3f811fd83d84e1f488c61575d7739"),
-    ("sweep", False): ("8707a98c9e65126b86022f791c416c09c7b2cab9e64fdeb3bef491e613ea1044", None),
+                    "69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717"),
+    ("sweep", False): ("3e0bee62923632350e8bfee07447354f6ce9128776df841d6744af69741dcb13", None),
     ("sweep", True): ("747dd38b3e8822edcd6730a12f7eb915961da4a9613e614b6e8fd40bfb50d35a",
-                      "ff65f0e06960664a21c0ec3d4914fb06b15eb0980a1ceebaba6481ea9d39fdee"),
+                      "6e853ee2ad86e1a5c21b76fb595e77ab8a8307835ee7d3fcbf3fdd7ad90860aa"),
     ("optimize-beta", False): ("4eebc2f830d0980e1264b669d682addedbffa577896958923321cb74bd943e79",
                                None),
     ("optimize-beta", True): ("5fb391573a0fce763eae22ea6d92bd071e417f1b716af777b241e6d846bb4d10",

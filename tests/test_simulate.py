@@ -139,11 +139,16 @@ class TestBuildSnapshot:
             raise AssertionError("sampled before checking the point count")
 
         monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
-        # the stock tiers on a 4e5 m wide window: 8.16e6 BSs, plus 8e7 users
-        # where they are placed
+        # the stock tiers on a 1.4e5 m wide window: 1e6 BSs, plus 5.88e6
+        # users where they are placed (5.9 users per BS)
+        window = Window(half_width=7e4, margin=100.0)
+        placing = table1_params(user_intensity=3e-4)
+        assert not tessellates(placing)
+        with pytest.raises(ValueError, match="6.88e\\+06 points in expectation"):
+            build_snapshot(placing, window, seed=0, trial=0)
+        check_point_budget(table1_params(), window)  # 9.8 per BS, none placed: allowed
+        # a 4e5 m wide window: 8.16e6 BSs
         wide = Window(half_width=2e5, margin=100.0)
-        with pytest.raises(ValueError, match="8.82e\\+07 points in expectation"):
-            build_snapshot(table1_params(), wide, seed=0, trial=0)
         with pytest.raises(ValueError, match="8.16e\\+06 points .* above the simulator's limit"):
             check_point_budget(table1_params(user_intensity=2e-3), wide)
         check_point_budget(table1_params(user_intensity=5e-4))  # 2.2e4 points: allowed
@@ -417,13 +422,32 @@ class TestRunTrials:
         assert [x.hex() for x in totals.sum_far_dist_sq] == ["0x1.ae286ab087135p+18"]
 
     def test_pinned_counts_stock(self):
+        # 9.8 users per BS: counts and pairs come from clipped Voronoi cells,
+        # whose fan corners may move by an ulp with the triangulation, so
+        # the distance sums are pinned to a relative 1e-12
+        assert tessellates(table1_params())
         totals = run_trials(table1_params(), n_trials=6, seed=(501, 0), max_cells_per_tier=120)
-        assert totals.successes.tolist() == [[[150, 132], [150, 132]], [[338, 181], [338, 185]]]
-        assert totals.samples.tolist() == [174, 720]
+        assert totals.successes.tolist() == [[[145, 140], [145, 140]], [[320, 132], [320, 135]]]
+        assert totals.samples.tolist() == [177, 720]
+        assert totals.sum_near_dist_sq.tolist() == pytest.approx(
+            [float.fromhex("0x1.b96c3bb26dd04p+18"), float.fromhex("0x1.f142da78df7bep+20")],
+            rel=1e-12)
+        assert totals.sum_far_dist_sq.tolist() == pytest.approx(
+            [float.fromhex("0x1.380c5ef463675p+20"), float.fromhex("0x1.4b3177fe2ca8cp+22")],
+            rel=1e-12)
+
+    def test_pinned_counts_sparse(self):
+        # 3.9 users per BS, a point of the stock sweep grid: every user is
+        # placed and associated, so the sums are exact
+        params = table1_params(user_intensity=2e-4)
+        assert not tessellates(params)
+        totals = run_trials(params, n_trials=6, seed=(501, 0), max_cells_per_tier=120)
+        assert totals.successes.tolist() == [[[123, 116], [123, 117]], [[352, 170], [352, 197]]]
+        assert totals.samples.tolist() == [141, 720]
         assert [x.hex() for x in totals.sum_near_dist_sq] == [
-            "0x1.07baba0239260p+19", "0x1.f5987e2f3b89ap+20"]
+            "0x1.811578a6db937p+18", "0x1.169ab704a17fep+21"]
         assert [x.hex() for x in totals.sum_far_dist_sq] == [
-            "0x1.3273922794666p+20", "0x1.47f9fc630ebdap+22"]
+            "0x1.0905e9aa278a7p+20", "0x1.63f477cd4390ep+22"]
 
     def test_pinned_counts_dense(self):
         # 39 users per BS: counts and pairs come from clipped Voronoi cells,
@@ -580,8 +604,9 @@ def z_score(a, b, n_a, n_b):
 class TestTessellationSampler:
     def test_chosen_by_load(self):
         lam = table1_params().total_intensity
-        assert not tessellates(table1_params())  # 9.8 users per BS
+        assert tessellates(table1_params())  # 9.8 users per BS
         assert tessellates(table1_params(user_intensity=2e-3))  # 39
+        assert not tessellates(table1_params(user_intensity=2e-4))  # 3.9
         assert not tessellates(toy_params())  # 4
         at = simulate.TESSELLATION_MIN_USERS_PER_BS
         assert tessellates(table1_params(user_intensity=at * lam))
@@ -642,6 +667,34 @@ class TestTessellationSampler:
             table[row, 8] = hist[8:].sum()
         table = table[:, table.min(axis=0) > 0]
         assert chi2_contingency(table).pvalue > 0.001
+
+    def test_stock_agrees_with_association(self, monkeypatch):
+        # the stock two tiers at 9.8 users per BS, where the simulator now
+        # tessellates; same seeds, so the same BSs on the default window
+        p = table1_params()
+        runs = []
+        for threshold in (math.inf, 0.0):
+            monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", threshold)
+            runs.append((cell_census(p, n_snapshots=8, seed=65),
+                         run_trials(p, n_trials=8, seed=67, max_cells_per_tier=120)))
+        (census_a, totals_a), (census_t, totals_t) = runs
+        assert census_t.n_bs == census_a.n_bs
+        z = z_score(census_t.void_fraction, census_a.void_fraction, census_t.n_bs, census_a.n_bs)
+        assert abs(z) <= 3.0
+        # counts 0..19 and a pooled tail, as a 2 x 21 contingency table
+        table = np.zeros((2, 21), dtype=np.int64)
+        for row, census in enumerate((census_a, census_t)):
+            hist = np.pad(census.count_histogram, (0, 21))
+            table[row, :20], table[row, 20] = hist[:20], hist[20:].sum()
+        assert chi2_contingency(table[:, table.min(axis=0) > 0]).pvalue > 0.001
+        for tier in range(p.n_tiers):
+            n_a, n_t = totals_a.samples[tier], totals_t.samples[tier]
+            assert n_t == pytest.approx(n_a, rel=0.1)
+            for s in range(2):
+                for r in range(2):
+                    z = z_score(totals_t.successes[tier, s, r] / n_t,
+                                totals_a.successes[tier, s, r] / n_a, n_t, n_a)
+                    assert abs(z) <= 3.0
 
     def test_coverage_agrees_with_association(self, monkeypatch):
         p = toy_params()
