@@ -9,7 +9,10 @@ cooperation fields seen by evaluated cells are effectively edge-free.
 The clipped cells come from one Delaunay triangulation of the BSs and
 three far guard points, which close every BS's cell without owning any
 of the window; only the fans of the cells at the window's edge are then
-clipped to it.
+clipped to it.  qhull triangulates without pre-merging facets
+(DELAUNAY_OPTIONS), which is faster and gives the same triangles on
+general-position input; on the rare near-degenerate layouts where that
+fails, it triangulates again with scipy's default options, which merge.
 
 scipy.spatial is imported inside the functions that call it, so code
 that never simulates (the closed forms) never loads it.
@@ -31,6 +34,13 @@ DEFAULT_MARGIN_CELL_RADII = 5.0
 # clipped_voronoi: circumradius of the three guard points around the
 # window's centre, in window half widths
 VORONOI_GUARD_HALF_WIDTHS = 8.0
+
+# qhull options of the triangulation: scipy's defaults for 2-D Delaunay
+# plus Q0, which skips the pre-merging of nearly coplanar facets (about an
+# eighth of a stock triangulation's time).  qhull then raises (QH6115,
+# QH6136) on some near-degenerate layouts (tight clusters, jittered
+# lattices), and those are triangulated again with the defaults.
+DELAUNAY_OPTIONS = "Qbb Qc Qz Q12 Q0"
 
 
 @dataclass(frozen=True)
@@ -131,18 +141,21 @@ def associate(bs_xy, user_xy):
 class ClippedVoronoi:
     """The Voronoi cells of points in a window, clipped to the window.
 
-    Cell b is the fan of triangles (sites[b], first[k], second[k]) over the
-    pieces k in [_start[b], _start[b + 1]) of its clipped boundary, in
-    counterclockwise order; areas[b] sums their areas.  _cum holds 0 and
-    then the running sum of all fan areas in that order.
+    Cell b is the fan of triangles (sites[b], _first[k], _second[k]) of
+    area _area[k], for k in _fans[_start[b]:_start[b + 1]], the pieces of
+    its clipped boundary; each runs counterclockwise from the complex
+    point _first[k] to _second[k].  areas[b] sums them.  The fans of a
+    cell come in no particular order: sample orders those of the cells it
+    is asked for.
     """
 
     sites: np.ndarray
     areas: np.ndarray
     _start: np.ndarray = field(repr=False)
-    _cum: np.ndarray = field(repr=False)
+    _fans: np.ndarray = field(repr=False)
     _first: np.ndarray = field(repr=False)
     _second: np.ndarray = field(repr=False)
+    _area: np.ndarray = field(repr=False)
 
     def sample(self, cells, u):
         """Uniform points in cells, one per entry of the index array `cells`.
@@ -151,17 +164,33 @@ class ClippedVoronoi:
         uniforms in [0, 1): the first picks a fan triangle with probability
         proportional to its area, the other two place the point in it by
         the square-root rule.  Returns an array of shape u.shape[:-1] + (2,).
+        Each cell's fans are ordered counterclockwise from the angle -pi
+        and summed from zero, so a point depends only on its cell and its
+        uniforms, not on the other cells asked for.
         """
-        cells = np.broadcast_to(cells, u.shape[:-1])
-        start, stop = self._start[cells], self._start[cells + 1]
-        low, high = self._cum[start], self._cum[stop]
-        target = low + u[..., 0] * (high - low)
-        k = np.clip(np.searchsorted(self._cum, target, side="right") - 1, start, stop - 1)
+        cells = np.asarray(cells)
+        row = np.broadcast_to(np.arange(cells.size).reshape(cells.shape), u.shape[:-1])
+        cells = cells.ravel()
+        # one row per entry of cells: its fans, then padding up to the
+        # longest, which gets the angle inf (so it sorts last) and no area
+        start = self._start[cells]
+        count = self._start[cells + 1] - start
+        column = np.arange(max(count.max(initial=0), 1))
+        pad = column >= count[:, None]
+        fans = self._fans[np.where(pad, 0, start[:, None] + column)]
+        site = self.sites.view(complex)[:, 0][cells]
+        angle = np.angle(self._first[fans] - site[:, None])
+        angle[pad] = np.inf
+        fans = np.take_along_axis(fans, np.argsort(angle, axis=1, kind="stable"), axis=1)
+        cum = np.cumsum(np.where(pad, 0.0, self._area[fans]), axis=1)
+        # the fan whose share of the cell's area holds the target
+        target = u[..., 0] * cum[row, -1]
+        k = np.minimum(np.count_nonzero(cum[row] <= target[..., None], axis=-1), count[row] - 1)
+        fan = fans[row, k]
         s, t = np.sqrt(u[..., 1]), u[..., 2]
         # as complex numbers x + iy, each point is one sum over 1-D arrays
-        site, first, second = (p.view(complex)[:, 0]
-                               for p in (self.sites, self._first, self._second))
-        point = (1.0 - s) * site[cells] + s * (1.0 - t) * first[k] + s * t * second[k]
+        point = ((1.0 - s) * site[row] + s * (1.0 - t) * self._first[fan]
+                 + s * t * self._second[fan])
         return point[..., None].view(float)
 
 
@@ -201,39 +230,38 @@ def clipped_voronoi(xy, window):
     # a zero-length Voronoi edge (four cocircular points) or a clipped
     # piece that is a single segment may round below 0
     area = np.maximum(0.5 * (u.real * v.imag - u.imag * v.real), 0.0)
-    # each cell's fans counterclockwise from the angle -pi, an order that
-    # depends on the cells only, not on the triangulation's numbering
-    order = np.argsort(owner * 8.0 + np.angle(u))
-    # reordered into the spent buffers of u and v, as fresh arrays this large
-    # cost page faults (no index is out of range; "clip" writes out directly)
-    first, second = (np.take(a, order, out=b, mode="clip") for a, b in ((first, u), (second, v)))
-    owner, area = owner[order], area[order]
     areas = np.bincount(owner, weights=area, minlength=n)
     if not abs(areas.sum() - window.area) <= 1e-9 * window.area:
         raise RuntimeError(
             f"clipped Voronoi areas sum to {areas.sum()!r}, not the window area {window.area!r}")
-    start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))])
-    cum = np.concatenate([[0.0], np.cumsum(area)])
-    return ClippedVoronoi(sites=xy, areas=areas, _start=start, _cum=cum,
-                          _first=first.view(float).reshape(-1, 2),
-                          _second=second.view(float).reshape(-1, 2))
+    # the fans grouped by cell; the narrowest unsigned key lets numpy radix-sort
+    fans = np.argsort(owner.astype(np.min_scalar_type(n - 1)), kind="stable")
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return ClippedVoronoi(sites=xy, areas=areas, _start=start, _fans=fans,
+                          _first=first, _second=second, _area=area)
 
 
 def _voronoi_fans(site, half_width):
     """Voronoi edges of the (complex) points site, from a Delaunay
-    triangulation of them and three guards.
+    triangulation of them and three guards (with DELAUNAY_OPTIONS, or
+    scipy's defaults where qhull cannot triangulate without merging).
 
     Returns (z, owner, first, second, inside): z holds the sites, then the
     guards.  Voronoi edge k of cell owner[k] (an index into z) runs
     counterclockwise from first[k] to second[k], and inside[k] is True
     where owner[k] is a site and both ends lie in the window.
     """
-    from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay, QhullError
 
     guards = (VORONOI_GUARD_HALF_WIDTHS * half_width) * np.exp(
         1j * (np.pi / 2.0 + (2.0 * np.pi / 3.0) * np.arange(3)))
     z = np.concatenate([site, guards])
-    tri = Delaunay(z.view(float).reshape(-1, 2))
+    points = z.view(float).reshape(-1, 2)
+    try:
+        tri = Delaunay(points, qhull_options=DELAUNAY_OPTIONS)
+    except QhullError:
+        tri = Delaunay(points)
     # scipy orders the corners of 2-D triangles counterclockwise
     corners = tri.simplices.astype(np.intp)
     p0, p1, p2 = z[corners.T]

@@ -8,7 +8,7 @@ least two users, two of which are scheduled uniformly at random.
 A snapshot gets its user counts and pairs from one of two samplers,
 chosen by the load user_intensity / total_intensity (users per BS):
 
-  * association, below TESSELLATION_MIN_USERS_PER_BS (7): every user of
+  * association, below TESSELLATION_MIN_USERS_PER_BS (6): every user of
     the PPP is placed and attached to its nearest BS; the pair is two of
     the BS's users;
   * tessellation, at or above it, the stock 9.8 users per BS included:
@@ -16,12 +16,13 @@ chosen by the load user_intensity / total_intensity (users per BS):
     Voronoi cell of b), independently, and the pair is two i.i.d. uniform
     points in that cell.  Given the BSs, the users in a cell form a PPP of
     that intensity on the cell, so both samplers give counts and pairs of
-    the same law; this one costs the same at any load, and from 7 users
+    the same law; this one costs the same at any load, and from 6 users
     per BS on it costs less than the association.
 
-Either way the snapshot hands out each BS's pair as coordinates, the near
-user (the nearer of the two) first, and nothing after it knows which
-sampler ran.
+Either way the snapshot hands out pairs as coordinates, the near user
+(the nearer of the two) first, and nothing after it knows which sampler
+ran.  The tessellation places a pair only when asked for it: a trial
+asks once, for the cells it evaluates in both tiers.
 
 Every random draw of a trial comes from one of four streams keyed by
 (seed, trial, purpose):
@@ -33,7 +34,8 @@ Every random draw of a trial comes from one of four streams keyed by
     one call for all BSs whether or not a BS is evaluated: two ranks in
     the BS's user list (association), or an (n_bs, 2, 3) block of
     uniforms, three per user, one picking a triangle of the cell's fan by
-    area and two placing the point in it (tessellation);
+    area and two placing the point in it (tessellation; the point itself
+    is formed only for an evaluated cell);
   * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
     outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
     the near user's n_bs links first; the loop jumps to each block with
@@ -59,9 +61,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,14 +88,14 @@ BLOCK_BYTES = 2**19
 # clipped Voronoi cell areas instead of sampling and associating every
 # user.  The tessellation's cost does not depend on the load, the
 # association's grows with it: a stock-density trial (cap 120) costs the
-# same on both at about 7 users per BS, so the stock 9.8 tessellates.  The
+# same on both at about 6 users per BS, so the stock 9.8 tessellates.  The
 # threshold sits at that crossover with no margin: near it both samplers
 # cost about the same, so a misjudged crossover costs little, while a
 # margin would run every load in between on the slower one.
-TESSELLATION_MIN_USERS_PER_BS = 7.0
+TESSELLATION_MIN_USERS_PER_BS = 6.0
 
 # Ceiling on the expected number of points (BSs, plus users where they are
-# placed) one snapshot samples: far above the at most 8 x 2,000 that the
+# placed) one snapshot samples: far above the at most 7 x 2,000 that the
 # default window holds, far below what runs a machine out of memory.
 MAX_EXPECTED_POINTS = 5e6
 
@@ -138,9 +139,12 @@ class NetworkSnapshot:
 
     counts[b] is the number of users BS b serves, and nonvoid[b] is True
     iff it is positive (the indicator that the BS transmits).  Global BS
-    indices concatenate the tiers in order.  pair_xy[b], of shape (2, 2),
-    holds the coordinates of the two users BS b schedules, the near user
-    first; it is NaN where the association sampler found fewer than two.
+    indices concatenate the tiers in order.  pairs(cells) gives the
+    coordinates of the two users each BS schedules.  The association
+    sampler holds every BS's pair as coordinates (_pair_draws); the
+    tessellation holds the clipped cells (_voronoi) and every BS's (2, 3)
+    uniforms, and places a pair only when it is asked for, so a trial
+    pays for the pairs of the cells it evaluates only.
     """
 
     params: object
@@ -148,15 +152,32 @@ class NetworkSnapshot:
     seed: object
     trial: int
     counts: np.ndarray
-    pair_xy: np.ndarray = field(repr=False)
     bs_xy: np.ndarray = field(repr=False)
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
     nonvoid: np.ndarray = field(repr=False)
+    _voronoi: object = field(repr=False)
+    _pair_draws: np.ndarray = field(repr=False)
 
     @property
     def n_bs(self):
         return self.bs_xy.shape[0]
+
+    def pairs(self, cells):
+        """The scheduled pairs of the BSs in the index array cells, of shape
+        (len(cells), 2, 2), the near user first; NaN where the association
+        sampler found fewer than two users.  A BS's pair is the same bits
+        whichever other BSs are asked for with it.
+        """
+        if self._voronoi is None:
+            return self._pair_draws[cells]
+        return _near_first(self.bs_xy[cells],
+                           self._voronoi.sample(cells[:, None], self._pair_draws[cells]))
+
+    @property
+    def pair_xy(self):
+        """Every BS's pair, of shape (n_bs, 2, 2): pairs of all BSs."""
+        return self.pairs(np.arange(self.n_bs))
 
     def tagged_cells(self, tier):
         """Inner-region BSs of one tier with >= 2 users."""
@@ -167,8 +188,10 @@ class NetworkSnapshot:
 def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
     """Flatten the tiers into global BS arrays; give every BS its users and pair.
 
-    With user_xy, the users are associated.  Without, counts[b] is drawn
-    from rng as Poisson(user_intensity x area of the clipped cell of b).
+    With user_xy, the users are associated and every pair is placed.
+    Without, counts[b] is drawn from rng as Poisson(user_intensity x area
+    of the clipped cell of b), and the pairs' uniforms are drawn, to be
+    placed in the cells that NetworkSnapshot.pairs is asked for.
     """
     bs_xy = np.concatenate(bs_per_tier)
     n_bs = len(bs_xy)
@@ -190,20 +213,27 @@ def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
         pair_xy = np.full((n_bs, 2, 2), np.nan)
         has = np.flatnonzero(counts >= 2)
         pair_xy[has] = user_xy[assoc.user_at(has[:, None], ranks[has])]
+        voronoi, pair_draws = None, _near_first(bs_xy, pair_xy)
     else:
         voronoi = clipped_voronoi(bs_xy, window)
         counts = rng.poisson(params.user_intensity * voronoi.areas)
         # two i.i.d. uniform points in each BS's cell, three uniforms each
-        pair_xy = voronoi.sample(np.arange(n_bs)[:, None], pairs.random((n_bs, 2, 3)))
-    # near user first; an exact tie keeps the lower rank (the first draw) first
+        pair_draws = pairs.random((n_bs, 2, 3))
+    return NetworkSnapshot(
+        params=params, window=window, seed=seed, trial=trial, counts=counts, bs_xy=bs_xy,
+        bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=counts > 0, _voronoi=voronoi,
+        _pair_draws=pair_draws,
+    )
+
+
+def _near_first(bs_xy, pair_xy):
+    """pair_xy (pairs of shape (2, 2) of the BSs bs_xy) with each pair's
+    near user first, in place; an exact tie keeps the first draw first."""
     dx, dy = bs_xy[:, None, 0] - pair_xy[..., 0], bs_xy[:, None, 1] - pair_xy[..., 1]
     serving_sq = dx * dx + dy * dy
     far_first = serving_sq[:, 1] < serving_sq[:, 0]
     pair_xy[far_first] = pair_xy[far_first, ::-1]
-    return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial, counts=counts, pair_xy=pair_xy,
-        bs_xy=bs_xy, bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=counts > 0,
-    )
+    return pair_xy
 
 
 def tessellates(params):
@@ -246,7 +276,7 @@ class TaggedCell:
     """A serving BS with its two scheduled users, fading draws and received powers.
 
     Every per-receiver array has the near receiver first, as the
-    snapshot's pair_xy[bs_index] orders the two users.  link_gains and
+    snapshot's pairs orders the two users.  link_gains and
     link_dist_sq have shape (2, n_bs) with columns in global BS order; the
     serving link's fade is link_gains[:, bs_index].  desired is the
     full-power serving signal P_m * H * d^-alpha, interference sums the
@@ -267,9 +297,9 @@ class TaggedCell:
 class _CellBlocks:
     """One trial's fade stream and block buffers.
 
-    powers(cells) evaluates up to `size` tagged cells, given in increasing
-    BS order across calls, into the first rows of the buffers.  bs_x and
-    bs_y are the contiguous coordinate columns of the snapshot's bs_xy;
+    powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
+    increasing BS order across calls, into the first rows of the buffers.
+    bs_x and bs_y are the contiguous coordinate columns of the snapshot's bs_xy;
     nonvoid_weight and void_weight are its nonvoid flags and their
     negation as float 1/0 weights, the form the block mat-vecs multiply by.
     """
@@ -288,15 +318,16 @@ class _CellBlocks:
         self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
         self.position = 0
 
-    def powers(self, cells):
-        """Serving dist^2 and received powers of the pairs of `cells`.
+    def powers(self, cells, pair_xy):
+        """Serving dist^2 and received powers of `cells`, whose pairs (as
+        the snapshot's pairs gives them) are pair_xy.
 
         Returns (serving_dist_sq, desired, interference, void_signal), each
         of shape (len(cells), 2) with the near user first.
         """
         snap = self.snapshot
         k, span = len(cells), 2 * snap.n_bs
-        ux, uy = snap.pair_xy[cells, :, 0], snap.pair_xy[cells, :, 1]
+        ux, uy = pair_xy[:, :, 0], pair_xy[:, :, 1]
         fades, dist_sq, power = self.fades[:k], self.dist_sq[:k], self.power[:k]
         for row, b in zip(fades, cells.tolist()):
             self.uniform.bit_generator.advance(span * b - self.position)
@@ -341,8 +372,8 @@ def schedule_noma_users(snapshot, bs_index):
     if snapshot.counts[bs_index] < 2:
         return None
     blocks = _CellBlocks(snapshot, size=1)
-    serving_sq, desired, interference, void_signal = blocks.powers(
-        np.array([bs_index], dtype=np.intp))
+    cells = np.array([bs_index], dtype=np.intp)
+    serving_sq, desired, interference, void_signal = blocks.powers(cells, snapshot.pairs(cells))
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
         distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
@@ -439,18 +470,28 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
     effort across tiers of very different density).
     """
     snapshot = build_snapshot(params, window, seed, trial)
-    totals = TrialTotals.zeros(params.n_tiers)
-    blocks = _CellBlocks(snapshot)
-    theta = params.sir_threshold
+    evaluated = []
     for tier in range(params.n_tiers):
         cells = snapshot.tagged_cells(tier)
         if max_cells_per_tier is not None and len(cells) > max_cells_per_tier:
             rng = _stream(seed, trial, _STREAM_CAP, tier)
             cells = np.sort(rng.choice(cells, size=max_cells_per_tier, replace=False))
+        evaluated.append(cells)
+    # the pairs of the evaluated cells of every tier, placed in one call
+    pairs = np.split(snapshot.pairs(np.concatenate(evaluated)),
+                     np.cumsum([len(cells) for cells in evaluated[:-1]]))
+    # the trial needs no other pair: freed before the blocks take their
+    # buffers, the clipped cells add nothing to the trial's peak memory
+    snapshot = replace(snapshot, _voronoi=None, _pair_draws=None)
+    totals = TrialTotals.zeros(params.n_tiers)
+    blocks = _CellBlocks(snapshot)
+    theta = params.sir_threshold
+    for tier, (cells, pair_xy) in enumerate(zip(evaluated, pairs)):
         beta = params.beta[tier]
         for start in range(0, len(cells), blocks.size):
+            block = slice(start, start + blocks.size)
             serving_sq, desired, interference, void_signal = blocks.powers(
-                cells[start:start + blocks.size])
+                cells[block], pair_xy[block])
             for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
                 _, _, near, far = _outcome(desired, interference, coop, theta, beta)
                 totals.successes[tier, s] += (np.count_nonzero(near), np.count_nonzero(far))
@@ -506,6 +547,9 @@ def _worker_pool(workers):
     The workers are forked, so they start with every module the parent has
     loaded; run_trial_sets imports scipy.spatial before calling this.
 
+    concurrent.futures, and with it multiprocessing, is imported only
+    here and only for a pool, so neither loads with the package.
+
     When the block raises (SystemExit on SIGTERM included), the pool
     cancels every trial not yet started, then waits for its workers to
     finish the trials they hold and exit.
@@ -513,6 +557,8 @@ def _worker_pool(workers):
     if workers <= 1:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             yield pool

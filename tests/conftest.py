@@ -1,8 +1,8 @@
 """Shared fixtures."""
 
-import pytest
+import concurrent.futures
 
-from hetnoma import simulate
+import pytest
 
 
 @pytest.fixture
@@ -28,5 +28,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    # the simulator imports the pool class from concurrent.futures when it
+    # starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started

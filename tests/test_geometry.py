@@ -5,7 +5,9 @@ import pytest
 from scipy.spatial import ConvexHull, Voronoi, cKDTree
 from scipy.stats import chisquare
 
+from hetnoma import geometry
 from hetnoma.geometry import (
+    DELAUNAY_OPTIONS,
     Window,
     associate,
     clipped_voronoi,
@@ -193,6 +195,27 @@ def full_mirror_areas(xy, window):
                      for b in range(len(xy))])
 
 
+def record_delaunay(monkeypatch):
+    """Record every triangulation asked of scipy.spatial.Delaunay, as
+    (qhull_options, the triangulation or the QhullError it raised)."""
+    import scipy.spatial
+
+    calls = []
+    delaunay = scipy.spatial.Delaunay
+
+    def recording(points, qhull_options=None):
+        try:
+            tri = delaunay(points, qhull_options=qhull_options)
+        except scipy.spatial.QhullError as error:
+            calls.append((qhull_options, error))
+            raise
+        calls.append((qhull_options, tri))
+        return tri
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", recording)
+    return calls
+
+
 class TestClippedVoronoi:
     WINDOW = Window(half_width=1000.0, margin=100.0)
 
@@ -239,11 +262,45 @@ class TestClippedVoronoi:
         xy[:8] = self.WINDOW.half_width * np.array(
             [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 0.3], [-0.2, 1], [-1, -0.7], [0.5, -1]])
         cells = clipped_voronoi(xy, self.WINDOW)
-        assert (np.diff(cells._cum) >= 0.0).all()
-        site = xy[np.repeat(np.arange(len(xy)), np.diff(cells._start))]
-        u, v = cells._first - site, cells._second - site
-        assert (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] >= 0.0).all()
+        fans = cells._fans
+        assert (cells._area[fans] >= 0.0).all()
+        site = xy.view(complex)[np.repeat(np.arange(len(xy)), np.diff(cells._start)), 0]
+        u, v = cells._first[fans] - site, cells._second[fans] - site
+        assert ((np.conj(u) * v).imag >= 0.0).all()
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_unmerged_triangulation_matches_the_defaults(self, monkeypatch, seed):
+        # 2,000 points, as the default window holds: without pre-merging,
+        # qhull gives the same triangles, every one counterclockwise, and
+        # the same areas
+        xy = self.points(seed, 2000)
+        calls = record_delaunay(monkeypatch)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        monkeypatch.setattr(geometry, "DELAUNAY_OPTIONS", None)
+        defaults = clipped_voronoi(xy, self.WINDOW)
+        [(options, tri), (_, tri_defaults)] = calls
+        assert options == DELAUNAY_OPTIONS
+        assert ({frozenset(t) for t in tri.simplices.tolist()}
+                == {frozenset(t) for t in tri_defaults.simplices.tolist()})
+        p0, p1, p2 = tri.points[tri.simplices.T]
+        e1, e2 = p1 - p0, p2 - p0
+        assert (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0).all()
+        assert np.allclose(cells.areas, defaults.areas, rtol=1e-12, atol=0.0)
+
+    def test_layout_qhull_cannot_triangulate_unmerged(self, monkeypatch):
+        # 50 points within 1e-3 m of each other: without pre-merging qhull
+        # raises (QH6115), and the retry with scipy's defaults gives their
+        # areas exactly
+        g = rng(0)
+        xy = g.uniform(-900.0, 900.0, size=2) + g.uniform(-1e-3, 1e-3, size=(50, 2))
+        calls = record_delaunay(monkeypatch)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        assert [(options, type(tri).__name__) for options, tri in calls] == [
+            (DELAUNAY_OPTIONS, "QhullError"), (None, "Delaunay")]
+        monkeypatch.setattr(geometry, "DELAUNAY_OPTIONS", None)
+        assert np.array_equal(clipped_voronoi(xy, self.WINDOW).areas, cells.areas)
+        assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
 
     def test_single_point_owns_the_window(self):
         cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
@@ -268,6 +325,18 @@ class TestClippedVoronoi:
         points = cells.sample(owners, rng(6).random((len(owners), 3)))
         assert self.WINDOW.contains(points).all()
         assert np.array_equal(cKDTree(xy).query(points)[1], owners)
+
+    def test_sampling_some_cells_gives_the_rows_of_all(self):
+        # a cell's points depend only on its fans and its uniforms: any
+        # subset, in any order, gets the same bits as sampling every cell
+        xy = self.points(12, 2000)
+        cells = clipped_voronoi(xy, self.WINDOW)
+        u = rng(13).random((len(xy), 2, 3))
+        every = cells.sample(np.arange(len(xy))[:, None], u)
+        widest = np.argmax(np.diff(cells._start))
+        for subset in (np.arange(0, 2000, 7), np.array([widest]), np.array([1999, 3, 500]),
+                       rng(14).choice(2000, 40, replace=False)):
+            assert np.array_equal(cells.sample(subset[:, None], u[subset]), every[subset])
 
     def test_samples_uniform_over_a_cell(self):
         # one point owns the whole window: 40,000 samples over a 4 x 4

@@ -4,7 +4,8 @@ scipy is imported only where it is called: `import hetnoma` and the
 closed forms at alpha = 4 load none of it, alpha != 4 loads
 scipy.special (hyp2f1) and nothing of scipy.spatial, and run_trial_sets
 loads scipy.spatial before its process pool forks, so the workers
-inherit it.
+inherit it.  `import hetnoma` loads no multiprocessing either: the pool
+is imported only to start one.
 """
 
 import json
@@ -33,7 +34,7 @@ assert main(sys.argv[1:], out=io.StringIO()) == 0
 # the pool records which scipy modules its parent holds when it starts,
 # then maps in this process
 PREFORK = """
-import os
+import concurrent.futures, os
 from hetnoma import simulate
 from hetnoma.coverage import NetworkParams, TierParams
 from hetnoma.geometry import Window
@@ -53,7 +54,7 @@ class RecordingPool:
     def map(self, fn, jobs, chunksize=1):
         return map(fn, jobs)
 
-simulate.ProcessPoolExecutor = RecordingPool
+concurrent.futures.ProcessPoolExecutor = RecordingPool
 os.cpu_count = lambda: 2
 params = NetworkParams(tiers=(TierParams(1.0, 2e-4),), user_intensity=8e-4,
                        pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
@@ -87,6 +88,18 @@ def write_config(tmp_path, alpha):
 
 def test_import_loads_no_scipy():
     assert json.loads(probe("import hetnoma")[-1]) == []
+
+
+# prints the multiprocessing modules loaded, before PROBE's scipy line
+NO_POOL = """
+import hetnoma
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "multiprocessing"]))
+"""
+
+
+def test_import_loads_no_multiprocessing():
+    # the simulator imports its process pool only to start one
+    assert json.loads(probe(NO_POOL)[-2]) == []
 
 
 def test_analytic_at_alpha4_loads_no_scipy(tmp_path):

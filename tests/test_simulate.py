@@ -16,7 +16,7 @@ from hetnoma.checks import ConfigError
 from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
-from hetnoma.geometry import Window, associate, clipped_voronoi, sample_ppp
+from hetnoma.geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
 from hetnoma.simulate import (
     _STREAM_FADES,
     _STREAM_PAIRS,
@@ -99,7 +99,7 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
             blocks = simulate._CellBlocks(snap, size=size)
             for start in range(0, len(subset), blocks.size):
                 part = subset[start:start + blocks.size]
-                serving_sq, desired, interference, void = blocks.powers(part)
+                serving_sq, desired, interference, void = blocks.powers(part, snap.pair_xy[part])
                 for m, b in enumerate(part.tolist()):
                     cell = alone[b]
                     assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
@@ -637,6 +637,33 @@ class TestTessellationSampler:
         assert tessellates(toy_params(mu=2e-4))
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
         assert_cell_draws_independent_of_block_and_cap(snap)
+
+    def test_capped_trial_keeps_the_pairs_of_its_cells(self, monkeypatch):
+        # the stock two tiers: a cell kept by the cap gets the same pair as
+        # in the uncapped trial, and both are the snapshot's pairs
+        p = table1_params()
+        assert tessellates(p)
+        evaluated = []
+        powers = simulate._CellBlocks.powers
+
+        def recording(blocks, cells, pair_xy):
+            evaluated.append((cells.copy(), pair_xy.copy()))
+            return powers(blocks, cells, pair_xy)
+
+        monkeypatch.setattr(simulate._CellBlocks, "powers", recording)
+        seen = []
+        for cap in (None, 12):
+            evaluated.clear()
+            totals = run_single_trial(p, default_window(p), seed=71, trial=0,
+                                      max_cells_per_tier=cap)
+            cells = np.concatenate([cells for cells, _ in evaluated])
+            assert len(cells) == totals.samples.sum()
+            seen.append((cells, np.concatenate([pair_xy for _, pair_xy in evaluated])))
+        (every, every_pairs), (kept, kept_pairs) = seen
+        assert kept.size == 24 and every.size > 1000
+        assert np.array_equal(kept_pairs, every_pairs[np.searchsorted(every, kept)])
+        snap = build_snapshot(p, default_window(p), seed=71, trial=0)
+        assert np.array_equal(every_pairs, snap.pair_xy[every])
 
     def test_deterministic_and_parallel_equivalence(self, tessellated):
         p = toy_params()
