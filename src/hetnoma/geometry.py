@@ -166,7 +166,9 @@ class ClippedVoronoi:
         the square-root rule.  Returns an array of shape u.shape[:-1] + (2,).
         Each cell's fans are ordered counterclockwise from the angle -pi
         and summed from zero, so a point depends only on its cell and its
-        uniforms, not on the other cells asked for.
+        uniforms, not on the other cells asked for.  A cell without a fan
+        (a point that qhull left out of the triangulation, as it can in a
+        tight cluster; its area is 0) gets NaN points.
         """
         cells = np.asarray(cells)
         row = np.broadcast_to(np.arange(cells.size).reshape(cells.shape), u.shape[:-1])
@@ -191,6 +193,8 @@ class ClippedVoronoi:
         # as complex numbers x + iy, each point is one sum over 1-D arrays
         point = ((1.0 - s) * site[row] + s * (1.0 - t) * self._first[fan]
                  + s * t * self._second[fan])
+        # a cell without a fan took k = -1, a fan of another cell
+        point = np.where(count[row] > 0, point, complex(np.nan, np.nan))
         return point[..., None].view(float)
 
 

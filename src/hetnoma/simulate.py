@@ -5,8 +5,9 @@ flags and every BS's scheduled pair), then evaluates the decoding events
 of both schemes in every tagged cell: a non-void inner-region BS with at
 least two users, two of which are scheduled uniformly at random.
 
-A snapshot gets its user counts and pairs from one of two samplers,
-chosen by the load user_intensity / total_intensity (users per BS):
+A snapshot (build_snapshot, which run_trials and cell_census use) gets
+its user counts and pairs from one of two samplers, chosen by the load
+user_intensity / total_intensity (users per BS):
 
   * association, below TESSELLATION_MIN_USERS_PER_BS (6): every user of
     the PPP is placed and attached to its nearest BS; the pair is two of
@@ -24,12 +25,24 @@ Either way the snapshot hands out pairs as coordinates, the near user
 ran.  The tessellation places a pair only when asked for it: a trial
 asks once, for the cells it evaluates in both tiers.
 
-Every random draw of a trial comes from one of four streams keyed by
+A sweep trial (run_coupled_trial, which run_trial_sets and so run_sweep
+use) serves every point of a grid that shares one layout (tiers, path
+loss and window: all of a user_intensity or beta sweep) from one
+tessellated snapshot, at every load.  A trial reads only whether a count
+is at least 1 (the BS transmits) and at least 2 (the cell can be
+tagged), and both come exactly from one uniform U_b per BS: the
+Poisson(m) quantile of U_b, m = user_intensity x area_b, is >= 1 iff
+U_b > e^-m and >= 2 iff U_b > e^-m (1 + m).  So the classes nest as the
+load rises, and the pairs and fades of a cell are shared by every point.
+
+Every random draw of a trial comes from one of six streams keyed by
 (seed, trial, purpose):
 
   * points: the BS tiers, then the users (association) or every BS's
-    count in global BS order (tessellation);
-  * cap: the uniform subsample of tagged cells per tier, when capped;
+    count in global BS order (tessellation); a sweep trial draws only
+    the tiers from it;
+  * cap: the uniform subsample of tagged cells per tier, when capped
+    (build_snapshot trials);
   * pairs: the scheduled pair of every BS, in global BS order, drawn in
     one call for all BSs whether or not a BS is evaluated: two ranks in
     the BS's user list (association), or an (n_bs, 2, 3) block of
@@ -39,22 +52,30 @@ Every random draw of a trial comes from one of four streams keyed by
   * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
     outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
     the near user's n_bs links first; the loop jumps to each block with
-    PCG64.advance and turns each output into one exponential variate.
+    PCG64.advance and turns each output into one exponential variate;
+  * counts (sweep trials): the uniform U_b of every BS, in global BS order;
+  * priority (sweep trials, when capped): one uniform per BS; at each
+    point, a tier evaluates its max_cells_per_tier tagged cells of lowest
+    priority.
 
 So trials are independent work units and can run in any order or in
 parallel with identical aggregate counts; a cell's pair and fades depend
 only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
-nothing in the cells it keeps; and both schemes are evaluated on the same
-fades (the serving link's fade is its block's column at the serving BS),
-which makes each cooperative event a superset of the non-cooperative one
-cell by cell.
+nothing in the cells it keeps, and a sweep point's outcomes do not depend
+on the other points of its grid; and both schemes are evaluated on the
+same fades (the serving link's fade is its block's column at the serving
+BS), which makes each cooperative event a superset of the
+non-cooperative one cell by cell.
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
 every tier, evaluated at the receiving user's own location.  Tagged cells
 are evaluated in blocks whose (cells, 2, n_bs) buffers hold at most
-BLOCK_BYTES each; schedule_noma_users, evaluate_noncoop and evaluate_coop
-are one-cell views of the same block computation.
+BLOCK_BYTES each: a trial computes each cell's fades, distances and
+powers once, and each point of the trial sums them with its own void
+flags (two mat-vecs per block) and counts the outcomes of its own cells.
+schedule_noma_users, evaluate_noncoop and evaluate_coop are one-cell
+views of the same block computation.
 """
 
 from __future__ import annotations
@@ -77,6 +98,8 @@ _STREAM_POINTS = 0
 _STREAM_CAP = 1
 _STREAM_PAIRS = 2
 _STREAM_FADES = 3
+_STREAM_COUNTS = 4
+_STREAM_PRIORITY = 5
 
 # Size of each (cells, 2, n_bs) float buffer of a block of tagged cells:
 # small enough to stay in cache, large enough that numpy calls run over
@@ -138,9 +161,10 @@ class NetworkSnapshot:
     """One sampled realization of the network.
 
     counts[b] is the number of users BS b serves, and nonvoid[b] is True
-    iff it is positive (the indicator that the BS transmits).  Global BS
-    indices concatenate the tiers in order.  pairs(cells) gives the
-    coordinates of the two users each BS schedules.  The association
+    iff it is positive (the indicator that the BS transmits).  A sweep
+    trial's snapshots hold min(count, 2), all a trial reads of a count.
+    Global BS indices concatenate the tiers in order.  pairs(cells) gives
+    the coordinates of the two users each BS schedules.  The association
     sampler holds every BS's pair as coordinates (_pair_draws); the
     tessellation holds the clipped cells (_voronoi) and every BS's (2, 3)
     uniforms, and places a pair only when it is asked for, so a trial
@@ -155,7 +179,6 @@ class NetworkSnapshot:
     bs_xy: np.ndarray = field(repr=False)
     bs_tier: np.ndarray = field(repr=False)
     bs_power: np.ndarray = field(repr=False)
-    nonvoid: np.ndarray = field(repr=False)
     _voronoi: object = field(repr=False)
     _pair_draws: np.ndarray = field(repr=False)
 
@@ -163,21 +186,21 @@ class NetworkSnapshot:
     def n_bs(self):
         return self.bs_xy.shape[0]
 
+    @property
+    def nonvoid(self):
+        return self.counts > 0
+
     def pairs(self, cells):
         """The scheduled pairs of the BSs in the index array cells, of shape
         (len(cells), 2, 2), the near user first; NaN where the association
-        sampler found fewer than two users.  A BS's pair is the same bits
-        whichever other BSs are asked for with it.
+        sampler found fewer than two users, or where a tessellated cell owns
+        no fan (and so has no area and no users).  A BS's pair is the same
+        bits whichever other BSs are asked for with it.
         """
         if self._voronoi is None:
             return self._pair_draws[cells]
         return _near_first(self.bs_xy[cells],
                            self._voronoi.sample(cells[:, None], self._pair_draws[cells]))
-
-    @property
-    def pair_xy(self):
-        """Every BS's pair, of shape (n_bs, 2, 2): pairs of all BSs."""
-        return self.pairs(np.arange(self.n_bs))
 
     def tagged_cells(self, tier):
         """Inner-region BSs of one tier with >= 2 users."""
@@ -189,9 +212,11 @@ def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
     """Flatten the tiers into global BS arrays; give every BS its users and pair.
 
     With user_xy, the users are associated and every pair is placed.
-    Without, counts[b] is drawn from rng as Poisson(user_intensity x area
-    of the clipped cell of b), and the pairs' uniforms are drawn, to be
-    placed in the cells that NetworkSnapshot.pairs is asked for.
+    Without, the clipped cells are computed and the pairs' uniforms are
+    drawn, to be placed in the cells that NetworkSnapshot.pairs is asked
+    for; counts[b] is drawn from rng as Poisson(user_intensity x area of
+    the clipped cell of b), or left None without rng, for a sweep trial to
+    give each grid point its own.
     """
     bs_xy = np.concatenate(bs_per_tier)
     n_bs = len(bs_xy)
@@ -216,13 +241,12 @@ def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
         voronoi, pair_draws = None, _near_first(bs_xy, pair_xy)
     else:
         voronoi = clipped_voronoi(bs_xy, window)
-        counts = rng.poisson(params.user_intensity * voronoi.areas)
+        counts = None if rng is None else rng.poisson(params.user_intensity * voronoi.areas)
         # two i.i.d. uniform points in each BS's cell, three uniforms each
         pair_draws = pairs.random((n_bs, 2, 3))
     return NetworkSnapshot(
         params=params, window=window, seed=seed, trial=trial, counts=counts, bs_xy=bs_xy,
-        bs_tier=bs_tier, bs_power=powers[bs_tier], nonvoid=counts > 0, _voronoi=voronoi,
-        _pair_draws=pair_draws,
+        bs_tier=bs_tier, bs_power=powers[bs_tier], _voronoi=voronoi, _pair_draws=pair_draws,
     )
 
 
@@ -256,12 +280,21 @@ def build_snapshot(params, window, seed, trial):
     small that it contains no base station.
     """
     check_point_budget(params, window)
+    bs_per_tier, rng = _sample_tiers(params, window, seed, trial)
+    user_xy = None if tessellates(params) else sample_ppp(params.user_intensity, window, rng)
+    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy, rng)
+
+
+def _sample_tiers(params, window, seed, trial):
+    """The BSs of each tier, from the trial's points stream, and that stream.
+
+    SimulationError if the window holds no BS.
+    """
     rng = _stream(seed, trial, _STREAM_POINTS)
     bs_per_tier = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
-    user_xy = None if tessellates(params) else sample_ppp(params.user_intensity, window, rng)
     if sum(len(p) for p in bs_per_tier) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
-    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy, rng)
+    return bs_per_tier, rng
 
 
 def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial=0):
@@ -299,9 +332,9 @@ class _CellBlocks:
 
     powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
     increasing BS order across calls, into the first rows of the buffers.
-    bs_x and bs_y are the contiguous coordinate columns of the snapshot's bs_xy;
-    nonvoid_weight and void_weight are its nonvoid flags and their
-    negation as float 1/0 weights, the form the block mat-vecs multiply by.
+    bs_x and bs_y are the contiguous coordinate columns of the snapshot's
+    bs_xy.  Only the snapshot's BSs, path loss and (seed, trial) enter, so
+    the blocks serve every snapshot of one layout.
     """
 
     def __init__(self, snapshot, size=None):
@@ -309,8 +342,6 @@ class _CellBlocks:
         n_bs = snapshot.n_bs
         self.bs_x = np.ascontiguousarray(snapshot.bs_xy[:, 0])
         self.bs_y = np.ascontiguousarray(snapshot.bs_xy[:, 1])
-        self.nonvoid_weight = snapshot.nonvoid.astype(float)
-        self.void_weight = (~snapshot.nonvoid).astype(float)
         self.size = size or max(1, BLOCK_BYTES // (16 * n_bs))
         self.fades = np.empty((self.size, 2, n_bs))
         self.dist_sq = np.empty((self.size, 2, n_bs))
@@ -322,8 +353,10 @@ class _CellBlocks:
         """Serving dist^2 and received powers of `cells`, whose pairs (as
         the snapshot's pairs gives them) are pair_xy.
 
-        Returns (serving_dist_sq, desired, interference, void_signal), each
-        of shape (len(cells), 2) with the near user first.
+        Returns (serving_dist_sq, desired, power): the first two of shape
+        (len(cells), 2), the near user first, and power the (len(cells), 2,
+        n_bs) block of received powers with the serving BS's column zeroed,
+        which _link_sums splits by a snapshot's void flags.
         """
         snap = self.snapshot
         k, span = len(cells), 2 * snap.n_bs
@@ -356,9 +389,26 @@ class _CellBlocks:
         # the serving BS is non-void: dropping its column from the power
         # buffer leaves the two sums over the other BSs
         power[rows, :, cells] = 0.0
-        interference = power @ self.nonvoid_weight
-        void_signal = power @ self.void_weight
-        return serving_sq, desired, interference, void_signal
+        return serving_sq, desired, power
+
+
+def _link_weights(nonvoid):
+    """A snapshot's nonvoid flags and their negation as float 1/0 weights,
+    the form _link_sums multiplies by."""
+    return nonvoid.astype(float), (~nonvoid).astype(float)
+
+
+def _link_sums(power, weights, out=(None, None)):
+    """(interference, void_signal) of a power block from _CellBlocks.powers:
+    one mat-vec each with the two _link_weights, into the arrays out when
+    given.
+
+    Each is a product of its own: one (n_bs, 2) product of both weights
+    rounds differently from its columns taken one at a time, and a row's
+    sums must not depend on what else shares its block.
+    """
+    nonvoid, void = weights
+    return np.matmul(power, nonvoid, out=out[0]), np.matmul(power, void, out=out[1])
 
 
 def schedule_noma_users(snapshot, bs_index):
@@ -373,7 +423,8 @@ def schedule_noma_users(snapshot, bs_index):
         return None
     blocks = _CellBlocks(snapshot, size=1)
     cells = np.array([bs_index], dtype=np.intp)
-    serving_sq, desired, interference, void_signal = blocks.powers(cells, snapshot.pairs(cells))
+    serving_sq, desired, power = blocks.powers(cells, snapshot.pairs(cells))
+    interference, void_signal = _link_sums(power, _link_weights(snapshot.nonvoid))
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
         distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
@@ -477,67 +528,183 @@ def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
             rng = _stream(seed, trial, _STREAM_CAP, tier)
             cells = np.sort(rng.choice(cells, size=max_cells_per_tier, replace=False))
         evaluated.append(cells)
-    # the pairs of the evaluated cells of every tier, placed in one call
-    pairs = np.split(snapshot.pairs(np.concatenate(evaluated)),
-                     np.cumsum([len(cells) for cells in evaluated[:-1]]))
-    # the trial needs no other pair: freed before the blocks take their
-    # buffers, the clipped cells add nothing to the trial's peak memory
-    snapshot = replace(snapshot, _voronoi=None, _pair_draws=None)
-    totals = TrialTotals.zeros(params.n_tiers)
-    blocks = _CellBlocks(snapshot)
-    theta = params.sir_threshold
-    for tier, (cells, pair_xy) in enumerate(zip(evaluated, pairs)):
-        beta = params.beta[tier]
-        for start in range(0, len(cells), blocks.size):
-            block = slice(start, start + blocks.size)
-            serving_sq, desired, interference, void_signal = blocks.powers(
-                cells[block], pair_xy[block])
-            for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
-                _, _, near, far = _outcome(desired, interference, coop, theta, beta)
-                totals.successes[tier, s] += (np.count_nonzero(near), np.count_nonzero(far))
-            totals.sum_near_dist_sq[tier] += serving_sq[:, 0].sum()
-            totals.sum_far_dist_sq[tier] += serving_sq[:, 1].sum()
-        totals.samples[tier] += len(cells)
+    [totals] = _evaluate([snapshot], [evaluated])
     return totals
 
 
-def _trial_worker(args):
-    return run_single_trial(*args)
+def _count_classes(mean, u):
+    """min(N, 2) elementwise, for N the Poisson(mean) quantile of the uniform u.
+
+    N >= 1 iff u > P[N = 0] = e^-mean, and N >= 2 iff u > P[N <= 1] =
+    e^-mean (1 + mean); u = 0 gives 0.  P[N <= 1] is 0 wherever P[N = 0]
+    underflows to 0, an infinite mean included.  Both bounds fall as the
+    mean rises, so at a fixed u the class never falls with the load.
+    """
+    p0 = np.exp(-mean)
+    p1 = np.multiply(p0, 1.0 + mean, out=np.zeros_like(p0), where=p0 > 0.0)
+    return (u > p0).astype(np.intp) + (u > p1)
+
+
+def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
+    """The TrialTotals of one trial at each scenario point of grid, in order.
+
+    The points share their tiers, path-loss exponent and window, and
+    differ only in load, beta or threshold.  The trial samples the BSs
+    from the points stream as build_snapshot does and tessellates them
+    once, at every load.  Each point's counts are the classes
+    _count_classes gives the BSs' uniforms from the counts stream at the
+    mean user_intensity x clipped cell area; with max_cells_per_tier, each
+    tier evaluates the tagged cells of lowest priority (one uniform per BS
+    from the priority stream).  Every cell evaluated at some point gets
+    its pair, fades and powers once (_evaluate).  A point's outcomes
+    depend only on (seed, trial) and its own parameters, not on the other
+    points of grid.
+    """
+    for params in grid:
+        check_point_budget(params, window)
+    bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
+    layout = _snapshot(grid[0], window, seed, trial, bs_per_tier)
+    areas = layout._voronoi.areas
+    uniform = _stream(seed, trial, _STREAM_COUNTS).random(layout.n_bs)
+    if max_cells_per_tier is not None:
+        priority = _stream(seed, trial, _STREAM_PRIORITY).random(layout.n_bs)
+    snapshots, evaluated = [], []
+    for params in grid:
+        snapshot = replace(layout, params=params,
+                           counts=_count_classes(params.user_intensity * areas, uniform))
+        cells = [snapshot.tagged_cells(tier) for tier in range(params.n_tiers)]
+        if max_cells_per_tier is not None:
+            cells = [c if len(c) <= max_cells_per_tier else
+                     np.sort(c[np.argsort(priority[c], kind="stable")[:max_cells_per_tier]])
+                     for c in cells]
+        snapshots.append(snapshot)
+        evaluated.append(cells)
+    del layout  # _evaluate frees the clipped cells, which the snapshots share
+    return _evaluate(snapshots, evaluated)
+
+
+def _evaluate(snapshots, evaluated):
+    """The TrialTotals of each of snapshots, all of one layout (the same
+    BSs, pair draws and trial), in order.
+
+    evaluated[j][tier] holds the sorted tagged cells that snapshot j
+    evaluates in the tier.  Each cell of the tiers' unions is evaluated
+    once: the pairs of all of them are placed in one call, and one block
+    pass computes their fades, distances and powers.  Each snapshot sums
+    every block that holds any of its cells with its own void flags
+    (_link_sums), then counts the outcomes of its own cells at its own
+    threshold and beta.  Once the pairs are placed, the snapshots' clipped
+    cells and pair draws are dropped: the trial needs no other pair, and
+    freed before the blocks take their buffers, they add nothing to the
+    trial's peak memory.
+    """
+    layout = snapshots[0]
+    n_tiers = layout.params.n_tiers
+    # which BSs each snapshot evaluates, and their union in BS order
+    member = np.zeros((len(snapshots), layout.n_bs), dtype=bool)
+    for row, cells in zip(member, evaluated):
+        row[np.concatenate(cells)] = True
+    union = np.flatnonzero(member.any(axis=0))
+    pairs = layout.pairs(union)
+    for snapshot in snapshots:
+        snapshot._voronoi = snapshot._pair_draws = None
+    blocks = _CellBlocks(layout)
+    weights = [_link_weights(snapshot.nonvoid) for snapshot in snapshots]
+    totals = [TrialTotals.zeros(n_tiers) for _ in snapshots]
+    # global BS indices run through the tiers in order
+    bounds = np.searchsorted(layout.bs_tier[union], np.arange(n_tiers + 1)).tolist()
+    for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
+        cells, pair_xy, chosen = union[lo:hi], pairs[lo:hi], member[:, union[lo:hi]]
+        serving_sq, desired = np.empty((2, len(cells), 2))
+        # per snapshot, the interference and void signal of every cell; the
+        # rows of a block without any of its cells are left unset, and unread
+        sums = np.empty((len(snapshots), 2, len(cells), 2))
+        for start in range(0, len(cells), blocks.size):
+            block = slice(start, start + blocks.size)
+            serving_sq[block], desired[block], power = blocks.powers(cells[block], pair_xy[block])
+            for rows, weight, out in zip(chosen, weights, sums):
+                if rows[block].any():
+                    _link_sums(power, weight, out=out[:, block])
+        for snapshot, rows, point, (interference, void_signal) in zip(
+                snapshots, chosen, totals, sums):
+            # a snapshot that evaluates every cell of the union reads views
+            rows = slice(None) if rows.all() else rows
+            signal, interference, void_signal = desired[rows], interference[rows], void_signal[rows]
+            theta, beta = snapshot.params.sir_threshold, snapshot.params.beta[tier]
+            for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
+                _, _, near, far = _outcome(signal, interference, coop, theta, beta)
+                point.successes[tier, s] += (np.count_nonzero(near), np.count_nonzero(far))
+            # summed in runs of one block's size, as the blocks of a snapshot
+            # evaluated alone run: the float sums do not depend on the other
+            # snapshots' cells either
+            dist_sq = serving_sq[rows]
+            for start in range(0, len(dist_sq), blocks.size):
+                point.sum_near_dist_sq[tier] += dist_sq[start:start + blocks.size, 0].sum()
+                point.sum_far_dist_sq[tier] += dist_sq[start:start + blocks.size, 1].sum()
+            point.samples[tier] += len(dist_sq)
+    return totals
 
 
 def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
-    """Accumulated outcomes of n_trials snapshots at each scenario point.
+    """Accumulated outcomes of n_trials sweep trials at each scenario point.
 
     points is a sequence of (params, window, seed); a window of None means
     default_window(params).  Returns one TrialTotals per point, in order.
-    Trials use streams keyed by (seed, trial) and each point's trials merge
-    in trial order, so serial and parallel execution agree exactly,
-    distance sums included.  The trials of all points share one pool:
-    n_jobs caps its worker processes, which never outnumber the trials of
-    the whole run or the CPUs; with one, the trials run in this process.
-    scipy.spatial, which every trial's sampler needs, is imported here
-    before the pool forks, so the workers inherit it rather than each
-    importing it again.  A budget that is not an integer >= 1 raises
-    ConfigError before any trial.
+    Points that share their tiers, path-loss exponent, window and seed
+    form a group, and trial t of a group is one run_coupled_trial over all
+    its points, keyed on (seed, t): one snapshot serves every point.  A
+    point's totals are the same whichever other points share its group,
+    and those of one group share common random numbers.  The trials of all
+    groups share one pool (see _map_trials), and each point's trials
+    merge in trial order, so serial and parallel execution agree exactly,
+    distance sums included.
+    """
+    groups = {}
+    for k, (params, window, seed) in enumerate(points):
+        window = window if window is not None else default_window(params)
+        key = (params.tiers, params.pathloss_exponent, window, _entropy(seed))
+        groups.setdefault(key, []).append(k)
+    members = list(groups.values())
+    settings = [(tuple(points[k][0] for k in group), window, seed)
+                for group, (_, _, window, seed) in zip(members, groups)]
+    parts = _map_trials(run_coupled_trial, settings, n_trials, max_cells_per_tier, n_jobs)
+    totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
+    for g, group in enumerate(members):
+        for part in parts[g * n_trials:(g + 1) * n_trials]:
+            for k, point in zip(group, part):
+                totals[k].merge(point)
+    return totals
+
+
+def _map_trials(run_trial, settings, n_trials, max_cells_per_tier, n_jobs):
+    """run_trial(*setting, trial, max_cells_per_tier) for each setting and
+    each trial in range(n_trials), in that order, as a list.
+
+    The trials of all settings share one pool: n_jobs caps its worker
+    processes, which never outnumber the trials of the whole run or the
+    CPUs; with one, the trials run in this process.  scipy.spatial, which
+    every trial's sampler needs, is imported here before the pool forks,
+    so the workers inherit it rather than each importing it again.  A
+    budget that is not an integer >= 1 raises ConfigError before any
+    trial.
     """
     integer(n_trials, "n_trials", 1)
     integer(n_jobs, "n_jobs", 1)
     if max_cells_per_tier is not None:
         integer(max_cells_per_tier, "max_cells_per_tier", 1)
-    points = [(params, window if window is not None else default_window(params), seed)
-              for params, window, seed in points]
-    jobs = [(params, window, seed, trial, max_cells_per_tier)
-            for params, window, seed in points for trial in range(n_trials)]
-    totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
+    jobs = [(run_trial, *setting, trial, max_cells_per_tier)
+            for setting in settings for trial in range(n_trials)]
     import scipy.spatial  # noqa: F401  (loaded once, before _worker_pool forks)
 
     # a fork pool starts all max_workers processes at once
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     with _worker_pool(workers) as pool:
-        run = pool.map if pool is not None else map
-        for k, part in enumerate(run(_trial_worker, jobs)):
-            totals[k // n_trials].merge(part)
-    return totals
+        return list((pool.map if pool is not None else map)(_run_job, jobs))
+
+
+def _run_job(job):
+    run_trial, *args = job
+    return run_trial(*args)
 
 
 @contextmanager
@@ -545,7 +712,7 @@ def _worker_pool(workers):
     """A pool of `workers` processes, or None for one.
 
     The workers are forked, so they start with every module the parent has
-    loaded; run_trial_sets imports scipy.spatial before calling this.
+    loaded; _map_trials imports scipy.spatial before calling this.
 
     concurrent.futures, and with it multiprocessing, is imported only
     here and only for a pool, so neither loads with the package.
@@ -568,12 +735,17 @@ def _worker_pool(workers):
 
 
 def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
-    """Accumulated outcomes of n_trials independent snapshots.
+    """Accumulated outcomes of n_trials independent snapshots (run_single_trial).
 
-    The one-point case of run_trial_sets: serial and parallel execution
-    agree exactly, and n_jobs caps the worker processes.
+    Trials use streams keyed by (seed, trial) and merge in trial order, so
+    serial and parallel execution agree exactly, distance sums included;
+    n_jobs caps the worker processes (see _map_trials).
     """
-    [totals] = run_trial_sets([(params, window, seed)], n_trials, max_cells_per_tier, n_jobs)
+    window = window if window is not None else default_window(params)
+    totals = TrialTotals.zeros(params.n_tiers)
+    for part in _map_trials(run_single_trial, [(params, window, seed)], n_trials,
+                            max_cells_per_tier, n_jobs):
+        totals.merge(part)
     return totals
 
 

@@ -564,9 +564,9 @@ class TestCliOptimizeBeta:
 
 
 # The scenario config of the README, run with --trials 2.  Its scenario
-# point, 5e-4 users/m^2 (9.8 users per BS), and the sweep grid's 5e-4 and
-# 1e-3 take their snapshots from the tessellation sampler; the grid's
-# other points associate every user.
+# point, 5e-4 users/m^2 (9.8 users per BS), takes its snapshots from the
+# tessellation sampler; the sweep tessellates one snapshot per trial for
+# all five grid points.
 README_CONFIG = {
     "tiers": STOCK_TIERS,
     "user_intensity": 5e-4,
@@ -588,9 +588,9 @@ CLI_DIGESTS = {
     ("sim", False): ("69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717", None),
     ("sim", True): ("b6cd70dfa19cb0fee31ec02dd2bd43bcf9debfc1048e3ce55602255420f5b960",
                     "69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717"),
-    ("sweep", False): ("3e0bee62923632350e8bfee07447354f6ce9128776df841d6744af69741dcb13", None),
-    ("sweep", True): ("747dd38b3e8822edcd6730a12f7eb915961da4a9613e614b6e8fd40bfb50d35a",
-                      "6e853ee2ad86e1a5c21b76fb595e77ab8a8307835ee7d3fcbf3fdd7ad90860aa"),
+    ("sweep", False): ("2c69eec0f9b91139d566a9fc762fe32d3b68bbb49f466bd4aa85c7092b8db428", None),
+    ("sweep", True): ("8b3e9d892e54f2c67f4801d22f8529d32085e39ad282ba7c4300c304727ad5db",
+                      "b718fcac927062828f8d6f00ba76859787440869c40e75ada6f663af3442a760"),
     ("optimize-beta", False): ("4eebc2f830d0980e1264b669d682addedbffa577896958923321cb74bd943e79",
                                None),
     ("optimize-beta", True): ("5fb391573a0fce763eae22ea6d92bd071e417f1b716af777b241e6d846bb4d10",

@@ -302,6 +302,23 @@ class TestClippedVoronoi:
         assert np.array_equal(clipped_voronoi(xy, self.WINDOW).areas, cells.areas)
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
 
+    def test_cell_without_a_fan_samples_nan(self):
+        # the cluster of the test above: qhull leaves 36 of the 50 points
+        # out of the triangulation, so they own no fan and no area; their
+        # points are NaN, not points of another cell's fan
+        g = rng(0)
+        xy = g.uniform(-900.0, 900.0, size=2) + g.uniform(-1e-3, 1e-3, size=(50, 2))
+        cells = clipped_voronoi(xy, self.WINDOW)
+        fanless = np.diff(cells._start) == 0
+        assert fanless.sum() == 36
+        assert (cells.areas[fanless] == 0.0).all()
+        u = rng(1).random((50, 2, 3))
+        points = cells.sample(np.arange(50)[:, None], u)
+        assert np.isnan(points[fanless]).all()
+        assert self.WINDOW.contains(points[~fanless].reshape(-1, 2)).all()
+        owning = np.flatnonzero(~fanless)
+        assert np.array_equal(cells.sample(owning[:, None], u[owning]), points[owning])
+
     def test_single_point_owns_the_window(self):
         cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
         assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)

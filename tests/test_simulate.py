@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chi2_contingency, chisquare, poisson
 
 from hetnoma.checks import ConfigError
 from hetnoma.config import ScenarioConfig
@@ -25,6 +25,9 @@ from hetnoma.simulate import (
     CoverageEstimate,
     SimulationError,
     TrialTotals,
+    _count_classes,
+    _link_sums,
+    _link_weights,
     _stream,
     build_snapshot,
     cell_census,
@@ -71,18 +74,24 @@ def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0, trial=0):
     return params, snapshot_from_points(params, window, [bs], users, trial=trial)
 
 
+def every_pair(snap):
+    """The pairs of all BSs of snap, of shape (n_bs, 2, 2)."""
+    return snap.pairs(np.arange(snap.n_bs))
+
+
 def assert_pairs_near_first(snap, expected):
-    """snap.pair_xy holds each BS's pair of `expected`, near user first.
+    """snap's pairs are each BS's pair of `expected`, near user first.
 
     expected is (n_bs, 2, 2) in draw order; NaN rows stand for BSs without
     a pair.
     """
-    drawn = (snap.pair_xy == expected).all(axis=(1, 2))
-    swapped = (snap.pair_xy == expected[:, ::-1]).all(axis=(1, 2))
+    pair_xy = every_pair(snap)
+    drawn = (pair_xy == expected).all(axis=(1, 2))
+    swapped = (pair_xy == expected[:, ::-1]).all(axis=(1, 2))
     paired = ~np.isnan(expected).any(axis=(1, 2))
     assert (drawn | swapped)[paired].all()
-    assert np.isnan(snap.pair_xy[~paired]).all()
-    dist_sq = ((snap.pair_xy[paired] - snap.bs_xy[paired, None]) ** 2).sum(axis=-1)
+    assert np.isnan(pair_xy[~paired]).all()
+    dist_sq = ((pair_xy[paired] - snap.bs_xy[paired, None]) ** 2).sum(axis=-1)
     assert (dist_sq[:, 0] <= dist_sq[:, 1]).all()
 
 
@@ -93,13 +102,15 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
     cells = snap.tagged_cells(0)
     assert len(cells) > 20
     alone = {int(b): schedule_noma_users(snap, b) for b in cells}
+    weights = _link_weights(snap.nonvoid)
     subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
     for subset in subsets:
         for size in (None, 1, 4, 7):
             blocks = simulate._CellBlocks(snap, size=size)
             for start in range(0, len(subset), blocks.size):
                 part = subset[start:start + blocks.size]
-                serving_sq, desired, interference, void = blocks.powers(part, snap.pair_xy[part])
+                serving_sq, desired, power = blocks.powers(part, snap.pairs(part))
+                interference, void = _link_sums(power, weights)
                 for m, b in enumerate(part.tolist()):
                     cell = alone[b]
                     assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
@@ -117,7 +128,7 @@ class TestBuildSnapshot:
         b = build_snapshot(p, TOY_WINDOW, seed=5, trial=3)
         assert np.array_equal(a.bs_xy, b.bs_xy)
         assert np.array_equal(a.counts, b.counts)
-        assert np.array_equal(a.pair_xy, b.pair_xy, equal_nan=True)
+        assert np.array_equal(every_pair(a), every_pair(b), equal_nan=True)
         c = build_snapshot(p, TOY_WINDOW, seed=5, trial=4)
         assert not np.array_equal(a.bs_xy, c.bs_xy)
 
@@ -210,10 +221,11 @@ class TestScheduleNomaUsers:
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
         alpha = p.pathloss_exponent
+        pair_xy = every_pair(snap)
         for b in snap.tagged_cells(0)[:10]:
             cell = schedule_noma_users(snap, b)
             for r in range(2):
-                ux, uy = snap.pair_xy[b, r].tolist()
+                ux, uy = pair_xy[b, r].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
@@ -226,7 +238,7 @@ class TestScheduleNomaUsers:
                         interference += power
                     else:
                         void_signal += power
-                d = math.dist(snap.pair_xy[b, r], snap.bs_xy[b])
+                d = math.dist(pair_xy[b, r], snap.bs_xy[b])
                 assert cell.distances[r] == pytest.approx(d, rel=1e-12)
                 assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
@@ -269,7 +281,7 @@ class TestScheduleNomaUsers:
         counts = {}
         for trial in range(10_000):
             _, snap = lone_cell_snapshot(n_users=5, trial=trial)
-            key = tuple(snap.pair_xy[0, :, 0].tolist())
+            key = tuple(snap.pairs(np.array([0]))[0, :, 0].tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 10
         result = chisquare(list(counts.values()))
@@ -336,6 +348,37 @@ class TestEvaluateEvents:
             assert s.near_first_stage_ok  # 0.55/0.45 > 1 deterministically
 
 
+class TestCountClasses:
+    # a sweep trial reads min(count, 2) of a Poisson count from one uniform
+    MEANS = [1e-12, 0.5, 9.8, 39.0, 800.0, 1e12]
+
+    def test_equal_the_capped_poisson_quantile(self):
+        u = np.array([0.0, 1e-300, 1e-12, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 2.0**-53])
+        mean, u = np.meshgrid(self.MEANS, u)
+        quantile = poisson.ppf(u, mean)
+        # scipy's quantile search returns NaN at some u > 0 for the mean
+        # 1e12, where P[N <= 1] underflows to 0, so that the quantile is >= 2
+        failed = np.isnan(quantile)
+        assert (mean[failed] == 1e12).all() and (u[failed] > 0.0).all()
+        assert poisson.cdf(1, 1e12) == 0.0
+        quantile[failed] = 2
+        # scipy gives the quantile at 0 as -1, below the support: the count
+        # there is 0
+        expected = np.clip(quantile, 0, 2)
+        assert np.array_equal(_count_classes(mean, u), expected)
+        assert set(_count_classes(mean, u).ravel().tolist()) == {0, 1, 2}
+
+    def test_never_fall_as_the_load_rises(self):
+        g = np.random.default_rng(3)
+        areas, u = g.exponential(2e4, size=5000), g.random(5000)
+        loads = np.geomspace(1e-7, 1.0, 80)
+        classes = np.array([_count_classes(mu * areas, u) for mu in loads])
+        assert (np.diff(classes, axis=0) >= 0).all()
+        assert (classes[0] == 0).mean() > 0.99 and (classes[-1] == 2).all()
+        # an infinite mean is a count of at least 2
+        assert _count_classes(np.array([np.inf]), np.array([0.5])).tolist() == [2]
+
+
 class TestRunTrials:
     def test_deterministic_and_parallel_equivalence(self):
         p = toy_params()
@@ -394,16 +437,19 @@ class TestRunTrials:
         assert recording_pool == []
 
     def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
-        # the trials of all points go to one pool sized by the whole run;
-        # each point's totals equal its own run_trials call exactly
+        # the trials of all groups go to one pool sized by the whole run;
+        # the first two points share tiers, window and seed, so one
+        # snapshot per trial serves both, and each point's totals equal
+        # those of a run of that point alone exactly
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         points = [(toy_params(mu=2e-4), TOY_WINDOW, (17, 0)),
-                  (toy_params(mu=8e-4, beta=0.6), TOY_WINDOW, (17, 1)),
+                  (toy_params(mu=8e-4, beta=0.6), TOY_WINDOW, (17, 0)),
                   (toy_params(mu=4e-4), None, 3)]
         sets = run_trial_sets(points, 2, max_cells_per_tier=20, n_jobs=5000)
-        assert recording_pool == [6]
-        for (params, window, seed), totals in zip(points, sets):
-            alone = run_trials(params, window, n_trials=2, seed=seed, max_cells_per_tier=20)
+        assert recording_pool == [4]
+        for point, totals in zip(points, sets):
+            [alone] = run_trial_sets([point], 2, max_cells_per_tier=20)
+            assert totals.samples.sum() > 0
             assert np.array_equal(totals.successes, alone.successes)
             assert np.array_equal(totals.samples, alone.samples)
             assert np.array_equal(totals.sum_near_dist_sq, alone.sum_near_dist_sq)
@@ -589,6 +635,21 @@ class TestCellCensus:
             cell_census(toy_params(), TOY_WINDOW, n_snapshots=n_snapshots)
 
 
+class TestCoupledTrial:
+    def test_sweep_point_agrees_with_run_trials(self):
+        # a sweep's trials (run_trial_sets) at 2 users per BS, where
+        # run_trials associates every user while the sweep tessellates, and
+        # at the stock 9.8, where both tessellate
+        lam = table1_params().total_intensity
+        grid = [table1_params(user_intensity=mu) for mu in (2.0 * lam, 5e-4)]
+        sweep = run_trial_sets([(params, None, 5) for params in grid], 10, max_cells_per_tier=120)
+        for params, coupled in zip(grid, sweep):
+            alone = run_trials(params, n_trials=10, seed=6, max_cells_per_tier=120)
+            for a, b in zip(estimates_from_totals(coupled), estimates_from_totals(alone)):
+                assert (a.tier, a.scheme, a.role) == (b.tier, b.scheme, b.role)
+                assert abs(z_score(a.p_hat, b.p_hat, a.n_samples, b.n_samples)) < 4.0
+
+
 @pytest.fixture
 def tessellated(monkeypatch):
     """Every build_snapshot takes its counts from clipped Voronoi cell areas."""
@@ -628,7 +689,7 @@ class TestTessellationSampler:
 
     def test_pair_points_are_served_by_their_bs(self, tessellated):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
-        points = snap.pair_xy.reshape(-1, 2)
+        points = every_pair(snap).reshape(-1, 2)
         assert snap.window.contains(points).all()
         serving = np.repeat(np.arange(snap.n_bs), 2)
         assert np.array_equal(cKDTree(snap.bs_xy).query(points)[1], serving)
@@ -663,7 +724,7 @@ class TestTessellationSampler:
         assert kept.size == 24 and every.size > 1000
         assert np.array_equal(kept_pairs, every_pairs[np.searchsorted(every, kept)])
         snap = build_snapshot(p, default_window(p), seed=71, trial=0)
-        assert np.array_equal(every_pairs, snap.pair_xy[every])
+        assert np.array_equal(every_pairs, snap.pairs(every))
 
     def test_deterministic_and_parallel_equivalence(self, tessellated):
         p = toy_params()

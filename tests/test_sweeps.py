@@ -1,9 +1,11 @@
 """Sweep orchestration: analytic vs simulated rows, beta scans, presets."""
 
+import io
+
 import numpy as np
 import pytest
 
-from hetnoma import coverage, simulate
+from hetnoma import cli, coverage, simulate
 from hetnoma.config import ConfigError, ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma.geometry import Window
@@ -188,10 +190,20 @@ class TestRunSweep:
     ])
     def test_one_pool_for_the_whole_sweep(self, monkeypatch, recording_pool,
                                           n_trials, n_jobs, cpus, pools):
-        # one pool, sized min(n_jobs, points x trials, CPUs), runs every
-        # trial of the sweep; a sweep of one trial per point pools too
+        # each point of a pico_intensity sweep has its own layout: one pool,
+        # sized min(n_jobs, points x trials, CPUs), runs every trial of the
+        # sweep; a sweep of one trial per point pools too
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-        run_sweep(toy_config(n_trials=n_trials, n_jobs=n_jobs))
+        run_sweep(toy_config(sweep_variable="pico_intensity", sweep_grid=(9e-5, 1.8e-4, 3.6e-4),
+                             n_trials=n_trials, n_jobs=n_jobs))
+        assert recording_pool == pools
+
+    @pytest.mark.parametrize("n_trials, pools", [(4, [4]), (1, [])])
+    def test_one_snapshot_per_trial_serves_a_user_intensity_sweep(
+            self, monkeypatch, recording_pool, n_trials, pools):
+        # the three grid points share one layout: one job per trial
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        run_sweep(toy_config(n_trials=n_trials, n_jobs=5000))
         assert recording_pool == pools
 
 
@@ -249,3 +261,60 @@ class TestRunBetaScan:
         non = run_beta_scan(p, 1, "noncoop", (0.7, 0.8)).optimum
         coop = run_beta_scan(p, 1, "coop", (0.7, 0.8)).optimum
         assert coop.beta_star <= non.beta_star + 1e-3
+
+
+def csv_bytes(rows):
+    """The CSV bytes the sweep command writes for rows."""
+    out = io.StringIO()
+    cli._write_rows(rows, None, out)
+    return out.getvalue().encode()
+
+
+# the README config's scenario and grid, at the benchmark's cap
+README_SWEEP = dict(params=table1_params(), sweep_grid=(5e-5, 1e-4, 2e-4, 5e-4, 1e-3),
+                    n_trials=2, seed=1, max_cells_per_tier=120)
+
+
+class TestCoupledSweep:
+    @pytest.fixture(scope="class")
+    def readme_rows(self):
+        return run_sweep(ScenarioConfig(**README_SWEEP))
+
+    def test_point_rows_do_not_depend_on_the_grid(self, readme_rows):
+        for value in README_SWEEP["sweep_grid"]:
+            alone = run_sweep(ScenarioConfig(**dict(README_SWEEP, sweep_grid=(value,))))
+            assert csv_bytes(alone) == csv_bytes(
+                [r for r in readme_rows if r.sweep_value == value])
+
+    def test_point_totals_do_not_depend_on_the_grid(self):
+        # the distance sums too, bit for bit, though a point's cells share
+        # blocks with those of the other points
+        points = [(table1_params(user_intensity=v), None, 1) for v in README_SWEEP["sweep_grid"]]
+        sets = simulate.run_trial_sets(points, 1, max_cells_per_tier=120)
+        for point, totals in zip(points, sets):
+            [alone] = simulate.run_trial_sets([point], 1, max_cells_per_tier=120)
+            assert np.array_equal(totals.successes, alone.successes)
+            assert np.array_equal(totals.samples, alone.samples)
+            assert totals.sum_near_dist_sq.tolist() == alone.sum_near_dist_sq.tolist()
+            assert totals.sum_far_dist_sq.tolist() == alone.sum_far_dist_sq.tolist()
+
+    def test_parallel_bytes_equal_serial(self, readme_rows):
+        pooled = run_sweep(ScenarioConfig(**dict(README_SWEEP, n_jobs=2)))
+        assert csv_bytes(pooled) == csv_bytes(readme_rows)
+
+    def test_coop_covers_at_least_noncoop_at_every_point(self, readme_rows):
+        # both schemes run on the same draws, cell by cell
+        rows = {(r.sweep_value, r.tier, r.role, r.scheme): r for r in readme_rows}
+        for (value, tier, role, scheme), row in rows.items():
+            if scheme == "coop":
+                noncoop = rows[(value, tier, role, "noncoop")]
+                assert row.n_samples == noncoop.n_samples > 0
+                assert row.simulated >= noncoop.simulated
+
+    def test_beta_sweep_rows_equal_one_point_sweeps(self):
+        beta = dict(README_SWEEP, sweep_variable="beta", sweep_grid=(0.6, 0.75, 0.9))
+        rows = run_sweep(ScenarioConfig(**beta))
+        for value in beta["sweep_grid"]:
+            alone = run_sweep(ScenarioConfig(**dict(beta, sweep_grid=(value,))))
+            assert csv_bytes(alone) == csv_bytes([r for r in rows if r.sweep_value == value])
+        assert csv_bytes(run_sweep(ScenarioConfig(**dict(beta, n_jobs=2)))) == csv_bytes(rows)
