@@ -69,13 +69,30 @@ non-cooperative one cell by cell.
 
 Interference at a receiver sums over all non-void BSs in the full window
 except the serving one; the cooperative signal sums over all void BSs of
-every tier, evaluated at the receiving user's own location.  Tagged cells
-are evaluated in blocks whose (cells, 2, n_bs) buffers hold at most
-BLOCK_BYTES each: a trial computes each cell's fades, distances and
-powers once, and each point of the trial sums them with its own void
-flags (two mat-vecs per block) and counts the outcomes of its own cells.
+every tier, evaluated at the receiving user's own location.  Powers are
+scaled by the power of two that puts the largest tier power in [1, 2):
+exact, and every SIR event is homogeneous in power, so the counts do not
+depend on the power scale (tiers of 1e-318 W or 1.7e308 W give the
+counts of 20 W; unscaled, they underflowed to ties or overflowed).
+
+The float64 evaluation (_CellBlocks.powers, _link_sums, _outcome) defines
+the outcomes, and the trial reproduces it exactly while computing most
+of it in float32.  Tagged cells are evaluated in blocks whose (cells, 2,
+n_bs) float64 buffers would hold at most BLOCK_BYTES each: a trial
+screens each cell's fades, distances and powers once in float32
+(_CellBlocks.screen; the two serving links stay float64, the same bits),
+and the points of the trial with equal void flags share one product per
+block for their interference and void-signal sums.  Each point decides
+its own cells' events from those sums in float64, and a rigorous bound
+on the float32 sums' error certifies each decision (the comment above
+_U32 derives it, after the filter-and-certify design of Shewchuk's
+adaptive-precision predicates).  Where a margin falls within the bound,
+a sum is not finite or the bound does not apply, the cell goes through
+the float64 path on a block of its own, so every count, distance sum and
+CSV byte is the float64 evaluation's.  About 0.16% of stock cells (cap
+120 or none) and 0.19% of dense ones (2e-3 users/m^2, cap 16) take it.
 schedule_noma_users, evaluate_noncoop and evaluate_coop are one-cell
-views of the same block computation.
+views of the float64 evaluation, in watts.
 """
 
 from __future__ import annotations
@@ -127,18 +144,23 @@ class SimulationError(RuntimeError):
     pass
 
 
-def check_point_budget(params, window=None):
+def check_point_budget(params, window=None, tessellated=None):
     """Reject a scenario whose snapshots would hold too many points.
 
-    A snapshot places the BSs, and the users only below
-    TESSELLATION_MIN_USERS_PER_BS users per BS (see tessellates).  The
-    expected count of those points is their intensity times the window
-    area, on default_window(params) when no window is given; it raises
-    ConfigError when over MAX_EXPECTED_POINTS.  The default window holds
-    about DEFAULT_EXPECTED_BS BSs, so only an explicit window can go over.
+    A snapshot places the BSs, and the users only where it does not
+    tessellate: below TESSELLATION_MIN_USERS_PER_BS users per BS for
+    build_snapshot (see tessellates, the default of tessellated), never
+    in a sweep trial (run_coupled_trial, which passes tessellated=True).
+    The expected count of those points is their intensity times the
+    window area, on default_window(params) when no window is given; it
+    raises ConfigError when over MAX_EXPECTED_POINTS.  The default window
+    holds about DEFAULT_EXPECTED_BS BSs, so only an explicit window can go
+    over.
     """
     window = window if window is not None else default_window(params)
-    users = 0.0 if tessellates(params) else params.user_intensity * window.area
+    if tessellated is None:
+        tessellated = tessellates(params)
+    users = 0.0 if tessellated else params.user_intensity * window.area
     expected = params.total_intensity * window.area + users
     if not expected <= MAX_EXPECTED_POINTS:
         raise ConfigError(
@@ -327,27 +349,149 @@ class TaggedCell:
     link_dist_sq: np.ndarray = field(repr=False)
 
 
+def _power_exponent(params):
+    """e such that 2^-e times the largest tier power lies in [1, 2).
+
+    The blocks scale every power by 2^-e.  A power-of-two scale is exact
+    in float64 and every SIR event is homogeneous in power, so at powers
+    whose received powers neither overflow nor underflow the outcomes are
+    the same bits as unscaled; at any other scale they are what the power
+    ratios alone give (1e-318 W tiers do not all underflow to a tie).
+    """
+    return math.frexp(max(t.power_watts for t in params.tiers))[1] - 1
+
+
+def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
+    """float64 received powers P H d^-alpha of the links between the BSs
+    (bs_x, bs_y, bs_power) and the receivers (ux, uy), broadcast together.
+
+    fades holds the links' uniforms U and is turned in place into the
+    exponential fades -log1p(-U); dist_sq and power receive the squared
+    distances and the powers.  Elementwise, so a link's values are the
+    same bits whichever other links share the call.
+    """
+    np.negative(fades, out=fades)
+    np.log1p(fades, out=fades)
+    np.negative(fades, out=fades)
+    np.subtract(bs_x, ux, out=dist_sq)
+    np.multiply(dist_sq, dist_sq, out=dist_sq)
+    np.subtract(bs_y, uy, out=power)
+    np.multiply(power, power, out=power)
+    np.add(dist_sq, power, out=dist_sq)
+    if alpha == 4.0:
+        np.multiply(dist_sq, dist_sq, out=power)
+        np.divide(fades, power, out=power)
+    else:
+        np.power(dist_sq, -alpha / 2.0, out=power)
+        np.multiply(power, fades, out=power)
+    np.multiply(power, bs_power, out=power)
+
+
+# The float32 screen (_CellBlocks.screen) and its error bound.
+#
+# For one receiver, take the exact sum S = sum_j P_j H_j g_j over a set of
+# links j other than the serving one, with the float64 inputs taken as
+# exact: P_j the scaled power, H_j = -ln(1 - U_j), g_j = d_j^-alpha.  The
+# screen's float32 sum S' and the float64 path's S64 both approximate it,
+# and |S' - S64| <= err(S') = KAPPA S' + FLOOR, per receiver, with u =
+# 2^-24 (float32 unit roundoff) and n = n_bs terms:
+#
+#   * coordinates: every coordinate is rounded to float32, off by at most
+#     u h, h the largest |coordinate| of a BS or of the block's users; so
+#     the float32 link vector is off by at most 2 sqrt(2) u h, and the link
+#     distance by the relative c = 3 u h / d_min.  d_min bounds the
+#     receiver's distance to every BS from below: the float32 squared
+#     distances of its row D' (the serving link included) hold
+#     |v'|^2 (1 + 5u) at most, so d_min = sqrt(min D' / (1 + 5u)) - 3 u h;
+#   * per link: D' carries 4 roundings (5u), and d^-alpha turns a relative
+#     error x of d into at most 2 alpha x while alpha x <= 1/2; the gain's
+#     reciprocal and square (3u, alpha = 4) or float32 pow (measured within
+#     1.76u; 4u allowed), the products with H and P and P's rounding (3u)
+#     add at most 7u; so the gain times P is within rho = 3 alpha c +
+#     (6 alpha + 8) u of P g, relative, while rho <= 2^-8 (so the product of
+#     the (1 + x) factors is within 1.01 times their sum).  Where alpha / 2
+#     is not a float32, its rounding e adds 1.02 e |ln D| for the largest
+#     |ln D| of the row;
+#   * the fade: 1 - U is exact in float64 and is rounded once to float32,
+#     which moves its log by at most 1.01 u; numpy's float32 log is within
+#     3.83 ulp (4.6 u relative, on every float32 in [2^-53, 1]; 8 u
+#     allowed), so |H' - H| <= 8 u H + 2 u.  Small fades lose their
+#     relative accuracy: that is the absolute 2 u per link, which sums to
+#     2 u A for A = sum_j P_j g_j (the screen's `reach`, over every BS but
+#     the serving one, so it covers both sums);
+#   * summation: a float32 mat-vec of n nonnegative terms, in any order, is
+#     within gamma = n u / (1 - n u) of the exact sum, relative (Higham,
+#     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1
+#     and 4.2), while gamma <= 2^-6: so a snapshot of more than about
+#     258,000 BSs is never certified, and all its cells take the float64 path;
+#   * the float64 path is within (n + 8 alpha + 64) 2^-52 of S, relative;
+#   * underflow (subnormal or flushed): at most 2^-126 per operation, times
+#     factors below 80 (|ln(2^-53)| < 37, P < 2), within n 2^-116 in all.
+#
+# Collecting, |S' - S| <= 1.02 ((8.2u + 1.02 rho + gamma) S' + 2.04 u A),
+# and with A <= 1.02 A' and the float64 path:
+#
+#   KAPPA = 9 u + 1.05 (rho + gamma),  FLOOR = 2.2 u A' + n 2^-116,
+#
+# or infinite wherever rho exceeds 2^-8 or gamma 2^-6, d_min is not positive,
+# a power is below 2^-100 of the largest or h is outside [2^-30, 2^29]
+# (which keeps 1/D', its square and the powers normal in float32).  A decision
+# lhs >= rhs of _sides is then certified when |lhs - rhs| exceeds
+# theta err(I) + err(V) (V only on the cooperative side) + 2^-49 (lhs +
+# rhs) + 2^-1000, the last two terms covering float64 rounding and
+# underflow of both sides; the constants above are rounded up far enough
+# to cover the float64 rounding of the bound itself.
+_U32 = 2.0**-24
+_RHO_MAX = 2.0**-8
+
+
 class _CellBlocks:
     """One trial's fade stream and block buffers.
 
     powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
-    increasing BS order across calls, into the first rows of the buffers.
-    bs_x and bs_y are the contiguous coordinate columns of the snapshot's
-    bs_xy.  Only the snapshot's BSs, path loss and (seed, trial) enter, so
-    the blocks serve every snapshot of one layout.
+    increasing BS order across calls, into the first rows of the float64
+    buffers; screen(cells, pair_xy), its float32 counterpart, serves the
+    block loop of _evaluate.  A block object uses one of the two: each
+    draws the cells' fades from the one stream.  bs_x and bs_y are the
+    contiguous coordinate columns of the snapshot's bs_xy, and bs_power
+    the BSs' powers scaled by 2^-_power_exponent.  Only the snapshot's
+    BSs, tiers, path loss and (seed, trial) enter, so the blocks serve
+    every snapshot of one layout.
     """
 
-    def __init__(self, snapshot, size=None):
+    def __init__(self, snapshot, size=None, dtype=np.float64):
         self.snapshot = snapshot
-        n_bs = snapshot.n_bs
+        params, n_bs = snapshot.params, snapshot.n_bs
+        self.alpha = params.pathloss_exponent
         self.bs_x = np.ascontiguousarray(snapshot.bs_xy[:, 0])
         self.bs_y = np.ascontiguousarray(snapshot.bs_xy[:, 1])
+        self.bs_power = np.ldexp(snapshot.bs_power, -_power_exponent(params))
         self.size = size or max(1, BLOCK_BYTES // (16 * n_bs))
+        # the uniforms, turned into the fades in place by powers
         self.fades = np.empty((self.size, 2, n_bs))
-        self.dist_sq = np.empty((self.size, 2, n_bs))
-        self.power = np.empty((self.size, 2, n_bs))
+        self.dist_sq = np.empty((self.size, 2, n_bs), dtype)
+        self.power = np.empty((self.size, 2, n_bs), dtype)
         self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
         self.position = 0
+        if dtype == np.float32:
+            self.spare = np.empty((self.size, 2, n_bs), dtype)
+            self.bs_x32, self.bs_y32 = self.bs_x.astype(dtype), self.bs_y.astype(dtype)
+            self.bs_power32 = self.bs_power.astype(dtype)
+            self.exponent32 = np.float32(-self.alpha / 2.0)
+            self.exponent_error = abs(float(self.exponent32) + self.alpha / 2.0)
+            self.coord_max = float(np.abs(snapshot.bs_xy).max())
+            self.gamma = n_bs * _U32 / (1.0 - n_bs * _U32)
+            self.screens = bool(self.bs_power.min() >= 2.0**-100 and self.gamma <= 2.0**-6)
+
+    def _draw(self, cells):
+        """The uniforms of the links of `cells` into the first rows of fades."""
+        span = 2 * self.snapshot.n_bs
+        uniforms = self.fades[:len(cells)]
+        for row, b in zip(uniforms, cells.tolist()):
+            self.uniform.bit_generator.advance(span * b - self.position)
+            self.uniform.random(out=row)
+            self.position = span * (b + 1)
+        return uniforms
 
     def powers(self, cells, pair_xy):
         """Serving dist^2 and received powers of `cells`, whose pairs (as
@@ -358,31 +502,10 @@ class _CellBlocks:
         n_bs) block of received powers with the serving BS's column zeroed,
         which _link_sums splits by a snapshot's void flags.
         """
-        snap = self.snapshot
-        k, span = len(cells), 2 * snap.n_bs
-        ux, uy = pair_xy[:, :, 0], pair_xy[:, :, 1]
-        fades, dist_sq, power = self.fades[:k], self.dist_sq[:k], self.power[:k]
-        for row, b in zip(fades, cells.tolist()):
-            self.uniform.bit_generator.advance(span * b - self.position)
-            self.uniform.random(out=row)
-            self.position = span * (b + 1)
-        # -log1p(-U): one exponential per 64-bit output
-        np.negative(fades, out=fades)
-        np.log1p(fades, out=fades)
-        np.negative(fades, out=fades)
-        np.subtract(self.bs_x, ux[:, :, None], out=dist_sq)
-        np.multiply(dist_sq, dist_sq, out=dist_sq)
-        np.subtract(self.bs_y, uy[:, :, None], out=power)
-        np.multiply(power, power, out=power)
-        np.add(dist_sq, power, out=dist_sq)
-        alpha = snap.params.pathloss_exponent
-        if alpha == 4.0:
-            np.multiply(dist_sq, dist_sq, out=power)
-            np.divide(fades, power, out=power)
-        else:
-            np.power(dist_sq, -alpha / 2.0, out=power)
-            np.multiply(power, fades, out=power)
-        np.multiply(power, snap.bs_power, out=power)
+        k = len(cells)
+        fades, dist_sq, power = self._draw(cells), self.dist_sq[:k], self.power[:k]
+        _link_powers(self.alpha, fades, self.bs_x, self.bs_y, self.bs_power,
+                     pair_xy[:, :, 0, None], pair_xy[:, :, 1, None], dist_sq, power)
         rows = np.arange(k)
         serving_sq = dist_sq[rows, :, cells]
         desired = power[rows, :, cells]
@@ -391,6 +514,65 @@ class _CellBlocks:
         power[rows, :, cells] = 0.0
         return serving_sq, desired, power
 
+    def screen(self, cells, pair_xy):
+        """The float32 screen of `cells`: powers' float64 serving links, the
+        negated float32 power block, and what bounds its sums' error.
+
+        Returns (serving_dist_sq, desired, power, kappa, floor).  The first
+        two are the bits powers gives, from the same operations on the same
+        uniforms.  power is the (len(cells), 2, n_bs) float32 block of
+        -H' g' (the fades times the path gains, without the BSs' powers and
+        with the serving column zeroed), for _screen_weights to weigh.
+        kappa and floor (float64, of shape (len(cells), 2)) are each
+        receiver's KAPPA and FLOOR of the comment above _U32, from which
+        _sum_error bounds the error of its sums.
+        """
+        k = len(cells)
+        rows = np.arange(k)
+        uniforms = self._draw(cells)
+        ux, uy = pair_xy[:, :, 0], pair_xy[:, :, 1]
+        serving_sq, desired, fades = np.empty((3, k, 2))
+        fades[...] = uniforms[rows, :, cells]
+        _link_powers(self.alpha, fades, self.bs_x[cells, None], self.bs_y[cells, None],
+                     self.bs_power[cells, None], ux, uy, serving_sq, desired)
+        power, dist_sq, spare = self.power[:k], self.dist_sq[:k], self.spare[:k]
+        h = max(self.coord_max, float(np.abs(pair_xy).max()))
+        with np.errstate(all="ignore"):
+            # -H' = log(1 - U): 1 - U is exact in float64, rounded once
+            np.subtract(1.0, uniforms, out=power)
+            np.log(power, out=power)
+            np.subtract(self.bs_x32, ux.astype(np.float32)[:, :, None], out=dist_sq)
+            np.multiply(dist_sq, dist_sq, out=dist_sq)
+            np.subtract(self.bs_y32, uy.astype(np.float32)[:, :, None], out=spare)
+            np.multiply(spare, spare, out=spare)
+            np.add(dist_sq, spare, out=dist_sq)
+            nearest_sq = dist_sq.min(axis=-1).astype(float)
+            # the path gains D'^(-alpha/2), in place
+            gain = dist_sq
+            if self.alpha == 4.0:
+                np.divide(1.0, gain, out=gain)
+                np.multiply(gain, gain, out=gain)
+            else:
+                np.power(gain, self.exponent32, out=gain)
+            gain[rows, :, cells] = 0.0
+            np.multiply(power, gain, out=power)
+            reach = np.matmul(gain.reshape(2 * k, -1), self.bs_power32).reshape(k, 2)
+            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 3.0 * _U32 * h
+            kappa = self._relative_error(d_min, h, nearest_sq)
+            floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
+        return serving_sq, desired, power, kappa, floor
+
+    def _relative_error(self, d_min, h, nearest_sq):
+        """KAPPA of the comment above _U32, per receiver (inf where the bound
+        does not hold)."""
+        alpha = self.alpha
+        rho = 3.0 * alpha * (3.0 * _U32 * h / d_min) + (6.0 * alpha + 8.0) * _U32
+        if self.exponent_error:
+            log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(math.log(9.0 * h * h)))
+            rho = rho + 1.02 * self.exponent_error * log_range
+        valid = (d_min > 0.0) & (rho <= _RHO_MAX) & self.screens & (2.0**-30 <= h <= 2.0**29)
+        return np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
+
 
 def _link_weights(nonvoid):
     """A snapshot's nonvoid flags and their negation as float 1/0 weights,
@@ -398,17 +580,33 @@ def _link_weights(nonvoid):
     return nonvoid.astype(float), (~nonvoid).astype(float)
 
 
-def _link_sums(power, weights, out=(None, None)):
+def _screen_weights(flags, bs_power):
+    """The (n_bs, 2 len(flags)) float32 weights of a screened block: for
+    the void flags flags[g] of group g, column 2g holds bs_power where the
+    BS transmits and column 2g + 1 where it is void (0 elsewhere).
+
+    One product with all columns serves every group: the screen's sums
+    need no fixed rounding, only their error bound, which holds in any
+    order.  Columns are contiguous (Fortran order), which BLAS takes
+    fastest.
+    """
+    nonvoid = np.stack(flags, axis=1)
+    weights = np.empty((len(bs_power), 2 * len(flags)), dtype=bs_power.dtype, order="F")
+    weights[:, 0::2] = bs_power[:, None] * nonvoid
+    weights[:, 1::2] = bs_power[:, None] * ~nonvoid
+    return weights
+
+
+def _link_sums(power, weights):
     """(interference, void_signal) of a power block from _CellBlocks.powers:
-    one mat-vec each with the two _link_weights, into the arrays out when
-    given.
+    one mat-vec each with the two _link_weights.
 
     Each is a product of its own: one (n_bs, 2) product of both weights
     rounds differently from its columns taken one at a time, and a row's
     sums must not depend on what else shares its block.
     """
     nonvoid, void = weights
-    return np.matmul(power, nonvoid, out=out[0]), np.matmul(power, void, out=out[1])
+    return np.matmul(power, nonvoid), np.matmul(power, void)
 
 
 def schedule_noma_users(snapshot, bs_index):
@@ -425,11 +623,13 @@ def schedule_noma_users(snapshot, bs_index):
     cells = np.array([bs_index], dtype=np.intp)
     serving_sq, desired, power = blocks.powers(cells, snapshot.pairs(cells))
     interference, void_signal = _link_sums(power, _link_weights(snapshot.nonvoid))
+    # from the blocks' power scale back to watts
+    e = _power_exponent(snapshot.params)
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
-        distances=np.sqrt(serving_sq[0]), desired=desired[0], interference=interference[0],
-        void_signal=void_signal[0], link_gains=blocks.fades[0].copy(),
-        link_dist_sq=blocks.dist_sq[0].copy(),
+        distances=np.sqrt(serving_sq[0]), desired=np.ldexp(desired[0], e),
+        interference=np.ldexp(interference[0], e), void_signal=np.ldexp(void_signal[0], e),
+        link_gains=blocks.fades[0].copy(), link_dist_sq=blocks.dist_sq[0].copy(),
     )
 
 
@@ -447,27 +647,73 @@ class SirSample:
     far_covered: bool
 
 
-def _outcome(desired, interference, coop, theta, beta):
-    """Cross-multiplied SIR events (division-free, exact for zero interference).
+def _sides(desired, interference, coop, theta, beta):
+    """Both sides of the cross-multiplied SIR events (division-free, exact
+    for zero interference).
 
     Arrays have the receiver (near, far) on their last axis.  The far
     signal carries the fraction beta of the full-power signal desired,
     the near signal 1 - beta, and both traverse the same serving-link
     fade.  coop is the joint signal added to the far-signal numerator at
     each receiver: the void-cell signal with cooperation, zero without.
-    The near user's post-cancellation stage is the same in both schemes.
-    Returns (first stage, SIC stage, near covered, far covered).
+    Returns ((lhs, rhs) of the far-signal stage at both receivers, the
+    near user's first SIC stage and the far user's decoding; (lhs, rhs)
+    of the near user's post-cancellation stage, the same in both schemes).
     """
-    d0, d1 = desired[..., 0], desired[..., 1]
-    i0, i1 = interference[..., 0], interference[..., 1]
-    first = beta * d0 + coop[..., 0] >= theta * ((1.0 - beta) * d0 + i0)
-    sic = (1.0 - beta) * d0 >= theta * i0
-    far = beta * d1 + coop[..., 1] >= theta * ((1.0 - beta) * d1 + i1)
-    return first, sic, first & sic, far
+    decode = (beta * desired + coop, theta * ((1.0 - beta) * desired + interference))
+    return decode, ((1.0 - beta) * desired[..., 0], theta * interference[..., 0])
+
+
+def _outcome(sides):
+    """The events of _sides(...): (first stage, SIC stage, near covered, far covered)."""
+    (lhs, rhs), (own, own_rhs) = sides
+    decoded = lhs >= rhs
+    first, sic = decoded[..., 0], own >= own_rhs
+    return first, sic, first & sic, decoded[..., 1]
+
+
+def _sum_error(sums, kappa, floor):
+    """The bound err(S') = KAPPA S' + FLOOR of the comment above _U32 on
+    |S' - S64|, for screened sums S' and the screen's kappa and floor."""
+    return kappa * sums + floor
+
+
+def _certain(lhs, rhs, err):
+    """Where the decision lhs >= rhs, taken on screened sums whose error
+    moves lhs - rhs by at most err, is the one the float64 sums give: the
+    margin exceeds err and the float64 rounding and underflow of both
+    sides.  False at a tie and wherever anything is not finite."""
+    return np.abs(lhs - rhs) > err + 2.0**-49 * (lhs + rhs) + 2.0**-1000
+
+
+def _counts(desired, interference, void_signal, theta, beta, errors=None):
+    """Success counts of rows of one tier at theta and beta, of shape
+    (scheme, role), and the rows whose every decision is certain.
+
+    errors, when given, is (err(interference), err(void_signal)) of
+    screened sums (_sum_error), and the mask is True where both schemes'
+    decisions are the float64 path's; None without errors.
+    """
+    counts = np.empty((len(SCHEMES), len(ROLES)), dtype=np.int64)
+    certain = None
+    for s, coop in enumerate((0.0, void_signal)):
+        sides = _sides(desired, interference, coop, theta, beta)
+        _, _, near, far = _outcome(sides)
+        counts[s] = np.count_nonzero(near), np.count_nonzero(far)
+        if errors is not None:
+            (lhs, rhs), (own, own_rhs) = sides
+            err_i, err_v = errors
+            sure = _certain(lhs, rhs, theta * err_i + (err_v if s else 0.0)).all(axis=-1)
+            if certain is None:
+                certain = sure & _certain(own, own_rhs, theta * err_i[..., 0])
+            else:
+                certain &= sure
+    return counts, certain
 
 
 def _sample(cell, theta, beta, coop):
-    return SirSample(*(bool(e) for e in _outcome(cell.desired, cell.interference, coop, theta, beta)))
+    sides = _sides(cell.desired, cell.interference, coop, theta, beta)
+    return SirSample(*(bool(e) for e in _outcome(sides)))
 
 
 def evaluate_noncoop(cell, theta, beta_m):
@@ -561,7 +807,7 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
     points of grid.
     """
     for params in grid:
-        check_point_budget(params, window)
+        check_point_budget(params, window, tessellated=True)
     bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
     layout = _snapshot(grid[0], window, seed, trial, bs_per_tier)
     areas = layout._voronoi.areas
@@ -590,13 +836,21 @@ def _evaluate(snapshots, evaluated):
     evaluated[j][tier] holds the sorted tagged cells that snapshot j
     evaluates in the tier.  Each cell of the tiers' unions is evaluated
     once: the pairs of all of them are placed in one call, and one block
-    pass computes their fades, distances and powers.  Each snapshot sums
-    every block that holds any of its cells with its own void flags
-    (_link_sums), then counts the outcomes of its own cells at its own
-    threshold and beta.  Once the pairs are placed, the snapshots' clipped
-    cells and pair draws are dropped: the trial needs no other pair, and
-    freed before the blocks take their buffers, they add nothing to the
-    trial's peak memory.
+    pass screens their fades, distances and powers in float32
+    (_CellBlocks.screen).  Snapshots with equal void flags (all points of
+    a beta sweep) form a group and share their sums: one product per
+    block gives every group's (_screen_weights).  Each snapshot then
+    decides the events of its own cells at its own threshold and beta
+    from its group's sums, each decision with a certificate (_certain):
+    it is the float64 path's unless its margin lies within the sums' error
+    bound.  The cells with a decision left uncertain at any snapshot go
+    through the float64 path (_CellBlocks.powers and _link_sums on a block
+    of one cell, whose fade stream only moves forward as they come in BS
+    order), and the snapshots with such a cell count that tier again on
+    the float64 sums.  So every count is the float64 path's.  Once the
+    pairs are placed, the snapshots' clipped cells and pair draws are
+    dropped: the trial needs no other pair, and freed before the blocks
+    take their buffers, they add nothing to the trial's peak memory.
     """
     layout = snapshots[0]
     n_tiers = layout.params.n_tiers
@@ -608,32 +862,62 @@ def _evaluate(snapshots, evaluated):
     pairs = layout.pairs(union)
     for snapshot in snapshots:
         snapshot._voronoi = snapshot._pair_draws = None
-    blocks = _CellBlocks(layout)
-    weights = [_link_weights(snapshot.nonvoid) for snapshot in snapshots]
+    blocks = _CellBlocks(layout, dtype=np.float32)
+    # the distinct void flags, and the group of each snapshot
+    flags, group = [], []
+    for snapshot in snapshots:
+        nonvoid = snapshot.nonvoid
+        g = next((g for g, f in enumerate(flags) if np.array_equal(f, nonvoid)), len(flags))
+        if g == len(flags):
+            flags.append(nonvoid)
+        group.append(g)
+    weights = _screen_weights(flags, blocks.bs_power32)
+    fallback = None
     totals = [TrialTotals.zeros(n_tiers) for _ in snapshots]
     # global BS indices run through the tiers in order
     bounds = np.searchsorted(layout.bs_tier[union], np.arange(n_tiers + 1)).tolist()
     for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
-        cells, pair_xy, chosen = union[lo:hi], pairs[lo:hi], member[:, union[lo:hi]]
-        serving_sq, desired = np.empty((2, len(cells), 2))
-        # per snapshot, the interference and void signal of every cell; the
-        # rows of a block without any of its cells are left unset, and unread
-        sums = np.empty((len(snapshots), 2, len(cells), 2))
-        for start in range(0, len(cells), blocks.size):
+        cells, pair_xy = union[lo:hi], pairs[lo:hi]
+        k = len(cells)
+        serving_sq, desired, kappa, floor = np.empty((4, k, 2))
+        # the screened sums of every group, negated: column 2g the
+        # interference and 2g + 1 the void signal of group g
+        screened = np.empty((k, 2, weights.shape[1]), dtype=np.float32)
+        for start in range(0, k, blocks.size):
             block = slice(start, start + blocks.size)
-            serving_sq[block], desired[block], power = blocks.powers(cells[block], pair_xy[block])
-            for rows, weight, out in zip(chosen, weights, sums):
-                if rows[block].any():
-                    _link_sums(power, weight, out=out[:, block])
-        for snapshot, rows, point, (interference, void_signal) in zip(
-                snapshots, chosen, totals, sums):
-            # a snapshot that evaluates every cell of the union reads views
-            rows = slice(None) if rows.all() else rows
-            signal, interference, void_signal = desired[rows], interference[rows], void_signal[rows]
-            theta, beta = snapshot.params.sir_threshold, snapshot.params.beta[tier]
-            for s, coop in enumerate((np.zeros_like(void_signal), void_signal)):
-                _, _, near, far = _outcome(signal, interference, coop, theta, beta)
-                point.successes[tier, s] += (np.count_nonzero(near), np.count_nonzero(far))
+            serving_sq[block], desired[block], power, kappa[block], floor[block] = blocks.screen(
+                cells[block], pair_xy[block])
+            receivers = 2 * len(power)
+            np.matmul(power.reshape(receivers, -1), weights,
+                      out=screened[block].reshape(receivers, -1))
+        sums = np.negative(screened, dtype=float)
+        views = [slice(None) if rows.all() else rows for rows in member[:, cells]]
+        uncertain = np.zeros(k, dtype=bool)
+        counts = []
+        with np.errstate(all="ignore"):
+            errors = _sum_error(sums, kappa[..., None], floor[..., None])
+            for snapshot, rows, g in zip(snapshots, views, group):
+                params = snapshot.params
+                count, certain = _counts(
+                    desired[rows], sums[rows, :, 2 * g], sums[rows, :, 2 * g + 1],
+                    params.sir_threshold, params.beta[tier],
+                    (errors[rows, :, 2 * g], errors[rows, :, 2 * g + 1]))
+                uncertain[rows] |= ~certain
+                counts.append(count if certain.all() else None)
+        for m in np.flatnonzero(uncertain).tolist():
+            if fallback is None:
+                fallback = _CellBlocks(layout, size=1)
+                exact = [_link_weights(f) for f in flags]
+            _, _, power = fallback.powers(cells[m:m + 1], pair_xy[m:m + 1])
+            for g, weight in enumerate(exact):
+                interference, void_signal = _link_sums(power, weight)
+                sums[m, :, 2 * g], sums[m, :, 2 * g + 1] = interference[0], void_signal[0]
+        for snapshot, rows, g, point, count in zip(snapshots, views, group, totals, counts):
+            if count is None:
+                params = snapshot.params
+                count, _ = _counts(desired[rows], sums[rows, :, 2 * g], sums[rows, :, 2 * g + 1],
+                                   params.sir_threshold, params.beta[tier])
+            point.successes[tier] += count
             # summed in runs of one block's size, as the blocks of a snapshot
             # evaluated alone run: the float sums do not depend on the other
             # snapshots' cells either

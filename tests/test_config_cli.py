@@ -402,11 +402,11 @@ class TestCliSweep:
         ({"sweep": {"variable": "user_intensity", "grid": [-1e-4, 8e-4]}}, "sweep.grid[0]"),
         ({"sweep": {"variable": "pico_intensity", "grid": [1e-4, 2e-4]},
           "tiers": TOY_CONFIG["tiers"][:1], "beta": 0.75}, "sweep.grid[0]"),
-        # the stock tiers on a 1.4e5 m wide window: at 3e-4 users/m^2 (5.9
-        # users per BS, all placed) the point holds 6.88e6 points
-        ({"sweep": {"variable": "user_intensity", "grid": [1e-4, 3e-4]},
-          "tiers": STOCK_TIERS, "user_intensity": 1e-4,
-          "window": {"half_width": 7e4, "margin": 100.0}}, "sweep.grid[1]"),
+        # the stock tiers on a 4e5 m wide window: 8.16e6 BSs at every load,
+        # so the scenario point is over the limit too, and is named
+        ({"sweep": {"variable": "user_intensity", "grid": [5e-4, 2e-3]},
+          "tiers": STOCK_TIERS, "user_intensity": 5e-4,
+          "window": {"half_width": 2e5, "margin": 100.0}}, "window"),
         # 1.5e7 BSs on the toy window
         ({"sweep": {"variable": "pico_intensity", "grid": [1.8e-4, 10.0]}}, "sweep.grid[1]"),
     ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier",
@@ -418,15 +418,28 @@ class TestCliSweep:
 
         monkeypatch.setattr(sweeps, "run_trial_sets", no_trials)
         cfg = dict(TOY_CONFIG, **update)
-        if cfg.get("tiers") is STOCK_TIERS and cfg["sweep"]["variable"] == "user_intensity":
-            # the rejected load places its users, which the budget counts
-            rejected = sweeps.table1_params(user_intensity=cfg["sweep"]["grid"][1])
-            assert not simulate.tessellates(rejected)
         code, text = run_cli(["sweep", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert text == ""
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    def test_grid_point_counts_only_its_base_stations(self, tmp_path, capsys):
+        # the stock tiers on a 1.4e5 m wide window hold 1e6 BSs; at 3e-4
+        # users/m^2 (5.9 users per BS) sim would place 5.88e6 users too, but
+        # a sweep trial tessellates and places none
+        window = {"half_width": 7e4, "margin": 100.0}
+        placing = sweeps.table1_params(user_intensity=3e-4)
+        assert not simulate.tessellates(placing)
+        sweep = {"tiers": STOCK_TIERS, "user_intensity": 1e-4, "window": window,
+                 "sweep": {"variable": "user_intensity", "grid": [1e-4, 3e-4]}}
+        cfg = parse_config(sweep)
+        assert cfg.sweep_grid == (1e-4, 3e-4)
+        # the scenario point is counted as sim samples it, users included
+        code, text = run_cli(["sim", "--config", write_config(
+            tmp_path, dict(sweep, user_intensity=3e-4))])
+        assert (code, text) == (2, "")
+        assert "config field 'window': a snapshot would hold 6.88e+06 points" in (
+            capsys.readouterr().err)
 
     def test_sigterm_ends_the_sweep_and_its_workers(self, tmp_path):
         # SIGTERM mid-run: the command exits nonzero, and the pool's two

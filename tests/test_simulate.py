@@ -6,6 +6,8 @@ test_acceptance.py.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -649,6 +651,25 @@ class TestCoupledTrial:
                 assert (a.tier, a.scheme, a.role) == (b.tier, b.scheme, b.role)
                 assert abs(z_score(a.p_hat, b.p_hat, a.n_samples, b.n_samples)) < 4.0
 
+    def test_point_budget_counts_only_base_stations(self, monkeypatch):
+        # the stock tiers on a 1.4e5 m wide window: 1e6 BSs, and at 3e-4
+        # users/m^2 5.88e6 users that build_snapshot would place but a sweep
+        # trial does not; 8.16e6 BSs on a 4e5 m window are refused
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(simulate, "_sample_tiers", sampled)
+        placing = table1_params(user_intensity=3e-4)
+        with pytest.raises(ConfigError, match="6.88e\\+06 points"):
+            check_point_budget(placing, Window(half_width=7e4, margin=100.0))
+        with pytest.raises(Sampled):
+            run_trial_sets([(placing, Window(half_width=7e4, margin=100.0), 1)], 1)
+        with pytest.raises(ConfigError, match="8.16e\\+06 points"):
+            run_trial_sets([(placing, Window(half_width=2e5, margin=100.0), 1)], 1)
+
 
 @pytest.fixture
 def tessellated(monkeypatch):
@@ -705,13 +726,13 @@ class TestTessellationSampler:
         p = table1_params()
         assert tessellates(p)
         evaluated = []
-        powers = simulate._CellBlocks.powers
+        screen = simulate._CellBlocks.screen
 
         def recording(blocks, cells, pair_xy):
             evaluated.append((cells.copy(), pair_xy.copy()))
-            return powers(blocks, cells, pair_xy)
+            return screen(blocks, cells, pair_xy)
 
-        monkeypatch.setattr(simulate._CellBlocks, "powers", recording)
+        monkeypatch.setattr(simulate._CellBlocks, "screen", recording)
         seen = []
         for cap in (None, 12):
             evaluated.clear()
@@ -796,3 +817,197 @@ class TestTessellationSampler:
                 z = z_score(tessellated.successes[0, s, r] / n_t,
                             associated.successes[0, s, r] / n_a, n_t, n_a)
                 assert abs(z) <= 3.0
+
+
+def screened_blocks(snap, cells):
+    """Per block of cells: the screened (interference, void_signal), their
+    error bound and the float64 sums, each of shape (cells, 2, 2), after
+    checking that the screen's serving links are powers' bits."""
+    screen = simulate._CellBlocks(snap, dtype=np.float32)
+    exact = simulate._CellBlocks(snap)
+    weights = simulate._screen_weights([snap.nonvoid], screen.bs_power32)
+    pairs = snap.pairs(cells)
+    for start in range(0, len(cells), screen.size):
+        part, pair = cells[start:start + screen.size], pairs[start:start + screen.size]
+        serving_sq, desired, power, kappa, floor = screen.screen(part, pair)
+        sums = -(power.reshape(2 * len(part), -1) @ weights).reshape(len(part), 2, 2)
+        sums = sums.astype(float)
+        exact_sq, exact_desired, exact_power = exact.powers(part, pair)
+        assert np.array_equal(serving_sq, exact_sq)
+        assert np.array_equal(desired, exact_desired)
+        errors = np.stack([simulate._sum_error(sums[..., j], kappa, floor) for j in range(2)], -1)
+        yield sums, errors, np.stack(_link_sums(exact_power, _link_weights(snap.nonvoid)), -1)
+
+
+def scaled_power(params, scale):
+    return replace(params, tiers=tuple(replace(t, power_watts=t.power_watts * scale)
+                                       for t in params.tiers))
+
+
+def far_cluster_snapshot():
+    """100 BSs about 3 m apart and 700 users, 1e6 m from the origin: float32
+    coordinates there are 0.0625 m apart, so the screen's link distances
+    are off by up to about 1%."""
+    g = np.random.default_rng(5)
+    grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0)), -1).reshape(-1, 2)
+    bs = 1e6 + 3.0 * grid + g.uniform(-0.5, 0.5, grid.shape)
+    users = 1e6 + g.uniform(-1.0, 28.0, (700, 2))
+    params = NetworkParams(tiers=(TierParams(1.0, 1e-4),), user_intensity=1e-4,
+                           pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
+    window = Window(half_width=1.2e6, margin=1e5)
+    return snapshot_from_points(params, window, [bs], users, seed=3)
+
+
+def every_cell_exact(monkeypatch):
+    """Leave every screened decision uncertain, so that every cell goes
+    through the float64 path."""
+    monkeypatch.setattr(simulate, "_sum_error",
+                        lambda sums, kappa, floor: np.full_like(sums, np.inf))
+
+
+def record_fallback(monkeypatch):
+    """The cells that the float64 path evaluates, as a list (the block loop
+    screens; only the fallback calls powers)."""
+    cells = []
+    powers = simulate._CellBlocks.powers
+
+    def recording(blocks, part, pair_xy):
+        cells.extend(part.tolist())
+        return powers(blocks, part, pair_xy)
+
+    monkeypatch.setattr(simulate._CellBlocks, "powers", recording)
+    return cells
+
+
+def assert_same_totals(a, b):
+    assert np.array_equal(a.successes, b.successes)
+    assert np.array_equal(a.samples, b.samples)
+    assert a.sum_near_dist_sq.tolist() == b.sum_near_dist_sq.tolist()
+    assert a.sum_far_dist_sq.tolist() == b.sum_far_dist_sq.tolist()
+
+
+class TestFloat32Screen:
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.5, 3.7])
+    def test_bound_covers_the_float32_error(self, alpha):
+        # 3.7 / 2 is not a float32, so its rounded exponent adds to the bound
+        params = replace(table1_params(), pathloss_exponent=alpha)
+        snap = build_snapshot(params, default_window(params), seed=5, trial=0)
+        cells = np.concatenate([snap.tagged_cells(t) for t in range(params.n_tiers)])
+        relative = []
+        for sums, errors, exact in screened_blocks(snap, cells):
+            assert (np.abs(sums - exact) <= errors).all()
+            relative.append(errors.sum(axis=-1) / sums.sum(axis=-1))
+        # the bound is not vacuous: it holds the sums of 99% of the
+        # receivers to 2e-3 (the observed error stays below 5e-5)
+        relative = np.concatenate(relative).ravel()
+        assert relative.size > 3000 and np.mean(relative <= 2e-3) >= 0.99
+
+    def test_bound_covers_coordinates_far_from_the_origin(self):
+        snap = far_cluster_snapshot()
+        cells = snap.tagged_cells(0)
+        assert len(cells) > 50
+        worst = 0.0
+        for sums, errors, exact in screened_blocks(snap, cells):
+            assert (np.abs(sums - exact) <= errors).all()
+            worst = max(worst, (np.abs(sums - exact) / exact).max())
+        assert worst > 1e-3  # the rounded coordinates do move the sums
+
+    @pytest.mark.parametrize("scale", [2.0**-1061, 8.5e306])
+    def test_bound_covers_extreme_powers(self, scale):
+        params = scaled_power(toy_params(mu=2e-4), scale)
+        snap = build_snapshot(params, TOY_WINDOW, seed=19, trial=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sums, errors, exact in screened_blocks(snap, snap.tagged_cells(0)):
+                assert np.isfinite(errors).all()
+                assert (np.abs(sums - exact) <= errors).all()
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.5])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
+    def test_stock_totals_are_the_float64_totals(self, monkeypatch, alpha, theta):
+        params = replace(table1_params(), pathloss_exponent=alpha, sir_threshold=theta)
+        screened = run_trials(params, n_trials=2, seed=(81, 0), max_cells_per_tier=40)
+        every_cell_exact(monkeypatch)
+        fallback = record_fallback(monkeypatch)
+        exact = run_trials(params, n_trials=2, seed=(81, 0), max_cells_per_tier=40)
+        assert len(fallback) == exact.samples.sum() > 0
+        assert_same_totals(screened, exact)
+
+    @pytest.mark.parametrize("mu, cap", [(2e-3, 16), (2 * 5.1e-5, 40)],
+                             ids=["dense", "two_per_bs"])
+    def test_dense_and_associated_totals_are_the_float64_totals(self, monkeypatch, mu, cap):
+        params = table1_params(user_intensity=mu)
+        assert tessellates(params) == (mu == 2e-3)
+        screened = run_trials(params, n_trials=2, seed=(82, 0), max_cells_per_tier=cap)
+        every_cell_exact(monkeypatch)
+        assert_same_totals(screened,
+                           run_trials(params, n_trials=2, seed=(82, 0), max_cells_per_tier=cap))
+
+    def test_coupled_sweep_totals_are_the_float64_totals(self, monkeypatch):
+        points = [(table1_params(user_intensity=mu), None, 1)
+                  for mu in (5e-5, 1e-4, 2e-4, 5e-4, 1e-3)]
+        screened = run_trial_sets(points, 2, max_cells_per_tier=120)
+        every_cell_exact(monkeypatch)
+        for a, b in zip(screened, run_trial_sets(points, 2, max_cells_per_tier=120)):
+            assert_same_totals(a, b)
+
+    def test_zero_margin_cell_defers_to_float64(self, monkeypatch):
+        # theta at one cell's exact float64 SIR of the near user's SIC stage:
+        # the screen cannot certify that decision, so the cell takes the
+        # float64 path, and the totals are the float64 path's
+        base = table1_params()
+        snap = build_snapshot(base, default_window(base), seed=83, trial=0)
+        b = int(snap.tagged_cells(1)[7])
+        cell = schedule_noma_users(snap, b)
+        theta = (1.0 - 0.75) * cell.desired[0] / cell.interference[0]
+        params = replace(base, sir_threshold=theta)
+        fallback = record_fallback(monkeypatch)
+        screened = run_single_trial(params, default_window(params), seed=83, trial=0)
+        assert b in fallback and len(fallback) < 0.01 * screened.samples.sum()
+        every_cell_exact(monkeypatch)
+        assert_same_totals(screened,
+                           run_single_trial(params, default_window(params), seed=83, trial=0))
+
+    def test_fallback_share_on_stock_under_one_percent(self, monkeypatch):
+        fallback = record_fallback(monkeypatch)
+        totals = run_trials(table1_params(), n_trials=10, seed=(84, 0), max_cells_per_tier=120)
+        assert len(fallback) < 0.01 * totals.samples.sum()
+        assert len(set(fallback)) == len(fallback)  # a cell goes through float64 once
+
+    def test_float32_log_and_power_within_the_bound_constants(self):
+        # the bound allows numpy's float32 log 8u and its power 4u relative
+        # error (u = 2^-24); the screen's logs take float32 values in
+        # [2^-53, 1].  Every float32 of the binades next to 1 and 2^-53,
+        # and a sample of the others
+        u = 2.0**-24
+        bits = [np.arange(*np.array([lo, 2 * lo], dtype=np.float32).view(np.int32),
+                          dtype=np.int32) for lo in (0.5, 2.0**-53)]
+        x = np.concatenate(bits).view(np.float32)
+        x = np.append(x, np.float32(1.0))
+        sample = np.random.default_rng(0).uniform(-53.0, 0.0, 10**6)
+        x = np.concatenate([x, np.exp2(sample).astype(np.float32)])
+        exact = np.log(x.astype(float))
+        nonzero = exact != 0.0
+        assert np.log(x)[~nonzero].tolist() == [0.0]
+        err = np.abs(np.log(x).astype(float) - exact)[nonzero] / np.abs(exact[nonzero])
+        assert err.max() <= 8.0 * u
+        d = np.exp2(np.random.default_rng(1).uniform(-40.0, 60.0, 10**6)).astype(np.float32)
+        for half in (1.5, 1.75, 2.75, 1.85):
+            exponent = np.float32(-half)
+            exact = np.power(d.astype(float), float(exponent))
+            normal = (exact >= 2.0**-126) & (exact < 2.0**128)  # the bound's floor takes the rest
+            err = np.abs(np.power(d, exponent)[normal] / exact[normal] - 1.0)
+            assert normal.mean() > 0.5 and err.max() <= 4.0 * u
+
+    def test_counts_do_not_depend_on_the_power_scale(self):
+        # powers scaled by 2^-1061 (8.1e-319 and 8.1e-320 W) used to underflow
+        # to a tie won by every user, and at 1.7e308 W to overflow; a
+        # power-of-two scale is exact, and 8.5e306 rounds no decision here
+        base = table1_params()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            runs = [run_trials(scaled_power(base, scale), n_trials=30, seed=(9, 0),
+                               max_cells_per_tier=120) for scale in (1.0, 2.0**-1061, 8.5e306)]
+        assert runs[0].successes.tolist()[0][0] == [702, 630]
+        for totals in runs[1:]:
+            assert_same_totals(totals, runs[0])

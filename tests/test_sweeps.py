@@ -311,6 +311,26 @@ class TestCoupledSweep:
                 assert row.n_samples == noncoop.n_samples > 0
                 assert row.simulated >= noncoop.simulated
 
+    def test_points_with_equal_void_flags_share_their_sums(self, monkeypatch):
+        # the points of a beta sweep have the same load, so the same void
+        # flags: each block's screened product has the 2 columns of one
+        # group, not 6; each point of a user_intensity sweep has its own
+        columns = []
+        screen_weights = simulate._screen_weights
+
+        def recording(flags, bs_power):
+            weights = screen_weights(flags, bs_power)
+            columns.append(weights.shape[1])
+            return weights
+
+        monkeypatch.setattr(simulate, "_screen_weights", recording)
+        beta = dict(README_SWEEP, sweep_variable="beta", sweep_grid=(0.6, 0.75, 0.9))
+        run_sweep(ScenarioConfig(**beta))
+        assert columns == [2, 2]  # one per trial
+        columns.clear()
+        run_sweep(ScenarioConfig(**README_SWEEP))
+        assert columns == [10, 10]
+
     def test_beta_sweep_rows_equal_one_point_sweeps(self):
         beta = dict(README_SWEEP, sweep_variable="beta", sweep_grid=(0.6, 0.75, 0.9))
         rows = run_sweep(ScenarioConfig(**beta))
