@@ -36,9 +36,7 @@ class ScenarioConfig:
     value must be one the swept variable can take in this scenario.  The
     scenario point ("window") and every grid point must be one the
     simulator can sample (simulate.check_point_budget, on the configured
-    window or the point's default one): the scenario point as `sim`
-    samples it, with its users where it places them, and a grid point as
-    a sweep trial does, which places no user.
+    window or the point's default one).
     """
 
     params: NetworkParams
@@ -67,7 +65,7 @@ class ScenarioConfig:
         for i, value in enumerate(grid):
             try:
                 check_point_budget(apply_sweep_value(self.params, self.sweep_variable, value),
-                                   self.window, tessellated=True)
+                                   self.window)
             except ConfigError as exc:
                 raise ConfigError(f"sweep.grid[{i}]", exc.message) from exc
         object.__setattr__(self, "sweep_grid", grid)

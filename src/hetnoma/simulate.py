@@ -5,64 +5,47 @@ flags and every BS's scheduled pair), then evaluates the decoding events
 of both schemes in every tagged cell: a non-void inner-region BS with at
 least two users, two of which are scheduled uniformly at random.
 
-A snapshot (build_snapshot, which run_trials and cell_census use) gets
-its user counts and pairs from one of two samplers, chosen by the load
-user_intensity / total_intensity (users per BS):
+A trial (run_coupled_trial) serves every point of a grid that shares one
+layout (tiers, path loss and window: all of a user_intensity or beta
+sweep) from one snapshot; run_single_trial, which run_trials uses, is
+that trial at one point, and build_snapshot is its snapshot.  The trial
+samples the BSs and tessellates them: given the BSs, the users of a cell
+form a PPP of intensity user_intensity on the window-clipped Voronoi cell
+of its BS, so a BS's count is Poisson(m), m = user_intensity x area_b,
+independently, and its pair is two i.i.d. uniform points in its cell.
+This costs the same at any load, and no user is placed but the pairs a
+trial evaluates.  A trial reads only whether a count is at least 1 (the
+BS transmits) and at least 2 (the cell can be tagged), and both come
+exactly from one uniform U_b per BS: the Poisson(m) quantile of U_b is
+>= 1 iff U_b > e^-m and >= 2 iff U_b > e^-m (1 + m).  So the classes
+nest as the load rises, and the pairs and fades of a cell are shared by
+every point.  The snapshot hands out pairs as coordinates, the near user
+(the nearer of the two) first, and places a pair only when asked for it:
+a trial asks once, for the cells it evaluates in both tiers.
 
-  * association, below TESSELLATION_MIN_USERS_PER_BS (6): every user of
-    the PPP is placed and attached to its nearest BS; the pair is two of
-    the BS's users;
-  * tessellation, at or above it, the stock 9.8 users per BS included:
-    counts[b] ~ Poisson(user_intensity x area of the window-clipped
-    Voronoi cell of b), independently, and the pair is two i.i.d. uniform
-    points in that cell.  Given the BSs, the users in a cell form a PPP of
-    that intensity on the cell, so both samplers give counts and pairs of
-    the same law; this one costs the same at any load, and from 6 users
-    per BS on it costs less than the association.
-
-Either way the snapshot hands out pairs as coordinates, the near user
-(the nearer of the two) first, and nothing after it knows which sampler
-ran.  The tessellation places a pair only when asked for it: a trial
-asks once, for the cells it evaluates in both tiers.
-
-A sweep trial (run_coupled_trial, which run_trial_sets and so run_sweep
-use) serves every point of a grid that shares one layout (tiers, path
-loss and window: all of a user_intensity or beta sweep) from one
-tessellated snapshot, at every load.  A trial reads only whether a count
-is at least 1 (the BS transmits) and at least 2 (the cell can be
-tagged), and both come exactly from one uniform U_b per BS: the
-Poisson(m) quantile of U_b, m = user_intensity x area_b, is >= 1 iff
-U_b > e^-m and >= 2 iff U_b > e^-m (1 + m).  So the classes nest as the
-load rises, and the pairs and fades of a cell are shared by every point.
-
-Every random draw of a trial comes from one of six streams keyed by
+Every random draw of a trial comes from one of five streams keyed by
 (seed, trial, purpose):
 
-  * points: the BS tiers, then the users (association) or every BS's
-    count in global BS order (tessellation); a sweep trial draws only
-    the tiers from it;
-  * cap: the uniform subsample of tagged cells per tier, when capped
-    (build_snapshot trials);
+  * points: the BS tiers (cell_census then draws every BS's full count
+    from it, in global BS order);
   * pairs: the scheduled pair of every BS, in global BS order, drawn in
-    one call for all BSs whether or not a BS is evaluated: two ranks in
-    the BS's user list (association), or an (n_bs, 2, 3) block of
-    uniforms, three per user, one picking a triangle of the cell's fan by
-    area and two placing the point in it (tessellation; the point itself
+    one call for all BSs whether or not a BS is evaluated: an (n_bs, 2,
+    3) block of uniforms, three per user, one picking a triangle of the
+    cell's fan by area and two placing the point in it (the point itself
     is formed only for an evaluated cell);
   * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
     outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
     the near user's n_bs links first; the loop jumps to each block with
     PCG64.advance and turns each output into one exponential variate;
-  * counts (sweep trials): the uniform U_b of every BS, in global BS order;
-  * priority (sweep trials, when capped): one uniform per BS; at each
-    point, a tier evaluates its max_cells_per_tier tagged cells of lowest
-    priority.
+  * counts: the uniform U_b of every BS, in global BS order;
+  * priority (when capped): one uniform per BS; at each point, a tier
+    evaluates its max_cells_per_tier tagged cells of lowest priority.
 
 So trials are independent work units and can run in any order or in
 parallel with identical aggregate counts; a cell's pair and fades depend
 only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
-nothing in the cells it keeps, and a sweep point's outcomes do not depend
-on the other points of its grid; and both schemes are evaluated on the
+nothing in the cells it keeps, and a point's outcomes do not depend on
+the other points of its grid; and both schemes are evaluated on the
 same fades (the serving link's fade is its block's column at the serving
 BS), which makes each cooperative event a superset of the
 non-cooperative one cell by cell.
@@ -100,19 +83,19 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import ConfigError, integer
 from .coverage import SCHEMES, check_schemes
-from .geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
+from .geometry import Window, clipped_voronoi, default_window, sample_ppp
+from .geometry import associate  # noqa: F401  (perfbench traces simulate.associate by name)
 
 ROLES = ("near", "far")
 
 # stream purposes within one (seed, trial)
 _STREAM_POINTS = 0
-_STREAM_CAP = 1
 _STREAM_PAIRS = 2
 _STREAM_FADES = 3
 _STREAM_COUNTS = 4
@@ -123,20 +106,9 @@ _STREAM_PRIORITY = 5
 # many cells at once (16 cells at the stock 2,034 BSs).
 BLOCK_BYTES = 2**19
 
-
-# Load (users per BS) from which build_snapshot draws user counts from
-# clipped Voronoi cell areas instead of sampling and associating every
-# user.  The tessellation's cost does not depend on the load, the
-# association's grows with it: a stock-density trial (cap 120) costs the
-# same on both at about 6 users per BS, so the stock 9.8 tessellates.  The
-# threshold sits at that crossover with no margin: near it both samplers
-# cost about the same, so a misjudged crossover costs little, while a
-# margin would run every load in between on the slower one.
-TESSELLATION_MIN_USERS_PER_BS = 6.0
-
-# Ceiling on the expected number of points (BSs, plus users where they are
-# placed) one snapshot samples: far above the at most 7 x 2,000 that the
-# default window holds, far below what runs a machine out of memory.
+# Ceiling on the expected number of BSs one snapshot samples: far above
+# the about 2,000 that the default window holds, far below what runs a
+# machine out of memory.
 MAX_EXPECTED_POINTS = 5e6
 
 
@@ -144,28 +116,21 @@ class SimulationError(RuntimeError):
     pass
 
 
-def check_point_budget(params, window=None, tessellated=None):
+def check_point_budget(params, window=None):
     """Reject a scenario whose snapshots would hold too many points.
 
-    A snapshot places the BSs, and the users only where it does not
-    tessellate: below TESSELLATION_MIN_USERS_PER_BS users per BS for
-    build_snapshot (see tessellates, the default of tessellated), never
-    in a sweep trial (run_coupled_trial, which passes tessellated=True).
-    The expected count of those points is their intensity times the
-    window area, on default_window(params) when no window is given; it
-    raises ConfigError when over MAX_EXPECTED_POINTS.  The default window
-    holds about DEFAULT_EXPECTED_BS BSs, so only an explicit window can go
-    over.
+    A snapshot places the BSs and no user.  The expected count of BSs is
+    total_intensity times the window area, on default_window(params) when
+    no window is given; it raises ConfigError when over
+    MAX_EXPECTED_POINTS.  The default window holds about
+    DEFAULT_EXPECTED_BS BSs, so only an explicit window can go over.
     """
     window = window if window is not None else default_window(params)
-    if tessellated is None:
-        tessellated = tessellates(params)
-    users = 0.0 if tessellated else params.user_intensity * window.area
-    expected = params.total_intensity * window.area + users
+    expected = params.total_intensity * window.area
     if not expected <= MAX_EXPECTED_POINTS:
         raise ConfigError(
-            "window", f"a snapshot would hold {expected:.3g} points in expectation "
-            f"({users:.3g} users), above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
+            "window", f"a snapshot would hold {expected:.3g} points in expectation, "
+            f"above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
         )
 
 
@@ -182,15 +147,14 @@ def _stream(seed, trial, *key):
 class NetworkSnapshot:
     """One sampled realization of the network.
 
-    counts[b] is the number of users BS b serves, and nonvoid[b] is True
-    iff it is positive (the indicator that the BS transmits).  A sweep
-    trial's snapshots hold min(count, 2), all a trial reads of a count.
-    Global BS indices concatenate the tiers in order.  pairs(cells) gives
-    the coordinates of the two users each BS schedules.  The association
-    sampler holds every BS's pair as coordinates (_pair_draws); the
-    tessellation holds the clipped cells (_voronoi) and every BS's (2, 3)
-    uniforms, and places a pair only when it is asked for, so a trial
-    pays for the pairs of the cells it evaluates only.
+    counts[b] is min(N_b, 2) for the number N_b of users BS b serves, all
+    a trial reads of a count, and nonvoid[b] is True iff it is positive
+    (the indicator that the BS transmits).  Global BS indices concatenate
+    the tiers in order.  pairs(cells) gives the coordinates of the two
+    users each BS schedules: the snapshot holds the clipped cells
+    (_voronoi) and every BS's (2, 3) uniforms (_pair_draws), and places a
+    pair only when it is asked for, so a trial pays for the pairs of the
+    cells it evaluates only.
     """
 
     params: object
@@ -214,13 +178,10 @@ class NetworkSnapshot:
 
     def pairs(self, cells):
         """The scheduled pairs of the BSs in the index array cells, of shape
-        (len(cells), 2, 2), the near user first; NaN where the association
-        sampler found fewer than two users, or where a tessellated cell owns
-        no fan (and so has no area and no users).  A BS's pair is the same
+        (len(cells), 2, 2), the near user first; NaN where a cell owns no
+        fan (and so has no area and no users).  A BS's pair is the same
         bits whichever other BSs are asked for with it.
         """
-        if self._voronoi is None:
-            return self._pair_draws[cells]
         return _near_first(self.bs_xy[cells],
                            self._voronoi.sample(cells[:, None], self._pair_draws[cells]))
 
@@ -230,46 +191,31 @@ class NetworkSnapshot:
         return np.flatnonzero(inner & (self.counts >= 2) & (self.bs_tier == tier))
 
 
-def _snapshot(params, window, seed, trial, bs_per_tier, user_xy=None, rng=None):
-    """Flatten the tiers into global BS arrays; give every BS its users and pair.
+def _snapshots(grid, window, seed, trial, bs_per_tier):
+    """One snapshot per point of grid, all of the BSs bs_per_tier (one
+    array per tier) and so of one layout.
 
-    With user_xy, the users are associated and every pair is placed.
-    Without, the clipped cells are computed and the pairs' uniforms are
-    drawn, to be placed in the cells that NetworkSnapshot.pairs is asked
-    for; counts[b] is drawn from rng as Poisson(user_intensity x area of
-    the clipped cell of b), or left None without rng, for a sweep trial to
-    give each grid point its own.
+    The BSs' clipped cells are computed and their pairs' uniforms drawn
+    once, to be placed in the cells that NetworkSnapshot.pairs is asked
+    for.  A point's counts are the classes _count_classes gives the BSs'
+    uniforms from the counts stream at the mean user_intensity x clipped
+    cell area.
     """
     bs_xy = np.concatenate(bs_per_tier)
     n_bs = len(bs_xy)
     bs_tier = np.concatenate(
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
-    powers = np.array([t.power_watts for t in params.tiers])
-    pairs = _stream(seed, trial, _STREAM_PAIRS)
-    if user_xy is not None:
-        assoc = associate(bs_xy, user_xy)
-        counts = assoc.counts
-        # ranks of each BS's pair within its user list: i uniform over
-        # c = max(count, 2) ranks, j over the c - 1 others
-        c = np.maximum(counts, 2)
-        i = pairs.integers(0, c)
-        j = pairs.integers(0, c - 1)
-        j += j >= i
-        ranks = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
-        pair_xy = np.full((n_bs, 2, 2), np.nan)
-        has = np.flatnonzero(counts >= 2)
-        pair_xy[has] = user_xy[assoc.user_at(has[:, None], ranks[has])]
-        voronoi, pair_draws = None, _near_first(bs_xy, pair_xy)
-    else:
-        voronoi = clipped_voronoi(bs_xy, window)
-        counts = None if rng is None else rng.poisson(params.user_intensity * voronoi.areas)
-        # two i.i.d. uniform points in each BS's cell, three uniforms each
-        pair_draws = pairs.random((n_bs, 2, 3))
-    return NetworkSnapshot(
-        params=params, window=window, seed=seed, trial=trial, counts=counts, bs_xy=bs_xy,
+    powers = np.array([t.power_watts for t in grid[0].tiers])
+    voronoi = clipped_voronoi(bs_xy, window)
+    # two i.i.d. uniform points in each BS's cell, three uniforms each
+    pair_draws = _stream(seed, trial, _STREAM_PAIRS).random((n_bs, 2, 3))
+    uniform = _stream(seed, trial, _STREAM_COUNTS).random(n_bs)
+    return [NetworkSnapshot(
+        params=params, window=window, seed=seed, trial=trial,
+        counts=_count_classes(params.user_intensity * voronoi.areas, uniform), bs_xy=bs_xy,
         bs_tier=bs_tier, bs_power=powers[bs_tier], _voronoi=voronoi, _pair_draws=pair_draws,
-    )
+    ) for params in grid]
 
 
 def _near_first(bs_xy, pair_xy):
@@ -282,29 +228,17 @@ def _near_first(bs_xy, pair_xy):
     return pair_xy
 
 
-def tessellates(params):
-    """Whether snapshots of params take user counts from Voronoi cell areas.
-
-    True when the load, user_intensity / total_intensity users per BS, is
-    at least TESSELLATION_MIN_USERS_PER_BS.
-    """
-    return params.user_intensity / params.total_intensity >= TESSELLATION_MIN_USERS_PER_BS
-
-
 def build_snapshot(params, window, seed, trial):
-    """Sample all tiers and give every BS its users; flag void cells.
+    """The snapshot that trial `trial` evaluates at params (see run_single_trial).
 
-    Below TESSELLATION_MIN_USERS_PER_BS users per BS, every user is sampled
-    and associated; from there on, each BS's count is drawn from its
-    clipped Voronoi cell area (see tessellates).  Bit-identical for
-    identical (seed, trial).  Fails before sampling if the expected point
-    count is over MAX_EXPECTED_POINTS, and after it if the window is so
-    small that it contains no base station.
+    Bit-identical for identical (seed, trial).  Fails before sampling if
+    the expected BS count is over MAX_EXPECTED_POINTS, and after it if the
+    window is so small that it contains no base station.
     """
     check_point_budget(params, window)
-    bs_per_tier, rng = _sample_tiers(params, window, seed, trial)
-    user_xy = None if tessellates(params) else sample_ppp(params.user_intensity, window, rng)
-    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy, rng)
+    bs_per_tier, _ = _sample_tiers(params, window, seed, trial)
+    [snapshot] = _snapshots((params,), window, seed, trial, bs_per_tier)
+    return snapshot
 
 
 def _sample_tiers(params, window, seed, trial):
@@ -317,13 +251,6 @@ def _sample_tiers(params, window, seed, trial):
     if sum(len(p) for p in bs_per_tier) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
     return bs_per_tier, rng
-
-
-def snapshot_from_points(params, window, bs_xy_per_tier, users_xy, seed=0, trial=0):
-    """Snapshot with hand-placed points (testing and worked examples); always associates."""
-    bs_per_tier = [np.asarray(xy, dtype=float).reshape(-1, 2) for xy in bs_xy_per_tier]
-    user_xy = np.asarray(users_xy, dtype=float).reshape(-1, 2)
-    return _snapshot(params, window, seed, trial, bs_per_tier, user_xy)
 
 
 @dataclass
@@ -760,22 +687,14 @@ class TrialTotals:
 
 
 def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
-    """All tagged-cell outcomes of one snapshot, as TrialTotals.
+    """All tagged-cell outcomes of one snapshot, as TrialTotals: the trial
+    of run_coupled_trial at the one point params.
 
-    max_cells_per_tier, when set, evaluates a uniform random subsample of
-    at most that many tagged cells per tier (unbiased; used to balance
-    effort across tiers of very different density).
+    max_cells_per_tier, when set, evaluates at most that many tagged cells
+    per tier, those of lowest priority (unbiased; used to balance effort
+    across tiers of very different density).
     """
-    snapshot = build_snapshot(params, window, seed, trial)
-    evaluated = []
-    for tier in range(params.n_tiers):
-        cells = snapshot.tagged_cells(tier)
-        if max_cells_per_tier is not None and len(cells) > max_cells_per_tier:
-            rng = _stream(seed, trial, _STREAM_CAP, tier)
-            cells = np.sort(rng.choice(cells, size=max_cells_per_tier, replace=False))
-        evaluated.append(cells)
-    [totals] = _evaluate([snapshot], [evaluated])
-    return totals
+    return run_coupled_trial((params,), window, seed, trial, max_cells_per_tier)[0]
 
 
 def _count_classes(mean, u):
@@ -796,36 +715,27 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
 
     The points share their tiers, path-loss exponent and window, and
     differ only in load, beta or threshold.  The trial samples the BSs
-    from the points stream as build_snapshot does and tessellates them
-    once, at every load.  Each point's counts are the classes
-    _count_classes gives the BSs' uniforms from the counts stream at the
-    mean user_intensity x clipped cell area; with max_cells_per_tier, each
-    tier evaluates the tagged cells of lowest priority (one uniform per BS
-    from the priority stream).  Every cell evaluated at some point gets
-    its pair, fades and powers once (_evaluate).  A point's outcomes
+    from the points stream and tessellates them once, at every load
+    (_snapshots gives each point its counts); with max_cells_per_tier,
+    each tier evaluates the tagged cells of lowest priority (one uniform
+    per BS from the priority stream).  Every cell evaluated at some point
+    gets its pair, fades and powers once (_evaluate).  A point's outcomes
     depend only on (seed, trial) and its own parameters, not on the other
     points of grid.
     """
-    for params in grid:
-        check_point_budget(params, window, tessellated=True)
+    check_point_budget(grid[0], window)
     bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
-    layout = _snapshot(grid[0], window, seed, trial, bs_per_tier)
-    areas = layout._voronoi.areas
-    uniform = _stream(seed, trial, _STREAM_COUNTS).random(layout.n_bs)
+    snapshots = _snapshots(grid, window, seed, trial, bs_per_tier)
     if max_cells_per_tier is not None:
-        priority = _stream(seed, trial, _STREAM_PRIORITY).random(layout.n_bs)
-    snapshots, evaluated = [], []
-    for params in grid:
-        snapshot = replace(layout, params=params,
-                           counts=_count_classes(params.user_intensity * areas, uniform))
-        cells = [snapshot.tagged_cells(tier) for tier in range(params.n_tiers)]
+        priority = _stream(seed, trial, _STREAM_PRIORITY).random(snapshots[0].n_bs)
+    evaluated = []
+    for snapshot in snapshots:
+        cells = [snapshot.tagged_cells(tier) for tier in range(snapshot.params.n_tiers)]
         if max_cells_per_tier is not None:
             cells = [c if len(c) <= max_cells_per_tier else
                      np.sort(c[np.argsort(priority[c], kind="stable")[:max_cells_per_tier]])
                      for c in cells]
-        snapshots.append(snapshot)
         evaluated.append(cells)
-    del layout  # _evaluate frees the clipped cells, which the snapshots share
     return _evaluate(snapshots, evaluated)
 
 
@@ -967,7 +877,7 @@ def _map_trials(run_trial, settings, n_trials, max_cells_per_tier, n_jobs):
     The trials of all settings share one pool: n_jobs caps its worker
     processes, which never outnumber the trials of the whole run or the
     CPUs; with one, the trials run in this process.  scipy.spatial, which
-    every trial's sampler needs, is imported here before the pool forks,
+    every trial's tessellation needs, is imported here before the pool forks,
     so the workers inherit it rather than each importing it again.  A
     budget that is not an integer >= 1 raises ConfigError before any
     trial.
@@ -1081,20 +991,28 @@ class CellCensus:
 
     @property
     def void_fraction(self):
-        return self.n_void / self.n_bs
+        """The share of void BSs; NaN when no inner-region BS was sampled."""
+        return self.n_void / self.n_bs if self.n_bs else math.nan
 
 
 def cell_census(params, window=None, n_snapshots=100, seed=0):
     """Empirical per-BS user-count distribution over many snapshots.
 
-    The counts come from build_snapshot, so from the same sampler as the
-    trials at that load.  ConfigError unless n_snapshots is an integer >= 1.
+    A trial reads only min(count, 2) of a count, so the census draws the
+    full counts itself: snapshot t has trial t's BSs, and each BS's count
+    is Poisson(user_intensity x area of its clipped Voronoi cell), drawn
+    from the points stream after the tiers.  ConfigError unless
+    n_snapshots is an integer >= 1, or when the window is over the point
+    budget (check_point_budget).
     """
     integer(n_snapshots, "n_snapshots", 1)
     window = window if window is not None else default_window(params)
+    check_point_budget(params, window)
     counts = []
     for trial in range(n_snapshots):
-        snap = build_snapshot(params, window, seed, trial)
-        counts.append(snap.counts[window.contains(snap.bs_xy, inner=True)])
+        bs_per_tier, rng = _sample_tiers(params, window, seed, trial)
+        bs_xy = np.concatenate(bs_per_tier)
+        count = rng.poisson(params.user_intensity * clipped_voronoi(bs_xy, window).areas)
+        counts.append(count[window.contains(bs_xy, inner=True)])
     hist = np.bincount(np.concatenate(counts), minlength=1)
     return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)

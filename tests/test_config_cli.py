@@ -423,23 +423,16 @@ class TestCliSweep:
         assert text == ""
         assert f"config field '{field}'" in capsys.readouterr().err
 
-    def test_grid_point_counts_only_its_base_stations(self, tmp_path, capsys):
+    def test_grid_point_counts_only_its_base_stations(self):
         # the stock tiers on a 1.4e5 m wide window hold 1e6 BSs; at 3e-4
-        # users/m^2 (5.9 users per BS) sim would place 5.88e6 users too, but
-        # a sweep trial tessellates and places none
+        # users/m^2 (5.9 users per BS) a snapshot would hold 5.88e6 users
+        # too, but it places none, as a grid point and as the scenario point
+        # that sim samples alike
         window = {"half_width": 7e4, "margin": 100.0}
-        placing = sweeps.table1_params(user_intensity=3e-4)
-        assert not simulate.tessellates(placing)
         sweep = {"tiers": STOCK_TIERS, "user_intensity": 1e-4, "window": window,
                  "sweep": {"variable": "user_intensity", "grid": [1e-4, 3e-4]}}
-        cfg = parse_config(sweep)
-        assert cfg.sweep_grid == (1e-4, 3e-4)
-        # the scenario point is counted as sim samples it, users included
-        code, text = run_cli(["sim", "--config", write_config(
-            tmp_path, dict(sweep, user_intensity=3e-4))])
-        assert (code, text) == (2, "")
-        assert "config field 'window': a snapshot would hold 6.88e+06 points" in (
-            capsys.readouterr().err)
+        assert parse_config(sweep).sweep_grid == (1e-4, 3e-4)
+        assert parse_config(dict(sweep, user_intensity=3e-4)).params.user_intensity == 3e-4
 
     def test_sigterm_ends_the_sweep_and_its_workers(self, tmp_path):
         # SIGTERM mid-run: the command exits nonzero, and the pool's two
@@ -576,10 +569,9 @@ class TestCliOptimizeBeta:
         assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
 
 
-# The scenario config of the README, run with --trials 2.  Its scenario
-# point, 5e-4 users/m^2 (9.8 users per BS), takes its snapshots from the
-# tessellation sampler; the sweep tessellates one snapshot per trial for
-# all five grid points.
+# The scenario config of the README, run with --trials 2.  sim runs the
+# trial of its scenario point, 5e-4 users/m^2 (9.8 users per BS); the sweep
+# tessellates one snapshot per trial for all five grid points.
 README_CONFIG = {
     "tiers": STOCK_TIERS,
     "user_intensity": 5e-4,
@@ -598,9 +590,9 @@ README_CONFIG = {
 CLI_DIGESTS = {
     ("analytic", False): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
     ("analytic", True): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
-    ("sim", False): ("69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717", None),
+    ("sim", False): ("11c6d2c4cf4bb30d6954824ee285d0dbc8a76a8bd2eadc37dd7d872317a8fee8", None),
     ("sim", True): ("b6cd70dfa19cb0fee31ec02dd2bd43bcf9debfc1048e3ce55602255420f5b960",
-                    "69192c8d976685ec803ac8e2047a5fe521369ff74ca4995ca91ce6fca98d7717"),
+                    "11c6d2c4cf4bb30d6954824ee285d0dbc8a76a8bd2eadc37dd7d872317a8fee8"),
     ("sweep", False): ("2c69eec0f9b91139d566a9fc762fe32d3b68bbb49f466bd4aa85c7092b8db428", None),
     ("sweep", True): ("8b3e9d892e54f2c67f4801d22f8529d32085e39ad282ba7c4300c304727ad5db",
                       "b718fcac927062828f8d6f00ba76859787440869c40e75ada6f663af3442a760"),

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
-from scipy.stats import chi2_contingency, chisquare, poisson
+from scipy.stats import chi2_contingency, poisson
 
 from hetnoma.checks import ConfigError
 from hetnoma.config import ScenarioConfig
@@ -20,11 +20,14 @@ from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
 from hetnoma.geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
 from hetnoma.simulate import (
+    _STREAM_COUNTS,
     _STREAM_FADES,
     _STREAM_PAIRS,
     _STREAM_POINTS,
     SCHEMES,
+    CellCensus,
     CoverageEstimate,
+    NetworkSnapshot,
     SimulationError,
     TrialTotals,
     _count_classes,
@@ -41,8 +44,6 @@ from hetnoma.simulate import (
     run_trial_sets,
     run_trials,
     schedule_noma_users,
-    snapshot_from_points,
-    tessellates,
 )
 from hetnoma.sweeps import analytic_pairs, table1_params
 
@@ -60,9 +61,22 @@ def toy_params(mu=8e-4, beta=0.75, theta=1.0):
     )
 
 
+class PlacedPairs:
+    """Stand-in for a snapshot's clipped cells (its _voronoi): cell b places
+    the pair pair_xy[b] whatever its uniforms, in the order given (the
+    snapshot puts the near user first)."""
+
+    def __init__(self, pair_xy):
+        self.pair_xy = np.asarray(pair_xy, dtype=float)
+
+    def sample(self, cells, draws):
+        return self.pair_xy[cells[:, 0]]
+
+
 def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0, trial=0):
-    """One serving BS at the origin with users on the x axis at 10, 15, 20,
-    ... m; optional far-away BSs that no user selects (they stay void)."""
+    """One serving BS at the origin with n_users users, whose pair is the
+    users at 10 and 15 m on the x axis (placed far user first); optional
+    far-away BSs without users (they stay void)."""
     params = NetworkParams(
         tiers=(TierParams(power_watts=1.0, intensity=1e-4),),
         user_intensity=1e-4,
@@ -70,10 +84,16 @@ def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0, trial=0):
         sir_threshold=theta,
         beta=(beta,),
     )
-    users = [[10.0 + 5.0 * k, 0.0] for k in range(n_users)]
-    bs = [[0.0, 0.0]] + [list(b) for b in extra_bs]
-    window = Window(half_width=4000.0, margin=10.0)
-    return params, snapshot_from_points(params, window, [bs], users, trial=trial)
+    bs_xy = np.array([[0.0, 0.0], *extra_bs], dtype=float)
+    n_bs = len(bs_xy)
+    pair_xy = np.full((n_bs, 2, 2), np.nan)
+    pair_xy[0] = [[15.0, 0.0], [10.0, 0.0]]
+    return params, NetworkSnapshot(
+        params=params, window=Window(half_width=4000.0, margin=10.0), seed=0, trial=trial,
+        counts=np.array([n_users] + [0] * (n_bs - 1)), bs_xy=bs_xy,
+        bs_tier=np.zeros(n_bs, dtype=np.intp), bs_power=np.ones(n_bs),
+        _voronoi=PlacedPairs(pair_xy), _pair_draws=np.zeros((n_bs, 2, 3)),
+    )
 
 
 def every_pair(snap):
@@ -152,22 +172,19 @@ class TestBuildSnapshot:
             raise AssertionError("sampled before checking the point count")
 
         monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
-        # the stock tiers on a 1.4e5 m wide window: 1e6 BSs, plus 5.88e6
-        # users where they are placed (5.9 users per BS)
-        window = Window(half_width=7e4, margin=100.0)
-        placing = table1_params(user_intensity=3e-4)
-        assert not tessellates(placing)
-        with pytest.raises(ValueError, match="6.88e\\+06 points in expectation"):
-            build_snapshot(placing, window, seed=0, trial=0)
-        check_point_budget(table1_params(), window)  # 9.8 per BS, none placed: allowed
-        # a 4e5 m wide window: 8.16e6 BSs
+        # the stock tiers on a 4e5 m wide window: 8.16e6 BSs
         wide = Window(half_width=2e5, margin=100.0)
+        with pytest.raises(ValueError, match="8.16e\\+06 points in expectation, above the"):
+            build_snapshot(table1_params(), wide, seed=0, trial=0)
         with pytest.raises(ValueError, match="8.16e\\+06 points .* above the simulator's limit"):
             check_point_budget(table1_params(user_intensity=2e-3), wide)
-        check_point_budget(table1_params(user_intensity=5e-4))  # 2.2e4 points: allowed
+        # a 1.4e5 m wide window: 1e6 BSs, and no user placed at any load
+        window = Window(half_width=7e4, margin=100.0)
+        for mu in (3e-4, 5e-4, 1.0):
+            check_point_budget(table1_params(user_intensity=mu), window)
 
     def test_point_budget_counts_only_placed_points(self, monkeypatch):
-        # 5e4 users per BS: the tessellation places none of the 1.5e7 users
+        # 5e4 users per BS: a snapshot places none of the 1.5e7 users
         check_point_budget(table1_params(user_intensity=1.0))
         sampled = []
 
@@ -179,7 +196,8 @@ class TestBuildSnapshot:
         snap = build_snapshot(toy_params(mu=10.0), TOY_WINDOW, seed=0, trial=0)
         assert sampled == [2e-4]  # the one tier's BSs, no users
         assert 100 < snap.n_bs < 400
-        assert snap.counts.sum() > 1e6
+        # about 2.5e4 users per cell: every count class is "two or more"
+        assert (snap.counts == 2).all()
 
     def test_void_fraction_tracks_load_model(self):
         p = toy_params()
@@ -246,48 +264,8 @@ class TestScheduleNomaUsers:
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
 
     def test_cell_draws_independent_of_block_and_cap(self):
-        assert not tessellates(toy_params(mu=2e-4))
-        snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
+        snap = build_snapshot(toy_params(), TOY_WINDOW, seed=19, trial=2)
         assert_cell_draws_independent_of_block_and_cap(snap)
-
-    def test_draw_layout(self):
-        # points: the BS tier, then the users; pairs: two ranks per BS from
-        # the trial's pair stream, in the BS's user list; fades: BS b's
-        # 2 * n_bs outputs of the fade stream, near user's links first
-        p = toy_params(mu=2e-4)
-        snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
-        rng = _stream(19, 3, _STREAM_POINTS)
-        bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
-        user_xy = sample_ppp(p.user_intensity, TOY_WINDOW, rng)
-        assert np.array_equal(snap.bs_xy, bs_xy)
-        assoc = associate(bs_xy, user_xy)
-        assert np.array_equal(snap.counts, assoc.counts)
-        c = np.maximum(assoc.counts, 2)
-        rng = _stream(19, 3, _STREAM_PAIRS)
-        i, j = rng.integers(0, c), rng.integers(0, c - 1)
-        j += j >= i
-        expected = np.full((snap.n_bs, 2, 2), np.nan)
-        for b in np.flatnonzero(assoc.counts >= 2):
-            expected[b] = user_xy[assoc.user_at(b, np.array([i[b], j[b]]))]
-        assert_pairs_near_first(snap, expected)
-        span = 2 * snap.n_bs
-        for b in snap.tagged_cells(0)[:8].tolist():
-            cell = schedule_noma_users(snap, b)
-            fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
-            fade_stream.bit_generator.advance(span * b)
-            u = fade_stream.random(span).reshape(2, snap.n_bs)
-            assert np.array_equal(cell.link_gains, -np.log1p(-u))
-
-    def test_pair_choice_uniform(self):
-        # 5 users -> 10 unordered pairs, chi-square over 1e4 independent draws
-        counts = {}
-        for trial in range(10_000):
-            _, snap = lone_cell_snapshot(n_users=5, trial=trial)
-            key = tuple(snap.pairs(np.array([0]))[0, :, 0].tolist())
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 10
-        result = chisquare(list(counts.values()))
-        assert result.pvalue > 0.01
 
 
 class TestEvaluateEvents:
@@ -457,60 +435,46 @@ class TestRunTrials:
             assert np.array_equal(totals.sum_near_dist_sq, alone.sum_near_dist_sq)
             assert np.array_equal(totals.sum_far_dist_sq, alone.sum_far_dist_sq)
 
-    # Exact counts and squared-distance sums (as float hex) at fixed seeds,
-    # recorded when the pairs and fades moved to the per-trial pair stream
-    # and the fade stream keyed by BS position.  Any change to the draws,
-    # or to the float operations of the per-cell path, must update them.
+    # Exact counts, and squared-distance sums (as float hex), at fixed seeds.
+    # The pairs come from clipped Voronoi cells, whose fan corners may move
+    # by an ulp with the triangulation, so the sums are pinned to a relative
+    # 1e-12.  Any change to the draws, or to the float operations of the
+    # per-cell path, must update them.
+    @staticmethod
+    def assert_pinned(totals, successes, samples, near_hex, far_hex):
+        assert totals.successes.tolist() == successes
+        assert totals.samples.tolist() == samples
+        for sums, pinned in ((totals.sum_near_dist_sq, near_hex), (totals.sum_far_dist_sq, far_hex)):
+            assert sums.tolist() == pytest.approx([float.fromhex(x) for x in pinned], rel=1e-12)
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_pinned_counts_toy(self, n_jobs):
         totals = run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=6, seed=17, n_jobs=n_jobs)
-        assert totals.successes.tolist() == [[[111, 64], [111, 118]]]
-        assert totals.samples.tolist() == [184]
-        assert [x.hex() for x in totals.sum_near_dist_sq] == ["0x1.36b21bb9387c9p+17"]
-        assert [x.hex() for x in totals.sum_far_dist_sq] == ["0x1.ae286ab087135p+18"]
+        self.assert_pinned(totals, [[[119, 71], [119, 117]]], [180],
+                           ["0x1.415c6ac5b25d0p+17"], ["0x1.a953ac79e7a96p+18"])
 
     def test_pinned_counts_stock(self):
-        # 9.8 users per BS: counts and pairs come from clipped Voronoi cells,
-        # whose fan corners may move by an ulp with the triangulation, so
-        # the distance sums are pinned to a relative 1e-12
-        assert tessellates(table1_params())
+        # 9.8 users per BS
         totals = run_trials(table1_params(), n_trials=6, seed=(501, 0), max_cells_per_tier=120)
-        assert totals.successes.tolist() == [[[145, 140], [145, 140]], [[320, 132], [320, 135]]]
-        assert totals.samples.tolist() == [177, 720]
-        assert totals.sum_near_dist_sq.tolist() == pytest.approx(
-            [float.fromhex("0x1.b96c3bb26dd04p+18"), float.fromhex("0x1.f142da78df7bep+20")],
-            rel=1e-12)
-        assert totals.sum_far_dist_sq.tolist() == pytest.approx(
-            [float.fromhex("0x1.380c5ef463675p+20"), float.fromhex("0x1.4b3177fe2ca8cp+22")],
-            rel=1e-12)
+        self.assert_pinned(totals, [[[144, 138], [144, 138]], [[346, 153], [346, 156]]], [176, 720],
+                           ["0x1.baa5908c50ce0p+18", "0x1.f373b79fbbe40p+20"],
+                           ["0x1.379adf5623a13p+20", "0x1.561e15085e091p+22"])
 
     def test_pinned_counts_sparse(self):
-        # 3.9 users per BS, a point of the stock sweep grid: every user is
-        # placed and associated, so the sums are exact
-        params = table1_params(user_intensity=2e-4)
-        assert not tessellates(params)
-        totals = run_trials(params, n_trials=6, seed=(501, 0), max_cells_per_tier=120)
-        assert totals.successes.tolist() == [[[123, 116], [123, 117]], [[352, 170], [352, 197]]]
-        assert totals.samples.tolist() == [141, 720]
-        assert [x.hex() for x in totals.sum_near_dist_sq] == [
-            "0x1.811578a6db937p+18", "0x1.169ab704a17fep+21"]
-        assert [x.hex() for x in totals.sum_far_dist_sq] == [
-            "0x1.0905e9aa278a7p+20", "0x1.63f477cd4390ep+22"]
+        # 3.9 users per BS, a point of the stock sweep grid
+        totals = run_trials(table1_params(user_intensity=2e-4), n_trials=6, seed=(501, 0),
+                            max_cells_per_tier=120)
+        self.assert_pinned(totals, [[[114, 114], [114, 115]], [[383, 180], [383, 202]]], [138, 720],
+                           ["0x1.67248e28c58ddp+18", "0x1.08abad80d60f8p+21"],
+                           ["0x1.f93314cb77a0bp+19", "0x1.6d0e70f996855p+22"])
 
     def test_pinned_counts_dense(self):
-        # 39 users per BS: counts and pairs come from clipped Voronoi cells,
-        # whose fan corners may move by an ulp with the triangulation, so
-        # the distance sums are pinned to a relative 1e-12
+        # 39 users per BS
         totals = run_trials(table1_params(user_intensity=2e-3), n_trials=6, seed=(501, 0),
                             max_cells_per_tier=120)
-        assert totals.successes.tolist() == [[[149, 143], [149, 143]], [[335, 170], [335, 170]]]
-        assert totals.samples.tolist() == [182, 720]
-        assert totals.sum_near_dist_sq.tolist() == pytest.approx(
-            [float.fromhex("0x1.bd736726f3b42p+18"), float.fromhex("0x1.d89f7a8039623p+20")],
-            rel=1e-12)
-        assert totals.sum_far_dist_sq.tolist() == pytest.approx(
-            [float.fromhex("0x1.39e59aecf7a44p+20"), float.fromhex("0x1.3ef5b7aa206eep+22")],
-            rel=1e-12)
+        self.assert_pinned(totals, [[[148, 141], [148, 141]], [[341, 149], [341, 149]]], [180, 720],
+                           ["0x1.bcc3e17e27f72p+18", "0x1.e78049e1dc72bp+20"],
+                           ["0x1.39ae63a2e2c4cp+20", "0x1.4dc4becdfb004p+22"])
 
     def test_merge_is_associative(self):
         p = toy_params()
@@ -632,29 +596,53 @@ class TestCellCensus:
         def no_snapshot(*args, **kwargs):
             raise AssertionError("sampled before n_snapshots was rejected")
 
-        monkeypatch.setattr(simulate, "build_snapshot", no_snapshot)
+        monkeypatch.setattr(simulate, "_sample_tiers", no_snapshot)
         with pytest.raises(ValueError, match="n_snapshots"):
             cell_census(toy_params(), TOY_WINDOW, n_snapshots=n_snapshots)
 
+    def test_void_fraction_nan_without_inner_bs(self):
+        # an inner region 2 m wide holds no BS of a 2e-4 tier: no fraction
+        census = cell_census(toy_params(), Window(100.0, 99.0), n_snapshots=3)
+        assert (census.n_bs, census.n_void) == (0, 0)
+        assert math.isnan(census.void_fraction)
+        assert CellCensus(4, 1, np.array([1, 3])).void_fraction == 0.25
+
+    def test_counts_continue_the_points_stream(self):
+        # snapshot t: trial t's BSs, then Poisson(mu x clipped cell area)
+        # per BS from the same points stream
+        p = toy_params()
+        census = cell_census(p, TOY_WINDOW, n_snapshots=2, seed=53)
+        counts = []
+        for trial in range(2):
+            rng = _stream(53, trial, _STREAM_POINTS)
+            bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
+            count = rng.poisson(p.user_intensity * clipped_voronoi(bs_xy, TOY_WINDOW).areas)
+            counts.append(count[TOY_WINDOW.contains(bs_xy, inner=True)])
+        hist = np.bincount(np.concatenate(counts))
+        assert np.array_equal(census.count_histogram, hist)
+
 
 class TestCoupledTrial:
-    def test_sweep_point_agrees_with_run_trials(self):
-        # a sweep's trials (run_trial_sets) at 2 users per BS, where
-        # run_trials associates every user while the sweep tessellates, and
-        # at the stock 9.8, where both tessellate
+    def test_run_trials_is_the_sweep_trial(self):
+        # one trial definition: run_trials gives the bits of a one-point
+        # run_trial_sets, and build_snapshot holds that trial's count classes
         lam = table1_params().total_intensity
-        grid = [table1_params(user_intensity=mu) for mu in (2.0 * lam, 5e-4)]
-        sweep = run_trial_sets([(params, None, 5) for params in grid], 10, max_cells_per_tier=120)
-        for params, coupled in zip(grid, sweep):
-            alone = run_trials(params, n_trials=10, seed=6, max_cells_per_tier=120)
-            for a, b in zip(estimates_from_totals(coupled), estimates_from_totals(alone)):
-                assert (a.tier, a.scheme, a.role) == (b.tier, b.scheme, b.role)
-                assert abs(z_score(a.p_hat, b.p_hat, a.n_samples, b.n_samples)) < 4.0
+        for params, cap in ((table1_params(), 120), (table1_params(user_intensity=2.0 * lam), None)):
+            for n_jobs in (1, 2):
+                alone = run_trials(params, None, 3, 5, cap, n_jobs)
+                [point] = run_trial_sets([(params, None, 5)], 3, cap, n_jobs)
+                assert alone.samples.min() > 0
+                assert_same_totals(alone, point)
+            window = default_window(params)
+            snap = build_snapshot(params, window, 5, 2)
+            areas = clipped_voronoi(snap.bs_xy, window).areas
+            u = _stream(5, 2, _STREAM_COUNTS).random(snap.n_bs)
+            assert np.array_equal(snap.counts, _count_classes(params.user_intensity * areas, u))
 
     def test_point_budget_counts_only_base_stations(self, monkeypatch):
         # the stock tiers on a 1.4e5 m wide window: 1e6 BSs, and at 3e-4
-        # users/m^2 5.88e6 users that build_snapshot would place but a sweep
-        # trial does not; 8.16e6 BSs on a 4e5 m window are refused
+        # users/m^2 5.88e6 users that no trial places; 8.16e6 BSs on a
+        # 4e5 m window are refused
         class Sampled(Exception):
             pass
 
@@ -663,18 +651,13 @@ class TestCoupledTrial:
 
         monkeypatch.setattr(simulate, "_sample_tiers", sampled)
         placing = table1_params(user_intensity=3e-4)
-        with pytest.raises(ConfigError, match="6.88e\\+06 points"):
-            check_point_budget(placing, Window(half_width=7e4, margin=100.0))
-        with pytest.raises(Sampled):
-            run_trial_sets([(placing, Window(half_width=7e4, margin=100.0), 1)], 1)
-        with pytest.raises(ConfigError, match="8.16e\\+06 points"):
-            run_trial_sets([(placing, Window(half_width=2e5, margin=100.0), 1)], 1)
-
-
-@pytest.fixture
-def tessellated(monkeypatch):
-    """Every build_snapshot takes its counts from clipped Voronoi cell areas."""
-    monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
+        check_point_budget(placing, Window(half_width=7e4, margin=100.0))
+        for window, raised in ((Window(half_width=7e4, margin=100.0), Sampled),
+                               (Window(half_width=2e5, margin=100.0), ConfigError)):
+            with pytest.raises(raised):
+                run_trial_sets([(placing, window, 1)], 1)
+            with pytest.raises(raised):
+                run_trials(placing, window, n_trials=1)
 
 
 def z_score(a, b, n_a, n_b):
@@ -683,40 +666,124 @@ def z_score(a, b, n_a, n_b):
     return (a - b) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
 
 
-class TestTessellationSampler:
-    def test_chosen_by_load(self):
-        lam = table1_params().total_intensity
-        assert tessellates(table1_params())  # 9.8 users per BS
-        assert tessellates(table1_params(user_intensity=2e-3))  # 39
-        assert not tessellates(table1_params(user_intensity=2e-4))  # 3.9
-        assert not tessellates(toy_params())  # 4
-        at = simulate.TESSELLATION_MIN_USERS_PER_BS
-        assert tessellates(table1_params(user_intensity=at * lam))
-        assert not tessellates(table1_params(user_intensity=0.999 * at * lam))
+# A test-local reference for the law of a trial's counts and pairs, on
+# geometry.associate: the trial's BSs, every user of the PPP placed (from a
+# stream of purpose 99, which the program does not use) and attached to
+# its nearest BS, and each BS with two users or more scheduling two of them
+# uniformly.  Trials evaluate its snapshots as the program evaluates its
+# own, so the two differ only in how the counts and pairs are drawn.
 
+def associated_snapshot(params, window, seed, trial):
+    bs_per_tier, _ = simulate._sample_tiers(params, window, seed, trial)
+    [snap] = simulate._snapshots((params,), window, seed, trial, bs_per_tier)
+    rng = _stream(seed, trial, 99)
+    user_xy = sample_ppp(params.user_intensity, window, rng)
+    assoc = associate(snap.bs_xy, user_xy)
+    c = np.maximum(assoc.counts, 2)
+    i = rng.integers(0, c)
+    j = rng.integers(0, c - 1)
+    j += j >= i
+    pair_xy = np.full((snap.n_bs, 2, 2), np.nan)
+    has = np.flatnonzero(assoc.counts >= 2)
+    pair_xy[has] = user_xy[assoc.user_at(has[:, None], np.stack([i, j], axis=1)[has])]
+    return replace(snap, counts=assoc.counts, _voronoi=PlacedPairs(pair_xy))
+
+
+def associated_census(params, window, n_snapshots, seed):
+    counts = []
+    for trial in range(n_snapshots):
+        snap = associated_snapshot(params, window, seed, trial)
+        counts.append(snap.counts[window.contains(snap.bs_xy, inner=True)])
+    hist = np.bincount(np.concatenate(counts), minlength=1)
+    return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)
+
+
+def associated_totals(params, window, n_trials, seed, cap=None):
+    """run_trials on associated snapshots; a cap keeps a uniform subsample."""
+    totals = TrialTotals.zeros(params.n_tiers)
+    for trial in range(n_trials):
+        snap = associated_snapshot(params, window, seed, trial)
+        rng = _stream(seed, trial, 98)
+        cells = [snap.tagged_cells(tier) for tier in range(params.n_tiers)]
+        cells = [c if cap is None or len(c) <= cap else np.sort(rng.choice(c, cap, replace=False))
+                 for c in cells]
+        totals.merge(simulate._evaluate([snap], [cells])[0])
+    return totals
+
+
+def assert_census_agrees(census, reference, bins):
+    """The same cells; void fractions within 3 sigma; the count histograms
+    (counts 0 .. bins - 2 and a pooled tail) pass a chi-square test."""
+    assert census.n_bs == reference.n_bs
+    z = z_score(census.void_fraction, reference.void_fraction, census.n_bs, reference.n_bs)
+    assert abs(z) <= 3.0
+    table = np.zeros((2, bins), dtype=np.int64)
+    for row, c in enumerate((reference, census)):
+        hist = np.pad(c.count_histogram, (0, bins))
+        table[row, :-1], table[row, -1] = hist[:bins - 1], hist[bins - 1:].sum()
+    assert chi2_contingency(table[:, table.min(axis=0) > 0]).pvalue > 0.001
+
+
+def assert_classes_agree(params, window, n_snapshots, seed):
+    """The count classes min(count, 2) of the inner-region BSs of trials'
+    snapshots pass a chi-square test against the reference's."""
+    table = np.zeros((2, 3), dtype=np.int64)
+    for trial in range(n_snapshots):
+        for row, snap in enumerate((build_snapshot(params, window, seed, trial),
+                                    associated_snapshot(params, window, seed, trial))):
+            inner = window.contains(snap.bs_xy, inner=True)
+            table[row] += np.bincount(np.minimum(snap.counts[inner], 2), minlength=3)
+    assert chi2_contingency(table[:, table.min(axis=0) > 0]).pvalue > 0.001
+
+
+def assert_coverage_agrees(totals, reference, cells_rel=0.1):
+    """Per tier: tagged cells within cells_rel (None: within 3 sigma of a
+    difference of Poisson counts), and every coverage within 3 sigma."""
+    for tier in range(len(totals.samples)):
+        n_t, n_a = totals.samples[tier], reference.samples[tier]
+        if cells_rel is None:
+            assert abs(n_t - n_a) <= 3.0 * math.sqrt(n_t + n_a)
+        else:
+            assert n_t == pytest.approx(n_a, rel=cells_rel)
+        for s in range(2):
+            for r in range(2):
+                z = z_score(totals.successes[tier, s, r] / n_t,
+                            reference.successes[tier, s, r] / n_a, n_t, n_a)
+                assert abs(z) <= 3.0
+
+
+class TestTessellationSampler:
     def test_draw_layout(self):
-        # points: the BS tiers, then Poisson(mu x clipped cell area) per BS;
-        # pairs: three uniforms per user of every BS, in global BS order
+        # points: the BS tiers; counts: one uniform per BS, whose Poisson(mu
+        # x clipped cell area) quantile's class is the count; pairs: three
+        # uniforms per user of every BS, in global BS order; fades: BS b's
+        # 2 * n_bs outputs of the fade stream, near user's links first
         p = toy_params(mu=8e-3)
-        assert tessellates(p)
         snap = build_snapshot(p, TOY_WINDOW, seed=19, trial=3)
         rng = _stream(19, 3, _STREAM_POINTS)
         bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
         assert np.array_equal(snap.bs_xy, bs_xy)
         cells = clipped_voronoi(bs_xy, TOY_WINDOW)
-        assert np.array_equal(snap.counts, rng.poisson(p.user_intensity * cells.areas))
+        u = _stream(19, 3, _STREAM_COUNTS).random(snap.n_bs)
+        assert np.array_equal(snap.counts, _count_classes(p.user_intensity * cells.areas, u))
         u = _stream(19, 3, _STREAM_PAIRS).random((snap.n_bs, 2, 3))
         assert_pairs_near_first(snap, cells.sample(np.arange(snap.n_bs)[:, None], u))
+        span = 2 * snap.n_bs
+        for b in snap.tagged_cells(0)[:8].tolist():
+            cell = schedule_noma_users(snap, b)
+            fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
+            fade_stream.bit_generator.advance(span * b)
+            u = fade_stream.random(span).reshape(2, snap.n_bs)
+            assert np.array_equal(cell.link_gains, -np.log1p(-u))
 
-    def test_pair_points_are_served_by_their_bs(self, tessellated):
+    def test_pair_points_are_served_by_their_bs(self):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
         points = every_pair(snap).reshape(-1, 2)
         assert snap.window.contains(points).all()
         serving = np.repeat(np.arange(snap.n_bs), 2)
         assert np.array_equal(cKDTree(snap.bs_xy).query(points)[1], serving)
 
-    def test_cell_draws_independent_of_block_and_cap(self, tessellated):
-        assert tessellates(toy_params(mu=2e-4))
+    def test_cell_draws_independent_of_block_and_cap(self):
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
         assert_cell_draws_independent_of_block_and_cap(snap)
 
@@ -724,7 +791,6 @@ class TestTessellationSampler:
         # the stock two tiers: a cell kept by the cap gets the same pair as
         # in the uncapped trial, and both are the snapshot's pairs
         p = table1_params()
-        assert tessellates(p)
         evaluated = []
         screen = simulate._CellBlocks.screen
 
@@ -747,76 +813,48 @@ class TestTessellationSampler:
         snap = build_snapshot(p, default_window(p), seed=71, trial=0)
         assert np.array_equal(every_pairs, snap.pairs(every))
 
-    def test_deterministic_and_parallel_equivalence(self, tessellated):
-        p = toy_params()
-        a = run_trials(p, TOY_WINDOW, n_trials=4, seed=21)
-        b = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, n_jobs=2)
-        assert np.array_equal(a.successes, b.successes)
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.sum_near_dist_sq, b.sum_near_dist_sq)
-        assert np.array_equal(a.sum_far_dist_sq, b.sum_far_dist_sq)
+    def test_deterministic_and_parallel_equivalence(self):
+        # 1 user per BS, capped
+        p = toy_params(mu=2e-4)
+        a = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, max_cells_per_tier=25)
+        b = run_trials(p, TOY_WINDOW, n_trials=4, seed=21, max_cells_per_tier=25, n_jobs=2)
+        assert_same_totals(a, b)
         assert (a.successes[0, 1] >= a.successes[0, 0]).all()
 
     @pytest.mark.parametrize("mu", [2e-4, 8e-4])
-    def test_census_agrees_with_association(self, monkeypatch, mu):
-        # same seed, so the same BSs: only the user counts differ in law
+    def test_census_agrees_with_association(self, mu):
+        # 1 and 4 users per BS; same seed, so the same BSs: only the user
+        # counts differ in law, the census's and the trials' classes
         p = toy_params(mu=mu)
-        associated = cell_census(p, TOY_WINDOW, n_snapshots=40, seed=61)
-        monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
-        tessellated = cell_census(p, TOY_WINDOW, n_snapshots=40, seed=61)
-        assert tessellated.n_bs == associated.n_bs
-        z = z_score(tessellated.void_fraction, associated.void_fraction,
-                    tessellated.n_bs, associated.n_bs)
-        assert abs(z) <= 3.0
-        # counts 0..7 and a pooled tail, as a 2 x 9 contingency table
-        table = np.zeros((2, 9), dtype=np.int64)
-        for row, census in enumerate((associated, tessellated)):
-            hist = census.count_histogram
-            table[row, :8] = np.pad(hist, (0, max(0, 8 - hist.size)))[:8]
-            table[row, 8] = hist[8:].sum()
-        table = table[:, table.min(axis=0) > 0]
-        assert chi2_contingency(table).pvalue > 0.001
+        assert_census_agrees(cell_census(p, TOY_WINDOW, n_snapshots=40, seed=61),
+                             associated_census(p, TOY_WINDOW, 40, seed=61), bins=9)
+        assert_classes_agree(p, TOY_WINDOW, 40, seed=61)
 
-    def test_stock_agrees_with_association(self, monkeypatch):
-        # the stock two tiers at 9.8 users per BS, where the simulator now
-        # tessellates; same seeds, so the same BSs on the default window
+    def test_stock_agrees_with_association(self):
+        # the stock two tiers at 9.8 users per BS; same seeds, so the same
+        # BSs on the default window
         p = table1_params()
-        runs = []
-        for threshold in (math.inf, 0.0):
-            monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", threshold)
-            runs.append((cell_census(p, n_snapshots=8, seed=65),
-                         run_trials(p, n_trials=8, seed=67, max_cells_per_tier=120)))
-        (census_a, totals_a), (census_t, totals_t) = runs
-        assert census_t.n_bs == census_a.n_bs
-        z = z_score(census_t.void_fraction, census_a.void_fraction, census_t.n_bs, census_a.n_bs)
-        assert abs(z) <= 3.0
-        # counts 0..19 and a pooled tail, as a 2 x 21 contingency table
-        table = np.zeros((2, 21), dtype=np.int64)
-        for row, census in enumerate((census_a, census_t)):
-            hist = np.pad(census.count_histogram, (0, 21))
-            table[row, :20], table[row, 20] = hist[:20], hist[20:].sum()
-        assert chi2_contingency(table[:, table.min(axis=0) > 0]).pvalue > 0.001
-        for tier in range(p.n_tiers):
-            n_a, n_t = totals_a.samples[tier], totals_t.samples[tier]
-            assert n_t == pytest.approx(n_a, rel=0.1)
-            for s in range(2):
-                for r in range(2):
-                    z = z_score(totals_t.successes[tier, s, r] / n_t,
-                                totals_a.successes[tier, s, r] / n_a, n_t, n_a)
-                    assert abs(z) <= 3.0
+        window = default_window(p)
+        assert_census_agrees(cell_census(p, n_snapshots=8, seed=65),
+                             associated_census(p, window, 8, seed=65), bins=21)
+        assert_classes_agree(p, window, 8, seed=65)
+        assert_coverage_agrees(run_trials(p, n_trials=8, seed=67, max_cells_per_tier=120),
+                               associated_totals(p, window, 8, seed=67, cap=120))
 
-    def test_coverage_agrees_with_association(self, monkeypatch):
+    def test_coverage_agrees_with_association(self):
         p = toy_params()
-        associated = run_trials(p, TOY_WINDOW, n_trials=8, seed=63)
-        monkeypatch.setattr(simulate, "TESSELLATION_MIN_USERS_PER_BS", 0.0)
-        tessellated = run_trials(p, TOY_WINDOW, n_trials=8, seed=63)
-        n_a, n_t = associated.samples[0], tessellated.samples[0]
-        assert n_t == pytest.approx(n_a, rel=0.1)
-        for s in range(2):
-            for r in range(2):
-                z = z_score(tessellated.successes[0, s, r] / n_t,
-                            associated.successes[0, s, r] / n_a, n_t, n_a)
-                assert abs(z) <= 3.0
+        assert_coverage_agrees(run_trials(p, TOY_WINDOW, n_trials=8, seed=63),
+                               associated_totals(p, TOY_WINDOW, 8, seed=63))
+
+    @pytest.mark.parametrize("per_bs", [1.0, 2.0, 3.9])
+    def test_low_load_agrees_with_association(self, per_bs):
+        # the stock two tiers at loads that the sweep grid's low points hold;
+        # at 1 user per BS the macro tier tags about 7 cells per trial, too
+        # few for a 10% bound on their count
+        p = table1_params(user_intensity=per_bs * table1_params().total_intensity)
+        assert_coverage_agrees(run_trials(p, n_trials=8, seed=69, max_cells_per_tier=120),
+                               associated_totals(p, default_window(p), 8, seed=69, cap=120),
+                               cells_rel=None)
 
 
 def screened_blocks(snap, cells):
@@ -845,17 +883,18 @@ def scaled_power(params, scale):
 
 
 def far_cluster_snapshot():
-    """100 BSs about 3 m apart and 700 users, 1e6 m from the origin: float32
-    coordinates there are 0.0625 m apart, so the screen's link distances
-    are off by up to about 1%."""
+    """100 hand-placed BSs about 3 m apart, 1e6 m from the origin, with
+    about 2 users in each cell inside the cluster (so some are void):
+    float32 coordinates there are 0.0625 m apart, so the screen's link
+    distances are off by up to about 1%."""
     g = np.random.default_rng(5)
     grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0)), -1).reshape(-1, 2)
     bs = 1e6 + 3.0 * grid + g.uniform(-0.5, 0.5, grid.shape)
-    users = 1e6 + g.uniform(-1.0, 28.0, (700, 2))
-    params = NetworkParams(tiers=(TierParams(1.0, 1e-4),), user_intensity=1e-4,
+    params = NetworkParams(tiers=(TierParams(1.0, 1e-4),), user_intensity=0.25,
                            pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
     window = Window(half_width=1.2e6, margin=1e5)
-    return snapshot_from_points(params, window, [bs], users, seed=3)
+    [snap] = simulate._snapshots((params,), window, 3, 0, [bs])
+    return snap
 
 
 def every_cell_exact(monkeypatch):
@@ -891,12 +930,13 @@ class TestFloat32Screen:
     def test_bound_covers_the_float32_error(self, alpha):
         # 3.7 / 2 is not a float32, so its rounded exponent adds to the bound
         params = replace(table1_params(), pathloss_exponent=alpha)
-        snap = build_snapshot(params, default_window(params), seed=5, trial=0)
-        cells = np.concatenate([snap.tagged_cells(t) for t in range(params.n_tiers)])
         relative = []
-        for sums, errors, exact in screened_blocks(snap, cells):
-            assert (np.abs(sums - exact) <= errors).all()
-            relative.append(errors.sum(axis=-1) / sums.sum(axis=-1))
+        for trial in (0, 1):
+            snap = build_snapshot(params, default_window(params), seed=5, trial=trial)
+            cells = np.concatenate([snap.tagged_cells(t) for t in range(params.n_tiers)])
+            for sums, errors, exact in screened_blocks(snap, cells):
+                assert (np.abs(sums - exact) <= errors).all()
+                relative.append(errors.sum(axis=-1) / sums.sum(axis=-1))
         # the bound is not vacuous: it holds the sums of 99% of the
         # receivers to 2e-3 (the observed error stays below 5e-5)
         relative = np.concatenate(relative).ravel()
@@ -937,7 +977,6 @@ class TestFloat32Screen:
                              ids=["dense", "two_per_bs"])
     def test_dense_and_associated_totals_are_the_float64_totals(self, monkeypatch, mu, cap):
         params = table1_params(user_intensity=mu)
-        assert tessellates(params) == (mu == 2e-3)
         screened = run_trials(params, n_trials=2, seed=(82, 0), max_cells_per_tier=cap)
         every_cell_exact(monkeypatch)
         assert_same_totals(screened,
@@ -1008,6 +1047,6 @@ class TestFloat32Screen:
             warnings.simplefilter("error", RuntimeWarning)
             runs = [run_trials(scaled_power(base, scale), n_trials=30, seed=(9, 0),
                                max_cells_per_tier=120) for scale in (1.0, 2.0**-1061, 8.5e306)]
-        assert runs[0].successes.tolist()[0][0] == [702, 630]
+        assert runs[0].successes.tolist()[0][0] == [701, 632]
         for totals in runs[1:]:
             assert_same_totals(totals, runs[0])
