@@ -9,10 +9,11 @@ A trial (run_coupled_trial) serves every point of a grid that shares one
 layout (tiers, path loss and window: all of a user_intensity or beta
 sweep) from one snapshot; run_single_trial, which run_trials uses, is
 that trial at one point, and build_snapshot is its snapshot.  The trial
-samples the BSs and tessellates them: given the BSs, the users of a cell
-form a PPP of intensity user_intensity on the window-clipped Voronoi cell
-of its BS, so a BS's count is Poisson(m), m = user_intensity x area_b,
-independently, and its pair is two i.i.d. uniform points in its cell.
+samples the BSs and clips their Voronoi cells to the window: given the
+BSs, the users of a cell form a PPP of intensity user_intensity on the
+clipped cell of its BS, so a BS's count is Poisson(m), m =
+user_intensity x area_b, independently, and its pair is two i.i.d.
+uniform points in its cell.
 This costs the same at any load, and no user is placed but the pairs a
 trial evaluates.  A trial reads only whether a count is at least 1 (the
 BS transmits) and at least 2 (the cell can be tagged), and both come
@@ -715,8 +716,8 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
 
     The points share their tiers, path-loss exponent and window, and
     differ only in load, beta or threshold.  The trial samples the BSs
-    from the points stream and tessellates them once, at every load
-    (_snapshots gives each point its counts); with max_cells_per_tier,
+    from the points stream and clips their Voronoi cells once, at every
+    load (_snapshots gives each point its counts); with max_cells_per_tier,
     each tier evaluates the tagged cells of lowest priority (one uniform
     per BS from the priority stream).  Every cell evaluated at some point
     gets its pair, fades and powers once (_evaluate).  A point's outcomes
