@@ -23,12 +23,12 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 
 from .config import ConfigError, load_config
 from .coverage import cell_load_model, coverage_coop, coverage_noncoop, decoding_thresholds
 from .kernels import KernelEvaluator
-from .simulate import run_trials
-from .sweeps import comparison_rows, max_abs_gap, run_beta_scan, run_sweep
+from .sweeps import max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
               "simulated", "ci_halfwidth", "n_samples", "flags")
@@ -94,14 +94,10 @@ def cmd_analytic(cfg, out):
 
 
 def cmd_sim(cfg, out):
-    """Monte Carlo estimates at the configured scenario point."""
-    params = cfg.params
-    totals = run_trials(
-        params, cfg.window, cfg.n_trials, seed=cfg.seed,
-        max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
-    )
-    rows = comparison_rows(params, params.user_intensity, totals, cfg.schemes)
-    _write_rows(rows, cfg.output, out)
+    """Monte Carlo estimates at the configured scenario point: a one-point
+    user_intensity sweep at its user_intensity."""
+    point = replace(cfg, sweep_variable="user_intensity", sweep_grid=(cfg.params.user_intensity,))
+    _write_rows(run_sweep(point), cfg.output, out)
     return 0
 
 

@@ -6,9 +6,11 @@ of both schemes in every tagged cell: a non-void inner-region BS with at
 least two users, two of which are scheduled uniformly at random.
 
 A trial (run_coupled_trial) serves every point of a grid that shares one
-layout (tiers, path loss and window: all of a user_intensity or beta
-sweep) from one snapshot; run_single_trial, which run_trials uses, is
-that trial at one point, and build_snapshot is its snapshot.  The trial
+layout (tiers and path loss: all of a user_intensity or beta sweep) from
+one snapshot, and every Monte Carlo run goes through run_trial_sets,
+which runs those trials: a sweep over its grid, sim and run_trials over
+their one point.  run_single_trial is one trial at one point and
+build_snapshot its snapshot, the views that tests inspect.  The trial
 samples the BSs and clips their Voronoi cells to the window: given the
 BSs, the users of a cell form a PPP of intensity user_intensity on the
 clipped cell of its BS, so a BS's count is Poisson(m), m =
@@ -83,6 +85,8 @@ from __future__ import annotations
 
 import math
 import os
+import signal
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -123,8 +127,9 @@ def check_point_budget(params, window=None):
     A snapshot places the BSs and no user.  The expected count of BSs is
     total_intensity times the window area, on default_window(params) when
     no window is given; it raises ConfigError when over
-    MAX_EXPECTED_POINTS.  The default window holds about
-    DEFAULT_EXPECTED_BS BSs, so only an explicit window can go over.
+    MAX_EXPECTED_POINTS, and returns the window it checked otherwise.
+    The default window holds about DEFAULT_EXPECTED_BS BSs, so only an
+    explicit window can go over.
     """
     window = window if window is not None else default_window(params)
     expected = params.total_intensity * window.area
@@ -133,14 +138,12 @@ def check_point_budget(params, window=None):
             "window", f"a snapshot would hold {expected:.3g} points in expectation, "
             f"above the simulator's limit of {MAX_EXPECTED_POINTS:.0e}"
         )
-
-
-def _entropy(seed):
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    return window
 
 
 def _stream(seed, trial, *key):
-    ss = np.random.SeedSequence(entropy=_entropy(seed), spawn_key=(int(trial), *key))
+    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=(int(trial), *key))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -192,16 +195,22 @@ class NetworkSnapshot:
         return np.flatnonzero(inner & (self.counts >= 2) & (self.bs_tier == tier))
 
 
-def _snapshots(grid, window, seed, trial, bs_per_tier):
-    """One snapshot per point of grid, all of the BSs bs_per_tier (one
-    array per tier) and so of one layout.
+def _snapshots(grid, window, seed, trial, bs_per_tier=None):
+    """The snapshots of trial `trial` at the points of grid, all of one
+    layout (tiers and path loss) and so of the same BSs.
 
-    The BSs' clipped cells are computed and their pairs' uniforms drawn
-    once, to be placed in the cells that NetworkSnapshot.pairs is asked
-    for.  A point's counts are the classes _count_classes gives the BSs'
-    uniforms from the counts stream at the mean user_intensity x clipped
-    cell area.
+    The BSs are bs_per_tier (one array per tier) when given, else those
+    of the points stream on window (default_window(grid[0]) if None):
+    sampling fails before it starts if their expected count is over
+    MAX_EXPECTED_POINTS, and after it if the window contains none.  The
+    BSs' clipped cells are computed and their pairs' uniforms drawn once,
+    to be placed in the cells that NetworkSnapshot.pairs is asked for.  A
+    point's counts are the classes _count_classes gives the BSs' uniforms
+    from the counts stream at the mean user_intensity x clipped cell area.
     """
+    if bs_per_tier is None:
+        window = check_point_budget(grid[0], window)
+        bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
     bs_xy = np.concatenate(bs_per_tier)
     n_bs = len(bs_xy)
     bs_tier = np.concatenate(
@@ -230,15 +239,13 @@ def _near_first(bs_xy, pair_xy):
 
 
 def build_snapshot(params, window, seed, trial):
-    """The snapshot that trial `trial` evaluates at params (see run_single_trial).
+    """The snapshot that trial `trial` evaluates at params, on window or
+    default_window(params) if None (see _snapshots).
 
-    Bit-identical for identical (seed, trial).  Fails before sampling if
-    the expected BS count is over MAX_EXPECTED_POINTS, and after it if the
-    window is so small that it contains no base station.
+    Bit-identical for identical (seed, trial); run_single_trial evaluates
+    exactly this snapshot.
     """
-    check_point_budget(params, window)
-    bs_per_tier, _ = _sample_tiers(params, window, seed, trial)
-    [snapshot] = _snapshots((params,), window, seed, trial, bs_per_tier)
+    [snapshot] = _snapshots((params,), window, seed, trial)
     return snapshot
 
 
@@ -602,8 +609,11 @@ def _outcome(sides):
 
 def _sum_error(sums, kappa, floor):
     """The bound err(S') = KAPPA S' + FLOOR of the comment above _U32 on
-    |S' - S64|, for screened sums S' and the screen's kappa and floor."""
-    return kappa * sums + floor
+    |S' - S64|, for screened sums S' and the screen's kappa and floor;
+    inf wherever kappa is, a sum of 0 included."""
+    error = np.multiply(kappa, sums, out=np.full(np.broadcast(kappa, sums).shape, np.inf),
+                        where=kappa < np.inf)
+    return np.add(error, floor, out=error)
 
 
 def _certain(lhs, rhs, err):
@@ -688,8 +698,9 @@ class TrialTotals:
 
 
 def run_single_trial(params, window, seed, trial, max_cells_per_tier=None):
-    """All tagged-cell outcomes of one snapshot, as TrialTotals: the trial
-    of run_coupled_trial at the one point params.
+    """All tagged-cell outcomes of build_snapshot(params, window, seed,
+    trial), as TrialTotals: the trial of run_coupled_trial at the one point
+    params, and trial `trial` of run_trials(params, window, ..., seed).
 
     max_cells_per_tier, when set, evaluates at most that many tagged cells
     per tier, those of lowest priority (unbiased; used to balance effort
@@ -714,19 +725,18 @@ def _count_classes(mean, u):
 def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
     """The TrialTotals of one trial at each scenario point of grid, in order.
 
-    The points share their tiers, path-loss exponent and window, and
-    differ only in load, beta or threshold.  The trial samples the BSs
-    from the points stream and clips their Voronoi cells once, at every
-    load (_snapshots gives each point its counts); with max_cells_per_tier,
-    each tier evaluates the tagged cells of lowest priority (one uniform
-    per BS from the priority stream).  Every cell evaluated at some point
+    The points share their tiers and path-loss exponent, and differ only
+    in load, beta or threshold; a window of None means
+    default_window(grid[0]).  The trial samples the BSs from the points
+    stream and clips their Voronoi cells once, at every load (_snapshots
+    gives each point its counts); with max_cells_per_tier, each tier
+    evaluates the tagged cells of lowest priority (one uniform per BS from
+    the priority stream).  Every cell evaluated at some point
     gets its pair, fades and powers once (_evaluate).  A point's outcomes
     depend only on (seed, trial) and its own parameters, not on the other
     points of grid.
     """
-    check_point_budget(grid[0], window)
-    bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
-    snapshots = _snapshots(grid, window, seed, trial, bs_per_tier)
+    snapshots = _snapshots(grid, window, seed, trial)
     if max_cells_per_tier is not None:
         priority = _stream(seed, trial, _STREAM_PRIORITY).random(snapshots[0].n_bs)
     evaluated = []
@@ -829,41 +839,35 @@ def _evaluate(snapshots, evaluated):
                 count, _ = _counts(desired[rows], sums[rows, :, 2 * g], sums[rows, :, 2 * g + 1],
                                    params.sir_threshold, params.beta[tier])
             point.successes[tier] += count
-            # summed in runs of one block's size, as the blocks of a snapshot
-            # evaluated alone run: the float sums do not depend on the other
-            # snapshots' cells either
+            # one sum over the snapshot's own cells: it depends neither on
+            # the other snapshots' cells nor on the block size
             dist_sq = serving_sq[rows]
-            for start in range(0, len(dist_sq), blocks.size):
-                point.sum_near_dist_sq[tier] += dist_sq[start:start + blocks.size, 0].sum()
-                point.sum_far_dist_sq[tier] += dist_sq[start:start + blocks.size, 1].sum()
+            point.sum_near_dist_sq[tier] += dist_sq[:, 0].sum()
+            point.sum_far_dist_sq[tier] += dist_sq[:, 1].sum()
             point.samples[tier] += len(dist_sq)
     return totals
 
 
-def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
-    """Accumulated outcomes of n_trials sweep trials at each scenario point.
+def run_trial_sets(grid, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
+    """Accumulated outcomes of n_trials trials at each scenario point of grid.
 
-    points is a sequence of (params, window, seed); a window of None means
-    default_window(params).  Returns one TrialTotals per point, in order.
-    Points that share their tiers, path-loss exponent, window and seed
-    form a group, and trial t of a group is one run_coupled_trial over all
-    its points, keyed on (seed, t): one snapshot serves every point.  A
-    point's totals are the same whichever other points share its group,
-    and those of one group share common random numbers.  The trials of all
-    groups share one pool (see _map_trials), and each point's trials
-    merge in trial order, so serial and parallel execution agree exactly,
-    distance sums included.
+    Returns one TrialTotals per point, in order.  Every point uses one
+    window (a point's default_window when None) and one seed.  Points
+    that share their tiers and path-loss exponent form a group, and trial
+    t of a group is one run_coupled_trial over all its points, keyed on
+    (seed, t): one snapshot serves every point.  A point's totals are the
+    same whichever other points share its group, and those of one group
+    share common random numbers.  The trials of all groups share one pool
+    (see _map_trials), and each point's trials merge in trial order, so
+    serial and parallel execution agree exactly, distance sums included.
     """
     groups = {}
-    for k, (params, window, seed) in enumerate(points):
-        window = window if window is not None else default_window(params)
-        key = (params.tiers, params.pathloss_exponent, window, _entropy(seed))
-        groups.setdefault(key, []).append(k)
+    for k, params in enumerate(grid):
+        groups.setdefault((params.tiers, params.pathloss_exponent), []).append(k)
     members = list(groups.values())
-    settings = [(tuple(points[k][0] for k in group), window, seed)
-                for group, (_, _, window, seed) in zip(members, groups)]
-    parts = _map_trials(run_coupled_trial, settings, n_trials, max_cells_per_tier, n_jobs)
-    totals = [TrialTotals.zeros(params.n_tiers) for params, _, _ in points]
+    parts = _map_trials([tuple(grid[k] for k in group) for group in members], window,
+                        n_trials, seed, max_cells_per_tier, n_jobs)
+    totals = [TrialTotals.zeros(params.n_tiers) for params in grid]
     for g, group in enumerate(members):
         for part in parts[g * n_trials:(g + 1) * n_trials]:
             for k, point in zip(group, part):
@@ -871,77 +875,90 @@ def run_trial_sets(points, n_trials, max_cells_per_tier=None, n_jobs=1):
     return totals
 
 
-def _map_trials(run_trial, settings, n_trials, max_cells_per_tier, n_jobs):
-    """run_trial(*setting, trial, max_cells_per_tier) for each setting and
-    each trial in range(n_trials), in that order, as a list.
+def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
+    """run_trial_sets at the one point params: the accumulated outcomes of
+    run_single_trial(params, window, seed, t, max_cells_per_tier), t < n_trials."""
+    return run_trial_sets((params,), window, n_trials, seed, max_cells_per_tier, n_jobs)[0]
 
-    The trials of all settings share one pool: n_jobs caps its worker
-    processes, which never outnumber the trials of the whole run or the
-    CPUs; with one, the trials run in this process.  scipy.spatial, which
-    every trial's tessellation needs, is imported here before the pool forks,
-    so the workers inherit it rather than each importing it again.  A
-    budget that is not an integer >= 1 raises ConfigError before any
-    trial.
+
+def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
+    """run_coupled_trial(grid, window, seed, trial, max_cells_per_tier) for
+    each grid of grids and each trial in range(n_trials), in that order.
+
+    The trials share one pool of at most n_jobs worker processes, and never
+    more than the trials or the CPUs; with one, they run in this process.
+    The workers are forked, so they inherit every module loaded here:
+    scipy.spatial, which every trial's tessellation needs, is imported
+    first.  concurrent.futures is imported only for a pool, so neither it
+    nor multiprocessing loads with the package.  A budget that is not an
+    integer >= 1 raises ConfigError before any trial.
+
+    SIGINT and SIGTERM are held back while the pool takes the trials
+    (_held_back), and its workers start with the handlers found here.  When
+    the handover or the wait for results raises, the pool cancels every
+    trial not yet started, then waits for its workers to finish theirs and
+    exit.
     """
     integer(n_trials, "n_trials", 1)
     integer(n_jobs, "n_jobs", 1)
     if max_cells_per_tier is not None:
         integer(max_cells_per_tier, "max_cells_per_tier", 1)
-    jobs = [(run_trial, *setting, trial, max_cells_per_tier)
-            for setting in settings for trial in range(n_trials)]
-    import scipy.spatial  # noqa: F401  (loaded once, before _worker_pool forks)
+    jobs = [(grid, window, seed, trial, max_cells_per_tier)
+            for grid in grids for trial in range(n_trials)]
+    import scipy.spatial  # noqa: F401  (loaded once, before the pool forks)
 
     # a fork pool starts all max_workers processes at once
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
-    with _worker_pool(workers) as pool:
-        return list((pool.map if pool is not None else map)(_run_job, jobs))
-
-
-def _run_job(job):
-    run_trial, *args = job
-    return run_trial(*args)
-
-
-@contextmanager
-def _worker_pool(workers):
-    """A pool of `workers` processes, or None for one.
-
-    The workers are forked, so they start with every module the parent has
-    loaded; _map_trials imports scipy.spatial before calling this.
-
-    concurrent.futures, and with it multiprocessing, is imported only
-    here and only for a pool, so neither loads with the package.
-
-    When the block raises (SystemExit on SIGTERM included), the pool
-    cancels every trial not yet started, then waits for its workers to
-    finish the trials they hold and exit.
-    """
     if workers <= 1:
-        yield None
-        return
+        return list(map(_run_job, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # None: a handler not set from Python, taken as the default
+    handlers = {s: signal.getsignal(s) or signal.SIG_DFL for s in (signal.SIGINT, signal.SIGTERM)}
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_handlers,
+                             initargs=(handlers,)) as pool:
         try:
-            yield pool
+            with _held_back(handlers):
+                results = pool.map(_run_job, jobs)
+            return list(results)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
 
 
-def run_trials(params, window=None, n_trials=20, seed=0, max_cells_per_tier=None, n_jobs=1):
-    """Accumulated outcomes of n_trials independent snapshots (run_single_trial).
+def _run_job(job):
+    return run_coupled_trial(*job)
 
-    Trials use streams keyed by (seed, trial) and merge in trial order, so
-    serial and parallel execution agree exactly, distance sums included;
-    n_jobs caps the worker processes (see _map_trials).
+
+def _set_handlers(handlers):
+    for signum, handler in handlers.items():
+        signal.signal(signum, handler)
+
+
+@contextmanager
+def _held_back(handlers):
+    """Hold back the signals of handlers (signal -> handler) while the
+    block runs, then restore the handlers and raise each signal that came.
+
+    A pool takes every trial before its first result is awaited; a
+    handler that raised in there (SystemExit, KeyboardInterrupt) could
+    leave a lock of its queues held, and its shutdown waited on it
+    forever.  Masking would not do: numpy's BLAS threads leave the signals
+    unblocked, and Python runs the handler in the main thread whichever
+    thread takes one.  Handlers run in the main thread only, so elsewhere
+    nothing is held back.
     """
-    window = window if window is not None else default_window(params)
-    totals = TrialTotals.zeros(params.n_tiers)
-    for part in _map_trials(run_single_trial, [(params, window, seed)], n_trials,
-                            max_cells_per_tier, n_jobs):
-        totals.merge(part)
-    return totals
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    came = []
+    _set_handlers({signum: lambda number, frame: came.append(number) for signum in handlers})
+    try:
+        yield
+    finally:
+        _set_handlers(handlers)
+        for signum in came:
+            signal.raise_signal(signum)
 
 
 @dataclass(frozen=True)
@@ -1007,8 +1024,7 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     budget (check_point_budget).
     """
     integer(n_snapshots, "n_snapshots", 1)
-    window = window if window is not None else default_window(params)
-    check_point_budget(params, window)
+    window = check_point_budget(params, window)
     counts = []
     for trial in range(n_snapshots):
         bs_per_tier, rng = _sample_tiers(params, window, seed, trial)

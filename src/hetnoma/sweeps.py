@@ -130,20 +130,18 @@ def run_sweep(cfg):
 
     Rows come out in deterministic order (grid point, tier, role, scheme).
     Every point's trial t is keyed on (seed, t) alone, with no point
-    index, and the points that share a layout (tiers, path loss and
-    window: every point of a user_intensity or beta sweep) share one
-    tessellated snapshot per trial (simulate.run_trial_sets).  A point's
-    rows are the same in any grid that holds it.  The rows of one sweep
-    share common random numbers: each CI holds for its own point, and the
-    differences between points are correlated.  The trials run on one
+    index, and the points that share a layout (tiers and path loss: every
+    point of a user_intensity or beta sweep) share one tessellated
+    snapshot per trial (simulate.run_trial_sets).  A point's rows are the
+    same in any grid that holds it.  The rows of one sweep share common
+    random numbers: each CI holds for its own point, and the differences
+    between points are correlated.  The trials run on one
     pool of at most cfg.n_jobs worker processes, and each point's totals
     merge in trial order, so the rows do not depend on n_jobs.
     """
     grid = [apply_sweep_value(cfg.params, cfg.sweep_variable, value) for value in cfg.sweep_grid]
-    totals = run_trial_sets(
-        [(params, cfg.window, cfg.seed) for params in grid],
-        cfg.n_trials, max_cells_per_tier=cfg.max_cells_per_tier, n_jobs=cfg.n_jobs,
-    )
+    totals = run_trial_sets(grid, cfg.window, cfg.n_trials, cfg.seed,
+                            cfg.max_cells_per_tier, cfg.n_jobs)
     rows = []
     for value, params, point_totals in zip(cfg.sweep_grid, grid, totals):
         rows.extend(comparison_rows(params, value, point_totals, cfg.schemes))

@@ -16,7 +16,7 @@ def recording_pool(monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             started.append(max_workers)
 
         def __enter__(self):

@@ -42,7 +42,7 @@ from hetnoma.geometry import Window
 at_start = []
 
 class RecordingPool:
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         at_start.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
     def __enter__(self):
@@ -58,7 +58,7 @@ concurrent.futures.ProcessPoolExecutor = RecordingPool
 os.cpu_count = lambda: 2
 params = NetworkParams(tiers=(TierParams(1.0, 2e-4),), user_intensity=8e-4,
                        pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
-simulate.run_trial_sets([(params, Window(half_width=300.0, margin=60.0), 1)], 2, n_jobs=2)
+simulate.run_trial_sets((params,), Window(half_width=300.0, margin=60.0), 2, 1, n_jobs=2)
 print(json.dumps(at_start))
 """
 

@@ -5,7 +5,9 @@ is scale-free); the full stock-scenario validation lives in
 test_acceptance.py.
 """
 
+import concurrent.futures
 import math
+import signal
 import warnings
 from dataclasses import replace
 
@@ -153,6 +155,14 @@ class TestBuildSnapshot:
         assert np.array_equal(every_pair(a), every_pair(b), equal_nan=True)
         c = build_snapshot(p, TOY_WINDOW, seed=5, trial=4)
         assert not np.array_equal(a.bs_xy, c.bs_xy)
+
+    def test_no_window_is_the_default_window(self):
+        p = toy_params()
+        a = build_snapshot(p, None, seed=5, trial=3)
+        b = build_snapshot(p, default_window(p), seed=5, trial=3)
+        assert a.window == b.window
+        assert np.array_equal(a.bs_xy, b.bs_xy)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_no_users_all_void(self):
         snap = build_snapshot(toy_params(mu=0.0), TOY_WINDOW, seed=1, trial=0)
@@ -372,6 +382,15 @@ class TestRunTrials:
         assert np.array_equal(a.sum_near_dist_sq, c.sum_near_dist_sq)
         assert np.array_equal(a.sum_far_dist_sq, c.sum_far_dist_sq)
 
+    def test_totals_do_not_depend_on_the_block_size(self, monkeypatch):
+        # the distance sums too: each point sums its cells' distances at once
+        params = table1_params()
+        window = default_window(params)
+        default = run_single_trial(params, window, seed=5, trial=0, max_cells_per_tier=120)
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", 2**15)
+        small = run_single_trial(params, window, seed=5, trial=0, max_cells_per_tier=120)
+        assert_same_totals(default, small)
+
     @pytest.mark.parametrize("n_trials, n_jobs, cpus, pools", [
         (6, 5000, 8, [6]),
         (6, 5000, 4, [4]),
@@ -391,16 +410,59 @@ class TestRunTrials:
         assert np.array_equal(pooled.sum_near_dist_sq, serial.sum_near_dist_sq)
         assert np.array_equal(pooled.sum_far_dist_sq, serial.sum_far_dist_sq)
 
+    def test_stop_signal_waits_until_the_pool_holds_every_trial(self, monkeypatch):
+        # a SIGTERM that comes while the pool takes the trials raises only
+        # once it holds them all, and the pool then cancels them; the
+        # workers start with the handlers the run found
+        class Stopped(Exception):
+            pass
+
+        def stop(signum, frame):
+            raise Stopped
+
+        events = []
+
+        class SignalledPool:
+            def __init__(self, max_workers, initializer, initargs):
+                [handlers] = initargs
+                events.append(handlers[signal.SIGTERM])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                signal.raise_signal(signal.SIGTERM)
+                events.append("taken")
+                return map(fn, jobs)
+
+            def shutdown(self, cancel_futures=False):
+                events.append(("shutdown", cancel_futures))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SignalledPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "run_coupled_trial", lambda *job: events.append("trial"))
+        previous = signal.signal(signal.SIGTERM, stop)
+        try:
+            with pytest.raises(Stopped):
+                run_trials(toy_params(), TOY_WINDOW, n_trials=2, n_jobs=2)
+            assert signal.getsignal(signal.SIGTERM) is stop
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert events == [stop, "taken", ("shutdown", True)]
+
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_rejects_n_jobs_below_one(self, monkeypatch, recording_pool, n_jobs):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran before n_jobs was rejected")
 
-        monkeypatch.setattr(simulate, "run_single_trial", no_trial)
+        monkeypatch.setattr(simulate, "run_coupled_trial", no_trial)
         with pytest.raises(ValueError, match="n_jobs"):
             run_trials(toy_params(), TOY_WINDOW, n_trials=2, n_jobs=n_jobs)
         with pytest.raises(ValueError, match="n_jobs"):
-            run_trial_sets([(toy_params(), TOY_WINDOW, 1)], 2, n_jobs=n_jobs)
+            run_trial_sets((toy_params(),), TOY_WINDOW, 2, 1, n_jobs=n_jobs)
         assert recording_pool == []
 
     @pytest.mark.parametrize("value", [True, 2.5, 0, -1])
@@ -410,7 +472,7 @@ class TestRunTrials:
         def no_trial(*args, **kwargs):
             raise AssertionError(f"a trial ran before {budget} was rejected")
 
-        monkeypatch.setattr(simulate, "run_single_trial", no_trial)
+        monkeypatch.setattr(simulate, "run_coupled_trial", no_trial)
         with pytest.raises(ConfigError) as info:
             run_trials(toy_params(), TOY_WINDOW, **{"n_trials": 2, budget: value})
         assert info.value.field == budget
@@ -418,17 +480,16 @@ class TestRunTrials:
 
     def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
         # the trials of all groups go to one pool sized by the whole run;
-        # the first two points share tiers, window and seed, so one
-        # snapshot per trial serves both, and each point's totals equal
-        # those of a run of that point alone exactly
+        # the first two points share their tiers, so one snapshot per trial
+        # serves both, the third has tiers of its own, and each point's
+        # totals equal those of a run of that point alone exactly
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
-        points = [(toy_params(mu=2e-4), TOY_WINDOW, (17, 0)),
-                  (toy_params(mu=8e-4, beta=0.6), TOY_WINDOW, (17, 0)),
-                  (toy_params(mu=4e-4), None, 3)]
-        sets = run_trial_sets(points, 2, max_cells_per_tier=20, n_jobs=5000)
+        denser = replace(toy_params(mu=4e-4), tiers=(TierParams(power_watts=1.0, intensity=3e-4),))
+        grid = [toy_params(mu=2e-4), toy_params(mu=8e-4, beta=0.6), denser]
+        sets = run_trial_sets(grid, TOY_WINDOW, 2, (17, 0), max_cells_per_tier=20, n_jobs=5000)
         assert recording_pool == [4]
-        for point, totals in zip(points, sets):
-            [alone] = run_trial_sets([point], 2, max_cells_per_tier=20)
+        for point, totals in zip(grid, sets):
+            [alone] = run_trial_sets((point,), TOY_WINDOW, 2, (17, 0), max_cells_per_tier=20)
             assert totals.samples.sum() > 0
             assert np.array_equal(totals.successes, alone.successes)
             assert np.array_equal(totals.samples, alone.samples)
@@ -630,7 +691,7 @@ class TestCoupledTrial:
         for params, cap in ((table1_params(), 120), (table1_params(user_intensity=2.0 * lam), None)):
             for n_jobs in (1, 2):
                 alone = run_trials(params, None, 3, 5, cap, n_jobs)
-                [point] = run_trial_sets([(params, None, 5)], 3, cap, n_jobs)
+                [point] = run_trial_sets((params,), None, 3, 5, cap, n_jobs)
                 assert alone.samples.min() > 0
                 assert_same_totals(alone, point)
             window = default_window(params)
@@ -655,7 +716,7 @@ class TestCoupledTrial:
         for window, raised in ((Window(half_width=7e4, margin=100.0), Sampled),
                                (Window(half_width=2e5, margin=100.0), ConfigError)):
             with pytest.raises(raised):
-                run_trial_sets([(placing, window, 1)], 1)
+                run_trial_sets((placing,), window, 1, 1)
             with pytest.raises(raised):
                 run_trials(placing, window, n_trials=1)
 
@@ -926,6 +987,15 @@ def assert_same_totals(a, b):
 
 
 class TestFloat32Screen:
+    def test_bound_is_infinite_wherever_kappa_is(self):
+        # a sum of exactly 0 included (a receiver with no void BS), where
+        # inf x 0 would give nan
+        sums = np.array([[0.0, 3.0], [2.0, 0.0]])
+        kappa = np.array([[np.inf, np.inf], [0.5, 0.5]])
+        floor = np.full((2, 2), 0.25)
+        error = simulate._sum_error(sums, kappa, floor)
+        assert error.tolist() == [[np.inf, np.inf], [1.25, 0.25]]
+
     @pytest.mark.parametrize("alpha", [3.0, 4.0, 5.5, 3.7])
     def test_bound_covers_the_float32_error(self, alpha):
         # 3.7 / 2 is not a float32, so its rounded exponent adds to the bound
@@ -983,11 +1053,10 @@ class TestFloat32Screen:
                            run_trials(params, n_trials=2, seed=(82, 0), max_cells_per_tier=cap))
 
     def test_coupled_sweep_totals_are_the_float64_totals(self, monkeypatch):
-        points = [(table1_params(user_intensity=mu), None, 1)
-                  for mu in (5e-5, 1e-4, 2e-4, 5e-4, 1e-3)]
-        screened = run_trial_sets(points, 2, max_cells_per_tier=120)
+        grid = [table1_params(user_intensity=mu) for mu in (5e-5, 1e-4, 2e-4, 5e-4, 1e-3)]
+        screened = run_trial_sets(grid, None, 2, 1, max_cells_per_tier=120)
         every_cell_exact(monkeypatch)
-        for a, b in zip(screened, run_trial_sets(points, 2, max_cells_per_tier=120)):
+        for a, b in zip(screened, run_trial_sets(grid, None, 2, 1, max_cells_per_tier=120)):
             assert_same_totals(a, b)
 
     def test_zero_margin_cell_defers_to_float64(self, monkeypatch):

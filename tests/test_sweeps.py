@@ -289,10 +289,10 @@ class TestCoupledSweep:
     def test_point_totals_do_not_depend_on_the_grid(self):
         # the distance sums too, bit for bit, though a point's cells share
         # blocks with those of the other points
-        points = [(table1_params(user_intensity=v), None, 1) for v in README_SWEEP["sweep_grid"]]
-        sets = simulate.run_trial_sets(points, 1, max_cells_per_tier=120)
-        for point, totals in zip(points, sets):
-            [alone] = simulate.run_trial_sets([point], 1, max_cells_per_tier=120)
+        grid = [table1_params(user_intensity=v) for v in README_SWEEP["sweep_grid"]]
+        sets = simulate.run_trial_sets(grid, None, 1, 1, max_cells_per_tier=120)
+        for point, totals in zip(grid, sets):
+            [alone] = simulate.run_trial_sets((point,), None, 1, 1, max_cells_per_tier=120)
             assert np.array_equal(totals.successes, alone.successes)
             assert np.array_equal(totals.samples, alone.samples)
             assert totals.sum_near_dist_sq.tolist() == alone.sum_near_dist_sq.tolist()
