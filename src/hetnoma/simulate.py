@@ -66,17 +66,18 @@ the outcomes, and the trial reproduces it exactly while computing most
 of it in float32.  Tagged cells are evaluated in blocks whose (cells, 2,
 n_bs) float64 buffers would hold at most BLOCK_BYTES each: a trial
 screens each cell's fades, distances and powers once in float32
-(_CellBlocks.screen; the two serving links stay float64, the same bits),
-and the points of the trial with equal void flags share one product per
-block for their interference and void-signal sums.  Each point decides
-its own cells' events from those sums in float64, and a rigorous bound
-on the float32 sums' error certifies each decision (the comment above
-_U32 derives it, after the filter-and-certify design of Shewchuk's
-adaptive-precision predicates).  Where a margin falls within the bound,
-a sum is not finite or the bound does not apply, the cell goes through
-the float64 path on a block of its own, so every count, distance sum and
-CSV byte is the float64 evaluation's.  About 0.16% of stock cells (cap
-120 or none) and 0.19% of dense ones (2e-3 users/m^2, cap 16) take it.
+(_CellBlocks.screen, each coordinate difference an exact BLAS product),
+and points with equal void flags share one product per block for their
+interference and void-signal sums.  A tier's serving links (float64, the
+same bits) and error bounds take one pass each (serving_links), and every
+point decides its own cells' events from those sums in float64; the
+bound (the comment above _U32 derives it, after the filter-and-certify
+design of Shewchuk's adaptive-precision predicates) certifies each
+decision.  Where a margin falls within the bound, a sum is not finite or
+the bound does not apply, the cell goes through the float64 path on a
+block of its own, so every count, distance sum and CSV byte is the
+float64 evaluation's.  About 0.16% of stock cells (cap 120 or none) and
+0.19% of dense ones (2e-3 users/m^2, cap 16) take it.
 schedule_noma_users, evaluate_noncoop and evaluate_coop are one-cell
 views of the float64 evaluation, in watts.
 """
@@ -332,7 +333,7 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
 # 2^-24 (float32 unit roundoff) and n = n_bs terms:
 #
 #   * coordinates: every coordinate is rounded to float32, off by at most
-#     u h, h the largest |coordinate| of a BS or of the block's users; so
+#     u h, h the largest |coordinate| of a BS or of the tier's users; so
 #     the float32 link vector is off by at most 2 sqrt(2) u h, and the link
 #     distance by the relative c = 3 u h / d_min.  d_min bounds the
 #     receiver's distance to every BS from below: the float32 squared
@@ -385,9 +386,10 @@ class _CellBlocks:
 
     powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
     increasing BS order across calls, into the first rows of the float64
-    buffers; screen(cells, pair_xy), its float32 counterpart, serves the
-    block loop of _evaluate.  A block object uses one of the two: each
-    draws the cells' fades from the one stream.  bs_x and bs_y are the
+    buffers; screen(cells, pair_xy, links), its float32 counterpart,
+    serves the block loop of _evaluate, and serving_links completes a
+    tier's screened cells at once.  A block object uses one of the two:
+    each draws the cells' fades from the one stream.  bs_x and bs_y are the
     contiguous coordinate columns of the snapshot's bs_xy, and bs_power
     the BSs' powers scaled by 2^-_power_exponent.  Only the snapshot's
     BSs, tiers, path loss and (seed, trial) enter, so the blocks serve
@@ -410,7 +412,10 @@ class _CellBlocks:
         self.position = 0
         if dtype == np.float32:
             self.spare = np.empty((self.size, 2, n_bs), dtype)
-            self.bs_x32, self.bs_y32 = self.bs_x.astype(dtype), self.bs_y.astype(dtype)
+            # [bs; 1] per coordinate, the right-hand sides of _squared_distances
+            self.bs_rows = np.ones((2, 2, n_bs), dtype)
+            self.bs_rows[:, 0] = snapshot.bs_xy.T
+            self.receiver_rows = np.ones((2 * self.size, 2), dtype)
             self.bs_power32 = self.bs_power.astype(dtype)
             self.exponent32 = np.float32(-self.alpha / 2.0)
             self.exponent_error = abs(float(self.exponent32) + self.alpha / 2.0)
@@ -449,41 +454,28 @@ class _CellBlocks:
         power[rows, :, cells] = 0.0
         return serving_sq, desired, power
 
-    def screen(self, cells, pair_xy):
-        """The float32 screen of `cells`: powers' float64 serving links, the
-        negated float32 power block, and what bounds its sums' error.
+    def screen(self, cells, pair_xy, links):
+        """The (len(cells), 2, n_bs) float32 block of -H' g' of `cells` (the
+        fades times the path gains, without the BSs' powers and with the
+        serving column zeroed), for _screen_weights to weigh.
 
-        Returns (serving_dist_sq, desired, power, kappa, floor).  The first
-        two are the bits powers gives, from the same operations on the same
-        uniforms.  power is the (len(cells), 2, n_bs) float32 block of
-        -H' g' (the fades times the path gains, without the BSs' powers and
-        with the serving column zeroed), for _screen_weights to weigh.
-        kappa and floor (float64, of shape (len(cells), 2)) are each
-        receiver's KAPPA and FLOOR of the comment above _U32, from which
-        _sum_error bounds the error of its sums.
+        The three (len(cells), 2) arrays of links receive each receiver's
+        serving-link uniform (float64), min D' and reach A' (float32) of the
+        comment above _U32, for serving_links to complete a tier at once.
         """
         k = len(cells)
         rows = np.arange(k)
         uniforms = self._draw(cells)
-        ux, uy = pair_xy[:, :, 0], pair_xy[:, :, 1]
-        serving_sq, desired, fades = np.empty((3, k, 2))
-        fades[...] = uniforms[rows, :, cells]
-        _link_powers(self.alpha, fades, self.bs_x[cells, None], self.bs_y[cells, None],
-                     self.bs_power[cells, None], ux, uy, serving_sq, desired)
-        power, dist_sq, spare = self.power[:k], self.dist_sq[:k], self.spare[:k]
-        h = max(self.coord_max, float(np.abs(pair_xy).max()))
+        serving, nearest_sq, reach = links
+        serving[...] = uniforms[rows, :, cells]
+        power = self.power[:k]
         with np.errstate(all="ignore"):
             # -H' = log(1 - U): 1 - U is exact in float64, rounded once
             np.subtract(1.0, uniforms, out=power)
             np.log(power, out=power)
-            np.subtract(self.bs_x32, ux.astype(np.float32)[:, :, None], out=dist_sq)
-            np.multiply(dist_sq, dist_sq, out=dist_sq)
-            np.subtract(self.bs_y32, uy.astype(np.float32)[:, :, None], out=spare)
-            np.multiply(spare, spare, out=spare)
-            np.add(dist_sq, spare, out=dist_sq)
-            nearest_sq = dist_sq.min(axis=-1).astype(float)
             # the path gains D'^(-alpha/2), in place
-            gain = dist_sq
+            gain = self._squared_distances(pair_xy)
+            gain.min(axis=-1, out=nearest_sq)
             if self.alpha == 4.0:
                 np.divide(1.0, gain, out=gain)
                 np.multiply(gain, gain, out=gain)
@@ -491,22 +483,47 @@ class _CellBlocks:
                 np.power(gain, self.exponent32, out=gain)
             gain[rows, :, cells] = 0.0
             np.multiply(power, gain, out=power)
-            reach = np.matmul(gain.reshape(2 * k, -1), self.bs_power32).reshape(k, 2)
-            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 3.0 * _U32 * h
-            kappa = self._relative_error(d_min, h, nearest_sq)
-            floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
-        return serving_sq, desired, power, kappa, floor
+            reach[...] = np.matmul(gain.reshape(2 * k, -1), self.bs_power32).reshape(k, 2)
+        return power
 
-    def _relative_error(self, d_min, h, nearest_sq):
-        """KAPPA of the comment above _U32, per receiver (inf where the bound
-        does not hold)."""
-        alpha = self.alpha
-        rho = 3.0 * alpha * (3.0 * _U32 * h / d_min) + (6.0 * alpha + 8.0) * _U32
-        if self.exponent_error:
-            log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(math.log(9.0 * h * h)))
-            rho = rho + 1.02 * self.exponent_error * log_range
-        valid = (d_min > 0.0) & (rho <= _RHO_MAX) & self.screens & (2.0**-30 <= h <= 2.0**29)
-        return np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
+    def _squared_distances(self, pair_xy):
+        """D': the float32 squared distances of the receivers pair_xy to
+        every BS, into the first rows of dist_sq.  Each coordinate's
+        difference is one exact product [1, -u] @ [bs; 1], so it is bs - u
+        rounded once, the bits of a float32 subtraction."""
+        k = len(pair_xy)
+        receivers, dist_sq, spare = self.receiver_rows[:2 * k], self.dist_sq[:k], self.spare[:k]
+        for c, out in enumerate((dist_sq, spare)):
+            np.negative(pair_xy[..., c].ravel(), out=receivers[:, 1])
+            np.matmul(receivers, self.bs_rows[c], out=out.reshape(2 * k, -1))
+            np.multiply(out, out, out=out)
+        return np.add(dist_sq, spare, out=dist_sq)
+
+    def serving_links(self, cells, pair_xy, links):
+        """(serving_dist_sq, desired, kappa, floor) of cells, whose links
+        screen filled, each of shape (len(cells), 2): the first two are the
+        bits powers gives, from the same operations on the same uniforms,
+        and kappa and floor each receiver's KAPPA (inf where the bound does
+        not hold) and FLOOR of the comment above _U32 (h over every BS and
+        every user of cells), from which _sum_error bounds its sums' error.
+        """
+        serving, nearest_sq, reach = links
+        serving_sq, desired = np.empty((2, len(cells), 2))
+        _link_powers(self.alpha, serving, self.bs_x[cells, None], self.bs_y[cells, None],
+                     self.bs_power[cells, None], pair_xy[..., 0], pair_xy[..., 1], serving_sq,
+                     desired)
+        h = max(self.coord_max, float(np.abs(pair_xy).max(initial=0.0)))
+        with np.errstate(all="ignore"):
+            nearest_sq = nearest_sq.astype(float)
+            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 3.0 * _U32 * h
+            rho = 3.0 * self.alpha * (3.0 * _U32 * h / d_min) + (6.0 * self.alpha + 8.0) * _U32
+            if self.exponent_error:
+                log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(math.log(9.0 * h * h)))
+                rho = rho + 1.02 * self.exponent_error * log_range
+            valid = (d_min > 0.0) & (rho <= _RHO_MAX) & self.screens & (2.0**-30 <= h <= 2.0**29)
+            kappa = np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
+            floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
+        return serving_sq, desired, kappa, floor
 
 
 def _link_weights(nonvoid):
@@ -517,8 +534,8 @@ def _link_weights(nonvoid):
 
 def _screen_weights(flags, bs_power):
     """The (n_bs, 2 len(flags)) float32 weights of a screened block: for
-    the void flags flags[g] of group g, column 2g holds bs_power where the
-    BS transmits and column 2g + 1 where it is void (0 elsewhere).
+    the void flags flags[g] of group g, column g holds bs_power where the
+    BS transmits and column len(flags) + g where it is void (0 elsewhere).
 
     One product with all columns serves every group: the screen's sums
     need no fixed rounding, only their error bound, which holds in any
@@ -526,10 +543,7 @@ def _screen_weights(flags, bs_power):
     fastest.
     """
     nonvoid = np.stack(flags, axis=1)
-    weights = np.empty((len(bs_power), 2 * len(flags)), dtype=bs_power.dtype, order="F")
-    weights[:, 0::2] = bs_power[:, None] * nonvoid
-    weights[:, 1::2] = bs_power[:, None] * ~nonvoid
-    return weights
+    return np.asfortranarray(np.concatenate([nonvoid, ~nonvoid], axis=1) * bs_power[:, None])
 
 
 def _link_sums(power, weights):
@@ -595,8 +609,9 @@ def _sides(desired, interference, coop, theta, beta):
     near user's first SIC stage and the far user's decoding; (lhs, rhs)
     of the near user's post-cancellation stage, the same in both schemes).
     """
-    decode = (beta * desired + coop, theta * ((1.0 - beta) * desired + interference))
-    return decode, ((1.0 - beta) * desired[..., 0], theta * interference[..., 0])
+    own = (1.0 - beta) * desired
+    decode = (beta * desired + coop, theta * (own + interference))
+    return decode, (own[..., 0], (theta * interference)[..., 0])
 
 
 def _outcome(sides):
@@ -624,29 +639,30 @@ def _certain(lhs, rhs, err):
     return np.abs(lhs - rhs) > err + 2.0**-49 * (lhs + rhs) + 2.0**-1000
 
 
-def _counts(desired, interference, void_signal, theta, beta, errors=None):
-    """Success counts of rows of one tier at theta and beta, of shape
-    (scheme, role), and the rows whose every decision is certain.
+def _counts(desired, interference, void_signal, theta, beta, rows, errors=None):
+    """Success counts of one tier at each point, of shape (point, scheme,
+    role), and where the decisions are certain.
 
+    interference and void_signal have shape (point, cell, receiver), theta
+    and beta (point, 1, 1); point j counts the cells where rows[j] is True.
     errors, when given, is (err(interference), err(void_signal)) of
-    screened sums (_sum_error), and the mask is True where both schemes'
-    decisions are the float64 path's; None without errors.
+    screened sums (_sum_error), and the mask, of rows' shape, is True
+    where both schemes' decisions are the float64 path's; else None.
     """
-    counts = np.empty((len(SCHEMES), len(ROLES)), dtype=np.int64)
-    certain = None
-    for s, coop in enumerate((0.0, void_signal)):
-        sides = _sides(desired, interference, coop, theta, beta)
-        _, _, near, far = _outcome(sides)
-        counts[s] = np.count_nonzero(near), np.count_nonzero(far)
-        if errors is not None:
-            (lhs, rhs), (own, own_rhs) = sides
-            err_i, err_v = errors
-            sure = _certain(lhs, rhs, theta * err_i + (err_v if s else 0.0)).all(axis=-1)
-            if certain is None:
-                certain = sure & _certain(own, own_rhs, theta * err_i[..., 0])
-            else:
-                certain &= sure
-    return counts, certain
+    # both schemes at once, on a leading axis: the joint signal (and then
+    # its error) is 0 without cooperation
+    coop = np.zeros((len(SCHEMES), *void_signal.shape))
+    coop[1] = void_signal
+    sides = _sides(desired, interference, coop, theta, beta)
+    counts = np.empty((len(rows), len(SCHEMES), len(ROLES)), dtype=np.int64)
+    for r, event in enumerate(_outcome(sides)[2:]):
+        counts[:, :, r] = np.count_nonzero(event & rows, axis=-1).T
+    if errors is None:
+        return counts, None
+    (lhs, rhs), (own, own_rhs) = sides
+    err_i, coop[1] = errors
+    certain = _certain(lhs, rhs, np.add(coop, theta * err_i, out=coop)).all(axis=(0, -1))
+    return counts, certain & _certain(own, own_rhs, (theta * err_i)[..., 0])
 
 
 def _sample(cell, theta, beta, coop):
@@ -731,68 +747,69 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
     stream and clips their Voronoi cells once, at every load (_snapshots
     gives each point its counts); with max_cells_per_tier, each tier
     evaluates the tagged cells of lowest priority (one uniform per BS from
-    the priority stream).  Every cell evaluated at some point
+    the priority stream, ties to the lower BS index), and one sort per
+    tier ranks them for every point.  Every cell evaluated at some point
     gets its pair, fades and powers once (_evaluate).  A point's outcomes
     depend only on (seed, trial) and its own parameters, not on the other
     points of grid.
     """
     snapshots = _snapshots(grid, window, seed, trial)
+    layout = snapshots[0]
+    # member[j, b]: BS b is a tagged cell of snapshot j (see tagged_cells)
+    inner = layout.window.contains(layout.bs_xy, inner=True)
+    member = (np.stack([snapshot.counts for snapshot in snapshots]) >= 2) & inner
     if max_cells_per_tier is not None:
-        priority = _stream(seed, trial, _STREAM_PRIORITY).random(snapshots[0].n_bs)
-    evaluated = []
-    for snapshot in snapshots:
-        cells = [snapshot.tagged_cells(tier) for tier in range(snapshot.params.n_tiers)]
-        if max_cells_per_tier is not None:
-            cells = [c if len(c) <= max_cells_per_tier else
-                     np.sort(c[np.argsort(priority[c], kind="stable")[:max_cells_per_tier]])
-                     for c in cells]
-        evaluated.append(cells)
-    return _evaluate(snapshots, evaluated)
+        priority = _stream(seed, trial, _STREAM_PRIORITY).random(layout.n_bs)
+        tagged = member.any(axis=0)
+        for tier in range(layout.params.n_tiers):
+            # the tier's cells tagged at some point, by priority (ties to the
+            # lower index): each point keeps the first of its own
+            cells = np.flatnonzero(tagged & (layout.bs_tier == tier))
+            cells = cells[np.argsort(priority[cells], kind="stable")]
+            ranked = member[:, cells]
+            member[:, cells] = ranked & (np.cumsum(ranked, axis=1) <= max_cells_per_tier)
+    return _evaluate(snapshots, member)
 
 
-def _evaluate(snapshots, evaluated):
+def _evaluate(snapshots, member):
     """The TrialTotals of each of snapshots, all of one layout (the same
     BSs, pair draws and trial), in order.
 
-    evaluated[j][tier] holds the sorted tagged cells that snapshot j
-    evaluates in the tier.  Each cell of the tiers' unions is evaluated
-    once: the pairs of all of them are placed in one call, and one block
-    pass screens their fades, distances and powers in float32
-    (_CellBlocks.screen).  Snapshots with equal void flags (all points of
-    a beta sweep) form a group and share their sums: one product per
-    block gives every group's (_screen_weights).  Each snapshot then
-    decides the events of its own cells at its own threshold and beta
-    from its group's sums, each decision with a certificate (_certain):
+    member[j, b] is True where snapshot j evaluates BS b, a tagged cell.
+    Each cell of the tiers' unions is evaluated once: the pairs of all of
+    them are placed in one call, and one block pass screens their fades,
+    distances and powers in float32 (_CellBlocks.screen).  Snapshots with
+    equal void flags (all points of a beta sweep) form a group and share
+    their sums: one product per block gives every group's
+    (_screen_weights).  Each snapshot then decides the events of its own
+    cells at its own threshold and beta from its group's sums, each
+    decision with a certificate (_certain):
     it is the float64 path's unless its margin lies within the sums' error
-    bound.  The cells with a decision left uncertain at any snapshot go
+    bound.  All snapshots decide a tier at once, as arrays over (snapshot,
+    cell).  The cells with a decision left uncertain at any snapshot go
     through the float64 path (_CellBlocks.powers and _link_sums on a block
     of one cell, whose fade stream only moves forward as they come in BS
-    order), and the snapshots with such a cell count that tier again on
-    the float64 sums.  So every count is the float64 path's.  Once the
+    order), and the tier is counted again on the sums that then hold: a
+    certified decision on a screened sum is the float64 decision.  So
+    every count is the float64 path's.  Once the
     pairs are placed, the snapshots' clipped cells and pair draws are
     dropped: the trial needs no other pair, and freed before the blocks
     take their buffers, they add nothing to the trial's peak memory.
     """
     layout = snapshots[0]
     n_tiers = layout.params.n_tiers
-    # which BSs each snapshot evaluates, and their union in BS order
-    member = np.zeros((len(snapshots), layout.n_bs), dtype=bool)
-    for row, cells in zip(member, evaluated):
-        row[np.concatenate(cells)] = True
     union = np.flatnonzero(member.any(axis=0))
     pairs = layout.pairs(union)
     for snapshot in snapshots:
         snapshot._voronoi = snapshot._pair_draws = None
     blocks = _CellBlocks(layout, dtype=np.float32)
     # the distinct void flags, and the group of each snapshot
-    flags, group = [], []
-    for snapshot in snapshots:
-        nonvoid = snapshot.nonvoid
-        g = next((g for g, f in enumerate(flags) if np.array_equal(f, nonvoid)), len(flags))
-        if g == len(flags):
-            flags.append(nonvoid)
-        group.append(g)
+    groups = {}
+    group = [groups.setdefault(snapshot.nonvoid.tobytes(), len(groups)) for snapshot in snapshots]
+    flags = [snapshots[group.index(g)].nonvoid for g in range(len(groups))]
     weights = _screen_weights(flags, blocks.bs_power32)
+    thetas = np.array([snapshot.params.sir_threshold for snapshot in snapshots])[:, None, None]
+    betas = np.array([snapshot.params.beta for snapshot in snapshots]).T[:, :, None, None]
     fallback = None
     totals = [TrialTotals.zeros(n_tiers) for _ in snapshots]
     # global BS indices run through the tiers in order
@@ -800,48 +817,37 @@ def _evaluate(snapshots, evaluated):
     for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
         cells, pair_xy = union[lo:hi], pairs[lo:hi]
         k = len(cells)
-        serving_sq, desired, kappa, floor = np.empty((4, k, 2))
-        # the screened sums of every group, negated: column 2g the
-        # interference and 2g + 1 the void signal of group g
+        links = np.empty((k, 2)), *np.empty((2, k, 2), dtype=np.float32)
+        # the screened sums, negated: every group's interference, then void signal
         screened = np.empty((k, 2, weights.shape[1]), dtype=np.float32)
         for start in range(0, k, blocks.size):
             block = slice(start, start + blocks.size)
-            serving_sq[block], desired[block], power, kappa[block], floor[block] = blocks.screen(
-                cells[block], pair_xy[block])
+            power = blocks.screen(cells[block], pair_xy[block], [a[block] for a in links])
             receivers = 2 * len(power)
             np.matmul(power.reshape(receivers, -1), weights,
                       out=screened[block].reshape(receivers, -1))
-        sums = np.negative(screened, dtype=float)
-        views = [slice(None) if rows.all() else rows for rows in member[:, cells]]
-        uncertain = np.zeros(k, dtype=bool)
-        counts = []
+        serving_sq, desired, kappa, floor = blocks.serving_links(cells, pair_xy, links)
+        # sums[0] the interference, sums[1] the void signal: (group, cell, receiver)
+        sums = np.moveaxis(np.negative(screened, dtype=float).reshape(k, 2, 2, -1), (2, 3), (0, 1))
+        rows = member[:, cells]
         with np.errstate(all="ignore"):
-            errors = _sum_error(sums, kappa[..., None], floor[..., None])
-            for snapshot, rows, g in zip(snapshots, views, group):
-                params = snapshot.params
-                count, certain = _counts(
-                    desired[rows], sums[rows, :, 2 * g], sums[rows, :, 2 * g + 1],
-                    params.sir_threshold, params.beta[tier],
-                    (errors[rows, :, 2 * g], errors[rows, :, 2 * g + 1]))
-                uncertain[rows] |= ~certain
-                counts.append(count if certain.all() else None)
-        for m in np.flatnonzero(uncertain).tolist():
+            errors = _sum_error(sums, kappa, floor)[:, group]
+            count, certain = _counts(desired, *sums[:, group], thetas, betas[tier], rows, errors)
+        uncertain = np.flatnonzero((rows & ~certain).any(axis=0)).tolist()
+        for m in uncertain:
             if fallback is None:
                 fallback = _CellBlocks(layout, size=1)
                 exact = [_link_weights(f) for f in flags]
             _, _, power = fallback.powers(cells[m:m + 1], pair_xy[m:m + 1])
             for g, weight in enumerate(exact):
-                interference, void_signal = _link_sums(power, weight)
-                sums[m, :, 2 * g], sums[m, :, 2 * g + 1] = interference[0], void_signal[0]
-        for snapshot, rows, g, point, count in zip(snapshots, views, group, totals, counts):
-            if count is None:
-                params = snapshot.params
-                count, _ = _counts(desired[rows], sums[rows, :, 2 * g], sums[rows, :, 2 * g + 1],
-                                   params.sir_threshold, params.beta[tier])
-            point.successes[tier] += count
-            # one sum over the snapshot's own cells: it depends neither on
-            # the other snapshots' cells nor on the block size
-            dist_sq = serving_sq[rows]
+                sums[:, g, m] = [sum_[0] for sum_ in _link_sums(power, weight)]
+        if uncertain:
+            count, _ = _counts(desired, *sums[:, group], thetas, betas[tier], rows)
+        for point, point_count, point_rows in zip(totals, count, rows):
+            point.successes[tier] += point_count
+            # one sum over the point's own cells: it depends neither on
+            # the other points' cells nor on the block size
+            dist_sq = serving_sq[point_rows]
             point.sum_near_dist_sq[tier] += dist_sq[:, 0].sum()
             point.sum_far_dist_sq[tier] += dist_sq[:, 1].sum()
             point.samples[tier] += len(dist_sq)
@@ -908,14 +914,14 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
     import scipy.spatial  # noqa: F401  (loaded once, before the pool forks)
 
     # a fork pool starts all max_workers processes at once
-    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    workers = min(n_jobs, len(jobs), _cpu_count() or 1)
     if workers <= 1:
         return list(map(_run_job, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
     # None: a handler not set from Python, taken as the default
     handlers = {s: signal.getsignal(s) or signal.SIG_DFL for s in (signal.SIGINT, signal.SIGTERM)}
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_handlers,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                              initargs=(handlers,)) as pool:
         try:
             with _held_back(handlers):
@@ -926,8 +932,32 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
             raise
 
 
+def _cpu_count():
+    """The CPUs this process may run on (None if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _run_job(job):
     return run_coupled_trial(*job)
+
+
+def _start_worker(handlers):
+    """A pool worker's initializer: the handlers found before the handover,
+    and a thread that ends the worker once its parent is gone (a parent
+    killed outright never shuts the pool down)."""
+    from multiprocessing import parent_process
+
+    _set_handlers(handlers)
+    threading.Thread(target=_exit_after, args=(parent_process().sentinel,), daemon=True).start()
+
+
+def _exit_after(sentinel):
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
 
 
 def _set_handlers(handlers):

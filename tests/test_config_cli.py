@@ -469,6 +469,40 @@ class TestCliSweep:
                     os.kill(pid, signal.SIGKILL)
             proc.wait()
 
+    def test_sigkill_of_the_sweep_ends_its_workers(self, tmp_path):
+        # a parent killed outright shuts no pool down: each worker watches
+        # its parent and exits once it is gone, instead of waiting for
+        # trials for good
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("the worker processes are found through /proc")
+        if (simulate._cpu_count() or 1) < 2:
+            pytest.skip("a one-CPU machine runs the trials without workers")
+        cfg = {"tiers": TOY_CONFIG["tiers"], "user_intensity": 8e-4, "beta": 0.75,
+               "n_trials": 10_000, "n_jobs": 2}
+        env = dict(os.environ, PYTHONPATH=str(Path(hetnoma.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hetnoma.cli", "sweep", "--config",
+             write_config(tmp_path, cfg), "--out", str(tmp_path / "sweep.csv")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            assert len(workers) == 2, "the sweep never started its two workers"
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+            time.sleep(5.0)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            for pid in [proc.pid] + workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+
 
 def _stat(pid):
     """(state, parent pid) of a process from /proc, or None once it is gone."""

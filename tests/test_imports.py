@@ -34,7 +34,7 @@ assert main(sys.argv[1:], out=io.StringIO()) == 0
 # the pool records which scipy modules its parent holds when it starts,
 # then maps in this process
 PREFORK = """
-import concurrent.futures, os
+import concurrent.futures
 from hetnoma import simulate
 from hetnoma.coverage import NetworkParams, TierParams
 from hetnoma.geometry import Window
@@ -55,7 +55,7 @@ class RecordingPool:
         return map(fn, jobs)
 
 concurrent.futures.ProcessPoolExecutor = RecordingPool
-os.cpu_count = lambda: 2
+simulate._cpu_count = lambda: 2
 params = NetworkParams(tiers=(TierParams(1.0, 2e-4),), user_intensity=8e-4,
                        pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
 simulate.run_trial_sets((params,), Window(half_width=300.0, margin=60.0), 2, 1, n_jobs=2)

@@ -401,7 +401,7 @@ class TestRunTrials:
     def test_pool_sized_by_trials_and_cpus(self, monkeypatch, recording_pool, n_trials, n_jobs,
                                            cpus, pools):
         # n_jobs above the trial or CPU count must not reach the pool
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         p = toy_params(mu=2e-4)
         pooled = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17, n_jobs=n_jobs)
         assert recording_pool == pools
@@ -409,6 +409,13 @@ class TestRunTrials:
         assert np.array_equal(pooled.successes, serial.successes)
         assert np.array_equal(pooled.sum_near_dist_sq, serial.sum_near_dist_sq)
         assert np.array_equal(pooled.sum_far_dist_sq, serial.sum_far_dist_sq)
+
+    def test_one_cpu_mask_runs_without_a_pool(self, monkeypatch, recording_pool):
+        # a run counts the CPUs its affinity mask allows, not the machine's
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=2, seed=17, n_jobs=2)
+        assert recording_pool == []
 
     def test_stop_signal_waits_until_the_pool_holds_every_trial(self, monkeypatch):
         # a SIGTERM that comes while the pool takes the trials raises only
@@ -442,7 +449,7 @@ class TestRunTrials:
                 events.append(("shutdown", cancel_futures))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SignalledPool)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
         monkeypatch.setattr(simulate, "run_coupled_trial", lambda *job: events.append("trial"))
         previous = signal.signal(signal.SIGTERM, stop)
         try:
@@ -483,7 +490,7 @@ class TestRunTrials:
         # the first two points share their tiers, so one snapshot per trial
         # serves both, the third has tiers of its own, and each point's
         # totals equal those of a run of that point alone exactly
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
         denser = replace(toy_params(mu=4e-4), tiers=(TierParams(power_watts=1.0, intensity=3e-4),))
         grid = [toy_params(mu=2e-4), toy_params(mu=8e-4, beta=0.6), denser]
         sets = run_trial_sets(grid, TOY_WINDOW, 2, (17, 0), max_cells_per_tier=20, n_jobs=5000)
@@ -766,9 +773,11 @@ def associated_totals(params, window, n_trials, seed, cap=None):
         snap = associated_snapshot(params, window, seed, trial)
         rng = _stream(seed, trial, 98)
         cells = [snap.tagged_cells(tier) for tier in range(params.n_tiers)]
-        cells = [c if cap is None or len(c) <= cap else np.sort(rng.choice(c, cap, replace=False))
+        cells = [c if cap is None or len(c) <= cap else rng.choice(c, cap, replace=False)
                  for c in cells]
-        totals.merge(simulate._evaluate([snap], [cells])[0])
+        member = np.zeros((1, snap.n_bs), dtype=bool)
+        member[0, np.concatenate(cells)] = True
+        totals.merge(simulate._evaluate([snap], member)[0])
     return totals
 
 
@@ -855,9 +864,9 @@ class TestTessellationSampler:
         evaluated = []
         screen = simulate._CellBlocks.screen
 
-        def recording(blocks, cells, pair_xy):
+        def recording(blocks, cells, pair_xy, links):
             evaluated.append((cells.copy(), pair_xy.copy()))
-            return screen(blocks, cells, pair_xy)
+            return screen(blocks, cells, pair_xy, links)
 
         monkeypatch.setattr(simulate._CellBlocks, "screen", recording)
         seen = []
@@ -926,16 +935,22 @@ def screened_blocks(snap, cells):
     exact = simulate._CellBlocks(snap)
     weights = simulate._screen_weights([snap.nonvoid], screen.bs_power32)
     pairs = snap.pairs(cells)
+    links = np.empty((len(cells), 2)), *np.empty((2, len(cells), 2), dtype=np.float32)
+    screened = []
     for start in range(0, len(cells), screen.size):
-        part, pair = cells[start:start + screen.size], pairs[start:start + screen.size]
-        serving_sq, desired, power, kappa, floor = screen.screen(part, pair)
-        sums = -(power.reshape(2 * len(part), -1) @ weights).reshape(len(part), 2, 2)
-        sums = sums.astype(float)
-        exact_sq, exact_desired, exact_power = exact.powers(part, pair)
-        assert np.array_equal(serving_sq, exact_sq)
-        assert np.array_equal(desired, exact_desired)
-        errors = np.stack([simulate._sum_error(sums[..., j], kappa, floor) for j in range(2)], -1)
-        yield sums, errors, np.stack(_link_sums(exact_power, _link_weights(snap.nonvoid)), -1)
+        block = slice(start, start + screen.size)
+        power = screen.screen(cells[block], pairs[block], [a[block] for a in links])
+        sums = -(power.reshape(2 * len(power), -1) @ weights).reshape(len(power), 2, 2)
+        exact_sq, exact_desired, exact_power = exact.powers(cells[block], pairs[block])
+        exact_sums = np.stack(_link_sums(exact_power, _link_weights(snap.nonvoid)), -1)
+        screened.append((block, sums.astype(float), exact_sq, exact_desired, exact_sums))
+    serving_sq, desired, kappa, floor = screen.serving_links(cells, pairs, links)
+    for block, sums, exact_sq, exact_desired, exact_sums in screened:
+        assert np.array_equal(serving_sq[block], exact_sq)
+        assert np.array_equal(desired[block], exact_desired)
+        errors = np.stack([simulate._sum_error(sums[..., j], kappa[block], floor[block])
+                           for j in range(2)], -1)
+        yield sums, errors, exact_sums
 
 
 def scaled_power(params, scale):
@@ -1021,6 +1036,19 @@ class TestFloat32Screen:
             assert (np.abs(sums - exact) <= errors).all()
             worst = max(worst, (np.abs(sums - exact) / exact).max())
         assert worst > 1e-3  # the rounded coordinates do move the sums
+
+    @pytest.mark.parametrize("far", [False, True], ids=["stock", "far_cluster"])
+    def test_squared_distances_are_the_float32_differences_squared(self, far):
+        # each difference bs - u is one product by BLAS: rounded once, the
+        # bits of a float32 broadcast subtraction
+        snap = far_cluster_snapshot() if far else build_snapshot(table1_params(), None, 5, 0)
+        blocks = simulate._CellBlocks(snap, dtype=np.float32)
+        cells = np.concatenate([snap.tagged_cells(t) for t in range(snap.params.n_tiers)])
+        pair_xy = snap.pairs(cells[:blocks.size])
+        bs_x, bs_y = snap.bs_xy.astype(np.float32).T
+        ux, uy = (pair_xy[..., c, None].astype(np.float32) for c in (0, 1))
+        dx, dy = bs_x - ux, bs_y - uy
+        assert np.array_equal(blocks._squared_distances(pair_xy), dx * dx + dy * dy)
 
     @pytest.mark.parametrize("scale", [2.0**-1061, 8.5e306])
     def test_bound_covers_extreme_powers(self, scale):

@@ -193,7 +193,7 @@ class TestRunSweep:
         # each point of a pico_intensity sweep has its own layout: one pool,
         # sized min(n_jobs, points x trials, CPUs), runs every trial of the
         # sweep; a sweep of one trial per point pools too
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         run_sweep(toy_config(sweep_variable="pico_intensity", sweep_grid=(9e-5, 1.8e-4, 3.6e-4),
                              n_trials=n_trials, n_jobs=n_jobs))
         assert recording_pool == pools
@@ -202,7 +202,7 @@ class TestRunSweep:
     def test_one_snapshot_per_trial_serves_a_user_intensity_sweep(
             self, monkeypatch, recording_pool, n_trials, pools):
         # the three grid points share one layout: one job per trial
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
         run_sweep(toy_config(n_trials=n_trials, n_jobs=5000))
         assert recording_pool == pools
 
