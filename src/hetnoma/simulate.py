@@ -190,10 +190,14 @@ class NetworkSnapshot:
         return _near_first(self.bs_xy[cells],
                            self._voronoi.sample(cells[:, None], self._pair_draws[cells]))
 
+    @property
+    def tagged(self):
+        """Where a BS is a tagged cell: in the inner region, with >= 2 users."""
+        return self.window.contains(self.bs_xy, inner=True) & (self.counts >= 2)
+
     def tagged_cells(self, tier):
-        """Inner-region BSs of one tier with >= 2 users."""
-        inner = self.window.contains(self.bs_xy, inner=True)
-        return np.flatnonzero(inner & (self.counts >= 2) & (self.bs_tier == tier))
+        """The tagged cells of one tier."""
+        return np.flatnonzero(self.tagged & (self.bs_tier == tier))
 
 
 def _snapshots(grid, window, seed, trial, bs_per_tier=None):
@@ -386,14 +390,14 @@ class _CellBlocks:
 
     powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
     increasing BS order across calls, into the first rows of the float64
-    buffers; screen(cells, pair_xy, links), its float32 counterpart,
-    serves the block loop of _evaluate, and serving_links completes a
-    tier's screened cells at once.  A block object uses one of the two:
-    each draws the cells' fades from the one stream.  bs_x and bs_y are the
-    contiguous coordinate columns of the snapshot's bs_xy, and bs_power
-    the BSs' powers scaled by 2^-_power_exponent.  Only the snapshot's
-    BSs, tiers, path loss and (seed, trial) enter, so the blocks serve
-    every snapshot of one layout.
+    buffers; screen(cells, pair_xy, start), its float32 counterpart,
+    serves the block loop of _evaluate over a tier that start_tier opens,
+    and serving_links completes it at once.  A block object uses one of the
+    two: each draws the cells' fades from the one stream.  bs_x and bs_y
+    are the contiguous coordinate columns of the snapshot's bs_xy, and
+    bs_power the BSs' powers scaled by 2^-_power_exponent.  Only the
+    snapshot's BSs, tiers, path loss and (seed, trial) enter, so the
+    blocks serve every snapshot of one layout.
     """
 
     def __init__(self, snapshot, size=None, dtype=np.float64):
@@ -454,19 +458,20 @@ class _CellBlocks:
         power[rows, :, cells] = 0.0
         return serving_sq, desired, power
 
-    def screen(self, cells, pair_xy, links):
-        """The (len(cells), 2, n_bs) float32 block of -H' g' of `cells` (the
-        fades times the path gains, without the BSs' powers and with the
-        serving column zeroed), for _screen_weights to weigh.
+    def start_tier(self, k):
+        """Open a tier of k cells: the (k, 2) serving-link uniforms, min D' and
+        reach A' (comment above _U32) that screen fills and serving_links reads."""
+        self.links = np.empty((k, 2)), *np.empty((2, k, 2), dtype=np.float32)
 
-        The three (len(cells), 2) arrays of links receive each receiver's
-        serving-link uniform (float64), min D' and reach A' (float32) of the
-        comment above _U32, for serving_links to complete a tier at once.
-        """
+    def screen(self, cells, pair_xy, start):
+        """The (len(cells), 2, n_bs) float32 block of -H' g' of `cells`, the
+        tier's cells from row start on (the fades times the path gains,
+        without the BSs' powers and with the serving column zeroed), for
+        _screen_weights to weigh."""
         k = len(cells)
         rows = np.arange(k)
         uniforms = self._draw(cells)
-        serving, nearest_sq, reach = links
+        serving, nearest_sq, reach = (a[start:start + k] for a in self.links)
         serving[...] = uniforms[rows, :, cells]
         power = self.power[:k]
         with np.errstate(all="ignore"):
@@ -499,15 +504,15 @@ class _CellBlocks:
             np.multiply(out, out, out=out)
         return np.add(dist_sq, spare, out=dist_sq)
 
-    def serving_links(self, cells, pair_xy, links):
-        """(serving_dist_sq, desired, kappa, floor) of cells, whose links
-        screen filled, each of shape (len(cells), 2): the first two are the
+    def serving_links(self, cells, pair_xy):
+        """(serving_dist_sq, desired, kappa, floor) of the tier's cells, all
+        screened, each of shape (len(cells), 2): the first two are the
         bits powers gives, from the same operations on the same uniforms,
         and kappa and floor each receiver's KAPPA (inf where the bound does
         not hold) and FLOOR of the comment above _U32 (h over every BS and
         every user of cells), from which _sum_error bounds its sums' error.
         """
-        serving, nearest_sq, reach = links
+        serving, nearest_sq, reach = self.links
         serving_sq, desired = np.empty((2, len(cells), 2))
         _link_powers(self.alpha, serving, self.bs_x[cells, None], self.bs_y[cells, None],
                      self.bs_power[cells, None], pair_xy[..., 0], pair_xy[..., 1], serving_sq,
@@ -755,9 +760,7 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
     """
     snapshots = _snapshots(grid, window, seed, trial)
     layout = snapshots[0]
-    # member[j, b]: BS b is a tagged cell of snapshot j (see tagged_cells)
-    inner = layout.window.contains(layout.bs_xy, inner=True)
-    member = (np.stack([snapshot.counts for snapshot in snapshots]) >= 2) & inner
+    member = np.stack([snapshot.tagged for snapshot in snapshots])
     if max_cells_per_tier is not None:
         priority = _stream(seed, trial, _STREAM_PRIORITY).random(layout.n_bs)
         tagged = member.any(axis=0)
@@ -783,18 +786,17 @@ def _evaluate(snapshots, member):
     their sums: one product per block gives every group's
     (_screen_weights).  Each snapshot then decides the events of its own
     cells at its own threshold and beta from its group's sums, each
-    decision with a certificate (_certain):
-    it is the float64 path's unless its margin lies within the sums' error
-    bound.  All snapshots decide a tier at once, as arrays over (snapshot,
-    cell).  The cells with a decision left uncertain at any snapshot go
-    through the float64 path (_CellBlocks.powers and _link_sums on a block
-    of one cell, whose fade stream only moves forward as they come in BS
-    order), and the tier is counted again on the sums that then hold: a
-    certified decision on a screened sum is the float64 decision.  So
-    every count is the float64 path's.  Once the
-    pairs are placed, the snapshots' clipped cells and pair draws are
-    dropped: the trial needs no other pair, and freed before the blocks
-    take their buffers, they add nothing to the trial's peak memory.
+    decision with a certificate (_certain): it is the float64 path's
+    unless its margin lies within the sums' error bound.  All snapshots
+    decide a tier at once, as arrays over (snapshot, cell).  The cells with
+    a decision left uncertain at any snapshot go through the float64 path
+    (_CellBlocks.powers and _link_sums on a block of one cell, whose fade
+    stream only moves forward as they come in BS order), and the tier is
+    counted again on the sums that then hold: a certified decision on a
+    screened sum is the float64 decision.  So every count is the float64
+    path's.  Once the pairs are placed, the snapshots' clipped cells and
+    pair draws are dropped: the trial needs no other pair, and freed
+    before the blocks take their buffers, they add nothing to its peak.
     """
     layout = snapshots[0]
     n_tiers = layout.params.n_tiers
@@ -817,18 +819,18 @@ def _evaluate(snapshots, member):
     for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
         cells, pair_xy = union[lo:hi], pairs[lo:hi]
         k = len(cells)
-        links = np.empty((k, 2)), *np.empty((2, k, 2), dtype=np.float32)
+        blocks.start_tier(k)
         # the screened sums, negated: every group's interference, then void signal
-        screened = np.empty((k, 2, weights.shape[1]), dtype=np.float32)
+        screened = np.empty((k, 2, 2, len(flags)), dtype=np.float32)
         for start in range(0, k, blocks.size):
             block = slice(start, start + blocks.size)
-            power = blocks.screen(cells[block], pair_xy[block], [a[block] for a in links])
+            power = blocks.screen(cells[block], pair_xy[block], start)
             receivers = 2 * len(power)
             np.matmul(power.reshape(receivers, -1), weights,
                       out=screened[block].reshape(receivers, -1))
-        serving_sq, desired, kappa, floor = blocks.serving_links(cells, pair_xy, links)
+        serving_sq, desired, kappa, floor = blocks.serving_links(cells, pair_xy)
         # sums[0] the interference, sums[1] the void signal: (group, cell, receiver)
-        sums = np.moveaxis(np.negative(screened, dtype=float).reshape(k, 2, 2, -1), (2, 3), (0, 1))
+        sums = np.moveaxis(np.negative(screened, dtype=float), (2, 3), (0, 1))
         rows = member[:, cells]
         with np.errstate(all="ignore"):
             errors = _sum_error(sums, kappa, floor)[:, group]
@@ -934,9 +936,7 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
 
 def _cpu_count():
     """The CPUs this process may run on (None if unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _run_job(job):

@@ -439,7 +439,7 @@ class TestCliSweep:
         # workers exit with it instead of living on with parent PID 1
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("the worker processes are found through /proc")
-        if (os.cpu_count() or 1) < 2:
+        if (simulate._cpu_count() or 1) < 2:
             pytest.skip("a one-CPU machine runs the trials without workers")
         cfg = {"tiers": TOY_CONFIG["tiers"], "user_intensity": 8e-4, "beta": 0.75,
                "n_trials": 10_000, "n_jobs": 2}

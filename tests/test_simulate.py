@@ -590,6 +590,13 @@ class TestRunTrials:
         est = estimates_from_totals(run_trials(p, TOY_WINDOW, n_trials=2, seed=37), SCHEMES)
         assert all(e.p_hat == 1.0 for e in est)
 
+    def test_trial_without_tagged_cells_counts_nothing(self):
+        # at 1e-6 users/m^2 no cell has two users: the tier evaluates no
+        # cell, and the trial adds no sample instead of failing
+        totals = run_trials(toy_params(mu=1e-6), TOY_WINDOW, n_trials=1, seed=0)
+        assert totals.samples.tolist() == [0]
+        assert not totals.successes.any()
+        assert totals.sum_near_dist_sq.tolist() == [0.0]
 
 
 class TestExtrapolatedCoopForm:
@@ -864,9 +871,9 @@ class TestTessellationSampler:
         evaluated = []
         screen = simulate._CellBlocks.screen
 
-        def recording(blocks, cells, pair_xy, links):
+        def recording(blocks, cells, pair_xy, start):
             evaluated.append((cells.copy(), pair_xy.copy()))
-            return screen(blocks, cells, pair_xy, links)
+            return screen(blocks, cells, pair_xy, start)
 
         monkeypatch.setattr(simulate._CellBlocks, "screen", recording)
         seen = []
@@ -935,16 +942,16 @@ def screened_blocks(snap, cells):
     exact = simulate._CellBlocks(snap)
     weights = simulate._screen_weights([snap.nonvoid], screen.bs_power32)
     pairs = snap.pairs(cells)
-    links = np.empty((len(cells), 2)), *np.empty((2, len(cells), 2), dtype=np.float32)
+    screen.start_tier(len(cells))
     screened = []
     for start in range(0, len(cells), screen.size):
         block = slice(start, start + screen.size)
-        power = screen.screen(cells[block], pairs[block], [a[block] for a in links])
+        power = screen.screen(cells[block], pairs[block], start)
         sums = -(power.reshape(2 * len(power), -1) @ weights).reshape(len(power), 2, 2)
         exact_sq, exact_desired, exact_power = exact.powers(cells[block], pairs[block])
         exact_sums = np.stack(_link_sums(exact_power, _link_weights(snap.nonvoid)), -1)
         screened.append((block, sums.astype(float), exact_sq, exact_desired, exact_sums))
-    serving_sq, desired, kappa, floor = screen.serving_links(cells, pairs, links)
+    serving_sq, desired, kappa, floor = screen.serving_links(cells, pairs)
     for block, sums, exact_sq, exact_desired, exact_sums in screened:
         assert np.array_equal(serving_sq[block], exact_sq)
         assert np.array_equal(desired[block], exact_desired)
