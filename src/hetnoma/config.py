@@ -24,7 +24,7 @@ _PASSED_KEYS = ("schemes", "seed", "n_trials", "max_cells_per_tier", "n_jobs", "
 _TOP_KEYS = {"tiers", "user_intensity", "pathloss_exponent", "sir_threshold", "beta", "sweep",
              "window", "kernel_mode", *_PASSED_KEYS}
 _TIER_KEYS = {"power_watts", "intensity"}
-_WINDOW_KEYS = {"half_width", "margin"}
+_WINDOW_KEYS = {"half_width"}
 _SWEEP_KEYS = {"variable", "grid"}
 
 
@@ -148,8 +148,7 @@ def parse_config(data):
         if not isinstance(raw, dict):
             raise ConfigError("window", "expected an object")
         _reject_unknown(raw, _WINDOW_KEYS, "window.")
-        fields["window"] = _within("window.", Window, _require(raw, "half_width", "window."),
-                                   _require(raw, "margin", "window."))
+        fields["window"] = _within("window.", Window, _require(raw, "half_width", "window."))
 
     return ScenarioConfig(params=params, **fields)
 
@@ -189,7 +188,7 @@ def config_to_dict(cfg):
         "n_jobs": cfg.n_jobs,
     }
     if cfg.window is not None:
-        data["window"] = {"half_width": cfg.window.half_width, "margin": cfg.window.margin}
+        data["window"] = {"half_width": cfg.window.half_width}
     if cfg.max_cells_per_tier is not None:
         data["max_cells_per_tier"] = cfg.max_cells_per_tier
     if cfg.output is not None:

@@ -1,18 +1,15 @@
-"""Spatial model: PPP deployment on a finite window, nearest-BS association
-and the window-clipped Voronoi cells of the BSs.
+"""Spatial model: PPP deployment on a periodic window, nearest-BS
+association and the periodic Voronoi cells of the BSs.
 
-The analysis lives on the infinite plane; simulations truncate it to a
-square window and collect statistics only for cells whose base station
-lies in an inner region inset by `margin`, so that the interference and
-cooperation fields seen by evaluated cells are effectively edge-free.
-
-The clipped cells come from one Delaunay triangulation of the BSs and
-three far guard points, which close every BS's cell without owning any
-of the window; only the fans of the cells at the window's edge are then
-clipped to it.  qhull triangulates without pre-merging facets
-(DELAUNAY_OPTIONS), which is faster and gives the same triangles on
-general-position input; on the rare near-degenerate layouts where that
-fails, it triangulates again with scipy's default options, which merge.
+The analysis lives on the infinite plane.  Simulations approximate it by
+a square window whose opposite edges are identified, a torus of side L =
+2 half_width with no edge (the toroidal edge correction of Baddeley,
+Rubak and Turner, Spatial Point Patterns, 2015): every BS's cell is
+evaluated, at minimum-image distances.  qhull triangulates without
+pre-merging facets (DELAUNAY_OPTIONS), which is faster and gives the same
+triangles on general-position input; on the rare near-degenerate layouts
+where that fails, it triangulates again with scipy's default options,
+which merge.
 
 scipy.spatial is imported inside the functions that call it, so code
 that never simulates (the closed forms) never loads it.
@@ -25,15 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import ConfigError, number
+from .checks import number
 
-# default_window: expected base stations in the window, inset in mean cell radii
-DEFAULT_EXPECTED_BS = 2000.0
-DEFAULT_MARGIN_CELL_RADII = 5.0
+# default_window: expected base stations on the torus
+DEFAULT_EXPECTED_BS = 1527.0
 
-# clipped_voronoi: circumradius of the three guard points around the
-# window's centre, in window half widths
-VORONOI_GUARD_HALF_WIDTHS = 8.0
+# periodic_voronoi: width of the strip of copies, in mean cell radii (at 6,
+# 10 of 400 stock layouts failed its test and took the 7x dearer tiling)
+VORONOI_STRIP_CELL_RADII = 8.0
 
 # qhull options of the triangulation: scipy's defaults for 2-D Delaunay
 # plus Q0, which skips the pre-merging of nearly coplanar facets (about an
@@ -45,44 +41,27 @@ DELAUNAY_OPTIONS = "Qbb Qc Qz Q12 Q0"
 
 @dataclass(frozen=True)
 class Window:
-    """Square observation window [-half_width, half_width]^2 in meters.
-
-    margin is the inset of the inner evaluation region; it must be
-    smaller than half_width.
-    """
+    """Square window [-half_width, half_width]^2 in meters, its opposite
+    edges identified: a torus of side `period` = 2 half_width."""
 
     half_width: float
-    margin: float
 
     def __post_init__(self):
         object.__setattr__(self, "half_width",
                            number(self.half_width, "half_width", 0.0, strict=True))
-        object.__setattr__(self, "margin", number(self.margin, "margin", 0.0, strict=True))
-        if not self.margin < self.half_width:
-            raise ConfigError("margin", "must be less than half_width")
+
+    @property
+    def period(self):
+        return 2.0 * self.half_width
 
     @property
     def area(self):
-        return (2.0 * self.half_width) ** 2
-
-    @property
-    def inner_half_width(self):
-        return self.half_width - self.margin
-
-    def contains(self, xy, inner=False):
-        """Vectorized membership test; xy has shape (n, 2)."""
-        bound = self.inner_half_width if inner else self.half_width
-        xy = np.asarray(xy)
-        return (np.abs(xy[:, 0]) <= bound) & (np.abs(xy[:, 1]) <= bound)
+        return self.period ** 2
 
 
 def default_window(params):
-    """Window sized to hold DEFAULT_EXPECTED_BS base stations in expectation,
-    with an inner-region inset of DEFAULT_MARGIN_CELL_RADII mean cell radii."""
-    lam = params.total_intensity
-    margin = DEFAULT_MARGIN_CELL_RADII / math.sqrt(math.pi * lam)
-    half_width = math.sqrt(DEFAULT_EXPECTED_BS / (4.0 * lam))
-    return Window(half_width=half_width, margin=margin)
+    """Window sized to hold DEFAULT_EXPECTED_BS base stations in expectation."""
+    return Window(half_width=math.sqrt(DEFAULT_EXPECTED_BS / (4.0 * params.total_intensity)))
 
 
 def sample_ppp(intensity, window, rng):
@@ -94,8 +73,7 @@ def sample_ppp(intensity, window, rng):
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(rng.poisson(intensity * window.area))
-    hw = window.half_width
-    return rng.uniform(-hw, hw, size=(n, 2))
+    return rng.uniform(-window.half_width, window.half_width, size=(n, 2))
 
 
 @dataclass
@@ -138,19 +116,20 @@ def associate(bs_xy, user_xy):
 
 
 @dataclass(frozen=True)
-class ClippedVoronoi:
-    """The Voronoi cells of points in a window, clipped to the window.
+class PeriodicVoronoi:
+    """The Voronoi cells of points on a window's torus.
 
     Cell b is the fan of triangles (sites[b], _first[k], _second[k]) of
     area _area[k], for k in _fans[_start[b]:_start[b + 1]], the pieces of
-    its clipped boundary; each runs counterclockwise from the complex
-    point _first[k] to _second[k].  areas[b] sums them.  The fans of a
-    cell come in no particular order: sample orders those of the cells it
-    is asked for.
+    its boundary; each runs counterclockwise from the complex point
+    _first[k] to _second[k], which may lie outside the window.  areas[b]
+    sums them.  The fans of a cell come in no particular order: sample
+    orders those of the cells it is asked for.
     """
 
     sites: np.ndarray
     areas: np.ndarray
+    window: Window
     _start: np.ndarray = field(repr=False)
     _fans: np.ndarray = field(repr=False)
     _first: np.ndarray = field(repr=False)
@@ -163,12 +142,13 @@ class ClippedVoronoi:
         u has a shape that cells broadcasts to, plus a last axis of three
         uniforms in [0, 1): the first picks a fan triangle with probability
         proportional to its area, the other two place the point in it by
-        the square-root rule.  Returns an array of shape u.shape[:-1] + (2,).
-        Each cell's fans are ordered counterclockwise from the angle -pi
-        and summed from zero, so a point depends only on its cell and its
-        uniforms, not on the other cells asked for.  A cell without a fan
-        (a point that qhull left out of the triangulation, as it can in a
-        tight cluster; its area is 0) gets NaN points.
+        the square-root rule.  Returns an array of shape u.shape[:-1] + (2,)
+        of points in the window: a coordinate past an edge is moved by one
+        period, exactly.  Each cell's fans are ordered counterclockwise from
+        the angle -pi and summed from zero, so a point depends only on its
+        cell and its uniforms, not on the other cells asked for.  A cell
+        without a fan (a point that qhull left out of the triangulation, as
+        it can in a tight cluster; its area is 0) gets NaN points.
         """
         cells = np.asarray(cells)
         row = np.broadcast_to(np.arange(cells.size).reshape(cells.shape), u.shape[:-1])
@@ -195,72 +175,71 @@ class ClippedVoronoi:
                  + s * t * self._second[fan])
         # a cell without a fan took k = -1, a fan of another cell
         point = np.where(count[row] > 0, point, complex(np.nan, np.nan))
-        return point[..., None].view(float)
+        # a cell lies within half a period of its site: the shift is exact
+        xy = point[..., None].view(float)
+        hw = self.window.half_width
+        return np.subtract(xy, np.copysign(2.0 * hw, xy), out=xy, where=np.abs(xy) > hw)
 
 
-def clipped_voronoi(xy, window):
-    """Exact window-clipped Voronoi cells of the points xy (all inside the window).
+def periodic_voronoi(xy, window):
+    """Exact Voronoi cells of the points xy (all in the window) on the
+    window's torus of side L.
 
-    One Delaunay triangulation of the points and three guard points gives
-    every cell's vertices as triangle circumcentres.  The guards sit at
-    the corners of an equilateral triangle of circumradius
-    VORONOI_GUARD_HALF_WIDTHS half widths around the window's centre.
-    Every window point is within 2*sqrt(2) half widths of its nearest
-    point but at least 8 - sqrt(2) from each guard, so no guard's cell
-    reaches into the window, and each point's cell meets the window in
-    exactly its clipped cell.  The guards' triangle has inradius 4 half
-    widths, so every point lies inside the hull and has a bounded cell.
-    (Four guards at square corners would be cocircular, which slows the
-    triangulation.)  Fans whose two Voronoi vertices lie in the window
-    are kept as they are; the others are clipped to the window and split
-    again into fans from the point (see _clip_fans).  RuntimeError if the
-    areas miss the window area.
+    Points on the right or top edge are taken as those on the left or
+    bottom one (sites holds them so moved).  The points are triangulated
+    with their copies, shifted by +-L in x, y or both, that lie in a strip
+    VORONOI_STRIP_CELL_RADII mean cell radii wide around the window.  A
+    triangle whose circumcircle lies in the covered square holds no copy
+    of any point, so it is a Delaunay triangle of the periodic points;
+    where every triangle that touches a point passes that test and has a
+    neighbour across each edge, the cells are exact.  Otherwise all eight
+    copies are triangulated (as with a strip L wide), the 3 x 3 tiling,
+    exact with no test: a cell lies within L/2 of its point in each
+    coordinate, so in [-L, L]^2, where every point's nearest copy is among
+    the nine.  RuntimeError if the areas miss the window area.
     """
     xy = np.ascontiguousarray(xy, dtype=float).reshape(-1, 2)
     n = len(xy)
     if n == 0:
         raise ValueError("a tessellation requires at least one point")
-    hw = window.half_width
+    hw, period = window.half_width, window.period
+    xy = np.where(xy >= hw, xy - period, xy)
     # points as complex numbers x + iy from here on
-    z, owner, first, second, inside = _voronoi_fans(xy.view(complex)[:, 0], hw)
-    # the guards' fans are dropped, the fans that leave the window clipped
-    edge = np.flatnonzero(~inside & (owner < n))
-    row, edge_first, edge_second = _clip_fans(z[owner[edge]], first[edge], second[edge], hw)
-    owner = np.concatenate([owner[inside], owner[edge[row]]])
-    first = np.concatenate([first[inside], edge_first])
-    second = np.concatenate([second[inside], edge_second])
+    z = xy.view(complex)[:, 0]
+    strip = min(VORONOI_STRIP_CELL_RADII * period / math.sqrt(math.pi * n), period)
+    owner, first, second = _voronoi_fans(z, window, strip)
     site = z[owner]
     u, v = first - site, np.subtract(second, site, out=site)
-    # a zero-length Voronoi edge (four cocircular points) or a clipped
-    # piece that is a single segment may round below 0
+    # a zero-length Voronoi edge (four cocircular points) may round below 0
     area = np.maximum(0.5 * (u.real * v.imag - u.imag * v.real), 0.0)
     areas = np.bincount(owner, weights=area, minlength=n)
     if not abs(areas.sum() - window.area) <= 1e-9 * window.area:
         raise RuntimeError(
-            f"clipped Voronoi areas sum to {areas.sum()!r}, not the window area {window.area!r}")
+            f"periodic Voronoi areas sum to {areas.sum()!r}, not the window area {window.area!r}")
     # the fans grouped by cell; the narrowest unsigned key lets numpy radix-sort
     fans = np.argsort(owner.astype(np.min_scalar_type(n - 1)), kind="stable")
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
-    return ClippedVoronoi(sites=xy, areas=areas, _start=start, _fans=fans,
-                          _first=first, _second=second, _area=area)
+    return PeriodicVoronoi(sites=xy, areas=areas, window=window, _start=start, _fans=fans,
+                           _first=first, _second=second, _area=area)
 
 
-def _voronoi_fans(site, half_width):
-    """Voronoi edges of the (complex) points site, from a Delaunay
-    triangulation of them and three guards (with DELAUNAY_OPTIONS, or
-    scipy's defaults where qhull cannot triangulate without merging).
-
-    Returns (z, owner, first, second, inside): z holds the sites, then the
-    guards.  Voronoi edge k of cell owner[k] (an index into z) runs
-    counterclockwise from first[k] to second[k], and inside[k] is True
-    where owner[k] is a site and both ends lie in the window.
+def _voronoi_fans(site, window, strip):
+    """(owner, first, second) of the (complex) points site on the window's
+    torus, from a Delaunay triangulation of them and their copies within
+    strip of the window (with DELAUNAY_OPTIONS, or scipy's defaults where
+    qhull cannot triangulate without merging), or from the 3 x 3 tiling
+    where that strip fails periodic_voronoi's test: Voronoi edge k of site
+    owner[k] runs counterclockwise from first[k] to second[k].
     """
     from scipy.spatial import Delaunay, QhullError
 
-    guards = (VORONOI_GUARD_HALF_WIDTHS * half_width) * np.exp(
-        1j * (np.pi / 2.0 + (2.0 * np.pi / 3.0) * np.arange(3)))
-    z = np.concatenate([site, guards])
+    n, period = len(site), window.period
+    reach = window.half_width + strip
+    # the sites first, in order (all of them lie in the window), then copies
+    shifts = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    copies = site + period * shifts[:, None]
+    z = copies[(np.abs(copies.real) <= reach) & (np.abs(copies.imag) <= reach)]
     points = z.view(float).reshape(-1, 2)
     try:
         tri = Delaunay(points, qhull_options=DELAUNAY_OPTIONS)
@@ -275,74 +254,20 @@ def _voronoi_fans(site, half_width):
     centre = np.empty_like(p0)
     centre.real = p0.real + (e2.imag * n1 - e1.imag * n2) / cross
     centre.imag = p0.imag + (e1.real * n2 - e2.real * n1) / cross
-    in_window = (np.abs(centre.real) <= half_width) & (np.abs(centre.imag) <= half_width)
     # corner i of triangle t owns the Delaunay edge to the next corner; the
     # triangle across it faces corner i + 2, and the dual Voronoi edge runs
     # counterclockwise (seen from the owner) from that triangle's centre to
-    # t's.  Only guards lie on the hull, so for a site that triangle exists.
-    across = tri.neighbors[:, [2, 0, 1]].astype(np.intp).ravel()
+    # t's.  Only the sites' edges are kept.
     owner = corners.ravel()
-    inside = (owner < len(site)) & in_window[across] & np.repeat(in_window, 3)
-    return z, owner, centre[across], np.repeat(centre, 3), inside
-
-
-def _clip_fans(s, a, b, half_width):
-    """The fans (s, a, b) of complex points (site, first, second), clipped
-    to the window and split again into fans from the site.
-
-    Each site lies in the window and each fan is counterclockwise, so a
-    clipped fan is a convex polygon with its site as one vertex.  The
-    others are, in counterclockwise order around the site: first, or
-    where the ray towards it leaves the window; the points where the
-    segment first-second crosses the window's boundary; the window's
-    corners inside the fan; and second, or where the ray towards it
-    leaves the window.  Returns (row, first, second) of the new fans: fan
-    k lies in input fan row[k].
-    """
-    m = len(s)
-    step = np.concatenate([a - s, b - s, b - a])
-    t_in, t_out = _clip_params(np.concatenate([s, s, a]), step, half_width)
-    t_in, t_out, step = t_in[2 * m:], t_out.reshape(3, m), step.reshape(3, m)
-    # one row per candidate vertex, one column per fan
-    vertex = np.empty((8, m), dtype=complex)
-    vertex[0] = s + t_out[0] * step[0]
-    vertex[1] = a + np.minimum(t_in, 1.0) * step[2]
-    vertex[2] = a + t_out[2] * step[2]
-    vertex[3:7] = corner = half_width * np.array([[1 + 1j], [-1 + 1j], [-1 - 1j], [1 - 1j]])
-    vertex[7] = s + t_out[1] * step[1]
-    # for complex u and v, the imaginary part of conj(u) * v is their cross
-    # product: w holds each vertex's angle from the ray towards first
-    w = np.conj(step[0]) * (vertex - s)
-    # which middle vertices exist: where a-b enters and leaves the window,
-    # and the corners in the closed triangle, except one the site sits on
-    exists = np.empty((6, m), dtype=bool)
-    meets = t_in <= t_out[2]
-    exists[0], exists[1] = meets & (t_in > 0.0), meets & (t_out[2] < 1.0)
-    exists[2:] = (corner != s) & (w[3:7].imag >= 0.0)
-    for p, q in ((a, b), (b, s)):
-        exists[2:] &= (np.conj(q - p) * (corner - p)).imag >= 0.0
-    # the middle vertices in angle order; the ray ends go first and last,
-    # absent vertices after them
-    key = np.angle(w)
-    key[0], key[7] = -4.0, 4.0
-    key[1:7][~exists] = np.inf
-    vertex = vertex.ravel()[np.argsort(key, axis=0) * m + np.arange(m)]
-    n_fans = 1 + exists.sum(axis=0)
-    used = (np.arange(7)[:, None] < n_fans).T
-    return np.repeat(np.arange(m), n_fans), vertex[:-1].T[used], vertex[1:].T[used]
-
-
-def _clip_params(start, step, half_width):
-    """(t_in, t_out): where the segments start + t*step, 0 <= t <= 1, of
-    complex points enter and leave the window; t_in > t_out where one
-    misses it (Liang-Barsky)."""
-    # x and y of every segment side by side
-    p, d = start.view(float), step.view(float)
-    moves = d != 0.0
-    side = np.copysign(half_width, d)
-    # a coordinate that does not move must already lie in the window
-    enter = np.divide(-side - p, d, out=np.where(np.abs(p) > half_width, np.inf, 0.0),
-                      where=moves)
-    leave = np.divide(side - p, d, out=np.ones(len(p)), where=moves)
-    return (np.maximum(np.maximum(enter[::2], enter[1::2]), 0.0),
-            np.minimum(np.minimum(leave[::2], leave[1::2]), 1.0))
+    edge = np.flatnonzero(owner < n)
+    across = tri.neighbors[:, [2, 0, 1]].ravel()[edge].astype(np.intp)
+    triangle = edge // 3
+    if strip < period:
+        # the circles of the triangles touching a site (each triangle across
+        # a site's edge touches it too), with a slack of 2^-30 periods for
+        # the rounding of centres, radii and copies; -1 marks the hull
+        extent = (np.maximum(np.abs(centre.real), np.abs(centre.imag))
+                  + np.abs(centre - p0))[triangle]
+        if not ((across >= 0).all() and (extent <= reach - 2.0**-30 * period).all()):
+            return _voronoi_fans(site, window, period)
+    return owner[edge], centre[across], centre[triangle]

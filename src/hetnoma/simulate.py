@@ -1,9 +1,9 @@
 """Monte Carlo evaluation of the exact NOMA SIR decoding events.
 
 One trial samples the whole network once (BS tiers, user counts, void
-flags and every BS's scheduled pair), then evaluates the decoding events
-of both schemes in every tagged cell: a non-void inner-region BS with at
-least two users, two of which are scheduled uniformly at random.
+flags and every BS's scheduled pair) on the torus of its window, then
+evaluates the decoding events of both schemes in every tagged cell: a BS
+with at least two users, two of which are scheduled uniformly at random.
 
 A trial (run_coupled_trial) serves every point of a grid that shares one
 layout (tiers and path loss: all of a user_intensity or beta sweep) from
@@ -11,11 +11,11 @@ one snapshot, and every Monte Carlo run goes through run_trial_sets,
 which runs those trials: a sweep over its grid, sim and run_trials over
 their one point.  run_single_trial is one trial at one point and
 build_snapshot its snapshot, the views that tests inspect.  The trial
-samples the BSs and clips their Voronoi cells to the window: given the
+samples the BSs and computes their Voronoi cells on the torus: given the
 BSs, the users of a cell form a PPP of intensity user_intensity on the
-clipped cell of its BS, so a BS's count is Poisson(m), m =
-user_intensity x area_b, independently, and its pair is two i.i.d.
-uniform points in its cell.
+cell of its BS, so a BS's count is Poisson(m), m = user_intensity x
+area_b, independently, and its pair is two i.i.d. uniform points in its
+cell.
 This costs the same at any load, and no user is placed but the pairs a
 trial evaluates.  A trial reads only whether a count is at least 1 (the
 BS transmits) and at least 2 (the cell can be tagged), and both come
@@ -53,9 +53,10 @@ same fades (the serving link's fade is its block's column at the serving
 BS), which makes each cooperative event a superset of the
 non-cooperative one cell by cell.
 
-Interference at a receiver sums over all non-void BSs in the full window
+Interference at a receiver sums over all non-void BSs of the window
 except the serving one; the cooperative signal sums over all void BSs of
-every tier, evaluated at the receiving user's own location.  Powers are
+every tier, evaluated at the receiving user's own location.  Every BS-user
+distance is the minimum-image one on the torus (_minimum_image).  Powers are
 scaled by the power of two that puts the largest tier power in [1, 2):
 exact, and every SIR event is homogeneous in power, so the counts do not
 depend on the power scale (tiers of 1e-318 W or 1.7e308 W give the
@@ -76,8 +77,8 @@ design of Shewchuk's adaptive-precision predicates) certifies each
 decision.  Where a margin falls within the bound, a sum is not finite or
 the bound does not apply, the cell goes through the float64 path on a
 block of its own, so every count, distance sum and CSV byte is the
-float64 evaluation's.  About 0.16% of stock cells (cap 120 or none) and
-0.19% of dense ones (2e-3 users/m^2, cap 16) take it.
+float64 evaluation's.  About 0.13% of stock cells (cap 120 or none) and
+of dense ones (2e-3 users/m^2, cap 16) take it.
 schedule_noma_users, evaluate_noncoop and evaluate_coop are one-cell
 views of the float64 evaluation, in watts.
 """
@@ -95,7 +96,7 @@ import numpy as np
 
 from .checks import ConfigError, integer
 from .coverage import SCHEMES, check_schemes
-from .geometry import Window, clipped_voronoi, default_window, sample_ppp
+from .geometry import Window, default_window, periodic_voronoi, sample_ppp
 from .geometry import associate  # noqa: F401  (perfbench traces simulate.associate by name)
 
 ROLES = ("near", "far")
@@ -109,11 +110,11 @@ _STREAM_PRIORITY = 5
 
 # Size of each (cells, 2, n_bs) float buffer of a block of tagged cells:
 # small enough to stay in cache, large enough that numpy calls run over
-# many cells at once (16 cells at the stock 2,034 BSs).
+# many cells at once (21 cells at the stock 1,527 BSs).
 BLOCK_BYTES = 2**19
 
 # Ceiling on the expected number of BSs one snapshot samples: far above
-# the about 2,000 that the default window holds, far below what runs a
+# the about 1,500 that the default window holds, far below what runs a
 # machine out of memory.
 MAX_EXPECTED_POINTS = 5e6
 
@@ -156,7 +157,7 @@ class NetworkSnapshot:
     a trial reads of a count, and nonvoid[b] is True iff it is positive
     (the indicator that the BS transmits).  Global BS indices concatenate
     the tiers in order.  pairs(cells) gives the coordinates of the two
-    users each BS schedules: the snapshot holds the clipped cells
+    users each BS schedules: the snapshot holds the cells on the torus
     (_voronoi) and every BS's (2, 3) uniforms (_pair_draws), and places a
     pair only when it is asked for, so a trial pays for the pairs of the
     cells it evaluates only.
@@ -183,17 +184,18 @@ class NetworkSnapshot:
 
     def pairs(self, cells):
         """The scheduled pairs of the BSs in the index array cells, of shape
-        (len(cells), 2, 2), the near user first; NaN where a cell owns no
-        fan (and so has no area and no users).  A BS's pair is the same
-        bits whichever other BSs are asked for with it.
+        (len(cells), 2, 2), points in the window, the near user first; NaN
+        where a cell owns no fan (and so has no area and no users).  A BS's
+        pair is the same bits whichever other BSs are asked for with it.
         """
         return _near_first(self.bs_xy[cells],
-                           self._voronoi.sample(cells[:, None], self._pair_draws[cells]))
+                           self._voronoi.sample(cells[:, None], self._pair_draws[cells]),
+                           self.window)
 
     @property
     def tagged(self):
-        """Where a BS is a tagged cell: in the inner region, with >= 2 users."""
-        return self.window.contains(self.bs_xy, inner=True) & (self.counts >= 2)
+        """Where a BS is a tagged cell: with >= 2 users."""
+        return self.counts >= 2
 
     def tagged_cells(self, tier):
         """The tagged cells of one tier."""
@@ -208,10 +210,10 @@ def _snapshots(grid, window, seed, trial, bs_per_tier=None):
     of the points stream on window (default_window(grid[0]) if None):
     sampling fails before it starts if their expected count is over
     MAX_EXPECTED_POINTS, and after it if the window contains none.  The
-    BSs' clipped cells are computed and their pairs' uniforms drawn once,
-    to be placed in the cells that NetworkSnapshot.pairs is asked for.  A
+    BSs' cells are computed and their pairs' uniforms drawn once, to be
+    placed in the cells that NetworkSnapshot.pairs is asked for.  A
     point's counts are the classes _count_classes gives the BSs' uniforms
-    from the counts stream at the mean user_intensity x clipped cell area.
+    from the counts stream at the mean user_intensity x cell area.
     """
     if bs_per_tier is None:
         window = check_point_budget(grid[0], window)
@@ -222,7 +224,7 @@ def _snapshots(grid, window, seed, trial, bs_per_tier=None):
         [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
     )
     powers = np.array([t.power_watts for t in grid[0].tiers])
-    voronoi = clipped_voronoi(bs_xy, window)
+    voronoi = periodic_voronoi(bs_xy, window)
     # two i.i.d. uniform points in each BS's cell, three uniforms each
     pair_draws = _stream(seed, trial, _STREAM_PAIRS).random((n_bs, 2, 3))
     uniform = _stream(seed, trial, _STREAM_COUNTS).random(n_bs)
@@ -233,11 +235,12 @@ def _snapshots(grid, window, seed, trial, bs_per_tier=None):
     ) for params in grid]
 
 
-def _near_first(bs_xy, pair_xy):
+def _near_first(bs_xy, pair_xy, window):
     """pair_xy (pairs of shape (2, 2) of the BSs bs_xy) with each pair's
-    near user first, in place; an exact tie keeps the first draw first."""
-    dx, dy = bs_xy[:, None, 0] - pair_xy[..., 0], bs_xy[:, None, 1] - pair_xy[..., 1]
-    serving_sq = dx * dx + dy * dy
+    near user first, in place; an exact tie keeps the first draw first.
+    The serving distances are those of _link_powers."""
+    d = _minimum_image(bs_xy[:, None] - pair_xy, window.period)
+    serving_sq = (d * d).sum(axis=-1)
     far_first = serving_sq[:, 1] < serving_sq[:, 0]
     pair_xy[far_first] = pair_xy[far_first, ::-1]
     return pair_xy
@@ -301,9 +304,18 @@ def _power_exponent(params):
     return math.frexp(max(t.power_watts for t in params.tiers))[1] - 1
 
 
-def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
+def _minimum_image(d, period, scratch=None):
+    """min(|d|, period - |d|) in place: coordinate differences d taken to
+    their minimum image on the torus of side period, with no rounding (the
+    subtraction is exact where it is the smaller).  scratch: a buffer like d."""
+    np.abs(d, out=d)
+    return np.minimum(d, np.subtract(period, d, out=scratch), out=d)
+
+
+def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power, window):
     """float64 received powers P H d^-alpha of the links between the BSs
-    (bs_x, bs_y, bs_power) and the receivers (ux, uy), broadcast together.
+    (bs_x, bs_y, bs_power) and the receivers (ux, uy), broadcast together,
+    at the minimum-image distances d on window's torus.
 
     fades holds the links' uniforms U and is turned in place into the
     exponential fades -log1p(-U); dist_sq and power receive the squared
@@ -314,8 +326,10 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
     np.log1p(fades, out=fades)
     np.negative(fades, out=fades)
     np.subtract(bs_x, ux, out=dist_sq)
+    _minimum_image(dist_sq, window.period)
     np.multiply(dist_sq, dist_sq, out=dist_sq)
     np.subtract(bs_y, uy, out=power)
+    _minimum_image(power, window.period)
     np.multiply(power, power, out=power)
     np.add(dist_sq, power, out=dist_sq)
     if alpha == 4.0:
@@ -331,18 +345,27 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
 #
 # For one receiver, take the exact sum S = sum_j P_j H_j g_j over a set of
 # links j other than the serving one, with the float64 inputs taken as
-# exact: P_j the scaled power, H_j = -ln(1 - U_j), g_j = d_j^-alpha.  The
-# screen's float32 sum S' and the float64 path's S64 both approximate it,
-# and |S' - S64| <= err(S') = KAPPA S' + FLOOR, per receiver, with u =
-# 2^-24 (float32 unit roundoff) and n = n_bs terms:
+# exact: P_j the scaled power, H_j = -ln(1 - U_j), g_j = d_j^-alpha, d_j
+# the minimum-image distance on the torus of side L.  The screen's float32
+# sum S' and the float64 path's S64 both approximate it, and |S' - S64| <=
+# err(S') = KAPPA S' + FLOOR, per receiver, with u = 2^-24 (float32 unit
+# roundoff) and n = n_bs terms:
 #
-#   * coordinates: every coordinate is rounded to float32, off by at most
-#     u h, h the largest |coordinate| of a BS or of the tier's users; so
-#     the float32 link vector is off by at most 2 sqrt(2) u h, and the link
-#     distance by the relative c = 3 u h / d_min.  d_min bounds the
-#     receiver's distance to every BS from below: the float32 squared
-#     distances of its row D' (the serving link included) hold
-#     |v'|^2 (1 + 5u) at most, so d_min = sqrt(min D' / (1 + 5u)) - 3 u h;
+#   * coordinates: every coordinate lies in the window and is rounded to
+#     float32, off by at most u h (h <= L/2 the largest |coordinate| of a
+#     BS or of the tier's users), and L to L' = 2 fl32(L/2), off by u L.
+#     A difference bs' - u' is rounded once and, where its magnitude
+#     exceeds L'/2, taken to L' minus it, exactly (_minimum_image).  Per
+#     coordinate, that magnitude is off from the exact minimum image's by
+#     at most 2 u h beyond its own rounding where neither wraps; 4 u h +
+#     u L where both do, on a link at least g long (g the receiver's
+#     distance to the window's edge); and 6.6 u L where one does, on a
+#     link at least L/2 - 2.1 u L long.  So the link distance is off by at
+#     most the relative c = max(3 u h / d_min, u (6 h + 1.5 L) / max(d_min,
+#     g), 16 u), d_min bounding the receiver's distance to every BS from
+#     below: the float32 squared distances of its row D' (the serving link
+#     included) hold |v'|^2 (1 + 5u) at most, so d_min = sqrt(min D' /
+#     (1 + 5u)) - 8 u L;
 #   * per link: D' carries 4 roundings (5u), and d^-alpha turns a relative
 #     error x of d into at most 2 alpha x while alpha x <= 1/2; the gain's
 #     reciprocal and square (3u, alpha = 4) or float32 pow (measured within
@@ -351,7 +374,7 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
 #     (6 alpha + 8) u of P g, relative, while rho <= 2^-8 (so the product of
 #     the (1 + x) factors is within 1.01 times their sum).  Where alpha / 2
 #     is not a float32, its rounding e adds 1.02 e |ln D| for the largest
-#     |ln D| of the row;
+#     |ln D| of the row (every D is below L^2);
 #   * the fade: 1 - U is exact in float64 and is rounded once to float32,
 #     which moves its log by at most 1.01 u; numpy's float32 log is within
 #     3.83 ulp (4.6 u relative, on every float32 in [2^-53, 1]; 8 u
@@ -364,7 +387,9 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
 #     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1
 #     and 4.2), while gamma <= 2^-6: so a snapshot of more than about
 #     258,000 BSs is never certified, and all its cells take the float64 path;
-#   * the float64 path is within (n + 8 alpha + 64) 2^-52 of S, relative;
+#   * the float64 path is within (n + 8 alpha + 64) 2^-52 of S, relative
+#     (its rounding of a wrapped difference, at most 2^-53 L, lies far
+#     inside the round-up of c's middle term);
 #   * underflow (subnormal or flushed): at most 2^-126 per operation, times
 #     factors below 80 (|ln(2^-53)| < 37, P < 2), within n 2^-116 in all.
 #
@@ -374,8 +399,9 @@ def _link_powers(alpha, fades, bs_x, bs_y, bs_power, ux, uy, dist_sq, power):
 #   KAPPA = 9 u + 1.05 (rho + gamma),  FLOOR = 2.2 u A' + n 2^-116,
 #
 # or infinite wherever rho exceeds 2^-8 or gamma 2^-6, d_min is not positive,
-# a power is below 2^-100 of the largest or h is outside [2^-30, 2^29]
-# (which keeps 1/D', its square and the powers normal in float32).  A decision
+# a power is below 2^-100 of the largest, h is outside [2^-30, L/2] or L is
+# above 2^30 (which keeps 1/D', its square and the powers normal in
+# float32).  A decision
 # lhs >= rhs of _sides is then certified when |lhs - rhs| exceeds
 # theta err(I) + err(V) (V only on the cooperative side) + 2^-49 (lhs +
 # rhs) + 2^-1000, the last two terms covering float64 rounding and
@@ -420,6 +446,7 @@ class _CellBlocks:
             self.bs_rows = np.ones((2, 2, n_bs), dtype)
             self.bs_rows[:, 0] = snapshot.bs_xy.T
             self.receiver_rows = np.ones((2 * self.size, 2), dtype)
+            self.period32 = 2 * np.float32(snapshot.window.half_width)
             self.bs_power32 = self.bs_power.astype(dtype)
             self.exponent32 = np.float32(-self.alpha / 2.0)
             self.exponent_error = abs(float(self.exponent32) + self.alpha / 2.0)
@@ -449,7 +476,8 @@ class _CellBlocks:
         k = len(cells)
         fades, dist_sq, power = self._draw(cells), self.dist_sq[:k], self.power[:k]
         _link_powers(self.alpha, fades, self.bs_x, self.bs_y, self.bs_power,
-                     pair_xy[:, :, 0, None], pair_xy[:, :, 1, None], dist_sq, power)
+                     pair_xy[:, :, 0, None], pair_xy[:, :, 1, None], dist_sq, power,
+                     self.snapshot.window)
         rows = np.arange(k)
         serving_sq = dist_sq[rows, :, cells]
         desired = power[rows, :, cells]
@@ -475,9 +503,6 @@ class _CellBlocks:
         serving[...] = uniforms[rows, :, cells]
         power = self.power[:k]
         with np.errstate(all="ignore"):
-            # -H' = log(1 - U): 1 - U is exact in float64, rounded once
-            np.subtract(1.0, uniforms, out=power)
-            np.log(power, out=power)
             # the path gains D'^(-alpha/2), in place
             gain = self._squared_distances(pair_xy)
             gain.min(axis=-1, out=nearest_sq)
@@ -487,20 +512,25 @@ class _CellBlocks:
             else:
                 np.power(gain, self.exponent32, out=gain)
             gain[rows, :, cells] = 0.0
+            # -H' = log(1 - U): 1 - U is exact in float64, rounded once
+            np.subtract(1.0, uniforms, out=power)
+            np.log(power, out=power)
             np.multiply(power, gain, out=power)
             reach[...] = np.matmul(gain.reshape(2 * k, -1), self.bs_power32).reshape(k, 2)
         return power
 
     def _squared_distances(self, pair_xy):
-        """D': the float32 squared distances of the receivers pair_xy to
-        every BS, into the first rows of dist_sq.  Each coordinate's
-        difference is one exact product [1, -u] @ [bs; 1], so it is bs - u
-        rounded once, the bits of a float32 subtraction."""
+        """D': the float32 squared minimum-image distances of the receivers
+        pair_xy to every BS, into the first rows of dist_sq.  Each
+        coordinate's difference is one exact product [1, -u] @ [bs; 1], so
+        it is bs - u rounded once, the bits of a float32 subtraction, and
+        _minimum_image wraps it exactly (in the power buffer's rows)."""
         k = len(pair_xy)
         receivers, dist_sq, spare = self.receiver_rows[:2 * k], self.dist_sq[:k], self.spare[:k]
         for c, out in enumerate((dist_sq, spare)):
             np.negative(pair_xy[..., c].ravel(), out=receivers[:, 1])
             np.matmul(receivers, self.bs_rows[c], out=out.reshape(2 * k, -1))
+            _minimum_image(out, self.period32, self.power[:k])
             np.multiply(out, out, out=out)
         return np.add(dist_sq, spare, out=dist_sq)
 
@@ -512,20 +542,28 @@ class _CellBlocks:
         not hold) and FLOOR of the comment above _U32 (h over every BS and
         every user of cells), from which _sum_error bounds its sums' error.
         """
+        window = self.snapshot.window
         serving, nearest_sq, reach = self.links
         serving_sq, desired = np.empty((2, len(cells), 2))
         _link_powers(self.alpha, serving, self.bs_x[cells, None], self.bs_y[cells, None],
                      self.bs_power[cells, None], pair_xy[..., 0], pair_xy[..., 1], serving_sq,
-                     desired)
-        h = max(self.coord_max, float(np.abs(pair_xy).max(initial=0.0)))
+                     desired, window)
+        hw, period = window.half_width, window.period
+        magnitude = np.abs(pair_xy)
+        h = max(self.coord_max, float(magnitude.max(initial=0.0)))
         with np.errstate(all="ignore"):
             nearest_sq = nearest_sq.astype(float)
-            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 3.0 * _U32 * h
-            rho = 3.0 * self.alpha * (3.0 * _U32 * h / d_min) + (6.0 * self.alpha + 8.0) * _U32
+            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 8.0 * _U32 * period
+            # g, each receiver's distance to the window's edge
+            edge = hw - magnitude.max(axis=-1)
+            c = np.maximum(3.0 * _U32 * h / d_min,
+                           _U32 * (6.0 * h + 1.5 * period) / np.maximum(d_min, edge))
+            rho = 3.0 * self.alpha * np.maximum(c, 16.0 * _U32) + (6.0 * self.alpha + 8.0) * _U32
             if self.exponent_error:
-                log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(math.log(9.0 * h * h)))
+                log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(2.0 * math.log(period)))
                 rho = rho + 1.02 * self.exponent_error * log_range
-            valid = (d_min > 0.0) & (rho <= _RHO_MAX) & self.screens & (2.0**-30 <= h <= 2.0**29)
+            valid = ((d_min > 0.0) & (rho <= _RHO_MAX) & self.screens
+                     & (2.0**-30 <= h <= hw) & (period <= 2.0**30))
             kappa = np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
             floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
         return serving_sq, desired, kappa, floor
@@ -749,7 +787,7 @@ def run_coupled_trial(grid, window, seed, trial, max_cells_per_tier=None):
     The points share their tiers and path-loss exponent, and differ only
     in load, beta or threshold; a window of None means
     default_window(grid[0]).  The trial samples the BSs from the points
-    stream and clips their Voronoi cells once, at every load (_snapshots
+    stream and tessellates them once, at every load (_snapshots
     gives each point its counts); with max_cells_per_tier, each tier
     evaluates the tagged cells of lowest priority (one uniform per BS from
     the priority stream, ties to the lower BS index), and one sort per
@@ -794,8 +832,8 @@ def _evaluate(snapshots, member):
     stream only moves forward as they come in BS order), and the tier is
     counted again on the sums that then hold: a certified decision on a
     screened sum is the float64 decision.  So every count is the float64
-    path's.  Once the pairs are placed, the snapshots' clipped cells and
-    pair draws are dropped: the trial needs no other pair, and freed
+    path's.  Once the pairs are placed, the snapshots' cells and pair
+    draws are dropped: the trial needs no other pair, and freed
     before the blocks take their buffers, they add nothing to its peak.
     """
     layout = snapshots[0]
@@ -1031,7 +1069,7 @@ def estimates_from_totals(totals, schemes=SCHEMES):
 
 @dataclass(frozen=True)
 class CellCensus:
-    """Void-cell and user-count statistics over inner-region BSs."""
+    """Void-cell and user-count statistics over every sampled BS."""
 
     n_bs: int
     n_void: int
@@ -1039,8 +1077,7 @@ class CellCensus:
 
     @property
     def void_fraction(self):
-        """The share of void BSs; NaN when no inner-region BS was sampled."""
-        return self.n_void / self.n_bs if self.n_bs else math.nan
+        return self.n_void / self.n_bs
 
 
 def cell_census(params, window=None, n_snapshots=100, seed=0):
@@ -1048,7 +1085,7 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
 
     A trial reads only min(count, 2) of a count, so the census draws the
     full counts itself: snapshot t has trial t's BSs, and each BS's count
-    is Poisson(user_intensity x area of its clipped Voronoi cell), drawn
+    is Poisson(user_intensity x area of its Voronoi cell), drawn
     from the points stream after the tiers.  ConfigError unless
     n_snapshots is an integer >= 1, or when the window is over the point
     budget (check_point_budget).
@@ -1058,8 +1095,7 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     counts = []
     for trial in range(n_snapshots):
         bs_per_tier, rng = _sample_tiers(params, window, seed, trial)
-        bs_xy = np.concatenate(bs_per_tier)
-        count = rng.poisson(params.user_intensity * clipped_voronoi(bs_xy, window).areas)
-        counts.append(count[window.contains(bs_xy, inner=True)])
+        areas = periodic_voronoi(np.concatenate(bs_per_tier), window).areas
+        counts.append(rng.poisson(params.user_intensity * areas))
     hist = np.bincount(np.concatenate(counts), minlength=1)
     return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)

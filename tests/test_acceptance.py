@@ -243,7 +243,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         "beta": 0.75,
         "seed": SEED,
         "n_trials": 3,
-        "window": {"half_width": 500.0, "margin": 120.0},
+        "window": {"half_width": 500.0},
     }
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -40,7 +40,7 @@ TOY_CONFIG = {
     "sweep": {"variable": "user_intensity", "grid": [4e-4, 8e-4]},
     "seed": 7,
     "n_trials": 2,
-    "window": {"half_width": 500.0, "margin": 120.0},
+    "window": {"half_width": 500.0},
     "kernel_mode": "appendix",
 }
 
@@ -50,7 +50,7 @@ STOCK_TIERS = [
 ]
 # the stock scenario on a 4e5 m wide window: 8.16e6 BSs
 OVERSIZED_CONFIG = {"tiers": STOCK_TIERS, "user_intensity": 5e-4,
-                    "window": {"half_width": 2e5, "margin": 100.0}}
+                    "window": {"half_width": 2e5}}
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -72,6 +72,7 @@ class TestConfigParsing:
         assert again == cfg
         # the accepted leftover "kernel_mode": "appendix" is not written back
         assert "kernel_mode" not in config_to_dict(cfg)
+        assert config_to_dict(cfg)["window"] == {"half_width": 500.0}
 
     def test_round_trip_preserves_awkward_floats(self):
         data = dict(TOY_CONFIG)
@@ -86,9 +87,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="powr"):
             parse_config(data)
         data = dict(TOY_CONFIG)
-        data["window"] = {"half_width": 500.0, "margin": 120.0, "shape": "disk"}
+        data["window"] = {"half_width": 500.0, "shape": "disk"}
         with pytest.raises(ConfigError, match="window.shape"):
             parse_config(data)
+
+    def test_window_margin_exits_2(self, tmp_path, capsys):
+        # the window is a torus, with no edge to keep cells away from: a
+        # margin is an unknown key
+        data = dict(TOY_CONFIG, window={"half_width": 500.0, "margin": 120.0})
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert info.value.field == "window.margin"
+        code, text = run_cli(["sim", "--config", write_config(tmp_path, data)])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: config field 'window.margin': unknown key\n"
 
     def test_missing_tiers_named(self):
         data = dict(TOY_CONFIG)
@@ -115,7 +128,7 @@ class TestConfigParsing:
         ({"sir_threshold": 0}, "sir_threshold", "must be greater than 0.0"),
         ({"user_intensity": -1}, "user_intensity", "must be at least 0.0"),
         ({"user_intensity": None}, "user_intensity", "missing required key"),
-        ({"window": {"half_width": 0, "margin": 1.0}}, "window.half_width",
+        ({"window": {"half_width": 0}}, "window.half_width",
          "must be greater than 0.0"),
     ], ids=["pathloss_exponent", "sir_threshold", "user_intensity_negative",
             "user_intensity_missing", "window_half_width"])
@@ -164,7 +177,7 @@ def _errors_in_both_forms(field, value):
     code and parsed from JSON.  beta is a one-entry list in both forms, so
     that both reach its per-entry rule."""
     tier = {"power_watts": 20.0, "intensity": 1e-4}
-    window = {"half_width": 500.0, "margin": 120.0}
+    window = {"half_width": 500.0}
     scenario = {"user_intensity": 5e-4, "pathloss_exponent": 4.0, "sir_threshold": 1.0,
                 "beta": [0.75]}
     owner = tier if field in tier else window if field in window else scenario
@@ -184,10 +197,9 @@ def _errors_in_both_forms(field, value):
 
 
 STRICT_FIELDS = ("power_watts", "intensity", "tiers", "pathloss_exponent", "sir_threshold",
-                 "half_width", "margin")
+                 "half_width")
 NON_STRICT_FIELDS = ("user_intensity", "beta")
-JSON_PATH = {"power_watts": "tiers[0].", "intensity": "tiers[0].", "half_width": "window.",
-             "margin": "window."}
+JSON_PATH = {"power_watts": "tiers[0].", "intensity": "tiers[0].", "half_width": "window."}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -406,7 +418,7 @@ class TestCliSweep:
         # so the scenario point is over the limit too, and is named
         ({"sweep": {"variable": "user_intensity", "grid": [5e-4, 2e-3]},
           "tiers": STOCK_TIERS, "user_intensity": 5e-4,
-          "window": {"half_width": 2e5, "margin": 100.0}}, "window"),
+          "window": {"half_width": 2e5}}, "window"),
         # 1.5e7 BSs on the toy window
         ({"sweep": {"variable": "pico_intensity", "grid": [1.8e-4, 10.0]}}, "sweep.grid[1]"),
     ], ids=["beta_above_1", "negative_user_intensity", "pico_on_one_tier",
@@ -428,7 +440,7 @@ class TestCliSweep:
         # users/m^2 (5.9 users per BS) a snapshot would hold 5.88e6 users
         # too, but it places none, as a grid point and as the scenario point
         # that sim samples alike
-        window = {"half_width": 7e4, "margin": 100.0}
+        window = {"half_width": 7e4}
         sweep = {"tiers": STOCK_TIERS, "user_intensity": 1e-4, "window": window,
                  "sweep": {"variable": "user_intensity", "grid": [1e-4, 3e-4]}}
         assert parse_config(sweep).sweep_grid == (1e-4, 3e-4)
@@ -624,12 +636,12 @@ README_CONFIG = {
 CLI_DIGESTS = {
     ("analytic", False): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
     ("analytic", True): ("551c5127ee2e79adc81c9232b3d92c32f64083d37939613d9000c14ab54e4de7", None),
-    ("sim", False): ("11c6d2c4cf4bb30d6954824ee285d0dbc8a76a8bd2eadc37dd7d872317a8fee8", None),
+    ("sim", False): ("3a400f5e2a9ad94cf9294d057b007ef1c504cf6c745fccdd2b1038f772e3247e", None),
     ("sim", True): ("b6cd70dfa19cb0fee31ec02dd2bd43bcf9debfc1048e3ce55602255420f5b960",
-                    "11c6d2c4cf4bb30d6954824ee285d0dbc8a76a8bd2eadc37dd7d872317a8fee8"),
-    ("sweep", False): ("2c69eec0f9b91139d566a9fc762fe32d3b68bbb49f466bd4aa85c7092b8db428", None),
-    ("sweep", True): ("8b3e9d892e54f2c67f4801d22f8529d32085e39ad282ba7c4300c304727ad5db",
-                      "b718fcac927062828f8d6f00ba76859787440869c40e75ada6f663af3442a760"),
+                    "3a400f5e2a9ad94cf9294d057b007ef1c504cf6c745fccdd2b1038f772e3247e"),
+    ("sweep", False): ("d3c02b4c103f57258ee7b90c5ef99c8f67cfe8bb67b6ed448cfe37cd12e3ddbc", None),
+    ("sweep", True): ("f2de29b9c86adecee713455fd9293bd3b4512f7a447bd68b8d948d2c9f0f9725",
+                      "5a99518bbbad30fac6281682e33bd99b84b5aaecd7022b30c63526494e43a0d0"),
     ("optimize-beta", False): ("4eebc2f830d0980e1264b669d682addedbffa577896958923321cb74bd943e79",
                                None),
     ("optimize-beta", True): ("5fb391573a0fce763eae22ea6d92bd071e417f1b716af777b241e6d846bb4d10",

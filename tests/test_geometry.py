@@ -7,11 +7,12 @@ from scipy.stats import chisquare
 
 from hetnoma import geometry
 from hetnoma.geometry import (
+    DEFAULT_EXPECTED_BS,
     DELAUNAY_OPTIONS,
     Window,
     associate,
-    clipped_voronoi,
     default_window,
+    periodic_voronoi,
     sample_ppp,
 )
 
@@ -20,50 +21,51 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def in_window(points, window):
+    """Whether each point of an (..., 2) array lies in the closed window."""
+    return (np.abs(points) <= window.half_width).all(axis=-1)
+
+
 class TestWindow:
     def test_geometry(self):
-        w = Window(half_width=100.0, margin=20.0)
+        w = Window(half_width=100.0)
+        assert w.period == 200.0
         assert w.area == 200.0**2
-        assert w.inner_half_width == 80.0
-        inside = w.contains(np.array([[99.0, 0.0], [0.0, -99.0], [101.0, 0.0]]))
-        assert inside.tolist() == [True, True, False]
-        inner = w.contains(np.array([[79.0, 0.0], [81.0, 0.0]]), inner=True)
-        assert inner.tolist() == [True, False]
-
-    def test_margin_must_fit(self):
         with pytest.raises(ValueError):
-            Window(half_width=10.0, margin=10.0)
+            Window(half_width=0.0)
 
     def test_default_window_sizing(self):
+        # the inner region, 5 mean cell radii in from each edge, of a
+        # window that holds 2,000 BSs: about 1,527
         from hetnoma.sweeps import table1_params
 
         p = table1_params()
         w = default_window(p)
         lam = p.total_intensity
-        assert w.area * lam >= 2000.0 * (1 - 1e-9)
-        assert w.margin == pytest.approx(5.0 / np.sqrt(np.pi * lam))
-        assert w.margin < w.half_width
+        assert w.area * lam == pytest.approx(DEFAULT_EXPECTED_BS, rel=1e-12)
+        inner = 2.0 * (np.sqrt(2000.0 / (4.0 * lam)) - 5.0 / np.sqrt(np.pi * lam))
+        assert w.period == pytest.approx(inner, rel=1e-4)
 
 
 class TestSamplePpp:
     def test_zero_intensity(self):
-        w = Window(10.0, 1.0)
+        w = Window(10.0)
         assert len(sample_ppp(0.0, w, rng())) == 0
 
     def test_determinism(self):
-        w = Window(100.0, 10.0)
+        w = Window(100.0)
         a = sample_ppp(0.01, w, rng(42))
         b = sample_ppp(0.01, w, rng(42))
         assert np.array_equal(a, b)
 
     def test_points_inside_window(self):
-        w = Window(25.0, 5.0)
+        w = Window(25.0)
         pts = sample_ppp(0.1, w, rng(7))
-        assert w.contains(pts).all()
+        assert in_window(pts, w).all()
 
     def test_poisson_moments(self):
         # area 1e6 m^2 at 5e-4 /m^2: count has mean 500 and variance 500
-        w = Window(half_width=500.0, margin=50.0)
+        w = Window(half_width=500.0)
         g = rng(123)
         counts = np.array([len(sample_ppp(5e-4, w, g)) for _ in range(10_000)])
         mean_tol = 3.0 * np.sqrt(500.0 / counts.size)
@@ -74,7 +76,7 @@ class TestSamplePpp:
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
-            sample_ppp(-1.0, Window(10.0, 1.0), rng())
+            sample_ppp(-1.0, Window(10.0), rng())
 
 
 def users_of(assoc, b):
@@ -173,23 +175,14 @@ class TestAssociate:
 
 
 def full_mirror_areas(xy, window):
-    """Clipped cell areas from a Voronoi diagram of xy and its 8 mirror images.
+    """Periodic cell areas from a Voronoi diagram of xy and its 8 periodic
+    mirror images, xy shifted by whole periods in x, y or both.
 
-    The mirrors across both edges at a corner are included too, so that
-    every cell of xy is bounded by its own mirrors.  Points on an edge
-    coincide with their mirrors there, which this reference cannot take.
+    Every cell of xy is bounded by its own images.  Points on an edge
+    coincide with images of each other, which this reference cannot take.
     """
-    hw = window.half_width
-    images = [xy]
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            if sx or sy:
-                image = xy.copy()
-                if sx:
-                    image[:, 0] = 2.0 * sx * hw - image[:, 0]
-                if sy:
-                    image[:, 1] = 2.0 * sy * hw - image[:, 1]
-                images.append(image)
+    images = [xy + window.period * np.array([sx, sy])
+              for sx in (0, -1, 1) for sy in (0, -1, 1)]
     vor = Voronoi(np.concatenate(images))
     return np.array([ConvexHull(vor.vertices[vor.regions[vor.point_region[b]]]).volume
                      for b in range(len(xy))])
@@ -216,8 +209,16 @@ def record_delaunay(monkeypatch):
     return calls
 
 
+def torus_nearest(xy, points, window):
+    """The index of each point's nearest point of xy on the window's torus."""
+    hw, period = window.half_width, window.period
+    return cKDTree((xy + hw) % period, boxsize=period).query((points + hw) % period)[1]
+
+
 class TestClippedVoronoi:
-    WINDOW = Window(half_width=1000.0, margin=100.0)
+    """periodic_voronoi: the Voronoi cells of points on the window's torus."""
+
+    WINDOW = Window(half_width=1000.0)
 
     def points(self, seed, n=300):
         return rng(seed).uniform(-1000.0, 1000.0, size=(n, 2))
@@ -225,7 +226,7 @@ class TestClippedVoronoi:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_areas_match_full_mirror_voronoi(self, seed):
         xy = self.points(seed)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         reference = full_mirror_areas(xy, self.WINDOW)
         assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
@@ -234,7 +235,7 @@ class TestClippedVoronoi:
     def test_few_points_match_full_mirror_voronoi(self, n):
         for seed in range(5):
             xy = self.points(seed, n)
-            cells = clipped_voronoi(xy, self.WINDOW)
+            cells = periodic_voronoi(xy, self.WINDOW)
             reference = full_mirror_areas(xy, self.WINDOW)
             assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
 
@@ -242,29 +243,33 @@ class TestClippedVoronoi:
         # 2,000 points, as the default window holds: about 160 edge cells
         # have fans that reach past the window and are clipped
         xy = self.points(9, 2000)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         reference = full_mirror_areas(xy, self.WINDOW)
         assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("inset", [0.0, 1e-9])
     @pytest.mark.parametrize("corner", [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
     def test_point_at_a_corner_owns_the_window(self, corner, inset):
-        # on a corner, or 1e-9 half widths inside it: no guard's cell
-        # reaches the window, and the clipped fans still cover all of it
+        # on a corner, or 1e-9 half widths inside it: its cell is the whole
+        # torus, most of it past the window's edges
         xy = np.array([corner]) * self.WINDOW.half_width * (1.0 - inset)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)
 
     def test_fan_areas_are_nonnegative(self):
-        # points on the corners and edges give clipped pieces that are
-        # single points or segments
+        # points on the corners and edges: the torus makes the four corners
+        # one point, which one of them owns (the right and top edges are
+        # the left and bottom ones), and copies of points on the edges
+        # share Voronoi vertices
         xy = self.points(11)
         xy[:8] = self.WINDOW.half_width * np.array(
             [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 0.3], [-0.2, 1], [-1, -0.7], [0.5, -1]])
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
+        assert np.count_nonzero(cells.areas[:4]) == 1
+        assert (cells.sites[:4] == -self.WINDOW.half_width).all()
         fans = cells._fans
         assert (cells._area[fans] >= 0.0).all()
-        site = xy.view(complex)[np.repeat(np.arange(len(xy)), np.diff(cells._start)), 0]
+        site = cells.sites.view(complex)[np.repeat(np.arange(len(xy)), np.diff(cells._start)), 0]
         u, v = cells._first[fans] - site, cells._second[fans] - site
         assert ((np.conj(u) * v).imag >= 0.0).all()
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-12)
@@ -276,9 +281,9 @@ class TestClippedVoronoi:
         # the same areas
         xy = self.points(seed, 2000)
         calls = record_delaunay(monkeypatch)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         monkeypatch.setattr(geometry, "DELAUNAY_OPTIONS", None)
-        defaults = clipped_voronoi(xy, self.WINDOW)
+        defaults = periodic_voronoi(xy, self.WINDOW)
         [(options, tri), (_, tri_defaults)] = calls
         assert options == DELAUNAY_OPTIONS
         assert ({frozenset(t) for t in tri.simplices.tolist()}
@@ -291,63 +296,63 @@ class TestClippedVoronoi:
     def test_layout_qhull_cannot_triangulate_unmerged(self, monkeypatch):
         # 50 points within 1e-3 m of each other: without pre-merging qhull
         # raises (QH6115), and the retry with scipy's defaults gives their
-        # areas exactly
+        # areas exactly.  Their cells span the torus, so the strip test
+        # fails and the 3 x 3 tiling takes the same two steps
         g = rng(0)
         xy = g.uniform(-900.0, 900.0, size=2) + g.uniform(-1e-3, 1e-3, size=(50, 2))
         calls = record_delaunay(monkeypatch)
-        cells = clipped_voronoi(xy, self.WINDOW)
-        assert [(options, type(tri).__name__) for options, tri in calls] == [
+        cells = periodic_voronoi(xy, self.WINDOW)
+        assert [(options, type(tri).__name__) for options, tri in calls] == 2 * [
             (DELAUNAY_OPTIONS, "QhullError"), (None, "Delaunay")]
         monkeypatch.setattr(geometry, "DELAUNAY_OPTIONS", None)
-        assert np.array_equal(clipped_voronoi(xy, self.WINDOW).areas, cells.areas)
+        assert np.array_equal(periodic_voronoi(xy, self.WINDOW).areas, cells.areas)
         assert cells.areas.sum() == pytest.approx(self.WINDOW.area, rel=1e-9)
 
     def test_cell_without_a_fan_samples_nan(self):
-        # the cluster of the test above: qhull leaves 36 of the 50 points
+        # the cluster of the test above: qhull leaves 18 of the 50 points
         # out of the triangulation, so they own no fan and no area; their
         # points are NaN, not points of another cell's fan
         g = rng(0)
         xy = g.uniform(-900.0, 900.0, size=2) + g.uniform(-1e-3, 1e-3, size=(50, 2))
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         fanless = np.diff(cells._start) == 0
-        assert fanless.sum() == 36
+        assert fanless.sum() == 18
         assert (cells.areas[fanless] == 0.0).all()
         u = rng(1).random((50, 2, 3))
         points = cells.sample(np.arange(50)[:, None], u)
         assert np.isnan(points[fanless]).all()
-        assert self.WINDOW.contains(points[~fanless].reshape(-1, 2)).all()
+        assert in_window(points[~fanless], self.WINDOW).all()
         owning = np.flatnonzero(~fanless)
         assert np.array_equal(cells.sample(owning[:, None], u[owning]), points[owning])
 
     def test_single_point_owns_the_window(self):
-        cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
+        cells = periodic_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
         assert cells.areas[0] == pytest.approx(self.WINDOW.area, rel=1e-12)
 
     def test_cell_at_the_edge_with_every_point_mirrored(self):
-        # 4 mm from the left edge, the corner vertices of the point's cell
-        # round to about 2e-10 m outside the window; with every point
-        # mirrored the cell is exact anyway and must be accepted
-        window = Window(half_width=100.0, margin=100.0 / 3.0)
-        cells = clipped_voronoi(np.array([[-99.99595248049636, 53.58249748971292]]), window)
+        # 4 mm from the left edge: with all eight images of the point
+        # triangulated, its cell is the whole torus
+        window = Window(half_width=100.0)
+        cells = periodic_voronoi(np.array([[-99.99595248049636, 53.58249748971292]]), window)
         assert cells.areas[0] == pytest.approx(window.area, rel=1e-12)
 
     def test_no_points_fails(self):
         with pytest.raises(ValueError):
-            clipped_voronoi(np.zeros((0, 2)), self.WINDOW)
+            periodic_voronoi(np.zeros((0, 2)), self.WINDOW)
 
     def test_sampled_points_lie_in_their_cells(self):
         xy = self.points(5)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         owners = np.repeat(np.arange(len(xy)), 20)
         points = cells.sample(owners, rng(6).random((len(owners), 3)))
-        assert self.WINDOW.contains(points).all()
-        assert np.array_equal(cKDTree(xy).query(points)[1], owners)
+        assert in_window(points, self.WINDOW).all()
+        assert np.array_equal(torus_nearest(xy, points, self.WINDOW), owners)
 
     def test_sampling_some_cells_gives_the_rows_of_all(self):
         # a cell's points depend only on its fans and its uniforms: any
         # subset, in any order, gets the same bits as sampling every cell
         xy = self.points(12, 2000)
-        cells = clipped_voronoi(xy, self.WINDOW)
+        cells = periodic_voronoi(xy, self.WINDOW)
         u = rng(13).random((len(xy), 2, 3))
         every = cells.sample(np.arange(len(xy))[:, None], u)
         widest = np.argmax(np.diff(cells._start))
@@ -358,8 +363,54 @@ class TestClippedVoronoi:
     def test_samples_uniform_over_a_cell(self):
         # one point owns the whole window: 40,000 samples over a 4 x 4
         # grid of equal squares, chi-square against uniform
-        cells = clipped_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
+        cells = periodic_voronoi(np.array([[300.0, -200.0]]), self.WINDOW)
         points = cells.sample(np.zeros(40_000, dtype=np.intp), rng(8).random((40_000, 3)))
         square = np.floor((points + 1000.0) / 500.0).astype(int)
         counts = np.bincount(square[:, 0] * 4 + square[:, 1], minlength=16)
         assert chisquare(counts).pvalue > 0.001
+
+    @pytest.mark.parametrize("n", [1, 12, 300, 1527])
+    def test_areas_sum_to_the_torus_area(self, n):
+        for seed in range(3):
+            cells = periodic_voronoi(self.points(seed, n), self.WINDOW)
+            assert abs(cells.areas.sum() - self.WINDOW.area) <= 1e-9 * self.WINDOW.area
+
+    @staticmethod
+    def record_strips(monkeypatch):
+        """Record the strip width, in periods, of each triangulation asked
+        of _voronoi_fans: 1 is the 3 x 3 tiling."""
+        strips = []
+        fans = geometry._voronoi_fans
+
+        def recording(site, window, strip):
+            strips.append(strip / window.period)
+            return fans(site, window, strip)
+
+        monkeypatch.setattr(geometry, "_voronoi_fans", recording)
+        return strips
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_strip_and_tiling_give_the_same_cells(self, monkeypatch, seed):
+        # 1,527 points, as the default window holds: the strip path's cells,
+        # and those of the 3 x 3 tiling (a strip as wide as the period)
+        xy = self.points(seed, 1527)
+        strips = self.record_strips(monkeypatch)
+        strip = periodic_voronoi(xy, self.WINDOW)
+        monkeypatch.setattr(geometry, "VORONOI_STRIP_CELL_RADII", 1e9)
+        tiling = periodic_voronoi(xy, self.WINDOW)
+        assert len(strips) == 2 and strips[0] < 1.0 == strips[1]
+        assert np.allclose(strip.areas, tiling.areas, rtol=1e-12, atol=0.0)
+        u = rng(seed).random((len(xy), 2, 3))
+        every = np.arange(len(xy))[:, None]
+        assert np.allclose(strip.sample(every, u), tiling.sample(every, u), rtol=0.0, atol=1e-9)
+
+    def test_empty_band_takes_the_tiling(self, monkeypatch):
+        # no point within 400 m of the top edge: the triangles that reach
+        # across the band have circles larger than the strip covers, so the
+        # strip test fails and the 3 x 3 tiling gives the cells
+        g = rng(33)
+        xy = np.column_stack([g.uniform(-1000.0, 1000.0, 1500), g.uniform(-1000.0, 600.0, 1500)])
+        strips = self.record_strips(monkeypatch)
+        cells = periodic_voronoi(xy, self.WINDOW)
+        assert len(strips) == 2 and strips[0] < 1.0 == strips[1]
+        assert np.allclose(cells.areas, full_mirror_areas(xy, self.WINDOW), rtol=1e-9, atol=0.0)

@@ -154,8 +154,7 @@ def config_dicts(draw):
         "n_jobs": draw(st.integers(1, 8)),
     }
     if draw(st.booleans()):
-        data["window"] = {"half_width": draw(st.floats(2000.0, 1e4)),
-                          "margin": draw(st.floats(1.0, 1000.0))}
+        data["window"] = {"half_width": draw(st.floats(2000.0, 1e4))}
     if draw(st.booleans()):
         data["max_cells_per_tier"] = draw(st.integers(1, 1000))
     if draw(st.booleans()):

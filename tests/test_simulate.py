@@ -20,7 +20,7 @@ from hetnoma.checks import ConfigError
 from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
 from hetnoma import simulate
-from hetnoma.geometry import Window, associate, clipped_voronoi, default_window, sample_ppp
+from hetnoma.geometry import Association, Window, default_window, periodic_voronoi, sample_ppp
 from hetnoma.simulate import (
     _STREAM_COUNTS,
     _STREAM_FADES,
@@ -49,7 +49,7 @@ from hetnoma.simulate import (
 )
 from hetnoma.sweeps import analytic_pairs, table1_params
 
-TOY_WINDOW = Window(half_width=500.0, margin=120.0)
+TOY_WINDOW = Window(half_width=500.0)
 
 
 def toy_params(mu=8e-4, beta=0.75, theta=1.0):
@@ -64,7 +64,7 @@ def toy_params(mu=8e-4, beta=0.75, theta=1.0):
 
 
 class PlacedPairs:
-    """Stand-in for a snapshot's clipped cells (its _voronoi): cell b places
+    """Stand-in for a snapshot's cells (its _voronoi): cell b places
     the pair pair_xy[b] whatever its uniforms, in the order given (the
     snapshot puts the near user first)."""
 
@@ -91,11 +91,19 @@ def lone_cell_snapshot(beta=0.75, extra_bs=(), n_users=2, theta=1.0, trial=0):
     pair_xy = np.full((n_bs, 2, 2), np.nan)
     pair_xy[0] = [[15.0, 0.0], [10.0, 0.0]]
     return params, NetworkSnapshot(
-        params=params, window=Window(half_width=4000.0, margin=10.0), seed=0, trial=trial,
+        params=params, window=Window(half_width=4000.0), seed=0, trial=trial,
         counts=np.array([n_users] + [0] * (n_bs - 1)), bs_xy=bs_xy,
         bs_tier=np.zeros(n_bs, dtype=np.intp), bs_power=np.ones(n_bs),
         _voronoi=PlacedPairs(pair_xy), _pair_draws=np.zeros((n_bs, 2, 3)),
     )
+
+
+def torus_dist_sq(a, b, window):
+    """Squared minimum-image distances between the points a and b (arrays
+    of shape (..., 2) that broadcast) on the window's torus."""
+    d = np.abs(a - b) % window.period
+    d = np.minimum(d, window.period - d)
+    return (d * d).sum(axis=-1)
 
 
 def every_pair(snap):
@@ -115,7 +123,7 @@ def assert_pairs_near_first(snap, expected):
     paired = ~np.isnan(expected).any(axis=(1, 2))
     assert (drawn | swapped)[paired].all()
     assert np.isnan(pair_xy[~paired]).all()
-    dist_sq = ((pair_xy[paired] - snap.bs_xy[paired, None]) ** 2).sum(axis=-1)
+    dist_sq = torus_dist_sq(pair_xy[paired], snap.bs_xy[paired, None], snap.window)
     assert (dist_sq[:, 0] <= dist_sq[:, 1]).all()
 
 
@@ -175,7 +183,7 @@ class TestBuildSnapshot:
             pathloss_exponent=4.0, sir_threshold=1.0, beta=(1.0,),
         )
         with pytest.raises(SimulationError):
-            build_snapshot(p, Window(10.0, 1.0), seed=0, trial=0)
+            build_snapshot(p, Window(10.0), seed=0, trial=0)
 
     def test_oversized_scenario_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -183,13 +191,13 @@ class TestBuildSnapshot:
 
         monkeypatch.setattr(simulate, "sample_ppp", no_sampling)
         # the stock tiers on a 4e5 m wide window: 8.16e6 BSs
-        wide = Window(half_width=2e5, margin=100.0)
+        wide = Window(half_width=2e5)
         with pytest.raises(ValueError, match="8.16e\\+06 points in expectation, above the"):
             build_snapshot(table1_params(), wide, seed=0, trial=0)
         with pytest.raises(ValueError, match="8.16e\\+06 points .* above the simulator's limit"):
             check_point_budget(table1_params(user_intensity=2e-3), wide)
         # a 1.4e5 m wide window: 1e6 BSs, and no user placed at any load
-        window = Window(half_width=7e4, margin=100.0)
+        window = Window(half_width=7e4)
         for mu in (3e-4, 5e-4, 1.0):
             check_point_budget(table1_params(user_intensity=mu), window)
 
@@ -215,10 +223,8 @@ class TestBuildSnapshot:
         void = total = 0
         for trial in range(60):
             snap = build_snapshot(p, TOY_WINDOW, seed=9, trial=trial)
-            inner = snap.window.contains(snap.bs_xy, inner=True)
-            counts = snap.counts[inner]
-            void += int((counts == 0).sum())
-            total += counts.size
+            void += int((snap.counts == 0).sum())
+            total += snap.n_bs
         assert void / total == pytest.approx(1.0 - q, abs=0.02)
 
 
@@ -247,11 +253,17 @@ class TestScheduleNomaUsers:
         # sum each BS's contribution at each receiver one by one: the
         # serving BS gives the desired signal, the rest split by whether
         # they transmit.  Squared link distances are the same float
-        # operations in plain Python, so they must agree exactly.
+        # operations in plain Python (each difference taken to its minimum
+        # image on the torus), so they must agree exactly.
         p = toy_params(mu=2e-4)
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
         alpha = p.pathloss_exponent
+        hw, period = TOY_WINDOW.half_width, TOY_WINDOW.period
         pair_xy = every_pair(snap)
+
+        def image(d):
+            return period - abs(d) if abs(d) > hw else abs(d)
+
         for b in snap.tagged_cells(0)[:10]:
             cell = schedule_noma_users(snap, b)
             for r in range(2):
@@ -259,7 +271,8 @@ class TestScheduleNomaUsers:
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
-                    assert cell.link_dist_sq[r, j] == (bx - ux) * (bx - ux) + (by - uy) * (by - uy)
+                    dx, dy = image(bx - ux), image(by - uy)
+                    assert cell.link_dist_sq[r, j] == dx * dx + dy * dy
                     power = (snap.bs_power[j] * cell.link_gains[r, j]
                              * cell.link_dist_sq[r, j] ** (-alpha / 2.0))
                     if j == b:
@@ -268,7 +281,7 @@ class TestScheduleNomaUsers:
                         interference += power
                     else:
                         void_signal += power
-                d = math.dist(pair_xy[b, r], snap.bs_xy[b])
+                d = math.sqrt(torus_dist_sq(pair_xy[b, r], snap.bs_xy[b], TOY_WINDOW))
                 assert cell.distances[r] == pytest.approx(d, rel=1e-12)
                 assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
                 assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
@@ -504,7 +517,7 @@ class TestRunTrials:
             assert np.array_equal(totals.sum_far_dist_sq, alone.sum_far_dist_sq)
 
     # Exact counts, and squared-distance sums (as float hex), at fixed seeds.
-    # The pairs come from clipped Voronoi cells, whose fan corners may move
+    # The pairs come from periodic Voronoi cells, whose fan corners may move
     # by an ulp with the triangulation, so the sums are pinned to a relative
     # 1e-12.  Any change to the draws, or to the float operations of the
     # per-cell path, must update them.
@@ -518,31 +531,31 @@ class TestRunTrials:
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_pinned_counts_toy(self, n_jobs):
         totals = run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=6, seed=17, n_jobs=n_jobs)
-        self.assert_pinned(totals, [[[119, 71], [119, 117]]], [180],
-                           ["0x1.415c6ac5b25d0p+17"], ["0x1.a953ac79e7a96p+18"])
+        self.assert_pinned(totals, [[[212, 132], [212, 208]]], [310],
+                           ["0x1.065f63f8dadf1p+18"], ["0x1.64a1d0942143ep+19"])
 
     def test_pinned_counts_stock(self):
         # 9.8 users per BS
         totals = run_trials(table1_params(), n_trials=6, seed=(501, 0), max_cells_per_tier=120)
-        self.assert_pinned(totals, [[[144, 138], [144, 138]], [[346, 153], [346, 156]]], [176, 720],
-                           ["0x1.baa5908c50ce0p+18", "0x1.f373b79fbbe40p+20"],
-                           ["0x1.379adf5623a13p+20", "0x1.561e15085e091p+22"])
+        self.assert_pinned(totals, [[[141, 121], [141, 121]], [[348, 167], [348, 174]]], [168, 720],
+                           ["0x1.0bb3f76c4dc77p+19", "0x1.0697c9ff8fbd1p+21"],
+                           ["0x1.43f58637b9e5cp+20", "0x1.60c7ff1bd4dbbp+22"])
 
     def test_pinned_counts_sparse(self):
         # 3.9 users per BS, a point of the stock sweep grid
         totals = run_trials(table1_params(user_intensity=2e-4), n_trials=6, seed=(501, 0),
                             max_cells_per_tier=120)
-        self.assert_pinned(totals, [[[114, 114], [114, 115]], [[383, 180], [383, 202]]], [138, 720],
-                           ["0x1.67248e28c58ddp+18", "0x1.08abad80d60f8p+21"],
-                           ["0x1.f93314cb77a0bp+19", "0x1.6d0e70f996855p+22"])
+        self.assert_pinned(totals, [[[115, 99], [115, 101]], [[370, 191], [370, 220]]], [136, 720],
+                           ["0x1.daa4377a247dap+18", "0x1.14af5f378087ap+21"],
+                           ["0x1.147da72b61a6ep+20", "0x1.79d9e536a27b6p+22"])
 
     def test_pinned_counts_dense(self):
         # 39 users per BS
         totals = run_trials(table1_params(user_intensity=2e-3), n_trials=6, seed=(501, 0),
                             max_cells_per_tier=120)
-        self.assert_pinned(totals, [[[148, 141], [148, 141]], [[341, 149], [341, 149]]], [180, 720],
-                           ["0x1.bcc3e17e27f72p+18", "0x1.e78049e1dc72bp+20"],
-                           ["0x1.39ae63a2e2c4cp+20", "0x1.4dc4becdfb004p+22"])
+        self.assert_pinned(totals, [[[147, 123], [147, 123]], [[344, 163], [344, 163]]], [174, 720],
+                           ["0x1.0e2cc0a1b3a59p+19", "0x1.023c16fa6446fp+21"],
+                           ["0x1.491327b2fcf48p+20", "0x1.5b34034a9c63ep+22"])
 
     def test_merge_is_associative(self):
         p = toy_params()
@@ -665,6 +678,7 @@ class TestCellCensus:
         assert census.void_fraction == pytest.approx(1.0 - q, abs=0.02)
         assert census.count_histogram.sum() == census.n_bs
         assert census.count_histogram[0] == census.n_void
+        assert CellCensus(4, 1, np.array([1, 3])).void_fraction == 0.25
 
     @pytest.mark.parametrize("n_snapshots", [0, -3, -1, True, 2.5])
     def test_rejects_no_snapshots(self, monkeypatch, n_snapshots):
@@ -675,24 +689,16 @@ class TestCellCensus:
         with pytest.raises(ValueError, match="n_snapshots"):
             cell_census(toy_params(), TOY_WINDOW, n_snapshots=n_snapshots)
 
-    def test_void_fraction_nan_without_inner_bs(self):
-        # an inner region 2 m wide holds no BS of a 2e-4 tier: no fraction
-        census = cell_census(toy_params(), Window(100.0, 99.0), n_snapshots=3)
-        assert (census.n_bs, census.n_void) == (0, 0)
-        assert math.isnan(census.void_fraction)
-        assert CellCensus(4, 1, np.array([1, 3])).void_fraction == 0.25
-
     def test_counts_continue_the_points_stream(self):
-        # snapshot t: trial t's BSs, then Poisson(mu x clipped cell area)
-        # per BS from the same points stream
+        # snapshot t: trial t's BSs, then Poisson(mu x cell area) per BS
+        # from the same points stream; every BS is counted
         p = toy_params()
         census = cell_census(p, TOY_WINDOW, n_snapshots=2, seed=53)
         counts = []
         for trial in range(2):
             rng = _stream(53, trial, _STREAM_POINTS)
             bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
-            count = rng.poisson(p.user_intensity * clipped_voronoi(bs_xy, TOY_WINDOW).areas)
-            counts.append(count[TOY_WINDOW.contains(bs_xy, inner=True)])
+            counts.append(rng.poisson(p.user_intensity * periodic_voronoi(bs_xy, TOY_WINDOW).areas))
         hist = np.bincount(np.concatenate(counts))
         assert np.array_equal(census.count_histogram, hist)
 
@@ -710,7 +716,7 @@ class TestCoupledTrial:
                 assert_same_totals(alone, point)
             window = default_window(params)
             snap = build_snapshot(params, window, 5, 2)
-            areas = clipped_voronoi(snap.bs_xy, window).areas
+            areas = periodic_voronoi(snap.bs_xy, window).areas
             u = _stream(5, 2, _STREAM_COUNTS).random(snap.n_bs)
             assert np.array_equal(snap.counts, _count_classes(params.user_intensity * areas, u))
 
@@ -726,9 +732,9 @@ class TestCoupledTrial:
 
         monkeypatch.setattr(simulate, "_sample_tiers", sampled)
         placing = table1_params(user_intensity=3e-4)
-        check_point_budget(placing, Window(half_width=7e4, margin=100.0))
-        for window, raised in ((Window(half_width=7e4, margin=100.0), Sampled),
-                               (Window(half_width=2e5, margin=100.0), ConfigError)):
+        check_point_budget(placing, Window(half_width=7e4))
+        for window, raised in ((Window(half_width=7e4), Sampled),
+                               (Window(half_width=2e5), ConfigError)):
             with pytest.raises(raised):
                 run_trial_sets((placing,), window, 1, 1)
             with pytest.raises(raised):
@@ -741,19 +747,31 @@ def z_score(a, b, n_a, n_b):
     return (a - b) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
 
 
-# A test-local reference for the law of a trial's counts and pairs, on
-# geometry.associate: the trial's BSs, every user of the PPP placed (from a
+# A test-local reference for the law of a trial's counts and pairs, by
+# association: the trial's BSs, every user of the PPP placed (from a
 # stream of purpose 99, which the program does not use) and attached to
-# its nearest BS, and each BS with two users or more scheduling two of them
-# uniformly.  Trials evaluate its snapshots as the program evaluates its
-# own, so the two differ only in how the counts and pairs are drawn.
+# its nearest BS on the torus, and each BS with two users or more
+# scheduling two of them uniformly.  Trials evaluate its snapshots as the
+# program evaluates its own, so the two differ only in how the counts and
+# pairs are drawn.
+
+def torus_association(bs_xy, user_xy, window):
+    """geometry.associate's Association on the window's torus: each user
+    attached to its nearest BS at minimum-image distance."""
+    hw, period, n_bs = window.half_width, window.period, len(bs_xy)
+    serving = cKDTree((bs_xy + hw) % period, boxsize=period).query((user_xy + hw) % period)[1]
+    counts = np.bincount(serving, minlength=n_bs)
+    starts = np.zeros(n_bs + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    return Association(serving, counts, np.argsort(serving, kind="stable"), starts)
+
 
 def associated_snapshot(params, window, seed, trial):
     bs_per_tier, _ = simulate._sample_tiers(params, window, seed, trial)
     [snap] = simulate._snapshots((params,), window, seed, trial, bs_per_tier)
     rng = _stream(seed, trial, 99)
     user_xy = sample_ppp(params.user_intensity, window, rng)
-    assoc = associate(snap.bs_xy, user_xy)
+    assoc = torus_association(snap.bs_xy, user_xy, window)
     c = np.maximum(assoc.counts, 2)
     i = rng.integers(0, c)
     j = rng.integers(0, c - 1)
@@ -767,8 +785,7 @@ def associated_snapshot(params, window, seed, trial):
 def associated_census(params, window, n_snapshots, seed):
     counts = []
     for trial in range(n_snapshots):
-        snap = associated_snapshot(params, window, seed, trial)
-        counts.append(snap.counts[window.contains(snap.bs_xy, inner=True)])
+        counts.append(associated_snapshot(params, window, seed, trial).counts)
     hist = np.bincount(np.concatenate(counts), minlength=1)
     return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)
 
@@ -802,14 +819,13 @@ def assert_census_agrees(census, reference, bins):
 
 
 def assert_classes_agree(params, window, n_snapshots, seed):
-    """The count classes min(count, 2) of the inner-region BSs of trials'
-    snapshots pass a chi-square test against the reference's."""
+    """The count classes min(count, 2) of the BSs of trials' snapshots pass
+    a chi-square test against the reference's."""
     table = np.zeros((2, 3), dtype=np.int64)
     for trial in range(n_snapshots):
         for row, snap in enumerate((build_snapshot(params, window, seed, trial),
                                     associated_snapshot(params, window, seed, trial))):
-            inner = window.contains(snap.bs_xy, inner=True)
-            table[row] += np.bincount(np.minimum(snap.counts[inner], 2), minlength=3)
+            table[row] += np.bincount(np.minimum(snap.counts, 2), minlength=3)
     assert chi2_contingency(table[:, table.min(axis=0) > 0]).pvalue > 0.001
 
 
@@ -832,7 +848,7 @@ def assert_coverage_agrees(totals, reference, cells_rel=0.1):
 class TestTessellationSampler:
     def test_draw_layout(self):
         # points: the BS tiers; counts: one uniform per BS, whose Poisson(mu
-        # x clipped cell area) quantile's class is the count; pairs: three
+        # x cell area) quantile's class is the count; pairs: three
         # uniforms per user of every BS, in global BS order; fades: BS b's
         # 2 * n_bs outputs of the fade stream, near user's links first
         p = toy_params(mu=8e-3)
@@ -840,7 +856,7 @@ class TestTessellationSampler:
         rng = _stream(19, 3, _STREAM_POINTS)
         bs_xy = sample_ppp(p.tiers[0].intensity, TOY_WINDOW, rng)
         assert np.array_equal(snap.bs_xy, bs_xy)
-        cells = clipped_voronoi(bs_xy, TOY_WINDOW)
+        cells = periodic_voronoi(bs_xy, TOY_WINDOW)
         u = _stream(19, 3, _STREAM_COUNTS).random(snap.n_bs)
         assert np.array_equal(snap.counts, _count_classes(p.user_intensity * cells.areas, u))
         u = _stream(19, 3, _STREAM_PAIRS).random((snap.n_bs, 2, 3))
@@ -856,9 +872,10 @@ class TestTessellationSampler:
     def test_pair_points_are_served_by_their_bs(self):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
         points = every_pair(snap).reshape(-1, 2)
-        assert snap.window.contains(points).all()
+        assert (np.abs(points) <= snap.window.half_width).all()
         serving = np.repeat(np.arange(snap.n_bs), 2)
-        assert np.array_equal(cKDTree(snap.bs_xy).query(points)[1], serving)
+        assert np.array_equal(torus_association(snap.bs_xy, points, snap.window).serving,
+                              serving)
 
     def test_cell_draws_independent_of_block_and_cap(self):
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
@@ -975,7 +992,7 @@ def far_cluster_snapshot():
     bs = 1e6 + 3.0 * grid + g.uniform(-0.5, 0.5, grid.shape)
     params = NetworkParams(tiers=(TierParams(1.0, 1e-4),), user_intensity=0.25,
                            pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
-    window = Window(half_width=1.2e6, margin=1e5)
+    window = Window(half_width=1.2e6)
     [snap] = simulate._snapshots((params,), window, 3, 0, [bs])
     return snap
 
@@ -1044,17 +1061,96 @@ class TestFloat32Screen:
             worst = max(worst, (np.abs(sums - exact) / exact).max())
         assert worst > 1e-3  # the rounded coordinates do move the sums
 
+    @staticmethod
+    def edge_receivers(snap):
+        """Receivers on the window's edges and corners, within 1e-3 to 3 m
+        of them, 5 to 9 m across an edge from the BS nearest it (links that
+        wrap in x, in y and in both), and half a period from a BS in x (where
+        the float32 and the exact differences may wrap apart), two per cell."""
+        hw, period = snap.window.half_width, snap.window.period
+        g = np.random.default_rng(7)
+        t = g.uniform(-hw, hw, 8)
+        receivers = [[hw, t[0]], [-hw, t[1]], [t[2], hw], [t[3], -hw],
+                     [hw, hw], [-hw, -hw], [hw, -hw], [-hw, hw]]
+        for inset in (1e-3, 0.5, 3.0):
+            receivers += [[hw - inset, t[4]], [-hw + inset, t[5]], [t[6], hw - inset],
+                          [t[7], -hw + inset]]
+        bs = snap.bs_xy
+        left, bottom = bs[np.argmin(bs[:, 0])], bs[np.argmin(bs[:, 1])]
+        corner = bs[np.argmin(bs.sum(axis=1))]
+        receivers += [[hw - 3.0, left[1] + 5.0], [bottom[0] - 5.0, hw - 3.0],
+                      [hw - 4.0, hw - 4.0], [corner[0] + 5.0, hw - 3.0]]
+        for b in range(4):
+            x, y = bs[b]
+            receivers += [[x - hw if x > 0 else x + hw, y + 10.0]]
+        return np.array(receivers, dtype=float)
+
+    @staticmethod
+    def placed(snap, receivers):
+        """snap with its first tagged pico cells' pairs set to receivers,
+        two per cell, and those cells."""
+        cells = snap.tagged_cells(1)[:len(receivers) // 2]
+        pair_xy = np.full((snap.n_bs, 2, 2), np.nan)
+        pair_xy[cells] = receivers[:2 * len(cells)].reshape(-1, 2, 2)
+        return replace(snap, _voronoi=PlacedPairs(pair_xy)), cells
+
+    def test_bound_covers_receivers_at_the_window_edge(self):
+        # every sum screened at the edge lies within its bound of the float64
+        # sum, whose link distances are the minimum-image ones; the bound is
+        # finite wherever a receiver is at least 5 m from every BS
+        snap = build_snapshot(table1_params(), None, seed=5, trial=0)
+        receivers = self.edge_receivers(snap)
+        snap, cells = self.placed(snap, receivers)
+        wrapped = 0
+        for b in cells[:6]:
+            cell = schedule_noma_users(snap, b)
+            for r, u in enumerate(snap.pairs(np.array([b]))[0]):
+                dist_sq = torus_dist_sq(snap.bs_xy, u, snap.window)
+                assert np.allclose(cell.link_dist_sq[r], dist_sq, rtol=1e-9, atol=0.0)
+                wrapped += (dist_sq < ((snap.bs_xy - u) ** 2).sum(axis=-1)).sum()
+        assert wrapped > 100
+        nearest = np.array([torus_dist_sq(snap.bs_xy, u, snap.window).min()
+                            for u in snap.pairs(cells).reshape(-1, 2)]).reshape(-1, 2)
+        assert (nearest >= 25.0).mean() > 0.8
+        start = 0
+        for sums, errors, exact in screened_blocks(snap, cells):
+            assert (np.abs(sums - exact) <= errors).all()
+            far = nearest[start:start + len(sums)] >= 25.0
+            assert np.isfinite(errors[far]).all()
+            start += len(sums)
+        assert start == len(cells)
+
+    def test_bound_refuses_receivers_beyond_the_window_edge(self):
+        # a receiver 5 m past an edge (trials place none: pairs are moved
+        # into the window) puts h above half_width: the bound is infinite,
+        # so every cell of the tier takes the float64 path
+        snap = build_snapshot(table1_params(), None, seed=5, trial=0)
+        hw = snap.window.half_width
+        receivers = self.edge_receivers(snap)
+        receivers[:3] = [[hw + 5.0, 10.0], [-20.0, -hw - 5.0], [hw + 5.0, hw + 5.0]]
+        snap, cells = self.placed(snap, receivers)
+        cell = schedule_noma_users(snap, cells[0])
+        for r, u in enumerate(snap.pairs(cells[:1])[0]):
+            dist_sq = torus_dist_sq(snap.bs_xy, u, snap.window)
+            assert np.allclose(cell.link_dist_sq[r], dist_sq, rtol=1e-9, atol=0.0)
+        for sums, errors, exact in screened_blocks(snap, cells):
+            assert np.isinf(errors).all()
+
     @pytest.mark.parametrize("far", [False, True], ids=["stock", "far_cluster"])
     def test_squared_distances_are_the_float32_differences_squared(self, far):
         # each difference bs - u is one product by BLAS: rounded once, the
-        # bits of a float32 broadcast subtraction
+        # bits of a float32 broadcast subtraction, then taken to its
+        # minimum image with the float32 period
         snap = far_cluster_snapshot() if far else build_snapshot(table1_params(), None, 5, 0)
         blocks = simulate._CellBlocks(snap, dtype=np.float32)
         cells = np.concatenate([snap.tagged_cells(t) for t in range(snap.params.n_tiers)])
         pair_xy = snap.pairs(cells[:blocks.size])
         bs_x, bs_y = snap.bs_xy.astype(np.float32).T
         ux, uy = (pair_xy[..., c, None].astype(np.float32) for c in (0, 1))
-        dx, dy = bs_x - ux, bs_y - uy
+        hw = np.float32(snap.window.half_width)
+        dx, dy = (np.where(np.abs(d) > hw, 2 * hw - np.abs(d), np.abs(d))
+                  for d in (bs_x - ux, bs_y - uy))
+        assert (np.abs(bs_x - ux) > hw).any()
         assert np.array_equal(blocks._squared_distances(pair_xy), dx * dx + dy * dy)
 
     @pytest.mark.parametrize("scale", [2.0**-1061, 8.5e306])
@@ -1151,6 +1247,6 @@ class TestFloat32Screen:
             warnings.simplefilter("error", RuntimeWarning)
             runs = [run_trials(scaled_power(base, scale), n_trials=30, seed=(9, 0),
                                max_cells_per_tier=120) for scale in (1.0, 2.0**-1061, 8.5e306)]
-        assert runs[0].successes.tolist()[0][0] == [701, 632]
+        assert runs[0].successes.tolist()[0][0] == [703, 630]
         for totals in runs[1:]:
             assert_same_totals(totals, runs[0])

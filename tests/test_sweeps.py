@@ -22,7 +22,7 @@ from hetnoma.sweeps import (
     table1_params,
 )
 
-TOY_WINDOW = Window(half_width=500.0, margin=120.0)
+TOY_WINDOW = Window(half_width=500.0)
 
 
 def toy_two_tier(mu=8e-4):
