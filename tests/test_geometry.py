@@ -240,8 +240,8 @@ class TestClippedVoronoi:
             assert np.allclose(cells.areas, reference, rtol=1e-9, atol=0.0)
 
     def test_stock_density_matches_full_mirror_voronoi(self):
-        # 2,000 points, as the default window holds: about 160 edge cells
-        # have fans that reach past the window and are clipped
+        # 2,000 points: the cells at the edges reach past it, and their
+        # fans end on Voronoi vertices of the copies
         xy = self.points(9, 2000)
         cells = periodic_voronoi(xy, self.WINDOW)
         reference = full_mirror_areas(xy, self.WINDOW)
@@ -276,7 +276,7 @@ class TestClippedVoronoi:
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_unmerged_triangulation_matches_the_defaults(self, monkeypatch, seed):
-        # 2,000 points, as the default window holds: without pre-merging,
+        # 2,000 points, more than the default window holds: without pre-merging,
         # qhull gives the same triangles, every one counterclockwise, and
         # the same areas
         xy = self.points(seed, 2000)
