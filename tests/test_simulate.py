@@ -1067,7 +1067,7 @@ class TestFloat32Screen:
         of them, 5 to 9 m across an edge from the BS nearest it (links that
         wrap in x, in y and in both), and half a period from a BS in x (where
         the float32 and the exact differences may wrap apart), two per cell."""
-        hw, period = snap.window.half_width, snap.window.period
+        hw = snap.window.half_width
         g = np.random.default_rng(7)
         t = g.uniform(-hw, hw, 8)
         receivers = [[hw, t[0]], [-hw, t[1]], [t[2], hw], [t[3], -hw],
