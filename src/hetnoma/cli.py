@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 success, 1 runtime error (such as an unwritable output
 file, or a standard output closed by its reader), 2 configuration error,
 143 (128 + SIGTERM) when terminated: a SIGTERM raises SystemExit, so a
-run unwinds, cancels its pending trials and stops its worker processes.
+run unwinds and kills the worker processes it forked.
 All commands honor --seed and are bit-reproducible: identical config and
 seed produce byte-identical output.
 """
@@ -163,9 +163,8 @@ def _terminate(signum, frame):
 def _sigterm_exits():
     """Turn SIGTERM into SystemExit while the block runs (main thread only).
 
-    The exception unwinds the simulator's worker pool like any other: the
-    pool cancels the trials not yet started and waits for its workers to
-    exit, so none outlives the run.
+    The exception unwinds a parallel run like any other: the run kills and
+    reaps every child it forked, so none outlives it.
     """
     if threading.current_thread() is not threading.main_thread():
         yield

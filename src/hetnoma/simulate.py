@@ -44,10 +44,11 @@ Every random draw of a trial comes from one of five streams keyed by
   * priority (when capped): one uniform per BS; at each point, a tier
     evaluates its max_cells_per_tier tagged cells of lowest priority.
 
-So trials are independent work units and can run in any order or in
-parallel with identical aggregate counts; a cell's pair and fades depend
-only on (seed, trial, cell) and the snapshot, so a per-tier cap changes
-nothing in the cells it keeps, and a point's outcomes do not depend on
+So trials are independent work units and can run in any order, or in
+parallel, this process beside forked workers (_map_trials), with
+identical aggregate counts; a cell's pair and fades depend only on
+(seed, trial, cell) and the snapshot, so a per-tier cap changes nothing
+in the cells it keeps, and a point's outcomes do not depend on
 the other points of its grid; and both schemes are evaluated on the
 same fades (the serving link's fade is its block's column at the serving
 BS), which makes each cooperative event a superset of the
@@ -87,9 +88,7 @@ from __future__ import annotations
 
 import math
 import os
-import signal
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -903,9 +902,10 @@ def run_trial_sets(grid, window=None, n_trials=20, seed=0, max_cells_per_tier=No
     t of a group is one run_coupled_trial over all its points, keyed on
     (seed, t): one snapshot serves every point.  A point's totals are the
     same whichever other points share its group, and those of one group
-    share common random numbers.  The trials of all groups share one pool
-    (see _map_trials), and each point's trials merge in trial order, so
-    serial and parallel execution agree exactly, distance sums included.
+    share common random numbers.  The trials of all groups share one set
+    of n_jobs workers at most, this process and the children it forks (see
+    _map_trials), and each point's trials merge in trial order, so serial
+    and parallel execution agree exactly, distance sums included.
     """
     groups = {}
     for k, params in enumerate(grid):
@@ -931,19 +931,11 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
     """run_coupled_trial(grid, window, seed, trial, max_cells_per_tier) for
     each grid of grids and each trial in range(n_trials), in that order.
 
-    The trials share one pool of at most n_jobs worker processes, and never
-    more than the trials or the CPUs; with one, they run in this process.
-    The workers are forked, so they inherit every module loaded here:
-    scipy.spatial, which every trial's tessellation needs, is imported
-    first.  concurrent.futures is imported only for a pool, so neither it
-    nor multiprocessing loads with the package.  A budget that is not an
-    integer >= 1 raises ConfigError before any trial.
-
-    SIGINT and SIGTERM are held back while the pool takes the trials
-    (_held_back), and its workers start with the handlers found here.  When
-    the handover or the wait for results raises, the pool cancels every
-    trial not yet started, then waits for its workers to finish theirs and
-    exit.
+    The jobs run on min(n_jobs, jobs, CPUs) workers (_run_forked); with one,
+    or where the platform cannot fork, all in this process.  scipy.spatial,
+    which every trial's tessellation needs, is imported before any fork, so
+    the workers inherit it; multiprocessing is imported only to fork.  A
+    budget that is not an integer >= 1 raises ConfigError before any trial.
     """
     integer(n_trials, "n_trials", 1)
     integer(n_jobs, "n_jobs", 1)
@@ -951,25 +943,15 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
         integer(max_cells_per_tier, "max_cells_per_tier", 1)
     jobs = [(grid, window, seed, trial, max_cells_per_tier)
             for grid in grids for trial in range(n_trials)]
-    import scipy.spatial  # noqa: F401  (loaded once, before the pool forks)
+    import scipy.spatial  # noqa: F401  (loaded once, before any fork)
 
-    # a fork pool starts all max_workers processes at once
     workers = min(n_jobs, len(jobs), _cpu_count() or 1)
-    if workers <= 1:
-        return list(map(_run_job, jobs))
-    from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:
+        import multiprocessing
 
-    # None: a handler not set from Python, taken as the default
-    handlers = {s: signal.getsignal(s) or signal.SIG_DFL for s in (signal.SIGINT, signal.SIGTERM)}
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(handlers,)) as pool:
-        try:
-            with _held_back(handlers):
-                results = pool.map(_run_job, jobs)
-            return list(results)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(jobs, workers, multiprocessing.get_context("fork"))
+    return [run_coupled_trial(*job) for job in jobs]
 
 
 def _cpu_count():
@@ -977,56 +959,72 @@ def _cpu_count():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _run_job(job):
-    return run_coupled_trial(*job)
+def _run_forked(jobs, workers, context):
+    """The results of jobs, in order, job i run by worker i mod workers:
+    worker 0 is this process, each other one a child forked from context
+    that sends its share's _run_share back over a one-way pipe.
+
+    Raises the error of the first failing job in job order, as a serial run
+    does, and SimulationError when a child exits without sending (killed,
+    or its error cannot be pickled); SystemExit or KeyboardInterrupt ends
+    the run at once.  Every child is killed and reaped however the run
+    ends, and exits by itself if this process is killed outright.
+    """
+    children = []
+    try:
+        for w in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_child, args=(jobs[w::workers], sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        shares = [_run_share(jobs[::workers])]
+        for child, receiver in children:
+            try:
+                shares.append(receiver.recv())
+            except (EOFError, OSError):  # OSError: the child died while sending
+                child.join()
+                raise SimulationError(f"a worker process exited with code {child.exitcode} "
+                                      "before sending its trials") from None
+    finally:
+        for child, _ in children:
+            child.kill()
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    results = [None] * len(jobs)
+    for w, done in enumerate(shares):
+        results[w:w + workers * len(done):workers] = done
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
-def _start_worker(handlers):
-    """A pool worker's initializer: the handlers found before the handover,
-    and a thread that ends the worker once its parent is gone (a parent
-    killed outright never shuts the pool down)."""
+def _run_share(jobs):
+    """The results of jobs, in order, up to the first that raises an
+    Exception: that exception takes its place and ends the list."""
+    done = []
+    for job in jobs:
+        try:
+            done.append(run_coupled_trial(*job))
+        except Exception as error:
+            done.append(error)
+            break
+    return done
+
+
+def _run_child(jobs, sender):
+    """A forked worker: sends _run_share(jobs); exits once its parent is gone."""
     from multiprocessing import parent_process
 
-    _set_handlers(handlers)
-    threading.Thread(target=_exit_after, args=(parent_process().sentinel,), daemon=True).start()
+    threading.Thread(target=_exit_after, args=(parent_process(),), daemon=True).start()
+    sender.send(_run_share(jobs))
 
 
-def _exit_after(sentinel):
-    from multiprocessing.connection import wait
-
-    wait([sentinel])
+def _exit_after(parent):
+    parent.join()
     os._exit(1)
-
-
-def _set_handlers(handlers):
-    for signum, handler in handlers.items():
-        signal.signal(signum, handler)
-
-
-@contextmanager
-def _held_back(handlers):
-    """Hold back the signals of handlers (signal -> handler) while the
-    block runs, then restore the handlers and raise each signal that came.
-
-    A pool takes every trial before its first result is awaited; a
-    handler that raised in there (SystemExit, KeyboardInterrupt) could
-    leave a lock of its queues held, and its shutdown waited on it
-    forever.  Masking would not do: numpy's BLAS threads leave the signals
-    unblocked, and Python runs the handler in the main thread whichever
-    thread takes one.  Handlers run in the main thread only, so elsewhere
-    nothing is held back.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    came = []
-    _set_handlers({signum: lambda number, frame: came.append(number) for signum in handlers})
-    try:
-        yield
-    finally:
-        _set_handlers(handlers)
-        for signum in came:
-            signal.raise_signal(signum)
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,9 @@ def run_sweep(cfg):
     snapshot per trial (simulate.run_trial_sets).  A point's rows are the
     same in any grid that holds it.  The rows of one sweep share common
     random numbers: each CI holds for its own point, and the differences
-    between points are correlated.  The trials run on one
-    pool of at most cfg.n_jobs worker processes, and each point's totals
-    merge in trial order, so the rows do not depend on n_jobs.
+    between points are correlated.  The trials run on at most cfg.n_jobs
+    workers, this process and the children it forks, and each point's
+    totals merge in trial order, so the rows do not depend on n_jobs.
     """
     grid = [apply_sweep_value(cfg.params, cfg.sweep_variable, value) for value in cfg.sweep_grid]
     totals = run_trial_sets(grid, cfg.window, cfg.n_trials, cfg.seed,

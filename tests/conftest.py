@@ -1,34 +1,23 @@
 """Shared fixtures."""
 
-import concurrent.futures
-
 import pytest
+
+from hetnoma import simulate
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Stand in for the simulator's process pool; returns the max_workers
-    of every pool started.
+    """Stand in for the simulator's fork point; returns the worker count of
+    every parallel run started.
 
-    A fork pool starts all max_workers processes at once, so tests check
-    the size a run asks for; the fake maps in this process.
+    A run of w workers is this process and w - 1 forked children, so tests
+    check the w a run asks for; the fake runs every job in this process.
     """
     started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, **options):
-            started.append(max_workers)
+    def run_forked(jobs, workers, context):
+        started.append(workers)
+        return [simulate.run_coupled_trial(*job) for job in jobs]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    # the simulator imports the pool class from concurrent.futures when it
-    # starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_run_forked", run_forked)
     return started

@@ -447,12 +447,13 @@ class TestCliSweep:
         assert parse_config(dict(sweep, user_intensity=3e-4)).params.user_intensity == 3e-4
 
     def test_sigterm_ends_the_sweep_and_its_workers(self, tmp_path):
-        # SIGTERM mid-run: the command exits nonzero, and the pool's two
-        # workers exit with it instead of living on with parent PID 1
+        # SIGTERM mid-run: the command exits nonzero, and the child forked
+        # beside it (n_jobs 2: the sweep's own process and one child) exits
+        # with it instead of living on with parent PID 1
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("the worker processes are found through /proc")
         if (simulate._cpu_count() or 1) < 2:
-            pytest.skip("a one-CPU machine runs the trials without workers")
+            pytest.skip("a one-CPU machine runs the trials without forking")
         cfg = {"tiers": TOY_CONFIG["tiers"], "user_intensity": 8e-4, "beta": 0.75,
                "n_trials": 10_000, "n_jobs": 2}
         env = dict(os.environ, PYTHONPATH=str(Path(hetnoma.__file__).resolve().parents[1]))
@@ -464,10 +465,10 @@ class TestCliSweep:
         workers = []
         try:
             deadline = time.monotonic() + 60.0
-            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
                 time.sleep(0.05)
                 workers = _children(proc.pid)
-            assert len(workers) == 2, "the sweep never started its two workers"
+            assert len(workers) == 1, "the sweep never forked its one child"
             time.sleep(0.3)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) != 0
@@ -482,13 +483,13 @@ class TestCliSweep:
             proc.wait()
 
     def test_sigkill_of_the_sweep_ends_its_workers(self, tmp_path):
-        # a parent killed outright shuts no pool down: each worker watches
-        # its parent and exits once it is gone, instead of waiting for
-        # trials for good
+        # a parent killed outright kills no child: the child watches its
+        # parent and exits once it is gone, instead of running its share
+        # of the trials for good
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("the worker processes are found through /proc")
         if (simulate._cpu_count() or 1) < 2:
-            pytest.skip("a one-CPU machine runs the trials without workers")
+            pytest.skip("a one-CPU machine runs the trials without forking")
         cfg = {"tiers": TOY_CONFIG["tiers"], "user_intensity": 8e-4, "beta": 0.75,
                "n_trials": 10_000, "n_jobs": 2}
         env = dict(os.environ, PYTHONPATH=str(Path(hetnoma.__file__).resolve().parents[1]))
@@ -500,10 +501,10 @@ class TestCliSweep:
         workers = []
         try:
             deadline = time.monotonic() + 60.0
-            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
                 time.sleep(0.05)
                 workers = _children(proc.pid)
-            assert len(workers) == 2, "the sweep never started its two workers"
+            assert len(workers) == 1, "the sweep never forked its one child"
             time.sleep(0.3)
             proc.send_signal(signal.SIGKILL)
             assert proc.wait(timeout=10) == -signal.SIGKILL

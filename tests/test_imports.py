@@ -3,9 +3,9 @@
 scipy is imported only where it is called: `import hetnoma` and the
 closed forms at alpha = 4 load none of it, alpha != 4 loads
 scipy.special (hyp2f1) and nothing of scipy.spatial, and run_trial_sets
-loads scipy.spatial before its process pool forks, so the workers
-inherit it.  `import hetnoma` loads no multiprocessing either: the pool
-is imported only to start one.
+loads scipy.spatial before it forks its worker processes, so they
+inherit it.  `import hetnoma` loads no multiprocessing either: the
+simulator imports it only to fork.
 """
 
 import json
@@ -31,30 +31,20 @@ from hetnoma.cli import main
 assert main(sys.argv[1:], out=io.StringIO()) == 0
 """
 
-# the pool records which scipy modules its parent holds when it starts,
-# then maps in this process
+# the fork point records which scipy modules its parent holds when it
+# starts, then runs the jobs in this process
 PREFORK = """
-import concurrent.futures
 from hetnoma import simulate
 from hetnoma.coverage import NetworkParams, TierParams
 from hetnoma.geometry import Window
 
 at_start = []
 
-class RecordingPool:
-    def __init__(self, max_workers, **options):
-        at_start.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+def run_forked(jobs, workers, context):
+    at_start.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    return [simulate.run_coupled_trial(*job) for job in jobs]
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-concurrent.futures.ProcessPoolExecutor = RecordingPool
+simulate._run_forked = run_forked
 simulate._cpu_count = lambda: 2
 params = NetworkParams(tiers=(TierParams(1.0, 2e-4),), user_intensity=8e-4,
                        pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
@@ -98,7 +88,7 @@ print(json.dumps([m for m in sys.modules if m.split(".")[0] == "multiprocessing"
 
 
 def test_import_loads_no_multiprocessing():
-    # the simulator imports its process pool only to start one
+    # the simulator imports multiprocessing only to fork
     assert json.loads(probe(NO_POOL)[-2]) == []
 
 

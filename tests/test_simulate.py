@@ -5,9 +5,11 @@ is scale-free); the full stock-scenario validation lives in
 test_acceptance.py.
 """
 
-import concurrent.futures
 import math
+import multiprocessing
+import os
 import signal
+import time
 import warnings
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.stats import chi2_contingency, poisson
 
+from hetnoma import cli
 from hetnoma.checks import ConfigError
 from hetnoma.config import ScenarioConfig
 from hetnoma.coverage import NetworkParams, TierParams, cell_load_model
@@ -413,7 +416,7 @@ class TestRunTrials:
     ])
     def test_pool_sized_by_trials_and_cpus(self, monkeypatch, recording_pool, n_trials, n_jobs,
                                            cpus, pools):
-        # n_jobs above the trial or CPU count must not reach the pool
+        # n_jobs above the trial or CPU count must not reach the worker count
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         p = toy_params(mu=2e-4)
         pooled = run_trials(p, TOY_WINDOW, n_trials=n_trials, seed=17, n_jobs=n_jobs)
@@ -430,48 +433,89 @@ class TestRunTrials:
         run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=2, seed=17, n_jobs=2)
         assert recording_pool == []
 
-    def test_stop_signal_waits_until_the_pool_holds_every_trial(self, monkeypatch):
-        # a SIGTERM that comes while the pool takes the trials raises only
-        # once it holds them all, and the pool then cancels them; the
-        # workers start with the handlers the run found
-        class Stopped(Exception):
-            pass
+    def test_stop_signal_in_the_parents_share_ends_every_child(self, monkeypatch):
+        # a SIGTERM that comes while this process runs its own share raises
+        # the CLI handler's SystemExit at once: the child, still on its
+        # share, is killed and reaped rather than waited for
+        parent = os.getpid()
+        children = []
 
-        def stop(signum, frame):
-            raise Stopped
+        def trial(*job):
+            if os.getpid() != parent:
+                time.sleep(60)
+            children.extend(child.pid for child in multiprocessing.active_children())
+            signal.raise_signal(signal.SIGTERM)
 
-        events = []
-
-        class SignalledPool:
-            def __init__(self, max_workers, initializer, initargs):
-                [handlers] = initargs
-                events.append(handlers[signal.SIGTERM])
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                signal.raise_signal(signal.SIGTERM)
-                events.append("taken")
-                return map(fn, jobs)
-
-            def shutdown(self, cancel_futures=False):
-                events.append(("shutdown", cancel_futures))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SignalledPool)
         monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(simulate, "run_coupled_trial", lambda *job: events.append("trial"))
-        previous = signal.signal(signal.SIGTERM, stop)
-        try:
-            with pytest.raises(Stopped):
-                run_trials(toy_params(), TOY_WINDOW, n_trials=2, n_jobs=2)
-            assert signal.getsignal(signal.SIGTERM) is stop
-        finally:
-            signal.signal(signal.SIGTERM, previous)
-        assert events == [stop, "taken", ("shutdown", True)]
+        monkeypatch.setattr(simulate, "run_coupled_trial", trial)
+        started = time.monotonic()
+        with pytest.raises(SystemExit) as info, cli._sigterm_exits():
+            run_trials(toy_params(), TOY_WINDOW, n_trials=2, n_jobs=2)
+        assert info.value.code == 128 + signal.SIGTERM
+        assert time.monotonic() - started < 30
+        assert len(children) == 1
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(children[0], 0)
+
+    @pytest.mark.parametrize("failing, first", [({2, 3}, 2), ({1, 2}, 1), ({3}, 3)])
+    def test_first_failing_trial_raises_at_any_n_jobs(self, monkeypatch, failing, first):
+        # with two workers this process runs trials 0 and 2, its child 1
+        # and 3: the error is the first failing trial's either way, as in a
+        # serial run
+        real = simulate.run_coupled_trial
+
+        def trial(grid, window, seed, t, cap):
+            if t in failing:
+                raise ValueError(f"trial {t} failed")
+            return real(grid, window, seed, t, cap)
+
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "run_coupled_trial", trial)
+        for n_jobs in (1, 2):
+            with pytest.raises(ValueError, match=f"^trial {first} failed$"):
+                run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=4, seed=17, n_jobs=n_jobs)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("death, code", [("sigkill", -signal.SIGKILL), ("unpicklable", 1)])
+    def test_child_that_sends_nothing_raises(self, monkeypatch, death, code):
+        # a child killed outright, or one whose error cannot be pickled,
+        # exits without sending its share: the run raises SimulationError
+        # naming its exit code, at once, and returns no partial totals
+        parent, real = os.getpid(), simulate.run_coupled_trial
+
+        def trial(*job):
+            if os.getpid() != parent:
+                if death == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError(lambda: None)
+            return real(*job)
+
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "run_coupled_trial", trial)
+        started = time.monotonic()
+        with pytest.raises(SimulationError, match=f"exited with code {code} "):
+            run_trials(toy_params(mu=2e-4), TOY_WINDOW, n_trials=4, seed=17, n_jobs=2)
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
+
+    def test_runs_here_where_the_platform_cannot_fork(self, monkeypatch, recording_pool):
+        # forkserver or spawn would re-import the package in every worker:
+        # without fork, every trial runs in this process
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        p = toy_params(mu=2e-4)
+        here = run_trials(p, TOY_WINDOW, n_trials=3, seed=17, n_jobs=2)
+        assert recording_pool == []
+        assert_same_totals(here, run_trials(p, TOY_WINDOW, n_trials=3, seed=17))
+
+    def test_uneven_shares_equal_serial(self, monkeypatch):
+        # five trials on three workers (two children forked): shares of 2, 2
+        # and 1 trials, placed back in trial order
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+        p = toy_params(mu=2e-4)
+        forked = run_trials(p, TOY_WINDOW, n_trials=5, seed=17, n_jobs=3)
+        assert_same_totals(forked, run_trials(p, TOY_WINDOW, n_trials=5, seed=17))
 
     @pytest.mark.parametrize("n_jobs", [0, -1])
     def test_rejects_n_jobs_below_one(self, monkeypatch, recording_pool, n_jobs):
@@ -499,7 +543,7 @@ class TestRunTrials:
         assert recording_pool == []
 
     def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
-        # the trials of all groups go to one pool sized by the whole run;
+        # the trials of all groups share one set of workers sized by the whole run;
         # the first two points share their tiers, so one snapshot per trial
         # serves both, the third has tiers of its own, and each point's
         # totals equal those of a run of that point alone exactly

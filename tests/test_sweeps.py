@@ -190,9 +190,9 @@ class TestRunSweep:
     ])
     def test_one_pool_for_the_whole_sweep(self, monkeypatch, recording_pool,
                                           n_trials, n_jobs, cpus, pools):
-        # each point of a pico_intensity sweep has its own layout: one pool,
-        # sized min(n_jobs, points x trials, CPUs), runs every trial of the
-        # sweep; a sweep of one trial per point pools too
+        # each point of a pico_intensity sweep has its own layout: one set
+        # of workers, min(n_jobs, points x trials, CPUs) of them, runs every
+        # trial of the sweep; a sweep of one trial per point forks too
         monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
         run_sweep(toy_config(sweep_variable="pico_intensity", sweep_grid=(9e-5, 1.8e-4, 3.6e-4),
                              n_trials=n_trials, n_jobs=n_jobs))
