@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .checks import ConfigError, number
@@ -159,17 +160,27 @@ class DecodingThresholds(NamedTuple):
     valid: bool
 
 
+def _thresholds(theta, beta):
+    """(near, far, own) thresholds of a power split beta in [0, 1], where own
+    = theta/(1-beta) (+inf at beta = 1) is the near user's own-signal
+    threshold and near = max(far, own); None when beta <= theta/(1+theta)."""
+    margin = beta * (1.0 + theta) - theta
+    if margin <= 0.0:
+        return None
+    far = theta / margin
+    own = math.inf if beta == 1.0 else theta / (1.0 - beta)
+    return max(far, own), far, own
+
+
 def decoding_thresholds(theta, beta_m):
     if not theta > 0:
         raise ValueError("sir_threshold must be positive")
     if not 0.0 <= beta_m <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    margin = beta_m * (1.0 + theta) - theta
-    if margin <= 0.0:
+    split = _thresholds(theta, beta_m)
+    if split is None:
         return DecodingThresholds(math.inf, math.inf, False)
-    far = theta / margin
-    own = math.inf if beta_m == 1.0 else theta / (1.0 - beta_m)
-    return DecodingThresholds(max(far, own), far, True)
+    return DecodingThresholds(split[0], split[1], True)
 
 
 class CoveragePair(NamedTuple):
@@ -220,44 +231,56 @@ def coverage_curve(params, tier, scheme, betas, evaluator=None):
 
     Each pair equals the one of params.with_beta(beta), bit for bit, and a
     bad beta raises the ConfigError that with_beta raises.  theta, q and
-    the kernel evaluator are set up once per call, and the kernel
+    the kernel evaluator are set up once per call (_curve), and the kernel
     arguments of all betas go to one interference_kernel call (noncoop),
     or to one interference_kernel and one combined_kernel call (coop).
+    """
+    curve = _curve(params, tier, scheme, evaluator)
+    # each beta is checked as the first of the entries with_beta broadcasts it to
+    return curve([check_beta(beta, "beta[0]") for beta in betas])
+
+
+def _curve(params, tier, scheme, evaluator=None):
+    """coverage_curve's set-up: a function of a list of checked betas that
+    gives their CoveragePairs (_pairs)."""
+    check_schemes((scheme,))
+    theta = params.sir_threshold
+    if not theta > 0:
+        raise ValueError("sir_threshold must be positive")
+    q = cell_load_model(params).nonvoid_prob
+    ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
+    return partial(_pairs, ev, tier, scheme == "coop", theta, q)
+
+
+def _pairs(ev, tier, coop, theta, q, betas):
+    """CoveragePair per beta of betas, floats in [0, 1].
 
     The schemes differ in two places only: the near user's threshold,
     max(far, theta/(1-beta)) without cooperation and theta/(1-beta) with
     it, and the far exponent, from which cooperation subtracts the void
     cells' gain.
     """
-    check_schemes((scheme,))
-    # each beta is checked as the first of the entries with_beta broadcasts it to
-    betas = [check_beta(beta, "beta[0]") for beta in betas]
-    theta = params.sir_threshold
-    q = cell_load_model(params).nonvoid_prob
-    ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
-    thresholds = [decoding_thresholds(theta, beta) for beta in betas]
-    valid = [(beta, thr) for beta, thr in zip(betas, thresholds) if thr.valid]
-    far_args = [thr.far_threshold for _, thr in valid]
-    if scheme == "coop":
-        near_args = [math.inf if beta == 1.0 else theta / (1.0 - beta) for beta, _ in valid]
-        k_nears = ev.interference_kernel(tier, near_args)
+    splits = [_thresholds(theta, beta) for beta in betas]
+    valid = [split for split in splits if split]
+    far_args = [far for _, far, _ in valid]
+    if coop:
+        k_nears = ev.interference_kernel(tier, [own for _, _, own in valid])
         far_exps = ev.combined_kernel(tier, far_args, [x / theta for x in far_args], q)
     else:
-        near_args = [thr.near_threshold for _, thr in valid]
-        kernels = ev.interference_kernel(tier, near_args + far_args)
+        kernels = ev.interference_kernel(tier, [near for near, _, _ in valid] + far_args)
         k_nears = kernels[:len(valid)]
         # no interferer at q = 0, even where a kernel overflowed to inf
         far_exps = [q * k if q else 0.0 for k in kernels[len(valid):]]
     exponents = iter(zip(k_nears, far_exps))
     pairs = []
-    for beta, thr in zip(betas, thresholds):
-        if not thr.valid:
+    for beta, split in zip(betas, splits):
+        if split is None:
             pairs.append(CoveragePair(0.0, 0.0))
             continue
         k_near, far_exp = next(exponents)
         near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
         far = 2.0 / ((1.0 + far_exp) * (2.0 + far_exp))
-        pairs.append(CoveragePair(near, far, scheme == "coop" and _coop_extrapolated(theta, beta)))
+        pairs.append(CoveragePair(near, far, coop and _coop_extrapolated(theta, beta)))
     return pairs
 
 
@@ -298,23 +321,26 @@ def scan_beta(params, tier, scheme, betas):
     """(averages, optimum): the average coverage at each of betas, as a
     tuple, and optimize_beta's optimum.
 
-    One coverage_curve call evaluates betas and the coarse grid together,
-    each float once: a coarse grid point that betas holds too is not
-    evaluated again.  The values are those of separate calls, bit for bit.
+    The scheme, theta and q are set up, and each of betas checked, once
+    per call (_curve).  One evaluation then covers betas and the coarse
+    grid together, each float once: a coarse grid point that betas holds
+    too is not evaluated again.  Each golden-section step evaluates its
+    own beta.  The values are those of separate coverage_curve calls, bit
+    for bit.
     """
+    curve = _curve(params, tier, scheme)
+    betas = [check_beta(beta, "beta[0]") for beta in betas]
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
-    ev = KernelEvaluator.from_params(params)
-    betas = list(betas)
     grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
     shared = set(betas)
     union = betas + [beta for beta in grid if beta not in shared]
-    averages = [pair.average for pair in coverage_curve(params, tier, scheme, union, ev)]
+    averages = [pair.average for pair in curve(union)]
     value_at = dict(zip(union, averages))
     values = [value_at[beta] for beta in grid]
 
     def objective(beta):
-        return coverage_curve(params, tier, scheme, (beta,), ev)[0].average
+        return curve([beta])[0].average
 
     best = max(range(len(grid)), key=values.__getitem__)
     left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12

@@ -188,6 +188,12 @@ class KernelEvaluator:
             raise ValueError("intensity fractions must be nonnegative")
         if not abs(sum(self.fractions) - 1.0) <= 1e-9:
             raise ValueError("intensity fractions must sum to 1")
+        # per tier m: P_m and, for each tier k with a nonzero fraction, in
+        # tier order, (P_k, frac_k, P_k/P_m)
+        object.__setattr__(self, "_terms", tuple(
+            (p_m, tuple((p_k, frac_k, p_k / p_m)
+                        for p_k, frac_k in zip(self.powers, self.fractions) if frac_k))
+            for p_m in self.powers))
 
     @classmethod
     def from_params(cls, params):
@@ -208,20 +214,23 @@ class KernelEvaluator:
         xs = x if isinstance(x, list) else [x]
         if not all([v >= 0 for v in xs]):
             raise ValueError("kernel argument must be nonnegative")
-        p_m = self.powers[m]
+        # a repeated argument is evaluated once: the noncoop near and far
+        # thresholds coincide below the crossover, and combined_kernel's x
+        # and y at theta = 1
+        args = list(dict.fromkeys(xs))
+        p_m, terms = self._terms[m]
         up, down = 2.0 / self.alpha, -2.0 / self.alpha
         tiny, huge = sys.float_info.min, math.inf
-        terms = [(p_k, frac_k) for p_k, frac_k in zip(self.powers, self.fractions) if frac_k]
-        kernels = [math.inf if v == math.inf else 0.0 for v in xs]
+        kernels = [huge if v == huge else 0.0 for v in args]
         where, weights, bounds = [], [], []
-        for i, v in enumerate(xs):
-            if not 0.0 < v < math.inf:
+        for i, v in enumerate(args):
+            if not 0.0 < v < huge:
                 continue
-            for p_k, frac_k in terms:
+            for p_k, frac_k, p_km in terms:
                 product = v * p_k
                 # where v*P_k overflows or leaves the normal range, divide the
                 # powers first; elsewhere keep the left-to-right bits
-                ratio = product / p_m if tiny <= product < huge else v * (p_k / p_m)
+                ratio = product / p_m if tiny <= product < huge else v * p_km
                 try:
                     bound = ratio**down
                 except (ZeroDivisionError, OverflowError):
@@ -233,6 +242,8 @@ class KernelEvaluator:
                 bounds.append(bound)
         for i, weight, tail in zip(where, weights, tail_integral(bounds, self.alpha)):
             kernels[i] += weight * tail
+        if len(args) < len(xs):
+            kernels = list(map(dict(zip(args, kernels)).__getitem__, xs))
         return kernels if xs is x else kernels[0]
 
     def combined_kernel(self, m, x, y, nonvoid_prob):

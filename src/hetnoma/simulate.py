@@ -962,64 +962,95 @@ def _cpu_count():
 def _run_forked(jobs, workers, context):
     """The results of jobs, in order, job i run by worker i mod workers:
     worker 0 is this process, each other one a child forked from context
-    that sends its share's _run_share back over a one-way pipe.
+    that sends each result of its share over a one-way pipe as it
+    completes.
 
-    Raises the error of the first failing job in job order, as a serial run
-    does, and SimulationError when a child exits without sending (killed,
-    or its error cannot be pickled); SystemExit or KeyboardInterrupt ends
-    the run at once.  Every child is killed and reaped however the run
-    ends, and exits by itself if this process is killed outright.
+    Between its own jobs this process reads what the children have sent.
+    A run raises the error of the first failing job in job order, as a
+    serial run does, as soon as every earlier job has finished, and
+    SimulationError when a child exits before sending a result the run
+    needs (killed, or its error cannot be pickled); SystemExit or
+    KeyboardInterrupt ends the run at once.  This process starts none of
+    its jobs after a known failure.  Every child is killed and reaped
+    however the run ends, and exits by itself if this process is killed
+    outright.
     """
-    children = []
+    from multiprocessing.connection import wait
+
+    n = len(jobs)
+    missing = object()
+    results = [missing] * n
+    children, sending = [], {}  # sending: receiver -> [child, the job it sends next]
+    first = 0                   # every job before it has succeeded
+    failed = n                  # the first job known to have failed, or never to come
+    own = 0                     # this process's next job
     try:
         for w in range(1, workers):
             receiver, sender = context.Pipe(duplex=False)
             child = context.Process(target=_run_child, args=(jobs[w::workers], sender))
             child.start()
             children.append((child, receiver))
+            sending[receiver] = [child, w]
             sender.close()
-        shares = [_run_share(jobs[::workers])]
-        for child, receiver in children:
-            try:
-                shares.append(receiver.recv())
-            except (EOFError, OSError):  # OSError: the child died while sending
-                child.join()
-                raise SimulationError(f"a worker process exited with code {child.exitcode} "
-                                      "before sending its trials") from None
+        while True:
+            while first < failed and results[first] is not missing:
+                first += 1
+            if first == n:
+                return results
+            if first == failed:
+                raise results[first]
+            timeout = None
+            if own < failed:
+                results[own] = _attempt(jobs[own])
+                if isinstance(results[own], Exception):
+                    failed = own
+                own += workers
+                timeout = 0
+            ready = wait(list(sending), timeout)
+            while ready:
+                for receiver in ready:
+                    child, j = entry = sending[receiver]
+                    try:
+                        result = receiver.recv()
+                    except (EOFError, OSError):  # OSError: the child died while sending
+                        del sending[receiver]
+                        if j >= n:
+                            continue
+                        child.join()
+                        result = SimulationError(f"a worker process exited with code "
+                                                 f"{child.exitcode} before sending its trials")
+                    results[j] = result
+                    if isinstance(result, Exception):
+                        failed = min(failed, j)
+                    entry[1] = j + workers
+                ready = wait(list(sending), 0)
     finally:
         for child, _ in children:
             child.kill()
         for child, receiver in children:
             child.join()
             receiver.close()
-    results = [None] * len(jobs)
-    for w, done in enumerate(shares):
-        results[w:w + workers * len(done):workers] = done
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
 
 
-def _run_share(jobs):
-    """The results of jobs, in order, up to the first that raises an
-    Exception: that exception takes its place and ends the list."""
-    done = []
-    for job in jobs:
-        try:
-            done.append(run_coupled_trial(*job))
-        except Exception as error:
-            done.append(error)
-            break
-    return done
+def _attempt(job):
+    """run_coupled_trial(*job), or the Exception it raises."""
+    try:
+        return run_coupled_trial(*job)
+    except Exception as error:
+        return error
 
 
 def _run_child(jobs, sender):
-    """A forked worker: sends _run_share(jobs); exits once its parent is gone."""
+    """A forked worker: sends _attempt of each of jobs in turn, up to the
+    first Exception; exits once its parent is gone."""
     from multiprocessing import parent_process
 
     threading.Thread(target=_exit_after, args=(parent_process(),), daemon=True).start()
-    sender.send(_run_share(jobs))
+    for job in jobs:
+        result = _attempt(job)
+        sender.send(result)
+        if isinstance(result, Exception):
+            break
 
 
 def _exit_after(parent):

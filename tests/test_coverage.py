@@ -8,12 +8,17 @@ optimum by exhaustive search on a 1e-3 grid.
 
 import math
 import sys
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from hetnoma import coverage
 from hetnoma.checks import ConfigError
 from hetnoma.coverage import (
+    BETA_GRID_POINTS,
+    BETA_TOL,
+    BetaOptimum,
     CoveragePair,
     LoadModel,
     NetworkParams,
@@ -26,9 +31,11 @@ from hetnoma.coverage import (
     coverage_pair,
     decoding_thresholds,
     optimize_beta,
+    scan_beta,
     user_count_pmf,
 )
 from hetnoma.kernels import KernelEvaluator
+from hetnoma.sweeps import table1_params
 
 TABLE1_Q = 0.99066080830888229
 
@@ -411,6 +418,85 @@ class TestOptimizeBeta:
         coop = optimize_beta(p, 0, "coop")
         assert coop.beta_star <= non.beta_star + 1e-3
         assert coop.value >= non.value
+
+
+def reference_search(params, tier, scheme, betas):
+    """scan_beta's (averages, optimum) with every value taken from its own
+    coverage_pair call: the coarse grid, then golden section."""
+    def objective(beta):
+        return coverage_pair(params.with_beta(beta), tier, scheme).average
+
+    theta = params.sir_threshold
+    lo = theta / (1.0 + theta)
+    grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
+    values = [objective(beta) for beta in grid]
+    best = values.index(max(values))
+    a = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
+    b = grid[best + 1] if best + 1 < len(grid) else 1.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > BETA_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    beta_star = 0.5 * (a + b)
+    value = objective(beta_star)
+    if values[best] > value:
+        beta_star, value = grid[best], values[best]
+    optimum = BetaOptimum(beta_star, value, beta_star >= 1.0 - BETA_TOL,
+                          scheme == "coop" and beta_star < (1.0 + theta) / (2.0 + theta))
+    return tuple(objective(beta) for beta in betas), optimum
+
+
+def hex_floats(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestScanBeta:
+    # the optimize-beta CLI grid
+    GRID = [0.5 + 0.5 * i / 32 for i in range(1, 33)]
+
+    @pytest.mark.parametrize("alpha", [3.0, 3.5, 5.0])
+    @pytest.mark.parametrize("scheme", ["noncoop", "coop"])
+    @pytest.mark.parametrize("tier", [0, 1])
+    def test_equals_a_search_over_separate_calls(self, alpha, scheme, tier):
+        # the hyp2f1 kernels (alpha != 4), bit for bit
+        params = replace(table1_params(), pathloss_exponent=alpha)
+        averages, optimum = scan_beta(params, tier, scheme, self.GRID)
+        ref_averages, ref_optimum = reference_search(params, tier, scheme, self.GRID)
+        assert hex_floats(averages) == hex_floats(ref_averages)
+        assert hex_floats(astuple(optimum)) == hex_floats(astuple(ref_optimum))
+
+    @pytest.mark.parametrize("scheme", ["noncoop", "coop"])
+    def test_sets_up_once(self, monkeypatch, scheme):
+        # one load model per scan, and one check per caller beta: the coarse
+        # grid and the golden-section steps repeat neither
+        params = replace(table1_params(), pathloss_exponent=3.5)
+        calls = {"cell_load_model": 0, "check_beta": 0}
+        for name in calls:
+            real = getattr(coverage, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(coverage, name, counting)
+        scan_beta(params, 1, scheme, self.GRID)
+        assert calls == {"cell_load_model": 1, "check_beta": len(self.GRID)}
+
+    def test_lower_bracket_optimum(self):
+        # alpha = 3, pico coop: the best coarse point is the lowest, and the
+        # golden section ends on the bracket's lower side, at 0.50004
+        params = replace(table1_params(), pathloss_exponent=3.0)
+        _, optimum = scan_beta(params, 1, "coop", self.GRID)
+        assert 0.5 < optimum.beta_star < 0.5 + 0.5 / BETA_GRID_POINTS
+        assert optimum.beta_star == pytest.approx(0.50004, abs=1e-5)
 
 
 class TestParamsValidation:

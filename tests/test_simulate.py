@@ -499,6 +499,28 @@ class TestRunTrials:
         assert time.monotonic() - started < 10
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failure_raises_once_every_earlier_trial_has_finished(self, monkeypatch, failing):
+        # eight trials on two workers, this process running the even ones and
+        # its child the odd ones: every trial sleeps 0.5 s but the failing
+        # one, which raises at once.  The run raises as soon as the trials
+        # before it have finished, not after the 2 s of a whole share
+        if (simulate._cpu_count() or 1) < 2:
+            pytest.skip("a one-CPU machine runs the trials without forking")
+
+        def trial(grid, window, seed, t, cap):
+            if t == failing:
+                raise ValueError(f"trial {t} failed")
+            time.sleep(0.5)
+            return []
+
+        monkeypatch.setattr(simulate, "run_coupled_trial", trial)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=f"^trial {failing} failed$"):
+            run_trials(toy_params(), TOY_WINDOW, n_trials=8, n_jobs=2)
+        assert time.monotonic() - started < 1.0
+        assert multiprocessing.active_children() == []
+
     def test_runs_here_where_the_platform_cannot_fork(self, monkeypatch, recording_pool):
         # forkserver or spawn would re-import the package in every worker:
         # without fork, every trial runs in this process

@@ -238,13 +238,13 @@ class TestRunBetaScan:
         lo = p.sir_threshold / (1.0 + p.sir_threshold)
         grid = [lo + (1.0 - lo) * i / 32 for i in range(1, 33)]
         evaluated = []
-        thresholds = coverage.decoding_thresholds
+        thresholds = coverage._thresholds
 
         def recording(theta, beta):
             evaluated.append(beta)
             return thresholds(theta, beta)
 
-        monkeypatch.setattr(coverage, "decoding_thresholds", recording)
+        monkeypatch.setattr(coverage, "_thresholds", recording)
         scan = run_beta_scan(p, 1, scheme, grid)
         assert set(grid) <= set(evaluated)
         assert len(set(evaluated)) == len(evaluated)
