@@ -24,6 +24,12 @@ signal.  The near user's first decoding stage then succeeds whenever its
 own-signal SIR clears theta (exactly for beta >= (1+theta)/(2+theta)),
 and the far user's exponent becomes the combined kernel with the void
 gain subtracted, clamped at zero.
+
+coverage_pair, coverage_curve and scan_beta share one routine (_pairs)
+that takes a float64 array of power splits and evaluates each split
+elementwise, with one interference_kernel call for the whole array.  So
+a split's coverage is the same, bit for bit, whether it is evaluated
+alone or with others.
 """
 
 from __future__ import annotations
@@ -33,12 +39,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
+import numpy as np
+
 from .checks import ConfigError, number
 from .kernels import KernelEvaluator
 
-# optimize_beta: coarse grid size, then golden-section bracket width
+# optimize_beta: coarse grid size, then golden-section bracket width, and
+# the golden-section steps one evaluation looks ahead
 BETA_GRID_POINTS = 64
 BETA_TOL = 1e-4
+GOLDEN_LOOKAHEAD = 4
 
 SCHEMES = ("noncoop", "coop")
 
@@ -160,16 +170,18 @@ class DecodingThresholds(NamedTuple):
     valid: bool
 
 
-def _thresholds(theta, beta):
-    """(near, far, own) thresholds of a power split beta in [0, 1], where own
-    = theta/(1-beta) (+inf at beta = 1) is the near user's own-signal
-    threshold and near = max(far, own); None when beta <= theta/(1+theta)."""
-    margin = beta * (1.0 + theta) - theta
-    if margin <= 0.0:
-        return None
-    far = theta / margin
-    own = math.inf if beta == 1.0 else theta / (1.0 - beta)
-    return max(far, own), far, own
+def _thresholds(theta, betas):
+    """(valid, far, own): the decoding thresholds of a float64 array of
+    power splits in [0, 1], under the caller's np.errstate (beta = 1
+    divides by zero).  valid marks the splits above theta/(1+theta), and
+    far and own are arrays over those splits alone, where own =
+    theta/(1-beta) (+inf at beta = 1) is the near user's own-signal
+    threshold; the near user's threshold is max(far, own)."""
+    margin = betas * (1.0 + theta) - theta
+    valid = margin > 0.0
+    if np.count_nonzero(valid) < len(valid):
+        betas, margin = betas[valid], margin[valid]
+    return valid, theta / margin, theta / (1.0 - betas)
 
 
 def decoding_thresholds(theta, beta_m):
@@ -177,10 +189,11 @@ def decoding_thresholds(theta, beta_m):
         raise ValueError("sir_threshold must be positive")
     if not 0.0 <= beta_m <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    split = _thresholds(theta, beta_m)
-    if split is None:
+    with np.errstate(divide="ignore"):
+        valid, far, own = _thresholds(theta, np.array([beta_m], dtype=float))
+    if not valid[0]:
         return DecodingThresholds(math.inf, math.inf, False)
-    return DecodingThresholds(split[0], split[1], True)
+    return DecodingThresholds(max(float(far[0]), float(own[0])), float(far[0]), True)
 
 
 class CoveragePair(NamedTuple):
@@ -231,18 +244,23 @@ def coverage_curve(params, tier, scheme, betas, evaluator=None):
 
     Each pair equals the one of params.with_beta(beta), bit for bit, and a
     bad beta raises the ConfigError that with_beta raises.  theta, q and
-    the kernel evaluator are set up once per call (_curve), and the kernel
-    arguments of all betas go to one interference_kernel call (noncoop),
-    or to one interference_kernel and one combined_kernel call (coop).
+    the kernel evaluator are set up once per call (_curve), and all betas
+    are evaluated as one array (_pairs).
     """
     curve = _curve(params, tier, scheme, evaluator)
     # each beta is checked as the first of the entries with_beta broadcasts it to
-    return curve([check_beta(beta, "beta[0]") for beta in betas])
+    betas = np.array([check_beta(beta, "beta[0]") for beta in betas], dtype=float)
+    with _PAIRS_ERRSTATE():
+        near, far, valid = curve(betas)
+    extrapolated = [False] * len(betas)
+    if scheme == "coop":
+        extrapolated = (valid & _coop_extrapolated(params.sir_threshold, betas)).tolist()
+    return list(map(CoveragePair, near.tolist(), far.tolist(), extrapolated))
 
 
 def _curve(params, tier, scheme, evaluator=None):
-    """coverage_curve's set-up: a function of a list of checked betas that
-    gives their CoveragePairs (_pairs)."""
+    """coverage_curve's set-up: a function of a float64 array of checked
+    betas that gives their coverage as arrays (_pairs)."""
     check_schemes((scheme,))
     theta = params.sir_threshold
     if not theta > 0:
@@ -252,36 +270,47 @@ def _curve(params, tier, scheme, evaluator=None):
     return partial(_pairs, ev, tier, scheme == "coop", theta, q)
 
 
-def _pairs(ev, tier, coop, theta, q, betas):
-    """CoveragePair per beta of betas, floats in [0, 1].
+# _pairs' callers hold these: beta = 1 divides by zero (own = inf), q*inf is
+# NaN at q = 0, and a far exponent near 1e154 or above squares to inf
+_PAIRS_ERRSTATE = partial(np.errstate, divide="ignore", invalid="ignore", over="ignore")
 
-    The schemes differ in two places only: the near user's threshold,
-    max(far, theta/(1-beta)) without cooperation and theta/(1-beta) with
-    it, and the far exponent, from which cooperation subtracts the void
-    cells' gain.
+
+def _pairs(ev, tier, coop, theta, q, betas):
+    """(near, far, valid) over a float64 array of betas: the near and far
+    coverage, floats in [0, 1], and the mask of the splits above
+    theta/(1+theta) (the others get 0 and 0), under _PAIRS_ERRSTATE.
+
+    Every beta's kernel arguments go to one interference_kernel call: its
+    near and far thresholds without cooperation, and with it its near
+    threshold theta/(1-beta) and the thresholds x and x/theta of the
+    combined far exponent (KernelEvaluator.void_exponent).  The schemes
+    differ in these two places only.  Each value is elementwise in the
+    array, so an array of betas gives the values of one call per beta,
+    bit for bit.
     """
-    splits = [_thresholds(theta, beta) for beta in betas]
-    valid = [split for split in splits if split]
-    far_args = [far for _, far, _ in valid]
+    valid, far_args, own_args = _thresholds(theta, betas)
+    n = len(far_args)
     if coop:
-        k_nears = ev.interference_kernel(tier, [own for _, _, own in valid])
-        far_exps = ev.combined_kernel(tier, far_args, [x / theta for x in far_args], q)
+        # the void cells' threshold x/theta is x itself at theta = 1
+        args = [own_args, far_args] + ([far_args / theta] if theta != 1.0 else [])
+        kernels = ev.interference_kernel(tier, np.concatenate(args))
+        far_exps = ev.void_exponent(far_args, args[-1], kernels[n:2 * n], kernels[-n:], q)
     else:
-        kernels = ev.interference_kernel(tier, [near for near, _, _ in valid] + far_args)
-        k_nears = kernels[:len(valid)]
+        near_args = np.maximum(far_args, own_args)
+        kernels = ev.interference_kernel(tier, np.concatenate([near_args, far_args]))
         # no interferer at q = 0, even where a kernel overflowed to inf
-        far_exps = [q * k if q else 0.0 for k in kernels[len(valid):]]
-    exponents = iter(zip(k_nears, far_exps))
-    pairs = []
-    for beta, split in zip(betas, splits):
-        if split is None:
-            pairs.append(CoveragePair(0.0, 0.0))
-            continue
-        k_near, far_exp = next(exponents)
-        near = 0.0 if math.isinf(k_near) else 2.0 / (2.0 + q * k_near)
-        far = 2.0 / ((1.0 + far_exp) * (2.0 + far_exp))
-        pairs.append(CoveragePair(near, far, coop and _coop_extrapolated(theta, beta)))
-    return pairs
+        far_exps = q * kernels[n:] if q else np.zeros(n)
+    k_nears = kernels[:n]
+    nears = 2.0 / (2.0 + q * k_nears)
+    fars = 2.0 / ((1.0 + far_exps) * (2.0 + far_exps))
+    if not q:
+        # an infinite kernel leaves no coverage
+        nears[np.isinf(k_nears)] = 0.0
+    if n == len(betas):
+        return nears, fars, valid
+    near, far = np.zeros(len(betas)), np.zeros(len(betas))
+    near[valid], far[valid] = nears, fars
+    return near, far, valid
 
 
 def coverage_pair(params, tier, scheme, evaluator=None):
@@ -322,49 +351,85 @@ def scan_beta(params, tier, scheme, betas):
     tuple, and optimize_beta's optimum.
 
     The scheme, theta and q are set up, and each of betas checked, once
-    per call (_curve).  One evaluation then covers betas and the coarse
-    grid together, each float once: a coarse grid point that betas holds
-    too is not evaluated again.  Each golden-section step evaluates its
-    own beta.  The values are those of separate coverage_curve calls, bit
-    for bit.
+    per call (_curve).  One array evaluation then covers betas and the
+    coarse grid together, each float once: a coarse grid point that betas
+    holds too is not evaluated again.  The golden section then takes its
+    steps in batches (_golden_section).  The values are those of separate
+    coverage_curve calls, bit for bit.
     """
     curve = _curve(params, tier, scheme)
-    betas = [check_beta(beta, "beta[0]") for beta in betas]
+    betas = np.array([check_beta(beta, "beta[0]") for beta in betas], dtype=float)
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
-    grid = [lo + (1.0 - lo) * i / BETA_GRID_POINTS for i in range(1, BETA_GRID_POINTS + 1)]
-    shared = set(betas)
-    union = betas + [beta for beta in grid if beta not in shared]
-    averages = [pair.average for pair in curve(union)]
-    value_at = dict(zip(union, averages))
-    values = [value_at[beta] for beta in grid]
+    grid = lo + (1.0 - lo) * np.arange(1.0, BETA_GRID_POINTS + 1.0) / BETA_GRID_POINTS
+    # a beta that is a grid point, bit for bit, takes that point's value
+    at = np.minimum(np.searchsorted(grid, betas), BETA_GRID_POINTS - 1)
+    off_grid = grid[at] != betas
+    at[off_grid] = np.arange(BETA_GRID_POINTS, BETA_GRID_POINTS + np.count_nonzero(off_grid))
+    value_at = {}
 
-    def objective(beta):
-        return curve([beta])[0].average
+    def average(points):
+        near, far, _ = curve(points)
+        return 0.5 * (near + far)
 
-    best = max(range(len(grid)), key=values.__getitem__)
-    left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
-    right = grid[best + 1] if best + 1 < len(grid) else 1.0
+    def evaluate(points):
+        value_at.update(zip(points, average(np.array(points, dtype=float)).tolist()))
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = left, right
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > BETA_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    beta_star = 0.5 * (a + b)
-    value = objective(beta_star)
+    with _PAIRS_ERRSTATE():
+        averages = average(np.concatenate([grid, betas[off_grid]]))
+        grid, grid_values = grid.tolist(), averages[:BETA_GRID_POINTS].tolist()
+        best = grid_values.index(max(grid_values))
+        left = grid[best - 1] if best > 0 else lo + (1.0 - lo) * 1e-12
+        right = grid[best + 1] if best + 1 < len(grid) else 1.0
+        beta_star = _golden_section(left, right, value_at, evaluate)
+    value = value_at[beta_star]
     # keep the endpoint if refinement did not beat the coarse grid
-    if values[best] > value:
-        beta_star, value = grid[best], values[best]
+    if grid_values[best] > value:
+        beta_star, value = grid[best], grid_values[best]
     optimum = BetaOptimum(beta_star, value, at_boundary=beta_star >= 1.0 - BETA_TOL,
                           extrapolated=scheme == "coop" and _coop_extrapolated(theta, beta_star))
-    return tuple(averages[:len(betas)]), optimum
+    return tuple(averages[at].tolist()), optimum
+
+
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(a, b, value_at, evaluate):
+    """The midpoint of the golden-section bracket on [a, b] narrowed to
+    width BETA_TOL, with its value in value_at (a dict beta -> value that
+    evaluate(list of betas) fills).
+
+    The search replays its comparisons from value_at.  Where a value is
+    missing, one evaluate call takes every point that the next
+    GOLDEN_LOOKAHEAD steps could need (_lookahead).  The points come from
+    the same float operations as a search that evaluates one point per
+    step, so the search visits the same points and ends on the same
+    midpoint.
+    """
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    while True:
+        while b - a > BETA_TOL and c in value_at and d in value_at:
+            if value_at[c] < value_at[d]:
+                a, c, d = c, d, c + INV_PHI * (b - c)
+            else:
+                b, d, c = d, c, d - INV_PHI * (d - a)
+        if b - a <= BETA_TOL and 0.5 * (a + b) in value_at:
+            return 0.5 * (a + b)
+        wanted = {}
+        _lookahead(a, b, c, d, GOLDEN_LOOKAHEAD, wanted)
+        evaluate([beta for beta in wanted if beta not in value_at])
+
+
+def _lookahead(a, b, c, d, steps, wanted):
+    """Add to wanted (a dict used as an ordered set) the points that the
+    next `steps` golden-section steps from the bracket [a, b] with inner
+    points c < d could need: both inner points of each comparison still
+    open (2**steps - 1 new points at most), and the final midpoint of each
+    bracket those steps narrow to width BETA_TOL."""
+    if b - a <= BETA_TOL:
+        wanted[0.5 * (a + b)] = None
+    elif steps:
+        wanted[c] = wanted[d] = None
+        # after f(c) >= f(d), then after f(c) < f(d)
+        _lookahead(a, d, d - INV_PHI * (d - a), c, steps - 1, wanted)
+        _lookahead(c, b, d, c + INV_PHI * (b - c), steps - 1, wanted)

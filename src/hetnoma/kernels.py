@@ -12,11 +12,21 @@ C(a) = (2*pi/a)/sin(2*pi/a).
 
 The cooperative scheme subtracts the void cells' gain, the same kernel
 at the threshold y = far_threshold/theta, and clamps the result at zero
-(KernelEvaluator.combined_kernel).
+(KernelEvaluator.combined_kernel and void_exponent).
 
 The tail integral is exact: arctan at a = 4, and at any other a a Gauss
 hypergeometric function 2F1(1, p; 1+p; z) (the Andrews-Baccelli-Ganti
 kernel), evaluated by scipy.special.hyp2f1.
+
+The kernels and tails take float64 numpy arrays and work elementwise:
+one np.arctan or hyp2f1 call per kernel call, whatever the number of
+thresholds, and an element's value does not depend on the other
+elements.  Overflow, underflow and division by zero are expected at the
+extremes (a threshold of 0 or inf, a power ratio past the float range);
+they run under np.errstate and reach the limits 0 and inf, and no
+warning escapes.  numpy's float64 power and arctan may round an ulp
+away from libm's (Python's math), so the values can differ from a
+Python-float evaluation in the last bits.
 """
 
 from __future__ import annotations
@@ -112,6 +122,26 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
+def _batch(x):
+    """(values, back): x as a numpy array (a float64 one unless x is an
+    array already), and the function that gives a result back in the form
+    x came in, an array for an array, a list for a list and a float for a
+    number."""
+    if isinstance(x, np.ndarray):
+        return x, _same
+    if isinstance(x, list):
+        return np.array(x, dtype=float), np.ndarray.tolist
+    return np.array([x], dtype=float), _first
+
+
+def _same(values):
+    return values
+
+
+def _first(values):
+    return float(values[0])
+
+
 @lru_cache(maxsize=1)
 def _hyp2f1():
     """scipy.special.hyp2f1, imported on the first call; a cached call is
@@ -125,42 +155,63 @@ def _hyp2f1_tail(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
 
     at any alpha > 2, with s = 2*b^(1-alpha/2)/(alpha-2): the integrand's
-    geometric series in t^(-alpha/2) integrated term by term.  b is one
-    bound or a list of them; a list gives a list, from one hyp2f1 call.
-    scipy.special is loaded on the first call (_hyp2f1), so the alpha = 4
-    arctan path and `import hetnoma` never load it.
+    geometric series in t^(-alpha/2) integrated term by term.  b is an
+    array of bounds, a list or one bound, and the tails come back in the
+    same form, from one hyp2f1 call.  scipy.special is loaded on the first
+    call (_hyp2f1), so the alpha = 4 arctan path and `import hetnoma`
+    never load it.
     """
     if not alpha > 2:
         raise ValueError("pathloss_exponent must exceed 2")
-    bounds = b if isinstance(b, list) else [b]
+    bounds, back = _batch(b)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return back(_series_tail(bounds, alpha))
+
+
+def _series_tail(bounds, alpha):
+    """_hyp2f1_tail of an array of bounds, under the caller's np.errstate:
+    b = 0 and b = inf reach their limits through powers that are inf or 0."""
     half = alpha / 2.0
     c = 1.0 - 1.0 / half
-    rise, drop, span = -half, 1.0 - half, alpha - 2.0
-    full = full_line_integral(alpha)
-    # where b^(alpha/2) < 1e-300 the 2F1 argument would overflow; int_0^b is
-    # then b to double precision, and the 2F1 call gets 0 in its place
-    direct = [v < 1.0 and v**half < 1e-300 for v in bounds]
-    series = _hyp2f1()(1.0, c, 1.0 + c, [0.0 if d else -(v**rise) for v, d in zip(bounds, direct)])
-    tails = [full - v if d else 2.0 * v**drop / span * s
-             for v, d, s in zip(bounds, direct, series.tolist())]
-    return tails if bounds is b else tails[0]
+    args = -(bounds**-half)
+    # where b^(alpha/2) < 1e-300 (the 2F1 argument is below -1e300, or -inf)
+    # int_0^b is b to double precision, and the 2F1 call gets 0 in its place
+    direct = args < -1e300
+    some_direct = np.count_nonzero(direct)
+    if some_direct:
+        args[direct] = 0.0
+    tails = 2.0 / (alpha - 2.0) * bounds**(1.0 - half) * _hyp2f1()(1.0, c, 1.0 + c, args)
+    if some_direct:
+        tails[direct] = full_line_integral(alpha) - bounds[direct]
+    return tails
 
 
 def tail_integral(b, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
 
-    b is one bound or a list of them (then a list, from one hyp2f1 call).
-    Small tails (large b) are evaluated directly, so they keep their
-    relative accuracy.  Where b^(alpha/2) < 1e-300 (b = 0 included) the
-    tail is C(alpha) - b.
+    b is an array of bounds, a list or one bound; the tails come back in
+    the same form, from one np.arctan call at alpha = 4 and one hyp2f1
+    call elsewhere.  Small tails (large b) are evaluated directly, so they
+    keep their relative accuracy.  Where b^(alpha/2) < 1e-300 (b = 0
+    included) the tail is C(alpha) - b, and at b = inf it is 0.  A
+    negative or NaN bound raises ValueError.
     """
-    bounds = b if isinstance(b, list) else [b]
-    if not all([v >= 0 for v in bounds]):
+    bounds, back = _batch(b)
+    if not (bounds >= 0.0).all():
         raise ValueError("integration bound b must be nonnegative")
+    if not alpha > 2:
+        raise ValueError("pathloss_exponent must exceed 2")
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return back(_tails(bounds, alpha))
+
+
+def _tails(bounds, alpha):
+    """tail_integral of an array of bounds of any shape, unchecked, under
+    the caller's np.errstate."""
     if alpha == 4.0:
-        tails = [math.pi / 2.0 if v == 0.0 else math.atan(1.0 / v) for v in bounds]
-        return tails if bounds is b else tails[0]
-    return _hyp2f1_tail(b, alpha)
+        # 1/0 = inf: the tail at b = 0 is pi/2
+        return np.arctan(1.0 / bounds)
+    return _series_tail(bounds, alpha)
 
 
 @dataclass(frozen=True)
@@ -171,6 +222,12 @@ class KernelEvaluator:
     the total base-station intensity (the fractions must sum to one).
     Only power ratios enter the kernels, so scaling every power by a
     common constant changes nothing.
+
+    Both kernels take an array of thresholds, a list or one threshold, and
+    give their values in the same form.  An array is evaluated elementwise
+    in float64, and an element's value does not depend on the others, so
+    one call over many thresholds equals one call per threshold, bit for
+    bit.
     """
 
     powers: tuple
@@ -188,12 +245,10 @@ class KernelEvaluator:
             raise ValueError("intensity fractions must be nonnegative")
         if not abs(sum(self.fractions) - 1.0) <= 1e-9:
             raise ValueError("intensity fractions must sum to 1")
-        # per tier m: P_m and, for each tier k with a nonzero fraction, in
-        # tier order, (P_k, frac_k, P_k/P_m)
-        object.__setattr__(self, "_terms", tuple(
-            (p_m, tuple((p_k, frac_k, p_k / p_m)
-                        for p_k, frac_k in zip(self.powers, self.fractions) if frac_k))
-            for p_m in self.powers))
+        # P_k and frac_k as columns over the tiers k with a nonzero
+        # fraction, in tier order
+        present = np.array([(p, f) for p, f in zip(self.powers, self.fractions) if f])
+        object.__setattr__(self, "_columns", (present[:, :1], present[:, 1:]))
 
     @classmethod
     def from_params(cls, params):
@@ -207,70 +262,71 @@ class KernelEvaluator:
         """Mean-interference kernel of tier m at normalized threshold x.
 
         Nonnegative, zero at x = 0, strictly increasing, and +inf in the
-        x -> inf limit.  x is one threshold or a list of them; a list gives
-        a list, and the terms of all its entries come from one
-        tail_integral call (one hyp2f1 call at alpha != 4).
+        x -> inf limit.  The terms of every threshold and tier come from
+        one tail evaluation (one hyp2f1 call at alpha != 4).  A
+        negative or NaN threshold raises ValueError.
         """
-        xs = x if isinstance(x, list) else [x]
-        if not all([v >= 0 for v in xs]):
-            raise ValueError("kernel argument must be nonnegative")
-        # a repeated argument is evaluated once: the noncoop near and far
-        # thresholds coincide below the crossover, and combined_kernel's x
-        # and y at theta = 1
-        args = list(dict.fromkeys(xs))
-        p_m, terms = self._terms[m]
-        up, down = 2.0 / self.alpha, -2.0 / self.alpha
-        tiny, huge = sys.float_info.min, math.inf
-        kernels = [huge if v == huge else 0.0 for v in args]
-        where, weights, bounds = [], [], []
-        for i, v in enumerate(args):
-            if not 0.0 < v < huge:
-                continue
-            for p_k, frac_k, p_km in terms:
-                product = v * p_k
-                # where v*P_k overflows or leaves the normal range, divide the
-                # powers first; elsewhere keep the left-to-right bits
-                ratio = product / p_m if tiny <= product < huge else v * p_km
-                try:
-                    bound = ratio**down
-                except (ZeroDivisionError, OverflowError):
-                    # ratio is 0 or so near it that its bound overflows: the
-                    # term takes its x -> 0 limit, 0 (it is below 1e-290)
-                    continue
-                where.append(i)
-                weights.append(frac_k * ratio**up)
-                bounds.append(bound)
-        for i, weight, tail in zip(where, weights, tail_integral(bounds, self.alpha)):
-            kernels[i] += weight * tail
-        if len(args) < len(xs):
-            kernels = list(map(dict(zip(args, kernels)).__getitem__, xs))
-        return kernels if xs is x else kernels[0]
+        xs, back = _batch(x)
+        p_m = self.powers[m]
+        p_k, frac_k = self._columns
+        up = 2.0 / self.alpha
+        # 0*inf in P_k/P_m*x is NaN where x is 0 or inf, and never selected
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            product = p_k * xs
+            ratio = product / p_m
+            # a negative or NaN x leaves no product in the normal range either
+            normal = (product >= sys.float_info.min) & (product < math.inf)
+            if np.count_nonzero(normal) < normal.size:
+                if np.count_nonzero(xs >= 0.0) < xs.size:
+                    raise ValueError("kernel argument must be nonnegative")
+                # where x*P_k overflows or leaves the normal range, divide the
+                # powers first (x = 0 and x = inf keep their limits 0 and
+                # inf); elsewhere keep the left-to-right bits
+                odd = ~normal & (xs > 0.0) & (xs < math.inf)
+                ratio[odd] = (p_k / p_m * xs)[odd]
+            # a ratio of 0, or one so near it that its bound overflows, gets
+            # the bound inf and the tail 0: the term's x -> 0 limit
+            terms = frac_k * ratio**up * _tails(ratio**-up, self.alpha)
+        kernels = terms[0]
+        for term in terms[1:]:
+            kernels = kernels + term
+        return back(kernels)
 
     def combined_kernel(self, m, x, y, nonvoid_prob):
         """Coverage exponent of tier m with void-cell cooperation:
 
             max(q*interference_kernel(x) - (1-q)*interference_kernel(y), 0)
 
-        and interference_kernel(x) at q = 1.  x and y are one threshold
-        each, or two lists of equal length (then a list, from one
-        interference_kernel call).  Never NaN: where the difference is
-        inf - inf (both kernels overflowed) or 0*inf (q = 0), the kernels'
-        leading terms, in proportion q*x^(2/alpha) and (1-q)*y^(2/alpha),
-        decide between inf and 0.
+        and interference_kernel(x) at q = 1.  x and y are two arrays of
+        equal length, two lists, or one threshold each; both kernels come
+        from one interference_kernel call (void_exponent).
         """
         q = nonvoid_prob
         if not 0.0 <= q <= 1.0:
             raise ValueError("nonvoid_prob must lie in [0, 1]")
         if q == 1.0:
             return self.interference_kernel(m, x)
-        xs, ys = (x, y) if isinstance(x, list) else ([x], [y])
-        kernels = self.interference_kernel(m, xs + ys)
-        n = len(xs)
-        up = 2.0 / self.alpha
-        values = []
-        for vx, vy, kx, ky in zip(xs, ys, kernels[:n], kernels[n:]):
-            value = q * kx - (1.0 - q) * ky
-            if math.isnan(value):
-                value = math.inf if q * vx**up > (1.0 - q) * vy**up else 0.0
-            values.append(max(value, 0.0))
-        return values if xs is x else values[0]
+        xs, back = _batch(x)
+        ys, _ = _batch(y)
+        kernels = self.interference_kernel(m, np.concatenate([xs, ys]))
+        with np.errstate(invalid="ignore"):
+            return back(self.void_exponent(xs, ys, kernels[:len(xs)], kernels[len(xs):], q))
+
+    def void_exponent(self, x, y, kernel_x, kernel_y, q):
+        """max(q*kernel_x - (1-q)*kernel_y, 0) over arrays, and kernel_x at
+        q = 1, where kernel_x and kernel_y are the interference kernels at
+        the thresholds x and y, under the caller's np.errstate (inf - inf
+        is invalid).  Never NaN: where the difference is inf - inf (both
+        kernels overflowed) or 0*inf (q = 0), the kernels' leading terms,
+        in proportion q*x^(2/alpha) and (1-q)*y^(2/alpha), decide between
+        inf and 0.
+        """
+        if q == 1.0:
+            return kernel_x
+        values = q * kernel_x - (1.0 - q) * kernel_y
+        undecided = np.isnan(values)
+        if np.count_nonzero(undecided):
+            up = 2.0 / self.alpha
+            leading = q * x[undecided]**up > (1.0 - q) * y[undecided]**up
+            values[undecided] = np.where(leading, math.inf, 0.0)
+        return np.maximum(values, 0.0)

@@ -13,11 +13,12 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hetnoma import coverage
+from hetnoma import coverage, kernels
 from hetnoma.checks import ConfigError
 from hetnoma.coverage import (
     BETA_GRID_POINTS,
     BETA_TOL,
+    GOLDEN_LOOKAHEAD,
     BetaOptimum,
     CoveragePair,
     LoadModel,
@@ -489,6 +490,23 @@ class TestScanBeta:
             monkeypatch.setattr(coverage, name, counting)
         scan_beta(params, 1, scheme, self.GRID)
         assert calls == {"cell_load_model": 1, "check_beta": len(self.GRID)}
+
+    @pytest.mark.parametrize("scheme", ["noncoop", "coop"])
+    @pytest.mark.parametrize("tier", [0, 1])
+    def test_hyp2f1_calls_per_scan(self, monkeypatch, tier, scheme):
+        # one call for the scan and coarse grid, one per GOLDEN_LOOKAHEAD
+        # golden-section evaluations, and one to spare; a search over
+        # separate calls makes one per beta
+        params = replace(table1_params(), pathloss_exponent=3.5)
+        calls = []
+        hyp2f1 = kernels._hyp2f1
+        monkeypatch.setattr(kernels, "_hyp2f1", lambda: calls.append(None) or hyp2f1())
+        reference_search(params, tier, scheme, self.GRID)
+        steps = len(calls) - BETA_GRID_POINTS - len(self.GRID)
+        assert steps >= 10
+        calls.clear()
+        scan_beta(params, tier, scheme, self.GRID)
+        assert len(calls) <= 1 + math.ceil(steps / GOLDEN_LOOKAHEAD) + 1
 
     def test_lower_bracket_optimum(self):
         # alpha = 3, pico coop: the best coarse point is the lowest, and the

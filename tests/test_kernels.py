@@ -5,13 +5,17 @@ Expected values for alpha = 4 come from the arctan closed forms:
     kernel          l(x) (single tier)        = sqrt(x) * atan(sqrt(x))
 evaluated with an arbitrary-precision library and frozen below.  At other
 alpha the kernels use 2F1 forms, checked against QUADPACK (TestQuadOracle).
+The array kernel is also checked against a scalar loop over Python floats
+(libm_kernel), at extreme arguments and power ratios.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from hetnoma.coverage import decoding_thresholds
 from hetnoma.kernels import (
@@ -331,3 +335,64 @@ class TestCombinedKernel:
         ev = single_tier()
         with pytest.raises(ValueError):
             ev.combined_kernel(0, 1.0, 1.0, 1.5)
+
+
+def libm_tail(b, alpha):
+    """One tail as the scalar kernels took it: math.atan at alpha = 4,
+    else libm powers around a scalar hyp2f1 call."""
+    if alpha == 4.0:
+        return math.pi / 2.0 if b == 0.0 else math.atan(1.0 / b)
+    half = alpha / 2.0
+    c = 1.0 - 1.0 / half
+    if b < 1.0 and b**half < 1e-300:
+        return full_line_integral(alpha) - b
+    series = float(hyp2f1(1.0, c, 1.0 + c, -(b**-half)))
+    return 2.0 * b**(1.0 - half) / (alpha - 2.0) * series
+
+
+def libm_kernel(ev, m, x):
+    """interference_kernel as the scalar per-element loop computed it, with
+    Python floats, libm powers and arctan: the reference of the array
+    kernel, which uses numpy's float64 power and arctan."""
+    if not x >= 0:
+        raise ValueError("kernel argument must be nonnegative")
+    if x == math.inf:
+        return math.inf
+    kernel = 0.0
+    p_m = ev.powers[m]
+    up, down = 2.0 / ev.alpha, -2.0 / ev.alpha
+    for p_k, frac_k in zip(ev.powers, ev.fractions):
+        if not frac_k or x == 0.0:
+            continue
+        product = x * p_k
+        ratio = product / p_m if sys.float_info.min <= product < math.inf else x * (p_k / p_m)
+        try:
+            bound = ratio**down
+        except (ZeroDivisionError, OverflowError):
+            # the term's x -> 0 limit
+            continue
+        kernel += frac_k * ratio**up * libm_tail(bound, ev.alpha)
+    return kernel
+
+
+REFERENCE_ARGS = ([0.0, math.inf, 1e-320, 1e308, 0.37, 1.9, 2.0, 7.3, 41.0]
+                  + [10.0**k for k in range(-300, 301, 10)])
+
+
+@pytest.mark.parametrize("powers", [(20.0, 2.0), (20.0, 1e-320), (1e308, 2.0)])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 5.0])
+def test_array_kernel_matches_the_libm_loop(alpha, powers):
+    ev = KernelEvaluator(powers=powers, fractions=(1 / 51, 50 / 51), alpha=alpha)
+    for m in (0, 1):
+        values = ev.interference_kernel(m, np.array(REFERENCE_ARGS))
+        for x, value in zip(REFERENCE_ARGS, values.tolist()):
+            expected = libm_kernel(ev, m, x)
+            if expected in (0.0, math.inf):
+                assert value == expected, (m, x)
+            else:
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0), (m, x)
+        for bad in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="kernel argument must be nonnegative"):
+                ev.interference_kernel(m, np.array([1.0, bad, 2.0]))
+            with pytest.raises(ValueError, match="bound b must be nonnegative"):
+                tail_integral(np.array([1.0, bad]), alpha)

@@ -233,16 +233,17 @@ class TestRunBetaScan:
     @pytest.mark.parametrize("scheme", ["noncoop", "coop"])
     def test_scan_evaluates_each_beta_once(self, scheme, monkeypatch):
         # the optimize-beta grid i/32 holds every other point of the
-        # optimizer's coarse grid j/64, bit for bit: each is evaluated once
+        # optimizer's coarse grid j/64, bit for bit: each is evaluated once,
+        # and no golden-section batch repeats a beta evaluated before
         p = table1_params()
         lo = p.sir_threshold / (1.0 + p.sir_threshold)
         grid = [lo + (1.0 - lo) * i / 32 for i in range(1, 33)]
         evaluated = []
         thresholds = coverage._thresholds
 
-        def recording(theta, beta):
-            evaluated.append(beta)
-            return thresholds(theta, beta)
+        def recording(theta, betas):
+            evaluated.extend(betas.tolist())
+            return thresholds(theta, betas)
 
         monkeypatch.setattr(coverage, "_thresholds", recording)
         scan = run_beta_scan(p, 1, scheme, grid)
