@@ -260,14 +260,12 @@ def coverage_curve(params, tier, scheme, betas, evaluator=None):
 
 def _curve(params, tier, scheme, evaluator=None):
     """coverage_curve's set-up: a function of a float64 array of checked
-    betas that gives their coverage as arrays (_pairs)."""
+    betas that gives their coverage as arrays (_pairs).  The threshold
+    needs no check here: NetworkParams holds only positive ones."""
     check_schemes((scheme,))
-    theta = params.sir_threshold
-    if not theta > 0:
-        raise ValueError("sir_threshold must be positive")
     q = cell_load_model(params).nonvoid_prob
     ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
-    return partial(_pairs, ev, tier, scheme == "coop", theta, q)
+    return partial(_pairs, ev, tier, scheme == "coop", params.sir_threshold, q)
 
 
 # _pairs' callers hold these: beta = 1 divides by zero (own = inf), q*inf is

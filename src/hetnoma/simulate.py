@@ -38,8 +38,10 @@ Every random draw of a trial comes from one of five streams keyed by
     is formed only for an evaluated cell);
   * fades: the fades of the cell served by BS b are the 2 * n_bs 64-bit
     outputs at positions [2 n_bs b, 2 n_bs (b + 1)) of the fade stream,
-    the near user's n_bs links first; the loop jumps to each block with
-    PCG64.advance and turns each output into one exponential variate;
+    the near user's n_bs links first; _CellBlocks jumps to each cell's
+    outputs with PCG64.advance (backwards too, modulo the period 2^128),
+    so cells may come in any order, and turns each output into one
+    exponential variate;
   * counts: the uniform U_b of every BS, in global BS order;
   * priority (when capped): one uniform per BS; at each point, a tier
     evaluates its max_cells_per_tier tagged cells of lowest priority.
@@ -63,23 +65,23 @@ exact, and every SIR event is homogeneous in power, so the counts do not
 depend on the power scale (tiers of 1e-318 W or 1.7e308 W give the
 counts of 20 W; unscaled, they underflowed to ties or overflowed).
 
-The float64 evaluation (_CellBlocks.powers, _link_sums, _outcome) defines
-the outcomes, and the trial reproduces it exactly while computing most
-of it in float32.  Tagged cells are evaluated in blocks whose (cells, 2,
-n_bs) float64 buffers would hold at most BLOCK_BYTES each: a trial
-screens each cell's fades, distances and powers once in float32
-(_CellBlocks.screen, each coordinate difference an exact BLAS product),
-and points with equal void flags share one product per block for their
-interference and void-signal sums.  A tier's serving links (float64, the
-same bits) and error bounds take one pass each (serving_links), and every
-point decides its own cells' events from those sums in float64; the
-bound (the comment above _U32 derives it, after the filter-and-certify
-design of Shewchuk's adaptive-precision predicates) certifies each
-decision.  Where a margin falls within the bound, a sum is not finite or
-the bound does not apply, the cell goes through the float64 path on a
-block of its own, so every count, distance sum and CSV byte is the
-float64 evaluation's.  About 0.13% of stock cells (cap 120 or none) and
-of dense ones (2e-3 users/m^2, cap 16) take it.
+The float64 evaluation (_CellBlocks.links, _sums, _outcome) defines the
+outcomes, and the trial reproduces it exactly while computing most of
+it in float32.  One call per tier (_CellBlocks.screen) screens its
+cells' fades, distances and powers in float32, in blocks whose (cells,
+2, n_bs) float64 buffers would hold at most BLOCK_BYTES each (each
+coordinate difference an exact BLAS product); points with equal void
+flags share one product per block for their interference and
+void-signal sums.  The call returns those sums in float64 with a bound
+on their error (the comment above _U32 derives it, after the
+filter-and-certify design of Shewchuk's adaptive-precision predicates),
+and the serving links, the float64 path's bits.  Every point decides
+its own cells' events from those sums in float64, and the bound
+certifies each decision.  Where a margin falls within the bound, a sum
+is not finite or the bound does not apply, the cell's sums come from
+its float64 links (_CellBlocks.links), so every count, distance sum and
+CSV byte is the float64 evaluation's.  About 0.13% of stock cells (cap
+120 or none) and of dense ones (2e-3 users/m^2, cap 16) take them.
 schedule_noma_users, evaluate_noncoop and evaluate_coop are one-cell
 views of the float64 evaluation, in watts.
 """
@@ -411,112 +413,149 @@ _RHO_MAX = 2.0**-8
 
 
 class _CellBlocks:
-    """One trial's fade stream and block buffers.
+    """One trial's float32 screen and float64 reference, over its fade stream.
 
-    powers(cells, pair_xy) evaluates up to `size` tagged cells, given in
-    increasing BS order across calls, into the first rows of the float64
-    buffers; screen(cells, pair_xy, start), its float32 counterpart,
-    serves the block loop of _evaluate over a tier that start_tier opens,
-    and serving_links completes it at once.  A block object uses one of the
-    two: each draws the cells' fades from the one stream.  bs_x and bs_y
-    are the contiguous coordinate columns of the snapshot's bs_xy, and
-    bs_power the BSs' powers scaled by 2^-_power_exponent.  Only the
-    snapshot's BSs, tiers, path loss and (seed, trial) enter, so the
-    blocks serve every snapshot of one layout.
+    flags holds the void flags (nonvoid arrays) of the snapshots that the
+    trial evaluates, all of this layout.  Snapshots with equal flags form
+    a group (group[j] is snapshot j's) and share their sums: the float32
+    weights hold, per group g, bs_power where a BS transmits in column g
+    and where it is void in column groups + g, so one product per block
+    gives every group's sums (their error bound holds in any order, and
+    Fortran order is what BLAS takes fastest); exact holds every
+    snapshot's flags and their negation as float64 1/0 weights of shape
+    (2, snapshot, n_bs), the form _sums multiplies by, made once a trial.
+
+    screen(cells, pair_xy) screens one tier's cells in float32, in blocks
+    whose (cells, 2, n_bs) float64 buffer would hold at most BLOCK_BYTES;
+    links(b, pair_xy) is one cell's float64 reference.  Both draw a cell's
+    fades from its own positions of the one stream, in any order.  bs_x
+    and bs_y are the contiguous coordinate columns of the snapshot's
+    bs_xy, and bs_power the BSs' powers scaled by 2^-_power_exponent.
+    Only the BSs, tiers, path loss and (seed, trial) of layout enter, so
+    the blocks serve every snapshot of one layout.
     """
 
-    def __init__(self, snapshot, size=None, dtype=np.float64):
-        self.snapshot = snapshot
-        params, n_bs = snapshot.params, snapshot.n_bs
+    def __init__(self, layout, flags):
+        self.snapshot = layout
+        params, n_bs = layout.params, layout.n_bs
         self.alpha = params.pathloss_exponent
-        self.bs_x = np.ascontiguousarray(snapshot.bs_xy[:, 0])
-        self.bs_y = np.ascontiguousarray(snapshot.bs_xy[:, 1])
-        self.bs_power = np.ldexp(snapshot.bs_power, -_power_exponent(params))
-        self.size = size or max(1, BLOCK_BYTES // (16 * n_bs))
-        # the uniforms, turned into the fades in place by powers
-        self.fades = np.empty((self.size, 2, n_bs))
-        self.dist_sq = np.empty((self.size, 2, n_bs), dtype)
-        self.power = np.empty((self.size, 2, n_bs), dtype)
-        self.uniform = _stream(snapshot.seed, snapshot.trial, _STREAM_FADES)
+        self.bs_x = np.ascontiguousarray(layout.bs_xy[:, 0])
+        self.bs_y = np.ascontiguousarray(layout.bs_xy[:, 1])
+        self.bs_power = np.ldexp(layout.bs_power, -_power_exponent(params))
+        self.size = max(1, BLOCK_BYTES // (16 * n_bs))
+        self.uniform = _stream(layout.seed, layout.trial, _STREAM_FADES)
         self.position = 0
-        if dtype == np.float32:
-            self.spare = np.empty((self.size, 2, n_bs), dtype)
-            # [bs; 1] per coordinate, the right-hand sides of _squared_distances
-            self.bs_rows = np.ones((2, 2, n_bs), dtype)
-            self.bs_rows[:, 0] = snapshot.bs_xy.T
-            self.receiver_rows = np.ones((2 * self.size, 2), dtype)
-            self.period32 = 2 * np.float32(snapshot.window.half_width)
-            self.bs_power32 = self.bs_power.astype(dtype)
-            self.exponent32 = np.float32(-self.alpha / 2.0)
-            self.exponent_error = abs(float(self.exponent32) + self.alpha / 2.0)
-            self.coord_max = float(np.abs(snapshot.bs_xy).max())
-            self.gamma = n_bs * _U32 / (1.0 - n_bs * _U32)
-            self.screens = bool(self.bs_power.min() >= 2.0**-100 and self.gamma <= 2.0**-6)
+        # the uniforms of a block, then its float32 buffers
+        self.fades = np.empty((self.size, 2, n_bs))
+        self.dist_sq, self.power, self.spare = (np.empty((self.size, 2, n_bs), np.float32)
+                                                for _ in range(3))
+        # [bs; 1] per coordinate, the right-hand sides of _squared_distances
+        self.bs_rows = np.ones((2, 2, n_bs), np.float32)
+        self.bs_rows[:, 0] = layout.bs_xy.T
+        self.receiver_rows = np.ones((2 * self.size, 2), np.float32)
+        self.period32 = 2 * np.float32(layout.window.half_width)
+        self.bs_power32 = self.bs_power.astype(np.float32)
+        self.exponent32 = np.float32(-self.alpha / 2.0)
+        self.exponent_error = abs(float(self.exponent32) + self.alpha / 2.0)
+        self.coord_max = float(np.abs(layout.bs_xy).max())
+        self.gamma = n_bs * _U32 / (1.0 - n_bs * _U32)
+        self.screens = bool(self.bs_power.min() >= 2.0**-100 and self.gamma <= 2.0**-6)
+        groups = {}
+        self.group = [groups.setdefault(f.tobytes(), len(groups)) for f in flags]
+        nonvoid = np.stack([flags[self.group.index(g)] for g in range(len(groups))])
+        flag_weights = np.stack([nonvoid, ~nonvoid])
+        self.exact = flag_weights.astype(float)[:, self.group]
+        self.weights = (flag_weights.reshape(-1, n_bs) * self.bs_power32).T
 
-    def _draw(self, cells):
-        """The uniforms of the links of `cells` into the first rows of fades."""
+    def _draw(self, b, out):
+        """The uniforms of the links of cell b into out, of shape (2, n_bs):
+        outputs [2 n_bs b, 2 n_bs (b + 1)) of the fade stream, reached
+        forwards or backwards (mod 2^128, PCG64's period)."""
         span = 2 * self.snapshot.n_bs
-        uniforms = self.fades[:len(cells)]
-        for row, b in zip(uniforms, cells.tolist()):
-            self.uniform.bit_generator.advance(span * b - self.position)
-            self.uniform.random(out=row)
-            self.position = span * (b + 1)
-        return uniforms
+        self.uniform.bit_generator.advance((span * b - self.position) % 2**128)
+        self.uniform.random(out=out)
+        self.position = span * (b + 1)
 
-    def powers(self, cells, pair_xy):
-        """Serving dist^2 and received powers of `cells`, whose pairs (as
-        the snapshot's pairs gives them) are pair_xy.
+    def links(self, b, pair_xy):
+        """The float64 links of cell b, whose pair (as the snapshot's pairs
+        gives it) is pair_xy: (fades, dist_sq, power), each of shape (2,
+        n_bs), the near user first, with the serving BS's column
+        included."""
+        fades, dist_sq, power = (np.empty((2, self.snapshot.n_bs)) for _ in range(3))
+        self._draw(int(b), fades)
+        _link_powers(self.alpha, fades, self.bs_x, self.bs_y, self.bs_power,
+                     pair_xy[:, 0, None], pair_xy[:, 1, None], dist_sq, power,
+                     self.snapshot.window)
+        return fades, dist_sq, power
 
-        Returns (serving_dist_sq, desired, power): the first two of shape
-        (len(cells), 2), the near user first, and power the (len(cells), 2,
-        n_bs) block of received powers with the serving BS's column zeroed,
-        which _link_sums splits by a snapshot's void flags.
+    def screen(self, cells, pair_xy):
+        """One tier's cells, screened in float32: (sums, errors, serving_sq,
+        desired), all float64.
+
+        sums[0] holds the interference and sums[1] the void signal of every
+        snapshot, of shape (snapshot, cell, receiver), and errors the bound
+        err(S') of the comment above _U32 on their distance from the
+        float64 sums (inf where it does not hold).  serving_sq and desired,
+        of shape (cell, receiver), are the serving links' bits that links
+        gives, from the same operations on the same uniforms.
         """
         k = len(cells)
-        fades, dist_sq, power = self._draw(cells), self.dist_sq[:k], self.power[:k]
-        _link_powers(self.alpha, fades, self.bs_x, self.bs_y, self.bs_power,
-                     pair_xy[:, :, 0, None], pair_xy[:, :, 1, None], dist_sq, power,
-                     self.snapshot.window)
-        rows = np.arange(k)
-        serving_sq = dist_sq[rows, :, cells]
-        desired = power[rows, :, cells]
-        # the serving BS is non-void: dropping its column from the power
-        # buffer leaves the two sums over the other BSs
-        power[rows, :, cells] = 0.0
-        return serving_sq, desired, power
-
-    def start_tier(self, k):
-        """Open a tier of k cells: the (k, 2) serving-link uniforms, min D' and
-        reach A' (comment above _U32) that screen fills and serving_links reads."""
-        self.links = np.empty((k, 2)), *np.empty((2, k, 2), dtype=np.float32)
-
-    def screen(self, cells, pair_xy, start):
-        """The (len(cells), 2, n_bs) float32 block of -H' g' of `cells`, the
-        tier's cells from row start on (the fades times the path gains,
-        without the BSs' powers and with the serving column zeroed), for
-        _screen_weights to weigh."""
-        k = len(cells)
-        rows = np.arange(k)
-        uniforms = self._draw(cells)
-        serving, nearest_sq, reach = (a[start:start + k] for a in self.links)
-        serving[...] = uniforms[rows, :, cells]
-        power = self.power[:k]
+        serving = np.empty((k, 2))
+        nearest_sq, reach = np.empty((2, k, 2), np.float32)
+        # the screened sums, negated: every group's interference, then void signal
+        screened = np.empty((k, 2, 2, self.weights.shape[1] // 2), np.float32)
+        for start in range(0, k, self.size):
+            block = slice(start, start + self.size)
+            part = cells[block]
+            m = len(part)
+            rows = np.arange(m)
+            uniforms, power = self.fades[:m], self.power[:m]
+            for row, b in zip(uniforms, part.tolist()):
+                self._draw(b, row)
+            serving[block] = uniforms[rows, :, part]
+            with np.errstate(all="ignore"):
+                # the path gains D'^(-alpha/2), in place
+                gain = self._squared_distances(pair_xy[block])
+                gain.min(axis=-1, out=nearest_sq[block])
+                if self.alpha == 4.0:
+                    np.divide(1.0, gain, out=gain)
+                    np.multiply(gain, gain, out=gain)
+                else:
+                    np.power(gain, self.exponent32, out=gain)
+                gain[rows, :, part] = 0.0
+                # -H' = log(1 - U): 1 - U is exact in float64, rounded once
+                np.subtract(1.0, uniforms, out=power)
+                np.log(power, out=power)
+                np.multiply(power, gain, out=power)
+                reach[block] = np.matmul(gain.reshape(2 * m, -1), self.bs_power32).reshape(m, 2)
+            np.matmul(power.reshape(2 * m, -1), self.weights, out=screened[block].reshape(2 * m, -1))
+        window = self.snapshot.window
+        serving_sq, desired = np.empty((2, k, 2))
+        _link_powers(self.alpha, serving, self.bs_x[cells, None], self.bs_y[cells, None],
+                     self.bs_power[cells, None], pair_xy[..., 0], pair_xy[..., 1], serving_sq,
+                     desired, window)
+        hw, period = window.half_width, window.period
+        magnitude = np.abs(pair_xy)
+        # h over every BS and every user of cells
+        h = max(self.coord_max, float(magnitude.max(initial=0.0)))
+        sums = np.moveaxis(np.negative(screened, dtype=float), (2, 3), (0, 1))
         with np.errstate(all="ignore"):
-            # the path gains D'^(-alpha/2), in place
-            gain = self._squared_distances(pair_xy)
-            gain.min(axis=-1, out=nearest_sq)
-            if self.alpha == 4.0:
-                np.divide(1.0, gain, out=gain)
-                np.multiply(gain, gain, out=gain)
-            else:
-                np.power(gain, self.exponent32, out=gain)
-            gain[rows, :, cells] = 0.0
-            # -H' = log(1 - U): 1 - U is exact in float64, rounded once
-            np.subtract(1.0, uniforms, out=power)
-            np.log(power, out=power)
-            np.multiply(power, gain, out=power)
-            reach[...] = np.matmul(gain.reshape(2 * k, -1), self.bs_power32).reshape(k, 2)
-        return power
+            nearest_sq = nearest_sq.astype(float)
+            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 8.0 * _U32 * period
+            # g, each receiver's distance to the window's edge
+            edge = hw - magnitude.max(axis=-1)
+            c = np.maximum(3.0 * _U32 * h / d_min,
+                           _U32 * (6.0 * h + 1.5 * period) / np.maximum(d_min, edge))
+            rho = 3.0 * self.alpha * np.maximum(c, 16.0 * _U32) + (6.0 * self.alpha + 8.0) * _U32
+            if self.exponent_error:
+                log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(2.0 * math.log(period)))
+                rho = rho + 1.02 * self.exponent_error * log_range
+            valid = ((d_min > 0.0) & (rho <= _RHO_MAX) & self.screens
+                     & (2.0**-30 <= h <= hw) & (period <= 2.0**30))
+            kappa = np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
+            floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
+            errors = _sum_error(sums, kappa, floor)
+        return sums[:, self.group], errors[:, self.group], serving_sq, desired
 
     def _squared_distances(self, pair_xy):
         """D': the float32 squared minimum-image distances of the receivers
@@ -533,71 +572,19 @@ class _CellBlocks:
             np.multiply(out, out, out=out)
         return np.add(dist_sq, spare, out=dist_sq)
 
-    def serving_links(self, cells, pair_xy):
-        """(serving_dist_sq, desired, kappa, floor) of the tier's cells, all
-        screened, each of shape (len(cells), 2): the first two are the
-        bits powers gives, from the same operations on the same uniforms,
-        and kappa and floor each receiver's KAPPA (inf where the bound does
-        not hold) and FLOOR of the comment above _U32 (h over every BS and
-        every user of cells), from which _sum_error bounds its sums' error.
-        """
-        window = self.snapshot.window
-        serving, nearest_sq, reach = self.links
-        serving_sq, desired = np.empty((2, len(cells), 2))
-        _link_powers(self.alpha, serving, self.bs_x[cells, None], self.bs_y[cells, None],
-                     self.bs_power[cells, None], pair_xy[..., 0], pair_xy[..., 1], serving_sq,
-                     desired, window)
-        hw, period = window.half_width, window.period
-        magnitude = np.abs(pair_xy)
-        h = max(self.coord_max, float(magnitude.max(initial=0.0)))
-        with np.errstate(all="ignore"):
-            nearest_sq = nearest_sq.astype(float)
-            d_min = np.sqrt(nearest_sq / (1.0 + 5.0 * _U32)) - 8.0 * _U32 * period
-            # g, each receiver's distance to the window's edge
-            edge = hw - magnitude.max(axis=-1)
-            c = np.maximum(3.0 * _U32 * h / d_min,
-                           _U32 * (6.0 * h + 1.5 * period) / np.maximum(d_min, edge))
-            rho = 3.0 * self.alpha * np.maximum(c, 16.0 * _U32) + (6.0 * self.alpha + 8.0) * _U32
-            if self.exponent_error:
-                log_range = np.maximum(np.abs(np.log(nearest_sq)), abs(2.0 * math.log(period)))
-                rho = rho + 1.02 * self.exponent_error * log_range
-            valid = ((d_min > 0.0) & (rho <= _RHO_MAX) & self.screens
-                     & (2.0**-30 <= h <= hw) & (period <= 2.0**30))
-            kappa = np.where(valid, 9.0 * _U32 + 1.05 * (rho + self.gamma), np.inf)
-            floor = 2.2 * _U32 * reach.astype(float) + self.snapshot.n_bs * 2.0**-116
-        return serving_sq, desired, kappa, floor
 
+def _sums(power, b, weights):
+    """The float64 (interference, void_signal) of each snapshot, of shape
+    (2, snapshot, receiver), from the link powers `power` of cell b (as
+    links gives them) and the 1/0 weights _CellBlocks.exact: the serving
+    BS's column is zeroed in place, and each sum is one mat-vec.
 
-def _link_weights(nonvoid):
-    """A snapshot's nonvoid flags and their negation as float 1/0 weights,
-    the form _link_sums multiplies by."""
-    return nonvoid.astype(float), (~nonvoid).astype(float)
-
-
-def _screen_weights(flags, bs_power):
-    """The (n_bs, 2 len(flags)) float32 weights of a screened block: for
-    the void flags flags[g] of group g, column g holds bs_power where the
-    BS transmits and column len(flags) + g where it is void (0 elsewhere).
-
-    One product with all columns serves every group: the screen's sums
-    need no fixed rounding, only their error bound, which holds in any
-    order.  Columns are contiguous (Fortran order), which BLAS takes
-    fastest.
+    Each is a product of its own: one product of several weights rounds
+    differently from its columns taken one at a time, and a cell's sums
+    must not depend on which other weights share its call.
     """
-    nonvoid = np.stack(flags, axis=1)
-    return np.asfortranarray(np.concatenate([nonvoid, ~nonvoid], axis=1) * bs_power[:, None])
-
-
-def _link_sums(power, weights):
-    """(interference, void_signal) of a power block from _CellBlocks.powers:
-    one mat-vec each with the two _link_weights.
-
-    Each is a product of its own: one (n_bs, 2) product of both weights
-    rounds differently from its columns taken one at a time, and a row's
-    sums must not depend on what else shares its block.
-    """
-    nonvoid, void = weights
-    return np.matmul(power, nonvoid), np.matmul(power, void)
+    power[:, b] = 0.0
+    return np.array([[np.matmul(power, w) for w in kind] for kind in weights])
 
 
 def schedule_noma_users(snapshot, bs_index):
@@ -610,17 +597,18 @@ def schedule_noma_users(snapshot, bs_index):
     """
     if snapshot.counts[bs_index] < 2:
         return None
-    blocks = _CellBlocks(snapshot, size=1)
-    cells = np.array([bs_index], dtype=np.intp)
-    serving_sq, desired, power = blocks.powers(cells, snapshot.pairs(cells))
-    interference, void_signal = _link_sums(power, _link_weights(snapshot.nonvoid))
+    blocks = _CellBlocks(snapshot, [snapshot.nonvoid])
+    pair_xy = snapshot.pairs(np.array([bs_index], dtype=np.intp))[0]
+    fades, dist_sq, power = blocks.links(bs_index, pair_xy)
     # from the blocks' power scale back to watts
     e = _power_exponent(snapshot.params)
+    desired = np.ldexp(power[:, bs_index], e)
+    [interference], [void_signal] = np.ldexp(_sums(power, bs_index, blocks.exact), e)
     return TaggedCell(
         bs_index=int(bs_index), tier=int(snapshot.bs_tier[bs_index]),
-        distances=np.sqrt(serving_sq[0]), desired=np.ldexp(desired[0], e),
-        interference=np.ldexp(interference[0], e), void_signal=np.ldexp(void_signal[0], e),
-        link_gains=blocks.fades[0].copy(), link_dist_sq=blocks.dist_sq[0].copy(),
+        distances=np.sqrt(dist_sq[:, bs_index]), desired=desired,
+        interference=interference, void_signal=void_signal,
+        link_gains=fades, link_dist_sq=dist_sq,
     )
 
 
@@ -681,15 +669,15 @@ def _certain(lhs, rhs, err):
     return np.abs(lhs - rhs) > err + 2.0**-49 * (lhs + rhs) + 2.0**-1000
 
 
-def _counts(desired, interference, void_signal, theta, beta, rows, errors=None):
+def _counts(desired, interference, void_signal, theta, beta, rows, errors):
     """Success counts of one tier at each point, of shape (point, scheme,
     role), and where the decisions are certain.
 
     interference and void_signal have shape (point, cell, receiver), theta
     and beta (point, 1, 1); point j counts the cells where rows[j] is True.
-    errors, when given, is (err(interference), err(void_signal)) of
-    screened sums (_sum_error), and the mask, of rows' shape, is True
-    where both schemes' decisions are the float64 path's; else None.
+    errors is (err(interference), err(void_signal)) of screened sums
+    (_CellBlocks.screen), and the mask, of rows' shape, is True where both
+    schemes' decisions are the float64 path's.
     """
     # both schemes at once, on a leading axis: the joint signal (and then
     # its error) is 0 without cooperation
@@ -699,8 +687,6 @@ def _counts(desired, interference, void_signal, theta, beta, rows, errors=None):
     counts = np.empty((len(rows), len(SCHEMES), len(ROLES)), dtype=np.int64)
     for r, event in enumerate(_outcome(sides)[2:]):
         counts[:, :, r] = np.count_nonzero(event & rows, axis=-1).T
-    if errors is None:
-        return counts, None
     (lhs, rhs), (own, own_rhs) = sides
     err_i, coop[1] = errors
     certain = _certain(lhs, rhs, np.add(coop, theta * err_i, out=coop)).all(axis=(0, -1))
@@ -817,22 +803,18 @@ def _evaluate(snapshots, member):
 
     member[j, b] is True where snapshot j evaluates BS b, a tagged cell.
     Each cell of the tiers' unions is evaluated once: the pairs of all of
-    them are placed in one call, and one block pass screens their fades,
-    distances and powers in float32 (_CellBlocks.screen).  Snapshots with
-    equal void flags (all points of a beta sweep) form a group and share
-    their sums: one product per block gives every group's
-    (_screen_weights).  Each snapshot then decides the events of its own
-    cells at its own threshold and beta from its group's sums, each
-    decision with a certificate (_certain): it is the float64 path's
-    unless its margin lies within the sums' error bound.  All snapshots
-    decide a tier at once, as arrays over (snapshot, cell).  The cells with
-    a decision left uncertain at any snapshot go through the float64 path
-    (_CellBlocks.powers and _link_sums on a block of one cell, whose fade
-    stream only moves forward as they come in BS order), and the tier is
-    counted again on the sums that then hold: a certified decision on a
-    screened sum is the float64 decision.  So every count is the float64
-    path's.  Once the pairs are placed, the snapshots' cells and pair
-    draws are dropped: the trial needs no other pair, and freed
+    them are placed in one call, and one screen call per tier gives every
+    snapshot's sums with their error bounds (_CellBlocks.screen).  Each
+    snapshot then decides the events of its own cells at its own
+    threshold and beta, each decision with a certificate (_certain): it is
+    the float64 path's unless its margin lies within the sums' error
+    bound.  All snapshots decide a tier at once, as arrays over (snapshot,
+    cell).  The cells with a decision left uncertain at any snapshot take
+    their float64 sums from their links (_CellBlocks.links and _sums), and
+    the tier is counted again on the sums that then hold: a certified
+    decision on a screened sum is the float64 decision.  So every count is
+    the float64 path's.  Once the pairs are placed, the snapshots' cells
+    and pair draws are dropped: the trial needs no other pair, and freed
     before the blocks take their buffers, they add nothing to its peak.
     """
     layout = snapshots[0]
@@ -841,47 +823,26 @@ def _evaluate(snapshots, member):
     pairs = layout.pairs(union)
     for snapshot in snapshots:
         snapshot._voronoi = snapshot._pair_draws = None
-    blocks = _CellBlocks(layout, dtype=np.float32)
-    # the distinct void flags, and the group of each snapshot
-    groups = {}
-    group = [groups.setdefault(snapshot.nonvoid.tobytes(), len(groups)) for snapshot in snapshots]
-    flags = [snapshots[group.index(g)].nonvoid for g in range(len(groups))]
-    weights = _screen_weights(flags, blocks.bs_power32)
+    blocks = _CellBlocks(layout, [snapshot.nonvoid for snapshot in snapshots])
     thetas = np.array([snapshot.params.sir_threshold for snapshot in snapshots])[:, None, None]
     betas = np.array([snapshot.params.beta for snapshot in snapshots]).T[:, :, None, None]
-    fallback = None
     totals = [TrialTotals.zeros(n_tiers) for _ in snapshots]
     # global BS indices run through the tiers in order
     bounds = np.searchsorted(layout.bs_tier[union], np.arange(n_tiers + 1)).tolist()
     for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
         cells, pair_xy = union[lo:hi], pairs[lo:hi]
-        k = len(cells)
-        blocks.start_tier(k)
-        # the screened sums, negated: every group's interference, then void signal
-        screened = np.empty((k, 2, 2, len(flags)), dtype=np.float32)
-        for start in range(0, k, blocks.size):
-            block = slice(start, start + blocks.size)
-            power = blocks.screen(cells[block], pair_xy[block], start)
-            receivers = 2 * len(power)
-            np.matmul(power.reshape(receivers, -1), weights,
-                      out=screened[block].reshape(receivers, -1))
-        serving_sq, desired, kappa, floor = blocks.serving_links(cells, pair_xy)
-        # sums[0] the interference, sums[1] the void signal: (group, cell, receiver)
-        sums = np.moveaxis(np.negative(screened, dtype=float), (2, 3), (0, 1))
+        # sums[0] the interference, sums[1] the void signal: (snapshot, cell, receiver)
+        sums, errors, serving_sq, desired = blocks.screen(cells, pair_xy)
         rows = member[:, cells]
         with np.errstate(all="ignore"):
-            errors = _sum_error(sums, kappa, floor)[:, group]
-            count, certain = _counts(desired, *sums[:, group], thetas, betas[tier], rows, errors)
+            count, certain = _counts(desired, *sums, thetas, betas[tier], rows, errors)
         uncertain = np.flatnonzero((rows & ~certain).any(axis=0)).tolist()
         for m in uncertain:
-            if fallback is None:
-                fallback = _CellBlocks(layout, size=1)
-                exact = [_link_weights(f) for f in flags]
-            _, _, power = fallback.powers(cells[m:m + 1], pair_xy[m:m + 1])
-            for g, weight in enumerate(exact):
-                sums[:, g, m] = [sum_[0] for sum_ in _link_sums(power, weight)]
+            _, _, power = blocks.links(cells[m], pair_xy[m])
+            sums[:, :, m] = _sums(power, cells[m], blocks.exact)
         if uncertain:
-            count, _ = _counts(desired, *sums[:, group], thetas, betas[tier], rows)
+            with np.errstate(all="ignore"):
+                count, _ = _counts(desired, *sums, thetas, betas[tier], rows, errors)
         for point, point_count, point_rows in zip(totals, count, rows):
             point.successes[tier] += point_count
             # one sum over the point's own cells: it depends neither on

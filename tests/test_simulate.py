@@ -36,8 +36,6 @@ from hetnoma.simulate import (
     SimulationError,
     TrialTotals,
     _count_classes,
-    _link_sums,
-    _link_weights,
     _stream,
     build_snapshot,
     cell_census,
@@ -137,23 +135,28 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
     cells = snap.tagged_cells(0)
     assert len(cells) > 20
     alone = {int(b): schedule_noma_users(snap, b) for b in cells}
-    weights = _link_weights(snap.nonvoid)
     subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
     for subset in subsets:
         for size in (None, 1, 4, 7):
-            blocks = simulate._CellBlocks(snap, size=size)
-            for start in range(0, len(subset), blocks.size):
-                part = subset[start:start + blocks.size]
-                serving_sq, desired, power = blocks.powers(part, snap.pairs(part))
-                interference, void = _link_sums(power, weights)
-                for m, b in enumerate(part.tolist()):
-                    cell = alone[b]
-                    assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
-                    assert np.array_equal(blocks.fades[m], cell.link_gains)
-                    assert np.array_equal(blocks.dist_sq[m], cell.link_dist_sq)
-                    assert np.array_equal(desired[m], cell.desired)
-                    assert np.array_equal(interference[m], cell.interference)
-                    assert np.array_equal(void[m], cell.void_signal)
+            with pytest.MonkeyPatch.context() as patch:
+                if size is not None:
+                    patch.setattr(simulate, "BLOCK_BYTES", 16 * snap.n_bs * size)
+                blocks = simulate._CellBlocks(snap, [snap.nonvoid])
+            assert size in (None, blocks.size)
+            pair_xy = snap.pairs(subset)
+            sums, errors, serving_sq, desired = blocks.screen(subset, pair_xy)
+            for m, b in enumerate(subset.tolist()):
+                cell = alone[b]
+                fades, dist_sq, power = blocks.links(b, pair_xy[m])
+                interference, void = simulate._sums(power, b, blocks.exact)[:, 0]
+                assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
+                assert np.array_equal(fades, cell.link_gains)
+                assert np.array_equal(dist_sq, cell.link_dist_sq)
+                assert np.array_equal(desired[m], cell.desired)
+                assert np.array_equal(interference, cell.interference)
+                assert np.array_equal(void, cell.void_signal)
+                exact = np.stack([interference, void])
+                assert (np.abs(sums[:, 0, m] - exact) <= errors[:, 0, m]).all()
 
 
 class TestBuildSnapshot:
@@ -947,6 +950,23 @@ class TestTessellationSampler:
         snap = build_snapshot(toy_params(mu=2e-4), TOY_WINDOW, seed=19, trial=2)
         assert_cell_draws_independent_of_block_and_cap(snap)
 
+    def test_links_in_descending_order_are_the_cells_bits(self):
+        # the fade stream jumps backwards as well as forwards: one blocks
+        # object gives each cell the bits of the cell alone
+        snap = build_snapshot(toy_params(), TOY_WINDOW, seed=19, trial=2)
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
+        cells = snap.tagged_cells(0)[::-1]
+        assert len(cells) > 20
+        for b, pair_xy in zip(cells.tolist(), snap.pairs(cells)):
+            cell = schedule_noma_users(snap, b)
+            fades, dist_sq, power = blocks.links(b, pair_xy)
+            assert np.array_equal(fades, cell.link_gains)
+            assert np.array_equal(dist_sq, cell.link_dist_sq)
+            assert np.array_equal(power[:, b], cell.desired)
+            interference, void = simulate._sums(power, b, blocks.exact)[:, 0]
+            assert np.array_equal(interference, cell.interference)
+            assert np.array_equal(void, cell.void_signal)
+
     def test_capped_trial_keeps_the_pairs_of_its_cells(self, monkeypatch):
         # the stock two tiers: a cell kept by the cap gets the same pair as
         # in the uncapped trial, and both are the snapshot's pairs
@@ -954,9 +974,9 @@ class TestTessellationSampler:
         evaluated = []
         screen = simulate._CellBlocks.screen
 
-        def recording(blocks, cells, pair_xy, start):
+        def recording(blocks, cells, pair_xy):
             evaluated.append((cells.copy(), pair_xy.copy()))
-            return screen(blocks, cells, pair_xy, start)
+            return screen(blocks, cells, pair_xy)
 
         monkeypatch.setattr(simulate._CellBlocks, "screen", recording)
         seen = []
@@ -1020,27 +1040,20 @@ class TestTessellationSampler:
 def screened_blocks(snap, cells):
     """Per block of cells: the screened (interference, void_signal), their
     error bound and the float64 sums, each of shape (cells, 2, 2), after
-    checking that the screen's serving links are powers' bits."""
-    screen = simulate._CellBlocks(snap, dtype=np.float32)
-    exact = simulate._CellBlocks(snap)
-    weights = simulate._screen_weights([snap.nonvoid], screen.bs_power32)
+    checking that the screen's serving links are the float64 links' bits."""
+    blocks = simulate._CellBlocks(snap, [snap.nonvoid])
     pairs = snap.pairs(cells)
-    screen.start_tier(len(cells))
-    screened = []
-    for start in range(0, len(cells), screen.size):
-        block = slice(start, start + screen.size)
-        power = screen.screen(cells[block], pairs[block], start)
-        sums = -(power.reshape(2 * len(power), -1) @ weights).reshape(len(power), 2, 2)
-        exact_sq, exact_desired, exact_power = exact.powers(cells[block], pairs[block])
-        exact_sums = np.stack(_link_sums(exact_power, _link_weights(snap.nonvoid)), -1)
-        screened.append((block, sums.astype(float), exact_sq, exact_desired, exact_sums))
-    serving_sq, desired, kappa, floor = screen.serving_links(cells, pairs)
-    for block, sums, exact_sq, exact_desired, exact_sums in screened:
-        assert np.array_equal(serving_sq[block], exact_sq)
-        assert np.array_equal(desired[block], exact_desired)
-        errors = np.stack([simulate._sum_error(sums[..., j], kappa[block], floor[block])
-                           for j in range(2)], -1)
-        yield sums, errors, exact_sums
+    sums, errors, serving_sq, desired = blocks.screen(cells, pairs)
+    exact = []
+    for m, b in enumerate(cells.tolist()):
+        _, dist_sq, power = blocks.links(b, pairs[m])
+        assert np.array_equal(serving_sq[m], dist_sq[:, b])
+        assert np.array_equal(desired[m], power[:, b])
+        exact.append(simulate._sums(power, b, blocks.exact)[:, 0].T)
+    sums, errors = (np.moveaxis(a[:, 0], 0, -1) for a in (sums, errors))
+    for start in range(0, len(cells), blocks.size):
+        block = slice(start, start + blocks.size)
+        yield sums[block], errors[block], np.array(exact[block])
 
 
 def scaled_power(params, scale):
@@ -1072,15 +1085,15 @@ def every_cell_exact(monkeypatch):
 
 def record_fallback(monkeypatch):
     """The cells that the float64 path evaluates, as a list (the block loop
-    screens; only the fallback calls powers)."""
+    screens; only the fallback calls links)."""
     cells = []
-    powers = simulate._CellBlocks.powers
+    links = simulate._CellBlocks.links
 
-    def recording(blocks, part, pair_xy):
-        cells.extend(part.tolist())
-        return powers(blocks, part, pair_xy)
+    def recording(blocks, b, pair_xy):
+        cells.append(int(b))
+        return links(blocks, b, pair_xy)
 
-    monkeypatch.setattr(simulate._CellBlocks, "powers", recording)
+    monkeypatch.setattr(simulate._CellBlocks, "links", recording)
     return cells
 
 
@@ -1208,7 +1221,7 @@ class TestFloat32Screen:
         # bits of a float32 broadcast subtraction, then taken to its
         # minimum image with the float32 period
         snap = far_cluster_snapshot() if far else build_snapshot(table1_params(), None, 5, 0)
-        blocks = simulate._CellBlocks(snap, dtype=np.float32)
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
         cells = np.concatenate([snap.tagged_cells(t) for t in range(snap.params.n_tiers)])
         pair_xy = snap.pairs(cells[:blocks.size])
         bs_x, bs_y = snap.bs_xy.astype(np.float32).T
@@ -1272,6 +1285,27 @@ class TestFloat32Screen:
         every_cell_exact(monkeypatch)
         assert_same_totals(screened,
                            run_single_trial(params, default_window(params), seed=83, trial=0))
+
+    def test_refused_screen_sends_every_cell_to_float64_once(self, monkeypatch):
+        # a 1e-320 W pico tier is below 2^-100 of the macro power, so the
+        # screen certifies no decision: every tagged cell takes its links
+        # once, and the totals are the float64 path's
+        base = table1_params()
+        params = replace(base, tiers=(base.tiers[0],
+                                      replace(base.tiers[1], power_watts=1e-320)))
+        snap = build_snapshot(params, None, seed=85, trial=0)
+        assert not simulate._CellBlocks(snap, [snap.nonvoid]).screens
+        fallback = record_fallback(monkeypatch)
+        refused = []
+        for trial in (0, 1):
+            fallback.clear()
+            refused.append(run_single_trial(params, None, seed=85, trial=trial,
+                                            max_cells_per_tier=40))
+            assert len(set(fallback)) == len(fallback) == refused[-1].samples.sum() > 0
+        every_cell_exact(monkeypatch)
+        for trial in (0, 1):
+            assert_same_totals(refused[trial], run_single_trial(params, None, seed=85, trial=trial,
+                                                                max_cells_per_tier=40))
 
     def test_fallback_share_on_stock_under_one_percent(self, monkeypatch):
         fallback = record_fallback(monkeypatch)

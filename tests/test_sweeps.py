@@ -317,14 +317,13 @@ class TestCoupledSweep:
         # flags: each block's screened product has the 2 columns of one
         # group, not 6; each point of a user_intensity sweep has its own
         columns = []
-        screen_weights = simulate._screen_weights
+        init = simulate._CellBlocks.__init__
 
-        def recording(flags, bs_power):
-            weights = screen_weights(flags, bs_power)
-            columns.append(weights.shape[1])
-            return weights
+        def recording(blocks, layout, flags):
+            init(blocks, layout, flags)
+            columns.append(blocks.weights.shape[1])
 
-        monkeypatch.setattr(simulate, "_screen_weights", recording)
+        monkeypatch.setattr(simulate._CellBlocks, "__init__", recording)
         beta = dict(README_SWEEP, sweep_variable="beta", sweep_grid=(0.6, 0.75, 0.9))
         run_sweep(ScenarioConfig(**beta))
         assert columns == [2, 2]  # one per trial
