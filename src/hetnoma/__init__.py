@@ -16,9 +16,7 @@ from .coverage import (
     TierParams,
     average_coverage,
     cell_load_model,
-    coverage_coop,
     coverage_curve,
-    coverage_noncoop,
     decoding_thresholds,
     optimize_beta,
     user_count_pmf,
@@ -43,7 +41,7 @@ __all__ = [
     "ScenarioConfig",
     "TierParams", "Window",
     "associate", "average_coverage", "build_snapshot",
-    "cell_census", "cell_load_model", "coverage_coop", "coverage_curve", "coverage_noncoop",
+    "cell_census", "cell_load_model", "coverage_curve",
     "decoding_thresholds", "default_window",
     "optimize_beta", "run_beta_scan",
     "run_sweep", "run_trials", "sample_ppp",

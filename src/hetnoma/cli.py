@@ -26,9 +26,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .config import ConfigError, load_config
-from .coverage import cell_load_model, coverage_coop, coverage_noncoop, decoding_thresholds
-from .kernels import KernelEvaluator
-from .sweeps import max_abs_gap, run_beta_scan, run_sweep
+from .coverage import cell_load_model, decoding_thresholds
+from .sweeps import analytic_pairs, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
               "simulated", "ci_halfwidth", "n_samples", "flags")
@@ -70,7 +69,7 @@ def cmd_analytic(cfg, out):
     params = cfg.params
     load = cell_load_model(params)
     theta = params.sir_threshold
-    ev = KernelEvaluator.from_params(params)
+    pairs = analytic_pairs(params)
     print(f"cell load L = {load.cell_load:.6f} users/BS", file=out)
     print(f"non-void probability q = {load.nonvoid_prob:.6f}", file=out)
     for tier in range(params.n_tiers):
@@ -85,9 +84,8 @@ def cmd_analytic(cfg, out):
             continue
         near_txt = "inf" if thr.near_threshold == float("inf") else f"{thr.near_threshold:.6f}"
         print(f"  thresholds: near {near_txt}, far {thr.far_threshold:.6f} (valid)", file=out)
-        non = coverage_noncoop(params, tier, evaluator=ev)
+        non, coop = pairs[(tier, "noncoop")], pairs[(tier, "coop")]
         print(f"  noncoop        : near {non.near:.6f}  far {non.far:.6f}", file=out)
-        coop = coverage_coop(params, tier, evaluator=ev)
         note = EXTRAPOLATED_NOTE if coop.extrapolated else ""
         print(f"  coop[appendix] : near {coop.near:.6f}  far {coop.far:.6f}{note}", file=out)
     return 0

@@ -25,11 +25,13 @@ own-signal SIR clears theta (exactly for beta >= (1+theta)/(2+theta)),
 and the far user's exponent becomes the combined kernel with the void
 gain subtracted, clamped at zero.
 
-coverage_pair, coverage_curve and scan_beta share one routine (_pairs)
-that takes a float64 array of power splits and evaluates each split
-elementwise, with one interference_kernel call for the whole array.  So
-a split's coverage is the same, bit for bit, whether it is evaluated
-alone or with others.
+coverage_curve (one tier and one scheme over an array of power splits)
+is the public entry point; sweeps.analytic_pairs gives a whole scenario
+at its configured splits through it.  coverage_curve and scan_beta share
+one routine (_pairs) that takes a float64 array of power splits and
+evaluates each split elementwise, with one interference_kernel call for
+the whole array.  So a split's coverage is the same, bit for bit,
+whether it is evaluated alone or with others.
 """
 
 from __future__ import annotations
@@ -218,16 +220,6 @@ def _coop_extrapolated(theta, beta_m):
     return beta_m < (1.0 + theta) / (2.0 + theta)
 
 
-def coverage_noncoop(params, tier, evaluator=None):
-    """Near/far coverage of a tier-`tier` cell without BS cooperation."""
-    return coverage_pair(params, tier, "noncoop", evaluator)
-
-
-def coverage_coop(params, tier, evaluator=None):
-    """Near/far coverage when void cells jointly transmit the far signal."""
-    return coverage_pair(params, tier, "coop", evaluator)
-
-
 def check_schemes(schemes):
     """schemes as a tuple: a nonempty list or tuple of names from SCHEMES."""
     if not isinstance(schemes, (list, tuple)) or not schemes:
@@ -311,14 +303,9 @@ def _pairs(ev, tier, coop, theta, q, betas):
     return near, far, valid
 
 
-def coverage_pair(params, tier, scheme, evaluator=None):
-    """Near/far coverage of one tier under one scheme at the configured beta."""
-    return coverage_curve(params, tier, scheme, (params.beta[tier],), evaluator)[0]
-
-
 def average_coverage(params, tier, scheme, evaluator=None):
     """Mean of the near and far coverage probabilities for one scheme."""
-    return coverage_pair(params, tier, scheme, evaluator).average
+    return coverage_curve(params, tier, scheme, (params.beta[tier],), evaluator)[0].average
 
 
 @dataclass(frozen=True)

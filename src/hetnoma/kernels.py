@@ -18,9 +18,9 @@ The tail integral is exact: arctan at a = 4, and at any other a a Gauss
 hypergeometric function 2F1(1, p; 1+p; z) (the Andrews-Baccelli-Ganti
 kernel), evaluated by scipy.special.hyp2f1.
 
-The kernels and tails take float64 numpy arrays and work elementwise:
-one np.arctan or hyp2f1 call per kernel call, whatever the number of
-thresholds, and an element's value does not depend on the other
+The kernels take float64 numpy arrays and work elementwise: one
+np.arctan or hyp2f1 call per kernel call (_tails), whatever the number
+of thresholds, and an element's value does not depend on the other
 elements.  Overflow, underflow and division by zero are expected at the
 extremes (a threshold of 0 or inf, a power ratio past the float range);
 they run under np.errstate and reach the limits 0 and inf, and no
@@ -151,26 +151,17 @@ def _hyp2f1():
     return hyp2f1
 
 
-def _hyp2f1_tail(b, alpha):
+def _series_tail(bounds, alpha):
     """int_b^inf dt/(1+t^(alpha/2)) = s * 2F1(1, 1-2/alpha; 2-2/alpha; -b^(-alpha/2))
 
-    at any alpha > 2, with s = 2*b^(1-alpha/2)/(alpha-2): the integrand's
-    geometric series in t^(-alpha/2) integrated term by term.  b is an
-    array of bounds, a list or one bound, and the tails come back in the
-    same form, from one hyp2f1 call.  scipy.special is loaded on the first
-    call (_hyp2f1), so the alpha = 4 arctan path and `import hetnoma`
-    never load it.
+    over an array of bounds b at any alpha > 2, with s =
+    2*b^(1-alpha/2)/(alpha-2): the integrand's geometric series in
+    t^(-alpha/2) integrated term by term, from one hyp2f1 call.  Runs
+    under the caller's np.errstate: b = 0 and b = inf reach their limits
+    through powers that are inf or 0.  scipy.special is loaded on the
+    first call (_hyp2f1), so the alpha = 4 arctan path and `import
+    hetnoma` never load it.
     """
-    if not alpha > 2:
-        raise ValueError("pathloss_exponent must exceed 2")
-    bounds, back = _batch(b)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return back(_series_tail(bounds, alpha))
-
-
-def _series_tail(bounds, alpha):
-    """_hyp2f1_tail of an array of bounds, under the caller's np.errstate:
-    b = 0 and b = inf reach their limits through powers that are inf or 0."""
     half = alpha / 2.0
     c = 1.0 - 1.0 / half
     args = -(bounds**-half)
@@ -186,28 +177,12 @@ def _series_tail(bounds, alpha):
     return tails
 
 
-def tail_integral(b, alpha):
-    """int_b^inf dt/(1+t^(alpha/2)) for b >= 0, alpha > 2 (arctan at alpha = 4).
-
-    b is an array of bounds, a list or one bound; the tails come back in
-    the same form, from one np.arctan call at alpha = 4 and one hyp2f1
-    call elsewhere.  Small tails (large b) are evaluated directly, so they
-    keep their relative accuracy.  Where b^(alpha/2) < 1e-300 (b = 0
-    included) the tail is C(alpha) - b, and at b = inf it is 0.  A
-    negative or NaN bound raises ValueError.
-    """
-    bounds, back = _batch(b)
-    if not (bounds >= 0.0).all():
-        raise ValueError("integration bound b must be nonnegative")
-    if not alpha > 2:
-        raise ValueError("pathloss_exponent must exceed 2")
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return back(_tails(bounds, alpha))
-
-
 def _tails(bounds, alpha):
-    """tail_integral of an array of bounds of any shape, unchecked, under
-    the caller's np.errstate."""
+    """int_b^inf dt/(1+t^(alpha/2)) over an array of nonnegative bounds b
+    of any shape, unchecked, under the caller's np.errstate: one np.arctan
+    call at alpha = 4 and one hyp2f1 call elsewhere (_series_tail).  Where
+    b^(alpha/2) < 1e-300 (b = 0 included) the tail is C(alpha) - b, and
+    at b = inf it is 0."""
     if alpha == 4.0:
         # 1/0 = inf: the tail at b = 0 is pi/2
         return np.arctan(1.0 / bounds)

@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import ConfigError
-from .coverage import (
-    NetworkParams,
-    TierParams,
-    coverage_pair,
-    scan_beta,
-)
+from .coverage import NetworkParams, TierParams, coverage_curve, scan_beta
 # perfbench traces these two by name
 from .coverage import average_coverage, optimize_beta  # noqa: F401
 from .kernels import KernelEvaluator
@@ -84,13 +79,11 @@ class ComparisonRow:
 
 
 def analytic_pairs(params, schemes=SCHEMES):
-    """CoveragePair per (tier, scheme) from the closed forms."""
+    """CoveragePair per (tier, scheme) from the closed forms, each at the
+    tier's configured beta."""
     ev = KernelEvaluator.from_params(params)
-    out = {}
-    for tier in range(params.n_tiers):
-        for scheme in schemes:
-            out[(tier, scheme)] = coverage_pair(params, tier, scheme, ev)
-    return out
+    return {(tier, scheme): coverage_curve(params, tier, scheme, (params.beta[tier],), ev)[0]
+            for tier in range(params.n_tiers) for scheme in schemes}
 
 
 def comparison_rows(params, sweep_value, totals, schemes=SCHEMES):

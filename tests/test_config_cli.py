@@ -650,16 +650,43 @@ CLI_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command, to_file", list(CLI_DIGESTS),
-                         ids=[f"{c}-{'out' if f else 'stdout'}" for c, f in CLI_DIGESTS])
-def test_cli_bytes_pinned(tmp_path, monkeypatch, command, to_file):
+# The stock two tiers at alpha = 3.5 (the 2F1 tail), theta = 0.5 and beta =
+# 0.55, below the coop crossover (1+theta)/(2+theta) = 0.6: the analytic
+# report prints the extrapolated note.  Digests as in CLI_DIGESTS.
+ALPHA35_CONFIG = {
+    "tiers": STOCK_TIERS,
+    "user_intensity": 5e-4,
+    "pathloss_exponent": 3.5,
+    "sir_threshold": 0.5,
+    "beta": 0.55,
+    "schemes": ["noncoop", "coop"],
+}
+ALPHA35_DIGESTS = {
+    ("analytic", False): ("1f1fe706808ff9af2e371b0880df44e971b278135b576a6da2e5aaa55f64745e", None),
+    ("analytic", True): ("1f1fe706808ff9af2e371b0880df44e971b278135b576a6da2e5aaa55f64745e", None),
+    ("optimize-beta", False): ("4f62b29c31b647d8419283a28adc67f0e4559635740e0f75f9ec6b2e613e8900",
+                               None),
+    ("optimize-beta", True): ("740f49e8cf94717dd82f4c4c5c53a3a8f512c413a46b827679668caf06be0c6c",
+                              "fcf5425c304c32c0c84e8b98d2d60681caaa168ceb5d7c95849c2ab27875cfac"),
+}
+
+
+def pinned_runs(config, digests, tag=""):
+    return [pytest.param(config, c, f, d, id=f"{c}{tag}-{'out' if f else 'stdout'}")
+            for (c, f), d in digests.items()]
+
+
+@pytest.mark.parametrize("config, command, to_file, expected",
+                         pinned_runs(README_CONFIG, CLI_DIGESTS)
+                         + pinned_runs(ALPHA35_CONFIG, ALPHA35_DIGESTS, "-alpha35"))
+def test_cli_bytes_pinned(tmp_path, monkeypatch, config, command, to_file, expected):
     # relative paths, so that the "wrote ... to out.csv" line is the same in any directory
     monkeypatch.chdir(tmp_path)
-    write_config(tmp_path, README_CONFIG)
+    write_config(tmp_path, config)
     args = [command, "--config", "scenario.json", "--trials", "2"]
     code, text = run_cli(args + (["--out", "out.csv"] if to_file else []))
     assert code == 0
     written = (tmp_path / "out.csv").read_bytes() if (tmp_path / "out.csv").exists() else None
     digests = (hashlib.sha256(text.encode()).hexdigest(),
                None if written is None else hashlib.sha256(written).hexdigest())
-    assert digests == CLI_DIGESTS[command, to_file]
+    assert digests == expected

@@ -26,16 +26,12 @@ from hetnoma.coverage import (
     TierParams,
     average_coverage,
     cell_load_model,
-    coverage_coop,
     coverage_curve,
-    coverage_noncoop,
-    coverage_pair,
     decoding_thresholds,
     optimize_beta,
     scan_beta,
     user_count_pmf,
 )
-from hetnoma.kernels import KernelEvaluator
 from hetnoma.sweeps import table1_params
 
 TABLE1_Q = 0.99066080830888229
@@ -60,6 +56,11 @@ def two_tier(mu=5e-4, beta=0.75, alpha=4.0):
         sir_threshold=1.0,
         beta=(beta, beta),
     )
+
+
+def at_beta(params, tier, scheme):
+    """The CoveragePair of one tier and scheme at the tier's configured beta."""
+    return coverage_curve(params, tier, scheme, (params.beta[tier],))[0]
 
 
 class TestLoadModel:
@@ -171,16 +172,16 @@ class TestDecodingThresholds:
 
 class TestCoverageNoncoop:
     def test_reference_values(self):
-        cov = coverage_noncoop(single_tier(), 0)
+        cov = at_beta(single_tier(), 0, "noncoop")
         assert cov.near == pytest.approx(0.47457495123878555, abs=1e-9)
         assert cov.far == pytest.approx(0.25386107350497854, abs=1e-9)
 
     def test_invalid_beta_gives_zero(self):
-        cov = coverage_noncoop(single_tier(beta=0.4), 0)
+        cov = at_beta(single_tier(beta=0.4), 0, "noncoop")
         assert cov == CoveragePair(0.0, 0.0)
 
     def test_all_power_to_far_kills_near_user(self):
-        cov = coverage_noncoop(single_tier(beta=1.0), 0)
+        cov = at_beta(single_tier(beta=1.0), 0, "noncoop")
         assert cov.near == 0.0
         assert cov.far > 0.0
 
@@ -198,20 +199,20 @@ class TestCoverageNoncoop:
                             tiers=(TierParams(1.0, 1e-4),), user_intensity=mu,
                             pathloss_exponent=alpha, sir_threshold=theta, beta=(beta,),
                         )
-                        cov = coverage_noncoop(p, 0)
+                        cov = at_beta(p, 0, "noncoop")
                         assert cov.near >= cov.far
 
     def test_near_superiority_reverses_at_extreme_beta(self):
         # with beta = 0.98 the near user keeps 2% of the power and its
         # own-signal stage dominates; the ordering flips
-        cov = coverage_noncoop(single_tier(beta=0.98), 0)
+        cov = at_beta(single_tier(beta=0.98), 0, "noncoop")
         assert cov.near < cov.far
 
     def test_decreasing_in_q(self):
         values = []
         for mu in (1e-5, 1e-4, 1e-3, 1e-2):
             p = single_tier(mu=mu)
-            values.append(coverage_noncoop(p, 0))
+            values.append(at_beta(p, 0, "noncoop"))
         nears = [v.near for v in values]
         fars = [v.far for v in values]
         assert all(b < a for a, b in zip(nears, nears[1:]))
@@ -225,23 +226,23 @@ class TestCoverageNoncoop:
             sir_threshold=p.sir_threshold, beta=p.beta,
         )
         for tier in (0, 1):
-            cov = coverage_noncoop(p, tier)
-            cov2 = coverage_noncoop(scaled, tier)
+            cov = at_beta(p, tier, "noncoop")
+            cov2 = at_beta(scaled, tier, "noncoop")
             assert 0.0 <= cov.far <= cov.near <= 1.0
             assert cov.near == pytest.approx(cov2.near, rel=1e-12)
             assert cov.far == pytest.approx(cov2.far, rel=1e-12)
 
     def test_two_tier_frozen_values(self):
         p = two_tier()
-        macro = coverage_noncoop(p, 0)
-        pico = coverage_noncoop(p, 1)
+        macro = at_beta(p, 0, "noncoop")
+        pico = at_beta(p, 1, "noncoop")
         assert macro.near == pytest.approx(0.83702266109, abs=1e-9)
         assert macro.far == pytest.approx(0.748966310994, abs=1e-9)
         assert pico.near == pytest.approx(0.462500788299, abs=1e-9)
         assert pico.far == pytest.approx(0.240038290541, abs=1e-9)
 
     def test_collapse_near_admissibility_boundary(self):
-        cov = coverage_noncoop(single_tier(beta=0.5 + 1e-4), 0)
+        cov = at_beta(single_tier(beta=0.5 + 1e-4), 0, "noncoop")
         assert cov.near + cov.far < 0.02
 
 
@@ -249,28 +250,27 @@ class TestCoverageCoop:
     def test_near_coincides_with_noncoop_in_exact_range(self):
         # for beta >= (1+theta)/(2+theta) both reduce to the theta/(1-beta) kernel
         p = single_tier(beta=0.75)
-        assert coverage_coop(p, 0).near == pytest.approx(
-            coverage_noncoop(p, 0).near, rel=1e-12
+        assert at_beta(p, 0, "coop").near == pytest.approx(
+            at_beta(p, 0, "noncoop").near, rel=1e-12
         )
 
     def test_far_improves_when_cells_are_void(self):
         p = single_tier()  # q = 1 exactly
-        ev = KernelEvaluator.from_params(p)
         # with q = 1 the schemes coincide
-        assert coverage_coop(p, 0, evaluator=ev).far == pytest.approx(
-            coverage_noncoop(p, 0, evaluator=ev).far, rel=1e-12
+        assert at_beta(p, 0, "coop").far == pytest.approx(
+            at_beta(p, 0, "noncoop").far, rel=1e-12
         )
         # q < 1 across a mu grid: appendix-mode coop beats noncoop
         for mu in (1e-5, 5e-5, 2e-4):
             p = single_tier(mu=mu)
-            coop = coverage_coop(p, 0)
-            non = coverage_noncoop(p, 0)
+            coop = at_beta(p, 0, "coop")
+            non = at_beta(p, 0, "noncoop")
             assert coop.far > non.far
 
     def test_two_tier_frozen_values(self):
         p = two_tier(mu=1e-4)
-        macro = coverage_coop(p, 0)
-        pico = coverage_coop(p, 1)
+        macro = at_beta(p, 0, "coop")
+        pico = at_beta(p, 1, "coop")
         assert macro.far == pytest.approx(0.840054685782, abs=1e-9)
         assert pico.far == pytest.approx(0.384569673352, abs=1e-9)
         assert not macro.extrapolated
@@ -281,8 +281,8 @@ class TestCoverageCoop:
         L = 3.5 * (0.2 ** (-1.0 / 3.5) - 1.0)
         p = single_tier(mu=L * 1e-4)
         assert cell_load_model(p).nonvoid_prob == pytest.approx(0.8, abs=1e-12)
-        coop = coverage_coop(p, 0)
-        non = coverage_noncoop(p, 0)
+        coop = at_beta(p, 0, "coop")
+        non = at_beta(p, 0, "noncoop")
         assert coop.far == pytest.approx(0.39300972642466862, abs=1e-9)
         assert non.far == pytest.approx(0.31198238618102402, abs=1e-9)
         assert coop.far > non.far
@@ -295,19 +295,19 @@ class TestCoverageCoop:
         p = single_tier(mu=L * 1e-4, beta=0.75)
         q = cell_load_model(p).nonvoid_prob
         assert q == pytest.approx(0.5, abs=1e-12)
-        cov = coverage_coop(p, 0)
+        cov = at_beta(p, 0, "coop")
         assert cov.far == pytest.approx(1.0, rel=1e-12)
 
     def test_extrapolation_flag(self):
         theta = 1.0
-        inside = coverage_coop(single_tier(beta=0.75), 0)
-        outside = coverage_coop(single_tier(beta=0.6), 0)  # (1+1)/(2+1) = 2/3 > 0.6
+        inside = at_beta(single_tier(beta=0.75), 0, "coop")
+        outside = at_beta(single_tier(beta=0.6), 0, "coop")  # (1+1)/(2+1) = 2/3 > 0.6
         assert not inside.extrapolated
         assert outside.extrapolated
         assert 0.0 <= outside.near <= 1.0 and 0.0 <= outside.far <= 1.0
 
     def test_invalid_beta_gives_zero(self):
-        assert coverage_coop(single_tier(beta=0.3), 0) == CoveragePair(0.0, 0.0)
+        assert at_beta(single_tier(beta=0.3), 0, "coop") == CoveragePair(0.0, 0.0)
 
 
 class TestCoverageCurve:
@@ -341,7 +341,7 @@ class TestCoverageCurve:
             # and q > 1/2 makes the void cells' gain the smaller term: the far
             # user is never covered, unless no BS is active (q = 0)
             for scheme in ("noncoop", "coop"):
-                assert coverage_pair(p, 1, scheme).far == (1.0 if mu == 0.0 else 0.0)
+                assert at_beta(p, 1, scheme).far == (1.0 if mu == 0.0 else 0.0)
 
     @pytest.mark.parametrize("alpha", [3.5, 4.0])
     def test_power_scale_invariance_across_the_normal_range(self, alpha):
@@ -423,9 +423,9 @@ class TestOptimizeBeta:
 
 def reference_search(params, tier, scheme, betas):
     """scan_beta's (averages, optimum) with every value taken from its own
-    coverage_pair call: the coarse grid, then golden section."""
+    coverage_curve call: the coarse grid, then golden section."""
     def objective(beta):
-        return coverage_pair(params.with_beta(beta), tier, scheme).average
+        return at_beta(params.with_beta(beta), tier, scheme).average
 
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)

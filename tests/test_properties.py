@@ -14,13 +14,11 @@ from hetnoma.config import dump_config, parse_config
 from hetnoma.coverage import (
     NetworkParams,
     TierParams,
-    coverage_coop,
     coverage_curve,
-    coverage_noncoop,
-    coverage_pair,
     decoding_thresholds,
 )
 from hetnoma.simulate import SCHEMES
+from hetnoma.sweeps import analytic_pairs
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -52,12 +50,11 @@ def test_common_power_scale_changes_no_coverage(params, scale):
         sir_threshold=params.sir_threshold,
         beta=params.beta,
     )
-    for tier in range(params.n_tiers):
-        for coverage in (coverage_noncoop, coverage_coop):
-            base, other = coverage(params, tier), coverage(scaled, tier)
-            for role in ("near", "far"):
-                a, b = getattr(base, role), getattr(other, role)
-                assert abs(a - b) <= 1e-12 * abs(a), (coverage.__name__, tier, role, a, b)
+    base, other = analytic_pairs(params), analytic_pairs(scaled)
+    for key in base:
+        for role in ("near", "far"):
+            a, b = getattr(base[key], role), getattr(other[key], role)
+            assert abs(a - b) <= 1e-12 * abs(a), (key, role, a, b)
 
 
 @PROPERTY
@@ -65,10 +62,11 @@ def test_common_power_scale_changes_no_coverage(params, scale):
 def test_coop_never_below_noncoop(params):
     # combined_kernel <= q*l(x) and theta/(1-beta) <= threshold_near, so
     # cooperation can only lower both exponents
+    pairs = analytic_pairs(params)
     for tier in range(params.n_tiers):
         if not decoding_thresholds(params.sir_threshold, params.beta[tier]).valid:
             continue
-        coop, non = coverage_coop(params, tier), coverage_noncoop(params, tier)
+        coop, non = pairs[(tier, "coop")], pairs[(tier, "noncoop")]
         assert coop.near >= non.near
         assert coop.far >= non.far
 
@@ -128,7 +126,7 @@ def test_curve_equals_each_beta_alone(case):
     params, betas = case
     for tier in range(params.n_tiers):
         for scheme in SCHEMES:
-            alone = [coverage_pair(params.with_beta(b), tier, scheme) for b in betas]
+            alone = [coverage_curve(params.with_beta(b), tier, scheme, [b])[0] for b in betas]
             assert bits(coverage_curve(params, tier, scheme, betas)) == bits(alone)
 
 

@@ -212,6 +212,25 @@ class TestAnalyticPairs:
         with pytest.raises(ValueError, match="bogus"):
             analytic_pairs(table1_params(), ("noncoop", "bogus"))
 
+    @pytest.mark.parametrize("mu", [5e-4, 0.0])
+    def test_equals_coverage_curve_at_the_configured_beta(self, mu):
+        # tier 1 below theta/(1+theta) = 1/2 (no admissible split), tier 2
+        # below the coop crossover 2/3, tier 3 inside the exact range; at
+        # mu = 0 no BS is active (q = 0)
+        p = NetworkParams(
+            tiers=(TierParams(20.0, 1e-6), TierParams(2.0, 5e-5), TierParams(0.5, 1e-4)),
+            user_intensity=mu, pathloss_exponent=3.5, sir_threshold=1.0,
+            beta=(0.4, 0.55, 0.8),
+        )
+        pairs = analytic_pairs(p)
+        assert list(pairs) == [(t, s) for t in range(3) for s in simulate.SCHEMES]
+        for (tier, scheme), pair in pairs.items():
+            alone = coverage.coverage_curve(p, tier, scheme, (p.beta[tier],))[0]
+            assert (pair.near.hex(), pair.far.hex(), pair.extrapolated) == (
+                alone.near.hex(), alone.far.hex(), alone.extrapolated)
+        assert pairs[(0, "noncoop")] == pairs[(0, "coop")] == (0.0, 0.0, False)
+        assert pairs[(1, "coop")].extrapolated and not pairs[(2, "coop")].extrapolated
+
 
 class TestRunBetaScan:
     def test_grid_argmax_near_reference(self):
