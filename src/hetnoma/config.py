@@ -6,7 +6,6 @@ parse_config only maps a decoded JSON object onto those types: it checks
 the JSON shape and keys, supplies the defaults of pathloss_exponent,
 sir_threshold and beta (ScenarioConfig holds the others), and puts the
 JSON path before the field that a type's ConfigError names.
-parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -169,33 +168,3 @@ def load_config(path, overrides=None):
     if overrides and isinstance(data, dict):
         data = {**data, **overrides}
     return parse_config(data)
-
-
-def config_to_dict(cfg):
-    data = {
-        "tiers": [
-            {"power_watts": t.power_watts, "intensity": t.intensity}
-            for t in cfg.params.tiers
-        ],
-        "user_intensity": cfg.params.user_intensity,
-        "pathloss_exponent": cfg.params.pathloss_exponent,
-        "sir_threshold": cfg.params.sir_threshold,
-        "beta": list(cfg.params.beta),
-        "schemes": list(cfg.schemes),
-        "sweep": {"variable": cfg.sweep_variable, "grid": list(cfg.sweep_grid)},
-        "seed": cfg.seed,
-        "n_trials": cfg.n_trials,
-        "n_jobs": cfg.n_jobs,
-    }
-    if cfg.window is not None:
-        data["window"] = {"half_width": cfg.window.half_width}
-    if cfg.max_cells_per_tier is not None:
-        data["max_cells_per_tier"] = cfg.max_cells_per_tier
-    if cfg.output is not None:
-        data["output"] = cfg.output
-    return data
-
-
-def dump_config(cfg):
-    """Serialize to JSON text; floats round-trip exactly."""
-    return json.dumps(config_to_dict(cfg), indent=2) + "\n"

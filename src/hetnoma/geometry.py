@@ -78,7 +78,7 @@ def sample_ppp(intensity, window, rng):
 
 @dataclass
 class Association:
-    """Nearest-BS association of every user, plus per-BS user lists.
+    """Nearest-BS association of every user, and each BS's user count.
 
     serving[u] is the global BS index (tiers concatenated in order) of
     user u's nearest BS.  An exact distance tie (probability zero, but
@@ -89,14 +89,6 @@ class Association:
 
     serving: np.ndarray
     counts: np.ndarray
-    _order: np.ndarray = field(repr=False)
-    _starts: np.ndarray = field(repr=False)
-
-    def user_at(self, bs_index, rank):
-        """The user of rank `rank` (in index order) among those of BS bs_index,
-        elementwise over arrays of BSs and ranks below their counts (a larger
-        rank reads past the BS's user list)."""
-        return self._order[self._starts[bs_index] + rank]
 
 
 def associate(bs_xy, user_xy):
@@ -107,12 +99,7 @@ def associate(bs_xy, user_xy):
     from scipy.spatial import cKDTree
 
     serving = cKDTree(bs_xy).query(user_xy)[1]
-    counts = np.bincount(serving, minlength=n_bs)
-    # the narrowest unsigned key lets numpy radix-sort; same stable order
-    order = np.argsort(serving.astype(np.min_scalar_type(n_bs - 1)), kind="stable")
-    starts = np.zeros(n_bs + 1, dtype=np.intp)
-    np.cumsum(counts, out=starts[1:])
-    return Association(serving=serving, counts=counts, _order=order, _starts=starts)
+    return Association(serving=serving, counts=np.bincount(serving, minlength=n_bs))
 
 
 @dataclass(frozen=True)

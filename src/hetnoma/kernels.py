@@ -122,26 +122,6 @@ def full_line_integral(alpha):
     return u / math.sin(u)
 
 
-def _batch(x):
-    """(values, back): x as a numpy array (a float64 one unless x is an
-    array already), and the function that gives a result back in the form
-    x came in, an array for an array, a list for a list and a float for a
-    number."""
-    if isinstance(x, np.ndarray):
-        return x, _same
-    if isinstance(x, list):
-        return np.array(x, dtype=float), np.ndarray.tolist
-    return np.array([x], dtype=float), _first
-
-
-def _same(values):
-    return values
-
-
-def _first(values):
-    return float(values[0])
-
-
 @lru_cache(maxsize=1)
 def _hyp2f1():
     """scipy.special.hyp2f1, imported on the first call; a cached call is
@@ -198,11 +178,10 @@ class KernelEvaluator:
     Only power ratios enter the kernels, so scaling every power by a
     common constant changes nothing.
 
-    Both kernels take an array of thresholds, a list or one threshold, and
-    give their values in the same form.  An array is evaluated elementwise
-    in float64, and an element's value does not depend on the others, so
-    one call over many thresholds equals one call per threshold, bit for
-    bit.
+    Both kernels take 1-D float64 arrays of thresholds and return an
+    array of their values.  They work elementwise, and an element's value
+    does not depend on the others, so one call over many thresholds
+    equals one call per threshold, bit for bit.
     """
 
     powers: tuple
@@ -234,58 +213,55 @@ class KernelEvaluator:
         )
 
     def interference_kernel(self, m, x):
-        """Mean-interference kernel of tier m at normalized threshold x.
+        """Mean-interference kernel of tier m at each normalized threshold in x.
 
         Nonnegative, zero at x = 0, strictly increasing, and +inf in the
         x -> inf limit.  The terms of every threshold and tier come from
         one tail evaluation (one hyp2f1 call at alpha != 4).  A
         negative or NaN threshold raises ValueError.
         """
-        xs, back = _batch(x)
         p_m = self.powers[m]
         p_k, frac_k = self._columns
         up = 2.0 / self.alpha
         # 0*inf in P_k/P_m*x is NaN where x is 0 or inf, and never selected
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            product = p_k * xs
+            product = p_k * x
             ratio = product / p_m
             # a negative or NaN x leaves no product in the normal range either
             normal = (product >= sys.float_info.min) & (product < math.inf)
             if np.count_nonzero(normal) < normal.size:
-                if np.count_nonzero(xs >= 0.0) < xs.size:
+                if np.count_nonzero(x >= 0.0) < x.size:
                     raise ValueError("kernel argument must be nonnegative")
                 # where x*P_k overflows or leaves the normal range, divide the
                 # powers first (x = 0 and x = inf keep their limits 0 and
                 # inf); elsewhere keep the left-to-right bits
-                odd = ~normal & (xs > 0.0) & (xs < math.inf)
-                ratio[odd] = (p_k / p_m * xs)[odd]
+                odd = ~normal & (x > 0.0) & (x < math.inf)
+                ratio[odd] = (p_k / p_m * x)[odd]
             # a ratio of 0, or one so near it that its bound overflows, gets
             # the bound inf and the tail 0: the term's x -> 0 limit
             terms = frac_k * ratio**up * _tails(ratio**-up, self.alpha)
         kernels = terms[0]
         for term in terms[1:]:
             kernels = kernels + term
-        return back(kernels)
+        return kernels
 
     def combined_kernel(self, m, x, y, nonvoid_prob):
         """Coverage exponent of tier m with void-cell cooperation:
 
             max(q*interference_kernel(x) - (1-q)*interference_kernel(y), 0)
 
-        and interference_kernel(x) at q = 1.  x and y are two arrays of
-        equal length, two lists, or one threshold each; both kernels come
-        from one interference_kernel call (void_exponent).
+        and interference_kernel(x) at q = 1, elementwise over two 1-D
+        float64 arrays x and y of equal length; both kernels come from one
+        interference_kernel call (void_exponent).
         """
         q = nonvoid_prob
         if not 0.0 <= q <= 1.0:
             raise ValueError("nonvoid_prob must lie in [0, 1]")
         if q == 1.0:
             return self.interference_kernel(m, x)
-        xs, back = _batch(x)
-        ys, _ = _batch(y)
-        kernels = self.interference_kernel(m, np.concatenate([xs, ys]))
+        kernels = self.interference_kernel(m, np.concatenate([x, y]))
         with np.errstate(invalid="ignore"):
-            return back(self.void_exponent(xs, ys, kernels[:len(xs)], kernels[len(xs):], q))
+            return self.void_exponent(x, y, kernels[:len(x)], kernels[len(x):], q)
 
     def void_exponent(self, x, y, kernel_x, kernel_y, q):
         """max(q*kernel_x - (1-q)*kernel_y, 0) over arrays, and kernel_x at

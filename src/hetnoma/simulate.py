@@ -198,31 +198,26 @@ class NetworkSnapshot:
         """Where a BS is a tagged cell: with >= 2 users."""
         return self.counts >= 2
 
-    def tagged_cells(self, tier):
-        """The tagged cells of one tier."""
-        return np.flatnonzero(self.tagged & (self.bs_tier == tier))
 
-
-def _snapshots(grid, window, seed, trial, bs_per_tier=None):
+def _snapshots(grid, window, seed, trial):
     """The snapshots of trial `trial` at the points of grid, all of one
     layout (tiers and path loss) and so of the same BSs.
 
-    The BSs are bs_per_tier (one array per tier) when given, else those
-    of the points stream on window (default_window(grid[0]) if None):
-    sampling fails before it starts if their expected count is over
-    MAX_EXPECTED_POINTS, and after it if the window contains none.  The
-    BSs' cells are computed and their pairs' uniforms drawn once, to be
-    placed in the cells that NetworkSnapshot.pairs is asked for.  A
-    point's counts are the classes _count_classes gives the BSs' uniforms
-    from the counts stream at the mean user_intensity x cell area.
+    The BSs are those of the points stream on window
+    (default_window(grid[0]) if None): sampling fails before it starts if
+    their expected count is over MAX_EXPECTED_POINTS, and after it if the
+    window contains none.  The BSs' cells are computed and their pairs'
+    uniforms drawn once, to be placed in the cells that
+    NetworkSnapshot.pairs is asked for.  A point's counts are the classes
+    _count_classes gives the BSs' uniforms from the counts stream at the
+    mean user_intensity x cell area.
     """
-    if bs_per_tier is None:
-        window = check_point_budget(grid[0], window)
-        bs_per_tier, _ = _sample_tiers(grid[0], window, seed, trial)
-    bs_xy = np.concatenate(bs_per_tier)
+    window = check_point_budget(grid[0], window)
+    tier_xy, _ = _sample_tiers(grid[0], window, seed, trial)
+    bs_xy = np.concatenate(tier_xy)
     n_bs = len(bs_xy)
     bs_tier = np.concatenate(
-        [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(bs_per_tier)]
+        [np.full(len(p), t, dtype=np.intp) for t, p in enumerate(tier_xy)]
     )
     powers = np.array([t.power_watts for t in grid[0].tiers])
     voronoi = periodic_voronoi(bs_xy, window)
@@ -264,10 +259,10 @@ def _sample_tiers(params, window, seed, trial):
     SimulationError if the window holds no BS.
     """
     rng = _stream(seed, trial, _STREAM_POINTS)
-    bs_per_tier = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
-    if sum(len(p) for p in bs_per_tier) == 0:
+    tier_xy = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
+    if sum(len(p) for p in tier_xy) == 0:
         raise SimulationError("window contains no base stations; enlarge the window")
-    return bs_per_tier, rng
+    return tier_xy, rng
 
 
 @dataclass
@@ -669,9 +664,9 @@ def _certain(lhs, rhs, err):
     return np.abs(lhs - rhs) > err + 2.0**-49 * (lhs + rhs) + 2.0**-1000
 
 
-def _counts(desired, interference, void_signal, theta, beta, rows, errors):
+def _counts(desired, interference, void_signal, theta, beta, rows, errors=None):
     """Success counts of one tier at each point, of shape (point, scheme,
-    role), and where the decisions are certain.
+    role), and where the decisions are certain (None without errors).
 
     interference and void_signal have shape (point, cell, receiver), theta
     and beta (point, 1, 1); point j counts the cells where rows[j] is True.
@@ -687,6 +682,8 @@ def _counts(desired, interference, void_signal, theta, beta, rows, errors):
     counts = np.empty((len(rows), len(SCHEMES), len(ROLES)), dtype=np.int64)
     for r, event in enumerate(_outcome(sides)[2:]):
         counts[:, :, r] = np.count_nonzero(event & rows, axis=-1).T
+    if errors is None:
+        return counts, None
     (lhs, rhs), (own, own_rhs) = sides
     err_i, coop[1] = errors
     certain = _certain(lhs, rhs, np.add(coop, theta * err_i, out=coop)).all(axis=(0, -1))
@@ -813,9 +810,11 @@ def _evaluate(snapshots, member):
     their float64 sums from their links (_CellBlocks.links and _sums), and
     the tier is counted again on the sums that then hold: a certified
     decision on a screened sum is the float64 decision.  So every count is
-    the float64 path's.  Once the pairs are placed, the snapshots' cells
-    and pair draws are dropped: the trial needs no other pair, and freed
-    before the blocks take their buffers, they add nothing to its peak.
+    the float64 path's.  Where _CellBlocks.screens is False, no cell is
+    screened: each takes its sums and serving links from its links.  Once
+    the pairs are placed, the snapshots' cells and pair draws are dropped:
+    the trial needs no other pair, and freed before the blocks take their
+    buffers, they add nothing to its peak.
     """
     layout = snapshots[0]
     n_tiers = layout.params.n_tiers
@@ -831,18 +830,24 @@ def _evaluate(snapshots, member):
     bounds = np.searchsorted(layout.bs_tier[union], np.arange(n_tiers + 1)).tolist()
     for tier, lo, hi in zip(range(n_tiers), bounds, bounds[1:]):
         cells, pair_xy = union[lo:hi], pairs[lo:hi]
-        # sums[0] the interference, sums[1] the void signal: (snapshot, cell, receiver)
-        sums, errors, serving_sq, desired = blocks.screen(cells, pair_xy)
         rows = member[:, cells]
-        with np.errstate(all="ignore"):
-            count, certain = _counts(desired, *sums, thetas, betas[tier], rows, errors)
-        uncertain = np.flatnonzero((rows & ~certain).any(axis=0)).tolist()
-        for m in uncertain:
-            _, _, power = blocks.links(cells[m], pair_xy[m])
-            sums[:, :, m] = _sums(power, cells[m], blocks.exact)
-        if uncertain:
+        if blocks.screens:
+            # sums[0] the interference, sums[1] the void signal: (snapshot, cell, receiver)
+            sums, errors, serving_sq, desired = blocks.screen(cells, pair_xy)
             with np.errstate(all="ignore"):
-                count, _ = _counts(desired, *sums, thetas, betas[tier], rows, errors)
+                count, certain = _counts(desired, *sums, thetas, betas[tier], rows, errors)
+            uncertain = np.flatnonzero((rows & ~certain).any(axis=0)).tolist()
+        else:
+            sums = np.empty((2, len(snapshots), len(cells), 2))
+            serving_sq, desired = np.empty((2, len(cells), 2))
+            uncertain = range(len(cells))
+        for m, b in zip(uncertain, cells[uncertain].tolist()):
+            _, dist_sq, power = blocks.links(b, pair_xy[m])
+            serving_sq[m], desired[m] = dist_sq[:, b], power[:, b]  # the screen's bits
+            sums[:, :, m] = _sums(power, b, blocks.exact)
+        if uncertain or not blocks.screens:
+            with np.errstate(all="ignore"):
+                count, _ = _counts(desired, *sums, thetas, betas[tier], rows)
         for point, point_count, point_rows in zip(totals, count, rows):
             point.successes[tier] += point_count
             # one sum over the point's own cells: it depends neither on
@@ -1084,8 +1089,8 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     window = check_point_budget(params, window)
     counts = []
     for trial in range(n_snapshots):
-        bs_per_tier, rng = _sample_tiers(params, window, seed, trial)
-        areas = periodic_voronoi(np.concatenate(bs_per_tier), window).areas
+        tier_xy, rng = _sample_tiers(params, window, seed, trial)
+        areas = periodic_voronoi(np.concatenate(tier_xy), window).areas
         counts.append(rng.poisson(params.user_intensity * areas))
     hist = np.bincount(np.concatenate(counts), minlength=1)
     return CellCensus(n_bs=int(hist.sum()), n_void=int(hist[0]), count_histogram=hist)

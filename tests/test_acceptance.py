@@ -85,7 +85,7 @@ def test_criterion_1_kernel_oracle():
     worst = 0.0
     for x in (0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 100.0):
         expected = ell_oracle(x)
-        worst = max(worst, abs(ev.interference_kernel(0, x) - expected))
+        worst = max(worst, abs(ev.interference_kernel(0, np.array([x]))[0] - expected))
         # the 2F1 form that serves alpha != 4, forced at alpha = 4
         worst = max(worst, abs(x**0.5 * series_tail(x**-0.5, 4.0) - expected))
     elapsed = time.perf_counter() - t0

@@ -5,18 +5,24 @@ closed forms at alpha = 4 load none of it, alpha != 4 loads
 scipy.special (hyp2f1) and nothing of scipy.spatial, and run_trial_sets
 loads scipy.spatial before it forks its worker processes, so they
 inherit it.  `import hetnoma` loads no multiprocessing either: the
-simulator imports it only to fork.
+simulator imports it only to fork.  The last test checks that every name
+the benchmark harness (perfbench/layers.py) patches is still a callable
+of the program.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hetnoma
 
 SRC = str(Path(hetnoma.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # runs `body` in a fresh interpreter (sys.argv[1:] are its arguments), then
 # prints the scipy modules loaded as the last line
@@ -108,3 +114,25 @@ def test_run_trial_sets_loads_spatial_before_the_pool_starts():
     lines = probe(PREFORK)
     [at_start] = json.loads(lines[-2])
     assert "scipy.spatial" in at_start
+
+
+@pytest.mark.skipif(not (PERFBENCH / "layers.py").is_file(), reason="no perfbench/ here")
+def test_every_benchmark_trace_point_is_a_callable(monkeypatch):
+    # the traced benchmark runs patch each (owner, attribute) of TRACE_POINTS;
+    # a name gone from the program fails here, not only in those runs.
+    # perfbench/ is read only: no bytecode is written there, and its modules
+    # leave sys.modules and sys.path as they were
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    names = ("layers", "workloads")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        layers = importlib.import_module("layers")
+        missing = [f"{owner.__name__}.{attr}" for _, targets, _ in layers.TRACE_POINTS
+                   for owner, attr in targets if not callable(getattr(owner, attr, None))]
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+    assert len(layers.TRACE_POINTS) > 0
+    assert missing == []

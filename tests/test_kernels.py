@@ -51,6 +51,19 @@ def tail(b, alpha, form=_tails):
         return float(form(np.array([b], dtype=float), alpha)[0])
 
 
+def kernel_at(ev, m, x):
+    """ev.interference_kernel of tier m at the one threshold x, from a
+    one-element float64 array."""
+    return float(ev.interference_kernel(m, np.array([x], dtype=float))[0])
+
+
+def combined_at(ev, m, x, y, q):
+    """ev.combined_kernel of tier m at the one pair of thresholds (x, y),
+    from one-element float64 arrays."""
+    return float(ev.combined_kernel(m, np.array([x], dtype=float), np.array([y], dtype=float),
+                                    q)[0])
+
+
 def base(b, alpha):
     """int_0^b dt/(1+t^(alpha/2)) as C(alpha) minus the 2F1 tail."""
     return full_line_integral(alpha) - tail(b, alpha, _series_tail)
@@ -169,14 +182,15 @@ class TestQuadOracle:
         powers, frac = (20.0, 2.0), (1 / 51, 50 / 51)
         ev = KernelEvaluator(powers=powers, fractions=frac, alpha=alpha)
         for m in (0, 1):
-            for x in QUAD_BOUNDS:
+            kernels = ev.interference_kernel(m, np.array(QUAD_BOUNDS))
+            for x, kernel in zip(QUAD_BOUNDS, kernels.tolist()):
                 terms = []
                 for p_k, f_k in zip(powers, frac):
                     ratio = x * p_k / powers[m]
                     value, err = quad_tail(ratio ** (-2.0 / alpha), alpha)
                     scale = f_k * ratio ** (2.0 / alpha)
                     terms.append((scale * value, scale * err))
-                assert_matches_quad(ev.interference_kernel(m, x), _sum(*terms))
+                assert_matches_quad(kernel, _sum(*terms))
 
     def test_extreme_bounds_stay_finite(self):
         # where b^(alpha/2) < 1e-300 the 2F1 argument would overflow, and the
@@ -200,8 +214,7 @@ def test_hyp2f1_forms_match_closed_forms_at_alpha4():
 class TestInterferenceKernel:
     def test_zero_and_infinite_thresholds(self):
         ev = single_tier()
-        assert ev.interference_kernel(0, 0.0) == 0.0
-        assert ev.interference_kernel(0, math.inf) == math.inf
+        assert ev.interference_kernel(0, np.array([0.0, math.inf])).tolist() == [0.0, math.inf]
 
     @pytest.mark.parametrize("x,expected", [
         (1.0, 0.78539816339744831),
@@ -210,28 +223,27 @@ class TestInterferenceKernel:
     ])
     def test_single_tier_alpha4_oracle(self, x, expected):
         ev = single_tier()
-        assert ev.interference_kernel(0, x) == pytest.approx(expected, abs=1e-9)
+        assert kernel_at(ev, 0, x) == pytest.approx(expected, abs=1e-9)
         assert x**0.5 * tail(x**-0.5, 4.0, _series_tail) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_and_continuous(self):
         ev = single_tier(alpha=3.2)
         xs = np.geomspace(1e-3, 1e3, 40)
-        vals = [ev.interference_kernel(0, x) for x in xs]
+        vals = ev.interference_kernel(0, xs).tolist()
         assert all(b > a for a, b in zip(vals, vals[1:]))
         # continuity probe: small input change, small output change
         for x in (0.5, 1.0, 7.0):
-            lo = ev.interference_kernel(0, x * (1 - 1e-7))
-            hi = ev.interference_kernel(0, x * (1 + 1e-7))
+            lo, hi = ev.interference_kernel(0, np.array([x * (1 - 1e-7), x * (1 + 1e-7)]))
             assert hi - lo == pytest.approx(0.0, abs=1e-5)
 
     def test_power_scale_invariance(self):
         base = KernelEvaluator(powers=(20.0, 2.0), fractions=(0.3, 0.7), alpha=4.0)
         scaled = KernelEvaluator(powers=(20e3, 2e3), fractions=(0.3, 0.7), alpha=4.0)
+        xs = np.array([0.5, 2.0, 9.0])
         for m in (0, 1):
-            for x in (0.5, 2.0, 9.0):
-                assert base.interference_kernel(m, x) == pytest.approx(
-                    scaled.interference_kernel(m, x), rel=1e-12
-                )
+            assert base.interference_kernel(m, xs) == pytest.approx(
+                scaled.interference_kernel(m, xs), rel=1e-12
+            )
 
     def test_two_tier_is_fraction_weighted_sum(self):
         frac = (1 / 51, 50 / 51)
@@ -240,15 +252,15 @@ class TestInterferenceKernel:
             expected = frac[0] * math.sqrt(x) * math.atan(math.sqrt(x)) + frac[1] * math.sqrt(
                 x / 10
             ) * math.atan(math.sqrt(x / 10))
-            assert ev.interference_kernel(0, x) == pytest.approx(expected, abs=1e-12)
+            assert kernel_at(ev, 0, x) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_list_equals_each_threshold_alone(self, alpha):
         ev = KernelEvaluator(powers=(20.0, 2.0, 1e-3), fractions=(0.1, 0.0, 0.9), alpha=alpha)
-        xs = [0.0, 1e-300, 0.3, 2.0, 1e250, math.inf, 7.0]
+        xs = np.array([0.0, 1e-300, 0.3, 2.0, 1e250, math.inf, 7.0])
         for m in range(3):
-            assert ev.interference_kernel(m, xs) == [ev.interference_kernel(m, x) for x in xs]
-            assert ev.interference_kernel(m, []) == []
+            assert ev.interference_kernel(m, xs).tolist() == [kernel_at(ev, m, x) for x in xs]
+            assert ev.interference_kernel(m, np.array([])).tolist() == []
 
     @pytest.mark.parametrize("alpha, x", [(3.5, 1e-323), (4.0, 1e-323), (2.01, 1e-309)])
     def test_vanishing_ratio_term_is_zero(self, alpha, x):
@@ -256,8 +268,8 @@ class TestInterferenceKernel:
         # that term is 0, its x -> 0 limit, and the tier-0 term stands alone
         ev = KernelEvaluator(powers=(20.0, 2.0), fractions=(0.5, 0.5), alpha=alpha)
         up = 2.0 / alpha
-        assert ev.interference_kernel(0, x) == 0.5 * x**up * tail(x**-up, alpha)
-        assert 0.0 <= ev.interference_kernel(1, x) < 1e-300
+        assert kernel_at(ev, 0, x) == 0.5 * x**up * tail(x**-up, alpha)
+        assert 0.0 <= kernel_at(ev, 1, x) < 1e-300
 
     def test_validates_fractions(self):
         with pytest.raises(ValueError):
@@ -272,7 +284,7 @@ NAN = math.nan
 @pytest.mark.parametrize("call, message", [
     (lambda: decoding_thresholds(NAN, 0.75), "sir_threshold must be positive"),
     (lambda: full_line_integral(NAN), "pathloss_exponent must exceed 2"),
-    (lambda: single_tier().interference_kernel(0, NAN), "kernel argument must be nonnegative"),
+    (lambda: kernel_at(single_tier(), 0, NAN), "kernel argument must be nonnegative"),
     (lambda: single_tier(alpha=NAN), "pathloss_exponent must exceed 2"),
     (lambda: KernelEvaluator(powers=(NAN,), fractions=(1.0,), alpha=4.0),
      "tier powers must be positive"),
@@ -289,51 +301,51 @@ def test_nan_input_rejected(call, message):
 class TestCombinedKernel:
     def test_q_one_is_mode_independent(self):
         ev = single_tier()
-        assert ev.combined_kernel(0, 2.0, 2.0, 1.0) == pytest.approx(
-            ev.interference_kernel(0, 2.0), rel=1e-12
+        assert combined_at(ev, 0, 2.0, 2.0, 1.0) == pytest.approx(
+            kernel_at(ev, 0, 2.0), rel=1e-12
         )
 
     def test_appendix_oracle(self):
         ev = single_tier()
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.8) == pytest.approx(
+        assert combined_at(ev, 0, 2.0, 2.0, 0.8) == pytest.approx(
             0.81061303062724796, abs=1e-12
         )
 
     def test_half_void_cancellation(self):
         ev = single_tier()
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.5) == 0.0
+        assert combined_at(ev, 0, 2.0, 2.0, 0.5) == 0.0
         # deeper void fraction stays clamped at zero
-        assert ev.combined_kernel(0, 2.0, 2.0, 0.3) == 0.0
+        assert combined_at(ev, 0, 2.0, 2.0, 0.3) == 0.0
 
     def test_appendix_nonincreasing_in_q(self):
         ev = single_tier()
         qs = np.linspace(0.2, 1.0, 9)
-        vals = [ev.combined_kernel(0, 2.0, 2.0, q) for q in qs]
+        vals = [combined_at(ev, 0, 2.0, 2.0, q) for q in qs]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_list_equals_each_pair_alone(self):
         ev = KernelEvaluator(powers=(20.0, 2.0), fractions=(0.3, 0.7), alpha=3.5)
-        xs, ys = [0.5, 2.0, 4.0, 9.0], [0.5, 1.0, 8.0, 3.0]
+        xs, ys = np.array([0.5, 2.0, 4.0, 9.0]), np.array([0.5, 1.0, 8.0, 3.0])
         for q in (0.0, 0.4, 0.8, 1.0):
-            assert ev.combined_kernel(1, xs, ys, q) == [
-                ev.combined_kernel(1, x, y, q) for x, y in zip(xs, ys)]
+            assert ev.combined_kernel(1, xs, ys, q).tolist() == [
+                combined_at(ev, 1, x, y, q) for x, y in zip(xs, ys)]
 
     @pytest.mark.parametrize("alpha", [3.5, 4.0])
     def test_both_kernels_overflowing_give_their_limit(self, alpha):
         # P_0/P_1 overflows: both kernels of tier 1 are inf, and q*inf - (1-q)*inf
         # is NaN; the limit is inf where q*x^(2/a) > (1-q)*y^(2/a), else 0
         ev = KernelEvaluator(powers=(20.0, 1e-320), fractions=(0.02, 0.98), alpha=alpha)
-        assert ev.interference_kernel(1, 2.0) == math.inf
-        assert ev.combined_kernel(1, 2.0, 2.0, 0.99) == math.inf
-        assert ev.combined_kernel(1, 2.0, 2.0, 0.5) == 0.0
-        assert ev.combined_kernel(1, 2.0, 2.0, 0.0) == 0.0
-        assert ev.combined_kernel(1, 2.0, 1.0, 0.45) == math.inf
-        assert ev.combined_kernel(1, 1.0, 4.0, 0.6) == 0.0
+        assert kernel_at(ev, 1, 2.0) == math.inf
+        assert combined_at(ev, 1, 2.0, 2.0, 0.99) == math.inf
+        assert combined_at(ev, 1, 2.0, 2.0, 0.5) == 0.0
+        assert combined_at(ev, 1, 2.0, 2.0, 0.0) == 0.0
+        assert combined_at(ev, 1, 2.0, 1.0, 0.45) == math.inf
+        assert combined_at(ev, 1, 1.0, 4.0, 0.6) == 0.0
 
     def test_rejects_bad_mode_and_q(self):
         ev = single_tier()
         with pytest.raises(ValueError):
-            ev.combined_kernel(0, 1.0, 1.0, 1.5)
+            combined_at(ev, 0, 1.0, 1.0, 1.5)
 
 
 def libm_tail(b, alpha):

@@ -1,16 +1,14 @@
-"""Invariants of the closed forms and the config format, as hypothesis properties.
+"""Invariants of the closed forms, as hypothesis properties.
 
 Each property runs on a bounded, derandomized set of examples, so the
 suite stays fast and a failure reproduces on every run.
 """
 
-import json
 from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetnoma.config import dump_config, parse_config
 from hetnoma.coverage import (
     NetworkParams,
     TierParams,
@@ -128,42 +126,3 @@ def test_curve_equals_each_beta_alone(case):
         for scheme in SCHEMES:
             alone = [coverage_curve(params.with_beta(b), tier, scheme, [b])[0] for b in betas]
             assert bits(coverage_curve(params, tier, scheme, betas)) == bits(alone)
-
-
-@st.composite
-def config_dicts(draw):
-    n = draw(st.integers(1, 3))
-    data = {
-        "tiers": [
-            {"power_watts": draw(st.floats(0.1, 100.0)), "intensity": draw(st.floats(1e-6, 1e-4))}
-            for _ in range(n)
-        ],
-        # at most 100 users per BS keeps every point within the sampling budget
-        "user_intensity": draw(st.floats(0.0, 1e-4)),
-        "pathloss_exponent": draw(st.floats(2.1, 6.0)),
-        "sir_threshold": draw(st.floats(0.1, 10.0)),
-        "beta": draw(st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
-        "schemes": draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=2,
-                                 unique=True)),
-        "sweep": {"variable": "beta",
-                  "grid": sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=4)))},
-        "seed": draw(st.integers(0, 2**63)),
-        "n_trials": draw(st.integers(1, 10**6)),
-        "n_jobs": draw(st.integers(1, 8)),
-    }
-    if draw(st.booleans()):
-        data["window"] = {"half_width": draw(st.floats(2000.0, 1e4))}
-    if draw(st.booleans()):
-        data["max_cells_per_tier"] = draw(st.integers(1, 1000))
-    if draw(st.booleans()):
-        data["output"] = draw(st.text(min_size=1, max_size=20))
-    if draw(st.booleans()):
-        data["kernel_mode"] = "appendix"
-    return data
-
-
-@PROPERTY
-@given(config_dicts())
-def test_config_round_trip(data):
-    cfg = parse_config(data)
-    assert parse_config(json.loads(dump_config(cfg))) == cfg

@@ -112,6 +112,22 @@ def every_pair(snap):
     return snap.pairs(np.arange(snap.n_bs))
 
 
+def tagged_cells(snap, tier):
+    """The tagged cells of one tier of snap."""
+    return np.flatnonzero(snap.tagged & (snap.bs_tier == tier))
+
+
+def cell_links(blocks, b, pair_xy):
+    """Cell b's float64 links and sums from blocks (a _CellBlocks of its
+    snapshot), its pair being pair_xy: (fades, dist_sq, desired,
+    interference, void_signal), the near user first, in the blocks' power
+    scale (watts where the largest tier power lies in [1, 2))."""
+    fades, dist_sq, power = blocks.links(b, pair_xy)
+    desired = power[:, b].copy()
+    interference, void_signal = simulate._sums(power, b, blocks.exact)[:, 0]
+    return fades, dist_sq, desired, interference, void_signal
+
+
 def assert_pairs_near_first(snap, expected):
     """snap's pairs are each BS's pair of `expected`, near user first.
 
@@ -132,9 +148,10 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
     """A cell's pair, fades and received powers are the same bits when it
     is computed alone, at any position of a block of any size, or among
     any subset of the trial's cells (as a cap leaves)."""
-    cells = snap.tagged_cells(0)
+    cells = tagged_cells(snap, 0)
     assert len(cells) > 20
-    alone = {int(b): schedule_noma_users(snap, b) for b in cells}
+    reference = simulate._CellBlocks(snap, [snap.nonvoid])
+    alone = {b: cell_links(reference, b, snap.pairs(np.array([b]))[0]) for b in cells.tolist()}
     subsets = [cells, cells[1::3], np.sort(np.random.default_rng(0).choice(cells, 9, False))]
     for subset in subsets:
         for size in (None, 1, 4, 7):
@@ -146,15 +163,15 @@ def assert_cell_draws_independent_of_block_and_cap(snap):
             pair_xy = snap.pairs(subset)
             sums, errors, serving_sq, desired = blocks.screen(subset, pair_xy)
             for m, b in enumerate(subset.tolist()):
-                cell = alone[b]
+                link_gains, link_dist_sq, cell_desired, cell_interference, cell_void = alone[b]
                 fades, dist_sq, power = blocks.links(b, pair_xy[m])
                 interference, void = simulate._sums(power, b, blocks.exact)[:, 0]
-                assert np.array_equal(np.sqrt(serving_sq[m]), cell.distances)
-                assert np.array_equal(fades, cell.link_gains)
-                assert np.array_equal(dist_sq, cell.link_dist_sq)
-                assert np.array_equal(desired[m], cell.desired)
-                assert np.array_equal(interference, cell.interference)
-                assert np.array_equal(void, cell.void_signal)
+                assert np.array_equal(np.sqrt(serving_sq[m]), np.sqrt(link_dist_sq[:, b]))
+                assert np.array_equal(fades, link_gains)
+                assert np.array_equal(dist_sq, link_dist_sq)
+                assert np.array_equal(desired[m], cell_desired)
+                assert np.array_equal(interference, cell_interference)
+                assert np.array_equal(void, cell_void)
                 exact = np.stack([interference, void])
                 assert (np.abs(sums[:, 0, m] - exact) <= errors[:, 0, m]).all()
 
@@ -181,7 +198,7 @@ class TestBuildSnapshot:
     def test_no_users_all_void(self):
         snap = build_snapshot(toy_params(mu=0.0), TOY_WINDOW, seed=1, trial=0)
         assert not snap.nonvoid.any()
-        assert len(snap.tagged_cells(0)) == 0
+        assert len(tagged_cells(snap, 0)) == 0
 
     def test_empty_window_fails(self):
         p = NetworkParams(
@@ -266,31 +283,33 @@ class TestScheduleNomaUsers:
         alpha = p.pathloss_exponent
         hw, period = TOY_WINDOW.half_width, TOY_WINDOW.period
         pair_xy = every_pair(snap)
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
 
         def image(d):
             return period - abs(d) if abs(d) > hw else abs(d)
 
-        for b in snap.tagged_cells(0)[:10]:
-            cell = schedule_noma_users(snap, b)
+        for b in tagged_cells(snap, 0)[:10].tolist():
+            link_gains, link_dist_sq, desired, cell_interference, cell_void = cell_links(
+                blocks, b, pair_xy[b])
             for r in range(2):
                 ux, uy = pair_xy[b, r].tolist()
                 interference = void_signal = 0.0
                 for j in range(snap.n_bs):
                     bx, by = snap.bs_xy[j].tolist()
                     dx, dy = image(bx - ux), image(by - uy)
-                    assert cell.link_dist_sq[r, j] == dx * dx + dy * dy
-                    power = (snap.bs_power[j] * cell.link_gains[r, j]
-                             * cell.link_dist_sq[r, j] ** (-alpha / 2.0))
+                    assert link_dist_sq[r, j] == dx * dx + dy * dy
+                    power = (blocks.bs_power[j] * link_gains[r, j]
+                             * link_dist_sq[r, j] ** (-alpha / 2.0))
                     if j == b:
-                        assert cell.desired[r] == pytest.approx(power, rel=1e-12)
+                        assert desired[r] == pytest.approx(power, rel=1e-12)
                     elif snap.nonvoid[j]:
                         interference += power
                     else:
                         void_signal += power
                 d = math.sqrt(torus_dist_sq(pair_xy[b, r], snap.bs_xy[b], TOY_WINDOW))
-                assert cell.distances[r] == pytest.approx(d, rel=1e-12)
-                assert cell.interference[r] == pytest.approx(interference, rel=1e-12)
-                assert cell.void_signal[r] == pytest.approx(void_signal, rel=1e-12)
+                assert math.sqrt(link_dist_sq[r, b]) == pytest.approx(d, rel=1e-12)
+                assert cell_interference[r] == pytest.approx(interference, rel=1e-12)
+                assert cell_void[r] == pytest.approx(void_signal, rel=1e-12)
 
     def test_cell_draws_independent_of_block_and_cap(self):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=19, trial=2)
@@ -335,17 +354,19 @@ class TestEvaluateEvents:
     def test_coop_dominates_per_sample(self):
         p = toy_params(mu=2e-4)  # q ~ 0.56, plenty of void cells
         snap = build_snapshot(p, TOY_WINDOW, seed=11, trial=0)
-        cells = snap.tagged_cells(0)
+        cells = tagged_cells(snap, 0)
         assert len(cells) > 10
-        for b in cells:
-            cell = schedule_noma_users(snap, b)
-            non = evaluate_noncoop(cell, 1.0, 0.75)
-            coop = evaluate_coop(cell, 1.0, 0.75)
-            assert coop.near_covered >= non.near_covered
-            assert coop.far_covered >= non.far_covered
-            assert non.near_covered == (non.near_first_stage_ok and non.near_sic_ok)
-            assert cell.interference[0] > 0.0  # non-void interferers exist here
-            assert cell.void_signal[0] >= 0.0
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
+        for b, pair_xy in zip(cells.tolist(), snap.pairs(cells)):
+            _, _, desired, interference, void_signal = cell_links(blocks, b, pair_xy)
+            # (first stage, SIC stage, near covered, far covered) of each scheme
+            non = simulate._outcome(simulate._sides(desired, interference, np.zeros(2), 1.0, 0.75))
+            coop = simulate._outcome(simulate._sides(desired, interference, void_signal, 1.0, 0.75))
+            assert coop[2] >= non[2]
+            assert coop[3] >= non[3]
+            assert non[2] == (non[0] and non[1])
+            assert interference[0] > 0.0  # non-void interferers exist here
+            assert void_signal[0] >= 0.0
 
     def test_same_serving_fade_for_both_signal_shares(self):
         # the near user's two decoding stages share one serving-link fade:
@@ -829,15 +850,11 @@ def torus_association(bs_xy, user_xy, window):
     attached to its nearest BS at minimum-image distance."""
     hw, period, n_bs = window.half_width, window.period, len(bs_xy)
     serving = cKDTree((bs_xy + hw) % period, boxsize=period).query((user_xy + hw) % period)[1]
-    counts = np.bincount(serving, minlength=n_bs)
-    starts = np.zeros(n_bs + 1, dtype=np.intp)
-    np.cumsum(counts, out=starts[1:])
-    return Association(serving, counts, np.argsort(serving, kind="stable"), starts)
+    return Association(serving, np.bincount(serving, minlength=n_bs))
 
 
 def associated_snapshot(params, window, seed, trial):
-    bs_per_tier, _ = simulate._sample_tiers(params, window, seed, trial)
-    [snap] = simulate._snapshots((params,), window, seed, trial, bs_per_tier)
+    snap = build_snapshot(params, window, seed, trial)
     rng = _stream(seed, trial, 99)
     user_xy = sample_ppp(params.user_intensity, window, rng)
     assoc = torus_association(snap.bs_xy, user_xy, window)
@@ -845,9 +862,12 @@ def associated_snapshot(params, window, seed, trial):
     i = rng.integers(0, c)
     j = rng.integers(0, c - 1)
     j += j >= i
+    # BS b's users in index order are order[starts[b]:starts[b] + counts[b]]
+    order = np.argsort(assoc.serving, kind="stable")
+    starts = np.cumsum(assoc.counts) - assoc.counts
     pair_xy = np.full((snap.n_bs, 2, 2), np.nan)
     has = np.flatnonzero(assoc.counts >= 2)
-    pair_xy[has] = user_xy[assoc.user_at(has[:, None], np.stack([i, j], axis=1)[has])]
+    pair_xy[has] = user_xy[order[starts[has, None] + np.stack([i, j], axis=1)[has]]]
     return replace(snap, counts=assoc.counts, _voronoi=PlacedPairs(pair_xy))
 
 
@@ -865,7 +885,7 @@ def associated_totals(params, window, n_trials, seed, cap=None):
     for trial in range(n_trials):
         snap = associated_snapshot(params, window, seed, trial)
         rng = _stream(seed, trial, 98)
-        cells = [snap.tagged_cells(tier) for tier in range(params.n_tiers)]
+        cells = [tagged_cells(snap, tier) for tier in range(params.n_tiers)]
         cells = [c if cap is None or len(c) <= cap else rng.choice(c, cap, replace=False)
                  for c in cells]
         member = np.zeros((1, snap.n_bs), dtype=bool)
@@ -931,12 +951,13 @@ class TestTessellationSampler:
         u = _stream(19, 3, _STREAM_PAIRS).random((snap.n_bs, 2, 3))
         assert_pairs_near_first(snap, cells.sample(np.arange(snap.n_bs)[:, None], u))
         span = 2 * snap.n_bs
-        for b in snap.tagged_cells(0)[:8].tolist():
-            cell = schedule_noma_users(snap, b)
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
+        for b in tagged_cells(snap, 0)[:8].tolist():
+            link_gains, _, _ = blocks.links(b, snap.pairs(np.array([b]))[0])
             fade_stream = _stream(snap.seed, snap.trial, _STREAM_FADES)
             fade_stream.bit_generator.advance(span * b)
             u = fade_stream.random(span).reshape(2, snap.n_bs)
-            assert np.array_equal(cell.link_gains, -np.log1p(-u))
+            assert np.array_equal(link_gains, -np.log1p(-u))
 
     def test_pair_points_are_served_by_their_bs(self):
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=7, trial=0)
@@ -955,7 +976,7 @@ class TestTessellationSampler:
         # object gives each cell the bits of the cell alone
         snap = build_snapshot(toy_params(), TOY_WINDOW, seed=19, trial=2)
         blocks = simulate._CellBlocks(snap, [snap.nonvoid])
-        cells = snap.tagged_cells(0)[::-1]
+        cells = tagged_cells(snap, 0)[::-1]
         assert len(cells) > 20
         for b, pair_xy in zip(cells.tolist(), snap.pairs(cells)):
             cell = schedule_noma_users(snap, b)
@@ -1072,8 +1093,15 @@ def far_cluster_snapshot():
     params = NetworkParams(tiers=(TierParams(1.0, 1e-4),), user_intensity=0.25,
                            pathloss_exponent=4.0, sir_threshold=1.0, beta=(0.75,))
     window = Window(half_width=1.2e6)
-    [snap] = simulate._snapshots((params,), window, 3, 0, [bs])
-    return snap
+    # the snapshot that _snapshots builds on these BSs, at (seed, trial) = (3, 0)
+    cells = periodic_voronoi(bs, window)
+    uniform = _stream(3, 0, _STREAM_COUNTS).random(len(bs))
+    return NetworkSnapshot(
+        params=params, window=window, seed=3, trial=0,
+        counts=_count_classes(params.user_intensity * cells.areas, uniform), bs_xy=bs,
+        bs_tier=np.zeros(len(bs), dtype=np.intp), bs_power=np.ones(len(bs)), _voronoi=cells,
+        _pair_draws=_stream(3, 0, _STREAM_PAIRS).random((len(bs), 2, 3)),
+    )
 
 
 def every_cell_exact(monkeypatch):
@@ -1121,7 +1149,7 @@ class TestFloat32Screen:
         relative = []
         for trial in (0, 1):
             snap = build_snapshot(params, default_window(params), seed=5, trial=trial)
-            cells = np.concatenate([snap.tagged_cells(t) for t in range(params.n_tiers)])
+            cells = np.concatenate([tagged_cells(snap, t) for t in range(params.n_tiers)])
             for sums, errors, exact in screened_blocks(snap, cells):
                 assert (np.abs(sums - exact) <= errors).all()
                 relative.append(errors.sum(axis=-1) / sums.sum(axis=-1))
@@ -1132,7 +1160,7 @@ class TestFloat32Screen:
 
     def test_bound_covers_coordinates_far_from_the_origin(self):
         snap = far_cluster_snapshot()
-        cells = snap.tagged_cells(0)
+        cells = tagged_cells(snap, 0)
         assert len(cells) > 50
         worst = 0.0
         for sums, errors, exact in screened_blocks(snap, cells):
@@ -1168,7 +1196,7 @@ class TestFloat32Screen:
     def placed(snap, receivers):
         """snap with its first tagged pico cells' pairs set to receivers,
         two per cell, and those cells."""
-        cells = snap.tagged_cells(1)[:len(receivers) // 2]
+        cells = tagged_cells(snap, 1)[:len(receivers) // 2]
         pair_xy = np.full((snap.n_bs, 2, 2), np.nan)
         pair_xy[cells] = receivers[:2 * len(cells)].reshape(-1, 2, 2)
         return replace(snap, _voronoi=PlacedPairs(pair_xy)), cells
@@ -1181,11 +1209,12 @@ class TestFloat32Screen:
         receivers = self.edge_receivers(snap)
         snap, cells = self.placed(snap, receivers)
         wrapped = 0
-        for b in cells[:6]:
-            cell = schedule_noma_users(snap, b)
-            for r, u in enumerate(snap.pairs(np.array([b]))[0]):
+        blocks = simulate._CellBlocks(snap, [snap.nonvoid])
+        for b, pair_xy in zip(cells[:6].tolist(), snap.pairs(cells[:6])):
+            _, link_dist_sq, _ = blocks.links(b, pair_xy)
+            for r, u in enumerate(pair_xy):
                 dist_sq = torus_dist_sq(snap.bs_xy, u, snap.window)
-                assert np.allclose(cell.link_dist_sq[r], dist_sq, rtol=1e-9, atol=0.0)
+                assert np.allclose(link_dist_sq[r], dist_sq, rtol=1e-9, atol=0.0)
                 wrapped += (dist_sq < ((snap.bs_xy - u) ** 2).sum(axis=-1)).sum()
         assert wrapped > 100
         nearest = np.array([torus_dist_sq(snap.bs_xy, u, snap.window).min()
@@ -1222,7 +1251,7 @@ class TestFloat32Screen:
         # minimum image with the float32 period
         snap = far_cluster_snapshot() if far else build_snapshot(table1_params(), None, 5, 0)
         blocks = simulate._CellBlocks(snap, [snap.nonvoid])
-        cells = np.concatenate([snap.tagged_cells(t) for t in range(snap.params.n_tiers)])
+        cells = np.concatenate([tagged_cells(snap, t) for t in range(snap.params.n_tiers)])
         pair_xy = snap.pairs(cells[:blocks.size])
         bs_x, bs_y = snap.bs_xy.astype(np.float32).T
         ux, uy = (pair_xy[..., c, None].astype(np.float32) for c in (0, 1))
@@ -1238,7 +1267,7 @@ class TestFloat32Screen:
         snap = build_snapshot(params, TOY_WINDOW, seed=19, trial=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for sums, errors, exact in screened_blocks(snap, snap.tagged_cells(0)):
+            for sums, errors, exact in screened_blocks(snap, tagged_cells(snap, 0)):
                 assert np.isfinite(errors).all()
                 assert (np.abs(sums - exact) <= errors).all()
 
@@ -1275,7 +1304,7 @@ class TestFloat32Screen:
         # float64 path, and the totals are the float64 path's
         base = table1_params()
         snap = build_snapshot(base, default_window(base), seed=83, trial=0)
-        b = int(snap.tagged_cells(1)[7])
+        b = int(tagged_cells(snap, 1)[7])
         cell = schedule_noma_users(snap, b)
         theta = (1.0 - 0.75) * cell.desired[0] / cell.interference[0]
         params = replace(base, sir_threshold=theta)
@@ -1306,6 +1335,34 @@ class TestFloat32Screen:
         for trial in (0, 1):
             assert_same_totals(refused[trial], run_single_trial(params, None, seed=85, trial=trial,
                                                                 max_cells_per_tier=40))
+
+    def test_refused_screen_computes_no_float32_link(self, monkeypatch):
+        # the screen's refusal is known before the first block, so no float32
+        # distance is computed; the totals are those of the screen run on
+        # every cell and overruled by the float64 path
+        base = table1_params()
+        params = replace(base, tiers=(base.tiers[0],
+                                      replace(base.tiers[1], power_watts=1e-320)))
+
+        def no_screen(blocks, pair_xy):
+            raise AssertionError("a refused screen computed float32 distances")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate._CellBlocks, "_squared_distances", no_screen)
+            refused = run_trials(params, n_trials=2, seed=(86, 0), max_cells_per_tier=40)
+        assert refused.samples.sum() > 0
+        every_cell_exact(monkeypatch)
+        init, screened = simulate._CellBlocks.__init__, []
+
+        def screening(blocks, layout, flags):
+            init(blocks, layout, flags)
+            screened.append(blocks.screens)
+            blocks.screens = True
+
+        monkeypatch.setattr(simulate._CellBlocks, "__init__", screening)
+        assert_same_totals(refused,
+                           run_trials(params, n_trials=2, seed=(86, 0), max_cells_per_tier=40))
+        assert screened == [False, False]
 
     def test_fallback_share_on_stock_under_one_percent(self, monkeypatch):
         fallback = record_fallback(monkeypatch)
