@@ -1,7 +1,7 @@
 """The input rules; each raises ConfigError naming the field it checks."""
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
@@ -25,9 +25,20 @@ def number(value, field, minimum=None, strict=False):
     return value
 
 
-def integer(value, field, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+def integer(value, field, minimum=None, below=None):
+    # numpy integers are Integral; bool is too, but is no count or index.  An
+    # int skips the slower isinstance check against the Integral ABC
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(field, f"must be at least {minimum}")
-    return value
+    if below is not None and value >= below:
+        raise ConfigError(field, f"must be below {below}")
+    return int(value)
+
+
+def random_seed(value):
+    """A random seed: an integer >= 0, or a nonempty tuple or list of them."""
+    if isinstance(value, (tuple, list)) and value:
+        return tuple([integer(entry, "seed", 0) for entry in value])
+    return integer(value, "seed", 0)

@@ -27,6 +27,7 @@ from dataclasses import replace
 
 from .config import ConfigError, load_config
 from .coverage import cell_load_model, decoding_thresholds
+from .kernels import KernelEvaluator
 from .sweeps import analytic_pairs, max_abs_gap, run_beta_scan, run_sweep
 
 CSV_HEADER = ("sweep_value", "tier", "role", "scheme", "analytic",
@@ -111,10 +112,12 @@ def cmd_optimize_beta(cfg, out):
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)
     grid = [lo + (1.0 - lo) * i / 32 for i in range(1, 33)]
+    # the kernels depend only on the tiers and alpha: one evaluator serves every scan
+    evaluator = KernelEvaluator.from_params(params)
     records = []
     for tier in range(params.n_tiers):
         for scheme in cfg.schemes:
-            scan = run_beta_scan(params, tier, scheme, grid)
+            scan = run_beta_scan(params, tier, scheme, grid, evaluator)
             opt = scan.optimum
             boundary = "  [maximizer at beta = 1 boundary]" if opt.at_boundary else ""
             note = EXTRAPOLATED_NOTE if opt.extrapolated else ""

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import ConfigError, number
+from .checks import ConfigError, integer, number
 from .kernels import KernelEvaluator
 
 # optimize_beta: coarse grid size, then golden-section bracket width, and
@@ -251,9 +251,12 @@ def coverage_curve(params, tier, scheme, betas, evaluator=None):
 
 
 def _curve(params, tier, scheme, evaluator=None):
-    """coverage_curve's set-up: a function of a float64 array of checked
-    betas that gives their coverage as arrays (_pairs).  The threshold
-    needs no check here: NetworkParams holds only positive ones."""
+    """coverage_curve's and scan_beta's set-up: a function of a float64
+    array of checked betas that gives their coverage as arrays (_pairs).
+    ConfigError unless tier is an integer in [0, n_tiers) (numpy integers
+    too, bool not) and scheme one of SCHEMES.  The threshold needs no
+    check here: NetworkParams holds only positive ones."""
+    tier = integer(tier, "tier", 0, below=params.n_tiers)
     check_schemes((scheme,))
     q = cell_load_model(params).nonvoid_prob
     ev = evaluator if evaluator is not None else KernelEvaluator.from_params(params)
@@ -271,12 +274,13 @@ def _pairs(ev, tier, coop, theta, q, betas):
     theta/(1+theta) (the others get 0 and 0), under _PAIRS_ERRSTATE.
 
     Every beta's kernel arguments go to one interference_kernel call: its
-    near and far thresholds without cooperation, and with it its near
-    threshold theta/(1-beta) and the thresholds x and x/theta of the
-    combined far exponent (KernelEvaluator.void_exponent).  The schemes
-    differ in these two places only.  Each value is elementwise in the
-    array, so an array of betas gives the values of one call per beta,
-    bit for bit.
+    far threshold without cooperation, and its own-signal threshold
+    theta/(1-beta) too where that exceeds the far one and so is the near
+    threshold; with cooperation its near threshold theta/(1-beta) and the
+    thresholds x and x/theta of the combined far exponent
+    (KernelEvaluator.void_exponent).  The schemes differ in these two
+    places only.  Each value is elementwise in the array, so an array of
+    betas gives the values of one call per beta, bit for bit.
     """
     valid, far_args, own_args = _thresholds(theta, betas)
     n = len(far_args)
@@ -285,12 +289,16 @@ def _pairs(ev, tier, coop, theta, q, betas):
         args = [own_args, far_args] + ([far_args / theta] if theta != 1.0 else [])
         kernels = ev.interference_kernel(tier, np.concatenate(args))
         far_exps = ev.void_exponent(far_args, args[-1], kernels[n:2 * n], kernels[-n:], q)
+        k_nears = kernels[:n]
     else:
-        near_args = np.maximum(far_args, own_args)
-        kernels = ev.interference_kernel(tier, np.concatenate([near_args, far_args]))
+        above = own_args > far_args
+        kernels = ev.interference_kernel(tier, np.concatenate([far_args, own_args[above]]))
         # no interferer at q = 0, even where a kernel overflowed to inf
-        far_exps = q * kernels[n:] if q else np.zeros(n)
-    k_nears = kernels[:n]
+        far_exps = q * kernels[:n] if q else np.zeros(n)
+        # the near threshold is max(far, own): the far kernels, in place,
+        # with the own-signal kernels where own is above
+        k_nears = kernels[:n]
+        k_nears[above] = kernels[n:]
     nears = 2.0 / (2.0 + q * k_nears)
     fars = 2.0 / ((1.0 + far_exps) * (2.0 + far_exps))
     if not q:
@@ -305,7 +313,9 @@ def _pairs(ev, tier, coop, theta, q, betas):
 
 def average_coverage(params, tier, scheme, evaluator=None):
     """Mean of the near and far coverage probabilities for one scheme."""
-    return coverage_curve(params, tier, scheme, (params.beta[tier],), evaluator)[0].average
+    # a lazy map: coverage_curve checks the tier before it reads the beta
+    beta = map(params.beta.__getitem__, (tier,))
+    return coverage_curve(params, tier, scheme, beta, evaluator)[0].average
 
 
 @dataclass(frozen=True)
@@ -331,18 +341,19 @@ def optimize_beta(params, tier, scheme):
     return scan_beta(params, tier, scheme, ())[1]
 
 
-def scan_beta(params, tier, scheme, betas):
+def scan_beta(params, tier, scheme, betas, evaluator=None):
     """(averages, optimum): the average coverage at each of betas, as a
     tuple, and optimize_beta's optimum.
 
-    The scheme, theta and q are set up, and each of betas checked, once
+    The tier, scheme, theta, q and the kernel evaluator (evaluator, or
+    one built from params) are set up, and each of betas checked, once
     per call (_curve).  One array evaluation then covers betas and the
     coarse grid together, each float once: a coarse grid point that betas
     holds too is not evaluated again.  The golden section then takes its
     steps in batches (_golden_section).  The values are those of separate
     coverage_curve calls, bit for bit.
     """
-    curve = _curve(params, tier, scheme)
+    curve = _curve(params, tier, scheme, evaluator)
     betas = np.array([check_beta(beta, "beta[0]") for beta in betas], dtype=float)
     theta = params.sir_threshold
     lo = theta / (1.0 + theta)

@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import ConfigError, integer
+from .checks import ConfigError, integer, random_seed
 from .coverage import SCHEMES, check_schemes
 from .geometry import Window, default_window, periodic_voronoi, sample_ppp
 from .geometry import associate  # noqa: F401  (perfbench traces simulate.associate by name)
@@ -256,8 +256,11 @@ def build_snapshot(params, window, seed, trial):
 def _sample_tiers(params, window, seed, trial):
     """The BSs of each tier, from the trial's points stream, and that stream.
 
-    SimulationError if the window holds no BS.
+    Every trial and census snapshot starts here, so a seed that is not
+    one (checks.random_seed) raises ConfigError before any draw, and
+    SimulationError follows if the window holds no BS.
     """
+    random_seed(seed)
     rng = _stream(seed, trial, _STREAM_POINTS)
     tier_xy = [sample_ppp(t.intensity, window, rng) for t in params.tiers]
     if sum(len(p) for p in tier_xy) == 0:
@@ -901,8 +904,10 @@ def _map_trials(grids, window, n_trials, seed, max_cells_per_tier, n_jobs):
     or where the platform cannot fork, all in this process.  scipy.spatial,
     which every trial's tessellation needs, is imported before any fork, so
     the workers inherit it; multiprocessing is imported only to fork.  A
-    budget that is not an integer >= 1 raises ConfigError before any trial.
+    budget that is not an integer >= 1, or a seed that is not one
+    (checks.random_seed), raises ConfigError before any trial.
     """
+    random_seed(seed)
     integer(n_trials, "n_trials", 1)
     integer(n_jobs, "n_jobs", 1)
     if max_cells_per_tier is not None:
@@ -1082,8 +1087,8 @@ def cell_census(params, window=None, n_snapshots=100, seed=0):
     full counts itself: snapshot t has trial t's BSs, and each BS's count
     is Poisson(user_intensity x area of its Voronoi cell), drawn
     from the points stream after the tiers.  ConfigError unless
-    n_snapshots is an integer >= 1, or when the window is over the point
-    budget (check_point_budget).
+    n_snapshots is an integer >= 1 and seed a seed (checks.random_seed),
+    or when the window is over the point budget (check_point_budget).
     """
     integer(n_snapshots, "n_snapshots", 1)
     window = check_point_budget(params, window)

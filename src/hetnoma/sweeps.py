@@ -157,9 +157,10 @@ class BetaScan:
     optimum: object
 
 
-def run_beta_scan(params, tier, scheme, grid):
-    """Average coverage on a beta grid and the golden-section optimum."""
-    averages, optimum = scan_beta(params, tier, scheme, grid)
+def run_beta_scan(params, tier, scheme, grid, evaluator=None):
+    """Average coverage on a beta grid and the golden-section optimum;
+    evaluator as for coverage_curve."""
+    averages, optimum = scan_beta(params, tier, scheme, grid, evaluator)
     return BetaScan(
         tier=tier, scheme=scheme, grid=tuple(float(b) for b in grid),
         averages=averages, optimum=optimum,

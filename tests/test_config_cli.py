@@ -24,6 +24,7 @@ from hetnoma.config import (
 )
 from hetnoma.coverage import NetworkParams, TierParams
 from hetnoma.geometry import Window
+from hetnoma.kernels import KernelEvaluator
 
 TOY_CONFIG = {
     "tiers": [
@@ -567,6 +568,19 @@ class TestCliOptimizeBeta:
         end = text.index(f"wrote beta scan to {out}\n")
         with open(out, "rb") as fh:
             assert fh.read() == text[start:end].encode()
+
+    def test_one_evaluator_for_every_scan(self, tmp_path, monkeypatch):
+        # the kernels depend on the tiers and alpha alone: one evaluator
+        # serves the 4 scans of a two-tier, two-scheme run
+        built = []
+        from_params = KernelEvaluator.from_params.__func__
+        monkeypatch.setattr(KernelEvaluator, "from_params", classmethod(
+            lambda cls, params: built.append(params) or from_params(cls, params)))
+        path = write_config(tmp_path, dict(TOY_CONFIG, pathloss_exponent=3.5))
+        code, text = run_cli(["optimize-beta", "--config", path])
+        assert code == 0
+        assert text.count(": beta* = ") == 4
+        assert len(built) == 1
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path, unbuffered):

@@ -13,7 +13,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hetnoma import coverage, kernels
+from hetnoma import coverage, kernels, sweeps
 from hetnoma.checks import ConfigError
 from hetnoma.coverage import (
     BETA_GRID_POINTS,
@@ -508,6 +508,16 @@ class TestScanBeta:
         scan_beta(params, tier, scheme, self.GRID)
         assert len(calls) <= 1 + math.ceil(steps / GOLDEN_LOOKAHEAD) + 1
 
+    def test_one_evaluator_serves_every_scan(self):
+        params = replace(table1_params(), pathloss_exponent=3.5)
+        ev = kernels.KernelEvaluator.from_params(params)
+        for tier in (0, 1):
+            for scheme in ("noncoop", "coop"):
+                shared = scan_beta(params, tier, scheme, self.GRID, ev)
+                own = scan_beta(params, tier, scheme, self.GRID)
+                assert hex_floats(shared[0]) == hex_floats(own[0])
+                assert hex_floats(astuple(shared[1])) == hex_floats(astuple(own[1]))
+
     def test_lower_bracket_optimum(self):
         # alpha = 3, pico coop: the best coarse point is the lowest, and the
         # golden section ends on the bracket's lower side, at 0.50004
@@ -515,6 +525,84 @@ class TestScanBeta:
         _, optimum = scan_beta(params, 1, "coop", self.GRID)
         assert 0.5 < optimum.beta_star < 0.5 + 0.5 / BETA_GRID_POINTS
         assert optimum.beta_star == pytest.approx(0.50004, abs=1e-5)
+
+
+PAIRS = coverage._pairs
+
+
+def undeduplicated_pairs(ev, tier, coop, theta, q, betas):
+    """coverage._pairs with every noncoop near threshold max(far, own) sent
+    to the kernel beside the far one, also where the two are equal."""
+    if coop:
+        return PAIRS(ev, tier, coop, theta, q, betas)
+    valid, far_args, own_args = coverage._thresholds(theta, betas)
+    n = len(far_args)
+    kernels = ev.interference_kernel(tier, np.concatenate([np.maximum(far_args, own_args),
+                                                           far_args]))
+    far_exps = q * kernels[n:] if q else np.zeros(n)
+    nears = 2.0 / (2.0 + q * kernels[:n])
+    if not q:
+        nears[np.isinf(kernels[:n])] = 0.0
+    near, far = np.zeros(len(betas)), np.zeros(len(betas))
+    near[valid], far[valid] = nears, 2.0 / ((1.0 + far_exps) * (2.0 + far_exps))
+    return near, far, valid
+
+
+class TestNoncoopThresholds:
+    # at theta = 1 the near threshold equals the far one at and below the
+    # crossover (1+theta)/(2+theta) = 2/3
+
+    def test_each_threshold_sent_once(self, monkeypatch):
+        params = replace(table1_params(), pathloss_exponent=3.5)
+        sizes = []
+        tails = kernels._tails
+        monkeypatch.setattr(kernels, "_tails",
+                            lambda bounds, alpha: sizes.append(bounds.size) or tails(bounds, alpha))
+        scan_beta(params, 1, "noncoop", ())
+        # the coarse grid: its 64 far thresholds and the 43 own-signal ones
+        # above 2/3, each with a term per tier
+        assert sizes[0] == 2 * (64 + 43)
+        sizes.clear()
+        # 0.3 is below theta/(1+theta); own exceeds far at 0.75 and 1.0
+        coverage_curve(params, 0, "noncoop", [0.3, 0.55, 0.6, 0.75, 1.0])
+        assert sizes == [2 * (4 + 2)]
+
+    @pytest.mark.parametrize("alpha, mu", [(3.5, 5e-4), (4.0, 5e-4), (3.5, 0.0)])
+    def test_values_equal_the_undeduplicated_evaluation(self, monkeypatch, alpha, mu):
+        params = replace(table1_params(user_intensity=mu), pathloss_exponent=alpha)
+        betas = [0.3, 0.5, 0.55, 0.6, 2.0 / 3.0, 0.7, 0.75, 0.9, 1.0]
+
+        def values():
+            curves = [hex_floats(pair) for tier in (0, 1)
+                      for pair in coverage_curve(params, tier, "noncoop", betas)]
+            scans = [scan_beta(params, tier, "noncoop", TestScanBeta.GRID) for tier in (0, 1)]
+            return curves, [(hex_floats(a), hex_floats(astuple(o))) for a, o in scans]
+
+        deduplicated = values()
+        monkeypatch.setattr(coverage, "_pairs", undeduplicated_pairs)
+        assert values() == deduplicated
+
+
+class TestTierCheck:
+    @pytest.mark.parametrize("tier", [-1, True, 2, 1.0],
+                             ids=["negative", "bool", "past_the_last", "float"])
+    def test_every_entry_point_names_the_tier(self, tier):
+        # -1 and True used to give the pico tier's pair, 2 an IndexError and
+        # 1.0 a TypeError
+        p = table1_params()
+        for call in (lambda: coverage_curve(p, tier, "noncoop", [0.75]),
+                     lambda: scan_beta(p, tier, "coop", [0.75]),
+                     lambda: average_coverage(p, tier, "noncoop"),
+                     lambda: optimize_beta(p, tier, "coop"),
+                     lambda: sweeps.run_beta_scan(p, tier, "noncoop", [0.75])):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert info.value.field == "tier"
+
+    def test_numpy_integer_is_a_tier(self):
+        p = table1_params()
+        assert coverage_curve(p, np.int64(1), "noncoop", [0.75]) == coverage_curve(
+            p, 1, "noncoop", [0.75])
 
 
 class TestParamsValidation:

@@ -588,6 +588,41 @@ class TestRunTrials:
         assert info.value.field == budget
         assert recording_pool == []
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "x", None, (), (501, -1), [1, True]],
+                             ids=["float", "bool", "negative", "str", "none", "empty",
+                                  "negative_entry", "bool_entry"])
+    def test_rejects_seed_not_an_integer_from_zero(self, monkeypatch, recording_pool, seed):
+        # 1.5 and True used to run seed 1, -1 and "x" to fail inside numpy or int()
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the seed was rejected")
+
+        monkeypatch.setattr(simulate, "run_coupled_trial", no_trial)
+        with pytest.raises(ConfigError) as info:
+            run_trials(toy_params(), TOY_WINDOW, n_trials=2, seed=seed, n_jobs=2)
+        assert info.value.field == "seed"
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("seed", [2.7, True, -1])
+    def test_single_trial_and_census_reject_the_seed(self, monkeypatch, seed):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a stream was drawn before the seed was rejected")
+
+        monkeypatch.setattr(simulate, "_stream", no_draw)
+        p = toy_params()
+        for call in (lambda: simulate.run_coupled_trial((p,), TOY_WINDOW, seed, 0),
+                     lambda: run_single_trial(p, TOY_WINDOW, seed, 0),
+                     lambda: build_snapshot(p, TOY_WINDOW, seed, 0),
+                     lambda: cell_census(p, TOY_WINDOW, n_snapshots=2, seed=seed)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert info.value.field == "seed"
+
+    def test_numpy_and_list_seeds_are_their_integers(self):
+        p = toy_params(mu=2e-4)
+        for seed, same in ((np.int64(17), 17), ([np.uint16(17), 0], (17, 0))):
+            assert_same_totals(run_trials(p, TOY_WINDOW, n_trials=2, seed=seed),
+                               run_trials(p, TOY_WINDOW, n_trials=2, seed=same))
+
     def test_trial_sets_share_one_pool(self, monkeypatch, recording_pool):
         # the trials of all groups share one set of workers sized by the whole run;
         # the first two points share their tiers, so one snapshot per trial
